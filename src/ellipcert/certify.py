@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .family import CriticalConstants, l_factor, w_plus
-from .specfun import ellip_k
 
 # Sign violations are only counted beyond this tolerance: floating point
 # cannot certify strictness at an equality point itself.
@@ -31,7 +30,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InconclusiveScanError(RuntimeError):
-    """A scan could not separate its answer from the interval boundary."""
+    """A scan could not reach a verdict: its answer sits on the interval
+    boundary, or a sample it would rest on is NaN or infinite."""
 
 
 class BracketNotFoundError(RuntimeError):
@@ -113,6 +113,12 @@ def _mixed(x: float, v: float, margin: float, step: float | None = None) -> Sign
     return SignCertificate("mixed", x, v, margin, step)
 
 
+def _require_finite(values) -> None:
+    """A NaN or infinite sample is never evidence: the scan is inconclusive."""
+    if not all(map(math.isfinite, values)):
+        raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
+
+
 def certify_sign(fn: Callable[[float], float],
                  claimed: Literal["nonnegative", "nonpositive"],
                  cfg: ScanConfig = DEFAULT_SCAN) -> SignCertificate:
@@ -121,7 +127,8 @@ def certify_sign(fn: Callable[[float], float],
     Returns "mixed" with the first (leftmost) strict violation beyond
     SIGN_TOLERANCE; otherwise refines refine_depth times around grid
     values with |value| < 10 * min_abs_margin and returns the claimed
-    verdict with the final margin.
+    verdict with the final margin.  Either verdict needs every sample
+    taken before it to be finite; otherwise InconclusiveScanError.
     """
     if claimed not in ("nonnegative", "nonpositive"):
         raise ValueError(f"claimed must be 'nonnegative' or 'nonpositive'; got {claimed!r}")
@@ -132,11 +139,13 @@ def certify_sign(fn: Callable[[float], float],
     margin = math.inf
     for x in pts:
         v = fn(x)
-        if sgn * v < -SIGN_TOLERANCE:
-            return _mixed(x, v, margin if margin < math.inf else abs(v))
         seen[x] = v
+        if sgn * v < -SIGN_TOLERANCE:
+            _require_finite(seen.values())
+            return _mixed(x, v, margin if margin < math.inf else abs(v))
         if abs(v) < margin:
             margin = abs(v)
+    _require_finite(seen.values())
 
     for _ in range(cfg.refine_depth):
         threshold = 10.0 * margin
@@ -156,11 +165,13 @@ def certify_sign(fn: Callable[[float], float],
             break
         for x in fresh:
             v = fn(x)
-            if sgn * v < -SIGN_TOLERANCE:
-                return _mixed(x, v, margin)
             seen[x] = v
+            if sgn * v < -SIGN_TOLERANCE:
+                _require_finite(seen.values())
+                return _mixed(x, v, margin)
             if abs(v) < margin:
                 margin = abs(v)
+        _require_finite(seen.values())
         pts = sorted(seen)
 
     return SignCertificate(claimed, None, None, margin)
@@ -172,7 +183,8 @@ def certify_monotone(fn: Callable[[float], float],
     """Certify strict monotonicity via consecutive grid differences.
 
     The difference sequence fn(x_{i+1}) - fn(x_i) is sign-checked with
-    the same tolerance, refinement and witness contract as certify_sign.
+    the same tolerance, refinement and witness contract as certify_sign;
+    a non-finite sample makes the scan inconclusive.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing'; got {direction!r}")
@@ -182,6 +194,7 @@ def certify_monotone(fn: Callable[[float], float],
 
     pts = cfg.grid()
     vals = [fn(x) for x in pts]
+    _require_finite(vals)
     margin = math.inf
 
     def check(seq_x: list[float], seq_v: list[float]) -> SignCertificate | None:
@@ -217,6 +230,7 @@ def certify_monotone(fn: Callable[[float], float],
                 continue  # interval already at float resolution
             progressed = True
             seg_v = [vals[i]] + [fn(x) for x in seg_x[1:-1]] + [vals[i + 1]]
+            _require_finite(seg_v)
             bad = check(seg_x, seg_v)
             if bad is not None:
                 return bad
@@ -286,7 +300,7 @@ _XP_LADDER = (
 )
 
 
-def find_x_p(p: float, tol: float = 1e-12) -> float:
+def find_x_p(p: float) -> float:
     """The unique zero of l_factor(p, .) in (0, 1), for p in (0, 1/4).
 
     A geometric ladder locates the single + -> - sign change, bisection
@@ -294,13 +308,10 @@ def find_x_p(p: float, tol: float = 1e-12) -> float:
     |L| wins.  Outside (0, 1/4) the factor has constant sign and
     BracketNotFoundError is raised.
 
-    The residual target is |L(x_p)| <= tol * K(x_p).  For roots very
-    close to 1 (small p) the steepness of L makes the achievable
+    For roots very close to 1 (small p) the steepness of L makes the
     residual quantization-limited: no double between the bracketing
     neighbors of the true root gets closer than |L'(x_p)| * ulp(x_p).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive; got {tol!r}")
     signs = []
     for x in _XP_LADDER:
         v = l_factor(p, x)
@@ -317,14 +328,11 @@ def find_x_p(p: float, tol: float = 1e-12) -> float:
     lo, flo = signs[changes[0]]
     hi, fhi = signs[changes[0] + 1]
 
-    k_scale = ellip_k(lo)
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
         v = l_factor(p, mid)
-        if abs(v) <= tol * k_scale:
-            return mid
         if v > 0.0:
             lo, flo = mid, v
         else:

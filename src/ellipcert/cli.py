@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any
@@ -103,12 +104,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite; got {value!r}")
+    return value
+
+
 def _parse_number(text: str) -> float:
-    """Plain float, or a rational like 7/32."""
+    """Plain float, or a rational like 7/32; finite, nonzero denominator."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+        num, den = (float(part) for part in text.split("/", 1))
+        if den == 0.0:
+            raise DomainError(f"zero denominator in {text!r}")
+        return _finite(num / den, f"value {text!r}")
+    return _finite(float(text), f"value {text!r}")
 
 
 def _collect_params(pairs: list[str] | None) -> dict[str, float]:
@@ -267,8 +276,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMani
         raise DomainError(
             f"unknown selector {args.selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
     cfg = _scan_from_args(args)
-    a = args.a if args.a is not None else 1.47
-    p = args.p
+    a = _finite(args.a, "--a") if args.a is not None else 1.47
+    p = _finite(args.p, "--p") if args.p is not None else None
 
     reports: list[inequalities.InequalityReport] = []
     sel = args.selector

@@ -8,7 +8,9 @@ signs carry their second derivatives (g_factor, phi - a, p + G, J, L).
 Sign factors are evaluated through exact rearrangements in terms of
 K, E, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
 sign-trustworthy at both interval ends where the textbook expressions
-are 0/0-ill-conditioned.  Raw numerical differentiation is never used
+are 0/0-ill-conditioned.  All four come from one AGM pass
+(specfun.ellip_kept), so each factor costs one kernel call and has no
+series branch.  Raw numerical differentiation is never used
 here; finite differences exist only as oracles in the test suite.
 
 Everything is a pure function; endpoint extension values are produced
@@ -25,9 +27,7 @@ from .specfun import (
     LOG4,
     DomainError,
     ellip_k,
-    ellip_ke,
-    ke_ratio,
-    ke_ratio2,
+    ellip_kept,
     require_unit_interval,
 )
 
@@ -43,13 +43,6 @@ P_MONOTONE = 0.25                # h decreasing iff p >= 1/4
 P_CONVEX_HI = 3.0 * (2.0 + SQRT2) / 8.0   # h convex iff p <= 0 or p >= this
 P_CONCAVE_LO = 3.0 * (2.0 - SQRT2) / 8.0  # h concave iff p in [this, 1]
 ALPHA_LEMMA = (8.0 / 97.0) * (11.0 - 2.0 * math.sqrt(6.0))
-
-# Series fallbacks near x = 0 where even the rearranged closed forms
-# divide two vanishing quantities.  Switch points sit where fallback and
-# closed form agree to well under 1e-9 (checked in the tests).
-_PHI_SERIES_CUT = 1e-6
-_G_SERIES_CUT = 1e-5
-
 
 @dataclass(frozen=True)
 class CriticalConstants:
@@ -72,8 +65,7 @@ class CriticalConstants:
 
 def _core(x: float) -> tuple[float, float, float, float]:
     """(K, E, P, T2) at x with P = (K-E)/x, T2 = ((2-x)K-2E)/x^2."""
-    k, e = ellip_ke(x)
-    return k, e, ke_ratio(x), ke_ratio2(x)
+    return ellip_kept(x)
 
 
 def f(a: float, x: float, *, endpoint: bool = False) -> float:
@@ -183,12 +175,10 @@ def phi(x: float) -> float:
     """Decreasing map of (0,1) onto (log 4, 8/5) steering 1/f convexity.
 
     Stabilized form: phi = log(1-x)/2 - 2 K P / B with
-    B = 2P^2 - K^2 - K T2 (the denominator bracket divided by x^2).
-    Below the series cut the two-term expansion 8/5 - 7x/50 is used.
+    B = 2P^2 - K^2 - K T2 (the denominator bracket divided by x^2),
+    which tends to -5 pi^2 / 32 at 0, so phi -> 8/5 without a 0/0.
     """
     require_unit_interval(x, "phi")
-    if x < _PHI_SERIES_CUT:
-        return 1.6 - 0.14 * x
     k, _e, p, t2 = _core(x)
     b = 2.0 * p * p - k * k - k * t2
     return 0.5 * math.log1p(-x) - 2.0 * k * p / b
@@ -225,13 +215,11 @@ def h(p: float, x: float, *, endpoint: bool = False) -> float:
 def g_aux(x: float) -> float:
     """Increasing map of (0,1) onto (-7/32, 0) steering log-concavity of h.
 
-    Stabilized form G = ((P^2 + 2KP - 2K^2) - K T2) / (4 K^2); under the
-    series cut the expansion -7/32 + x/32 takes over.  The approach to 0
-    at x -> 1 is logarithmic, G ~ -1/(2K).
+    Stabilized form G = ((P^2 + 2KP - 2K^2) - K T2) / (4 K^2), which
+    tends to -7/32 at 0 without cancellation.  The approach to 0 at
+    x -> 1 is logarithmic, G ~ -1/(2K).
     """
     require_unit_interval(x, "g_aux")
-    if x < _G_SERIES_CUT:
-        return -7.0 / 32.0 + x / 32.0
     k, _e, p, t2 = _core(x)
     return ((p * p + 2.0 * k * p - 2.0 * k * k) - k * t2) / (4.0 * k * k)
 

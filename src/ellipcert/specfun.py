@@ -9,10 +9,12 @@ and modulus is the classic bug with these integrals, so the classical
 modulus form is exposed only through the explicit ``*_modulus``
 adapters.
 
-The production path for K and E is the arithmetic-geometric mean, which
-converges quadratically (about five doublings to machine precision).
-The hypergeometric series is kept as a second, independent route; the
-two are required to agree to 1e-12 relative on (1e-6, 0.95).
+The production path is one pass of the arithmetic-geometric mean, which
+converges quadratically (about five doublings to machine precision) and
+yields K, E and the ratios (K-E)/x and ((2-x)K-2E)/x^2 together, the
+ratios from a sum of positive terms with no series cut.  The
+hypergeometric series is kept as a second, independent route; the two
+are required to agree to 1e-12 relative on (1e-6, 0.95).
 
 All functions are pure, deterministic and safe to call concurrently.
 """
@@ -49,28 +51,47 @@ def require_unit_interval(x: float, what: str = "x") -> None:
         raise DomainError(f"{what} must lie in the open interval (0, 1); got {x!r}")
 
 
-def _agm(x: float) -> tuple[float, float]:
-    """(K(x), E(x)) by the AGM iteration, 0 <= x < 1.
+def _agm(x: float) -> tuple[float, float, float, float]:
+    """(K, E, P, T2) at 0 <= x < 1 in one AGM pass, P = (K-E)/x and
+    T2 = ((2-x)K - 2E)/x^2.
 
-    The loop stops once a and b agree to ~2 ulp; pushing further lets the
-    2^n weights amplify the rounding fixpoint of a-b into the E sum.
+    With a_0 = 1, b_0 = sqrt(1-x), c_{n+1} = (a_n - b_n)/2 = c_n^2/(4 a_{n+1})
+    (Borwein & Borwein, *Pi and the AGM*, ch. 1), t_n = c_n/x and the
+    positive-term sum S = sum_{n>=1} 2^n t_n^2:
+
+        K = pi/(a+b),  P = K(1 + xS)/2,  T2 = KS,
+        E = K(b_2^2 + c_1^2/2 - (x^2/2) sum_{n>=3} 2^n t_n^2),
+
+    where b_2^2 + c_1^2/2 = a_1^2 - 2 c_2^2 replaces the one step of the E
+    sum that cancels badly as x -> 1.  t_{n+1} is (a_n - b_n)/(2x) while
+    q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
+    would double its relative error each step.  Stopping at
+    c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
+    kept, and a, b within 3e-14 of each other.
     """
-    if x == 0.0:
-        return PI / 2, PI / 2
-    a, b = 1.0, math.sqrt(1.0 - x)
-    csum = 0.5 * x  # 2^{-1} c_0^2 with c_0^2 = x
-    pw = 0.5
-    for _ in range(40):
-        c = 0.5 * (a - b)
+    y = math.sqrt(1.0 - x)                    # b_0
+    t = 0.5 / (1.0 + y)                       # t_1
+    a, b = 0.5 * (1.0 + y), math.sqrt(y)      # a_1, b_1
+    g = a * b                                 # b_2^2
+    e = g + 0.5 * x * x * t * t
+    d = a - b
+    a, b = 0.5 * (a + b), math.sqrt(g)        # a_2, b_2
+    q = x * t / a                             # c_1 / a_2
+    head = 2.0 * t * t
+    t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+    head += 4.0 * t * t
+    pw = 4.0
+    tail = 0.0                                # sum_{n>=3} 2^n t_n^2
+    while q > 1e-3:                           # False for NaN: no hang
+        d = a - b
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        pw *= 2.0
-        csum += pw * c * c
-        if abs(a - b) <= 4e-16 * a:
-            c = 0.5 * (a - b)
-            csum += 2.0 * pw * c * c
-            break
+        q = x * t / a
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        pw += pw
+        tail += pw * t * t
+    s = head + tail
     k = PI / (a + b)
-    return k, k * (1.0 - csum)
+    return k, k * (e - 0.5 * x * x * tail), 0.5 * k * (1.0 + x * s), k * s
 
 
 def ellip_k(x: float) -> float:
@@ -96,10 +117,14 @@ def ellip_e(x: float) -> float:
     return _agm(x)[1]
 
 
-def ellip_ke(x: float) -> tuple[float, float]:
-    """Both integrals in one AGM pass; same domain as ellip_k."""
+def ellip_kept(x: float) -> tuple[float, float, float, float]:
+    """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) in one AGM pass, 0 <= x < 1.
+
+    The two ratios are free of cancellation and take their limits
+    pi/4 and pi/16 at x = 0.
+    """
     if not 0.0 <= x < 1.0:
-        raise DomainError(f"ellip_ke requires 0 <= x < 1; got {x!r}")
+        raise DomainError(f"ellip_kept requires 0 <= x < 1; got {x!r}")
     return _agm(x)
 
 
@@ -173,48 +198,18 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
             / (math.gamma(c - a) * math.gamma(c - b)))
 
 
-# Series cutoff for the ratio helpers below.  Under the cutoff the direct
-# differences K-E and (2-x)K-2E lose relative accuracy to cancellation,
-# while the series converge in a few dozen terms.
-_RATIO_SERIES_CUT = 0.25
-
-
 def ke_ratio(x: float) -> float:
-    """(K(x) - E(x)) / x without cancellation; limit pi/4 at x = 0.
-
-    For small x uses (pi/4) 2F1(1/2, 3/2; 2; x), whose terms are all
-    positive, so the tiny difference K - E is never formed explicitly.
-    """
+    """(K(x) - E(x)) / x without cancellation; limit pi/4 at x = 0."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ke_ratio requires 0 <= x < 1; got {x!r}")
-    if x < _RATIO_SERIES_CUT:
-        return (PI / 4) * hyp2f1(0.5, 1.5, 2.0, x)
-    k, e = _agm(x)
-    return (k - e) / x
+    return _agm(x)[2]
 
 
 def ke_ratio2(x: float) -> float:
-    """((2 - x)K(x) - 2E(x)) / x**2 without cancellation; limit pi/16 at 0.
-
-    Small-x series: (pi/2) * sum_{n>=1} c_n^2 n/(n+1) x^(n-1) with
-    c_n = (1/2)_n / n!; every term is positive.
-    """
+    """((2 - x)K(x) - 2E(x)) / x**2 without cancellation; limit pi/16 at 0."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ke_ratio2 requires 0 <= x < 1; got {x!r}")
-    if x < _RATIO_SERIES_CUT:
-        c2 = 1.0
-        xn = 1.0
-        total = 0.0
-        for n in range(1, 10_000):
-            c2 *= ((2 * n - 1) / (2.0 * n)) ** 2
-            term = c2 * (n / (n + 1.0)) * xn
-            total += term
-            xn *= x
-            if term < 1e-17 * total:
-                break
-        return (PI / 2) * total
-    k, e = _agm(x)
-    return ((2.0 - x) * k - 2.0 * e) / (x * x)
+    return _agm(x)[3]
 
 
 def d_ellip_k(x: float) -> float:
@@ -258,6 +253,6 @@ def legendre_residual(x: float) -> float:
     K/E kernel, expected below 1e-12 in magnitude everywhere on (0,1).
     """
     require_unit_interval(x, "legendre_residual")
-    kx, ex = _agm(x)
-    kc, ec = _agm(1.0 - x)
+    kx, ex = _agm(x)[:2]
+    kc, ec = _agm(1.0 - x)[:2]
     return ex * kc + ec * kx - kx * kc - 0.5 * PI

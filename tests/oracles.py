@@ -183,3 +183,31 @@ def mp_x_p(p: float, dps: int = 50) -> float:
 
         bracket = (mpmath.mpf("1e-6"), 1 - mpmath.mpf(10) ** -30)
         return float(mpmath.findroot(l_fn, bracket, solver="anderson"))
+
+
+def mp_kept(x: float, dps: int = 50) -> tuple[float, float, float, float]:
+    """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) from mpmath K and E at dps digits.
+
+    The two differences lose about log10(1/x) and 2 log10(1/x) digits to
+    cancellation, which 50 digits absorb down to x = 1e-12.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        k, e = mpmath.ellipk(x), mpmath.ellipe(x)
+        return (float(k), float(e), float((k - e) / x),
+                float(((2 - x) * k - 2 * e) / (x * x)))
+
+
+def mp_phi(x: float, dps: int = 50) -> float:
+    """phi(x) = log(1-x)/2 + 2xK(E-K) / (2E^2 - 2EK + x(1-x)K^2) from
+    mpmath K and E; the denominator is O(x^2), so dps must exceed twice
+    log10(1/x) by the digits wanted."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        k, e = mpmath.ellipk(x), mpmath.ellipe(x)
+        den = 2 * e * e - 2 * e * k + x * (1 - x) * k * k
+        return float(mpmath.log(1 - x) / 2 + 2 * x * k * (e - k) / den)

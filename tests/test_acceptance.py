@@ -520,9 +520,13 @@ class TestCriterion9:
         ac = oracles.mp_a_c()
         checks.append(("a_c", abs(ac - A_C_REF) <= 1e-15 * A_C_REF))
 
-        xp = find_x_p(0.05)
-        xp_ulps = abs(xp - oracles.mp_x_p(0.05)) / math.ulp(xp)
-        checks.append(("x_p(0.05)", xp_ulps <= 1.0))
+        # find_x_p bisects to float resolution: within an ulp or two of
+        # the 50-digit root wherever the root lies
+        xp_ulps = {}
+        for p, bound in ((0.05, 1.0), (0.1, 2.0), (0.2, 2.0)):
+            xp = find_x_p(p)
+            xp_ulps[p] = abs(xp - oracles.mp_x_p(p)) / math.ulp(xp)
+            checks.append((f"x_p({p})", xp_ulps[p] <= bound))
 
         g_worst = 0.0
         for k in range(3, 16):
@@ -533,7 +537,9 @@ class TestCriterion9:
 
         bad = [name for name, good in checks if not good]
         ok = report(9, not bad,
-                    f"mpmath a_c={ac!r}, x_p(0.05) off by {xp_ulps:.0f} ulp, "
+                    f"mpmath a_c={ac!r}, x_p off by "
+                    f"{', '.join(f'{u:.0f}' for u in xp_ulps.values())} ulp "
+                    f"at p = 0.05, 0.1, 0.2, "
                     f"G worst rel "
                     f"{g_worst:.1e} at 1-x = 1e-3..1e-15, failures: "
                     f"{bad or 'none'}")

@@ -141,6 +141,22 @@ class TestVerify:
         assert "fail" not in out
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "thm1-convex", "nan"],
+        ["certify", "thm1-convex", "inf"],
+        ["certify", "thm3-logconcave", "1/0"],
+        ["verify", "sum-bounds", "--a", "nan"],
+        ["verify", "k-envelope", "--p", "inf"],
+        ["eval", "h", "--param", "p=nan", "0.5"],
+    ], ids=" ".join)
+    def test_usage_error_not_verdict(self, capsys, argv):
+        code, out, err = run(capsys, argv + FAST)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestTable:
     def test_w_plus_table(self, capsys):
         code, out, _ = run(capsys, ["table", "w_plus", "--grid-n", "1000",

@@ -1,5 +1,5 @@
-"""Function-zoo tests: factor identities, endpoint behavior, series
-fallbacks, and the finite-difference sign oracles."""
+"""Function-zoo tests: factor identities, endpoint behavior, the
+closed forms near x = 0, and the finite-difference sign oracles."""
 
 import math
 import random
@@ -7,7 +7,6 @@ import random
 import pytest
 
 import oracles
-from ellipcert import family
 from ellipcert.family import (
     ALPHA_LEMMA,
     CriticalConstants,
@@ -198,14 +197,6 @@ class TestPhi:
         assert fresh == pytest.approx(PHI_HALF, abs=5e-12)
         assert phi(0.5) == pytest.approx(PHI_HALF, abs=5e-12)
 
-    def test_switch_point_agreement(self):
-        # closed form and the series fallback agree far below 1e-9 at the cut
-        x = family._PHI_SERIES_CUT
-        series = 1.6 - 0.14 * x
-        k, _e, p, t2 = family._core(x)
-        direct = 0.5 * math.log1p(-x) - 2 * k * p / (2 * p * p - k * k - k * t2)
-        assert abs(series - direct) <= 1e-9
-
     def test_range(self):
         for x in grid(500):
             assert LOG4 < phi(x) < 1.6
@@ -248,13 +239,6 @@ class TestPowerFamily:
         slope = (g_aux(3e-4) - g_aux(2e-4)) / 1e-4
         assert slope == pytest.approx(1.0 / 32.0, rel=1e-2)
 
-    def test_g_aux_switch_point_agreement(self):
-        x = family._G_SERIES_CUT
-        series = -7.0 / 32.0 + x / 32.0
-        k, _e, p, t2 = family._core(x)
-        direct = ((p * p + 2 * k * p - 2 * k * k) - k * t2) / (4 * k * k)
-        assert abs(series - direct) <= 1e-9
-
     def test_g_aux_range_and_log_rate(self):
         for x in grid(500):
             assert -7.0 / 32.0 < g_aux(x) < 0.0
@@ -278,6 +262,18 @@ class TestPowerFamily:
             fpp = oracles.second_central_diff(
                 lambda t: math.log(h(p, t)), x, 1e-4)
             assert math.copysign(1.0, fpp) == -math.copysign(1.0, factor)
+
+
+class TestSmallX:
+    def test_phi_and_g_aux_against_mpmath(self):
+        # The closed forms hold to an ulp or two right down to x = 1e-12;
+        # the two-term series 8/5 - 7x/50 and -7/32 + x/32 they replace
+        # were off by 3.7e-14 and 1.4e-12 just below their switch points
+        # x = 1e-6 and 1e-5.
+        pytest.importorskip("mpmath")
+        for x in (1e-12, 1e-9, 1e-7, 5e-7, 1e-6, 3e-6, 1e-5, 3e-5):
+            assert abs(phi(x) - oracles.mp_phi(x)) <= 2e-15, x
+            assert abs(g_aux(x) - oracles.mp_g(x)) <= 2e-15, x
 
 
 class TestJFactor:

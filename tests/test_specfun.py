@@ -6,6 +6,7 @@ them at run time so a drifting oracle or kernel is caught either way.
 """
 
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from ellipcert.specfun import (
     ellip_e_modulus,
     ellip_k,
     ellip_k_modulus,
+    ellip_kept,
     hyp2f1,
     hyp2f1_at_one,
     hyp2f1_euler,
@@ -275,10 +277,39 @@ class TestRatioHelpers:
                                                          rel=2e-11, abs=1e-15)
 
     def test_series_direct_continuity_at_cut(self):
-        # both branches agree to near machine precision at the switch
         lo, hi = 0.25 - 1e-12, 0.25
         assert ke_ratio(lo) == pytest.approx(ke_ratio(hi), rel=1e-12)
         assert ke_ratio2(lo) == pytest.approx(ke_ratio2(hi), rel=1e-11)
+
+
+class TestOnePassKernel:
+    def test_against_mpmath(self):
+        # K, P and T2 to 1e-15 relative, E to 3e-15, from x = 1e-12 to
+        # the last double below 1: the ladders plus a seeded draw, uniform
+        # on (0, 1) and log-uniform toward either end.  Most points sit
+        # near 1, where the AGM takes the most steps and E is a small
+        # difference of O(K) terms unless it is summed as in _agm.
+        pytest.importorskip("mpmath")
+        rng = random.Random(0)
+        xs = ([10.0 ** -k for k in range(1, 13)]
+              + [1.0 - 10.0 ** -k for k in range(1, 16)]
+              + [rng.random() for _ in range(200)]
+              + [10.0 ** rng.uniform(-12, 0) for _ in range(200)]
+              + [1.0 - 10.0 ** rng.uniform(-15.9, 0) for _ in range(1000)])
+        for x in xs:
+            got, ref = ellip_kept(x), oracles.mp_kept(x)
+            for name, g, r, tol in zip("KEPT", got, ref, (1e-15, 3e-15, 1e-15, 1e-15)):
+                assert abs(g - r) <= tol * r, (name, x, g, r)
+
+    def test_zero_limits_and_single_sources(self):
+        assert ellip_kept(0.0) == (PI / 2, PI / 2, PI / 4, PI / 16)
+        for x in (1e-9, 0.3, 0.9):
+            k, e, p, t2 = ellip_kept(x)
+            assert (k, e, p, t2) == (ellip_k(x), ellip_e(x), ke_ratio(x), ke_ratio2(x))
+        with pytest.raises(DomainError):
+            ellip_kept(1.0)
+        with pytest.raises(DomainError):
+            ellip_kept(math.nan)
 
 
 class TestTextRoundTrip:
