@@ -197,6 +197,12 @@ class TestPhi:
         assert fresh == pytest.approx(PHI_HALF, abs=5e-12)
         assert phi(0.5) == pytest.approx(PHI_HALF, abs=5e-12)
 
+    def test_switch_point_agreement(self):
+        # the closed form meets the two-term series 8/5 - 7x/50 far below
+        # 1e-9 at x = 1e-6, where a series branch used to take over
+        x = 1e-6
+        assert abs((1.6 - 0.14 * x) - phi(x)) <= 1e-9
+
     def test_range(self):
         for x in grid(500):
             assert LOG4 < phi(x) < 1.6
@@ -238,6 +244,12 @@ class TestPowerFamily:
         assert g_aux(1e-9) == pytest.approx(-7.0 / 32.0, abs=1e-7)
         slope = (g_aux(3e-4) - g_aux(2e-4)) / 1e-4
         assert slope == pytest.approx(1.0 / 32.0, rel=1e-2)
+
+    def test_g_aux_switch_point_agreement(self):
+        # the closed form meets the two-term series -7/32 + x/32 far below
+        # 1e-9 at x = 1e-5, where a series branch used to take over
+        x = 1e-5
+        assert abs((-7.0 / 32.0 + x / 32.0) - g_aux(x)) <= 1e-9
 
     def test_g_aux_range_and_log_rate(self):
         for x in grid(500):
