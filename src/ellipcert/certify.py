@@ -58,7 +58,7 @@ class ScanConfig:
             raise ValueError(f"need 0 <= lo < hi <= 1; got lo={self.lo}, hi={self.hi}")
         if self.n < 2:
             raise ValueError(f"grid size must be at least 2; got n={self.n}")
-        if self.endpoint_offset <= 0.0:
+        if not self.endpoint_offset > 0.0:  # also NaN
             raise ValueError(f"endpoint_offset must be positive; got {self.endpoint_offset}")
         if self.refine_depth < 0:
             raise ValueError(f"refine_depth must be >= 0; got {self.refine_depth}")
@@ -291,12 +291,13 @@ def critical_constants(cfg: ScanConfig = DEFAULT_SCAN) -> CriticalConstants:
 
 
 # Scan ladder for locating the sign change of L: dense enough that the
-# single + -> - transition of l_factor cannot be missed, reaching the
-# 1e-9 neighborhoods of both ends.
+# single + -> - transition of l_factor cannot be missed, from 1e-9 up to
+# the largest double below 1 (x_p passes 1 - 1e-9 for p below about 0.043).
 _XP_LADDER = (
     [10.0 ** (-j) for j in range(9, 0, -1)]
     + [i / 10.0 for i in range(2, 10)]
-    + [1.0 - 10.0 ** (-j) for j in range(2, 10)]
+    + [1.0 - 10.0 ** (-j) for j in range(2, 16)]
+    + [math.nextafter(1.0, 0.0)]
 )
 
 
@@ -306,7 +307,8 @@ def find_x_p(p: float) -> float:
     A geometric ladder locates the single + -> - sign change, bisection
     shrinks it to float resolution, and the endpoint with the smaller
     |L| wins.  Outside (0, 1/4) the factor has constant sign and
-    BracketNotFoundError is raised.
+    BracketNotFoundError is raised; so it is for p below about 0.0253,
+    where L is still positive at the largest double below 1.
 
     For roots very close to 1 (small p) the steepness of L makes the
     residual quantization-limited: no double between the bracketing
@@ -319,6 +321,10 @@ def find_x_p(p: float) -> float:
     changes = [i for i in range(len(signs) - 1)
                if signs[i][1] > 0.0 >= signs[i + 1][1]]
     if not changes or signs[0][1] <= 0.0:
+        if 0.0 < p < 0.25:
+            raise BracketNotFoundError(
+                f"l_factor(p={p!r}, .) is positive up to the largest double below 1: "
+                "x_p lies above it")
         raise BracketNotFoundError(
             f"l_factor has no + -> - sign change for p={p!r}; "
             "a turning point exists only for p in (0, 1/4)")

@@ -70,11 +70,29 @@ def fmt_human(v: Any) -> str:
     return "" if v is None else str(v)
 
 
+def _null_nonfinite(v: Any) -> Any:
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _null_nonfinite(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_null_nonfinite(x) for x in v]
+    return v
+
+
+def _json(obj: Any, **kwargs: Any) -> str:
+    """Strict JSON: a NaN or infinite value is written as null, never as
+    the NaN/Infinity tokens that JSON does not have."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
+
+
 def _render(rows: list[dict[str, Any]], manifest: RunManifest, fmt: str) -> str:
-    mjson = json.dumps(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
+    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
     if fmt == "json":
-        return json.dumps({"manifest": manifest.to_dict(), "results": rows},
-                          indent=2, sort_keys=False) + "\n"
+        return _json({"manifest": manifest.to_dict(), "results": rows}, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         cols = list(rows[0].keys()) if rows else []
@@ -279,27 +297,24 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMani
     a = _finite(args.a, "--a") if args.a is not None else 1.47
     p = _finite(args.p, "--p") if args.p is not None else None
 
+    # one grid with K(x) and K(1-x) for every grid check of this command
+    cols = inequalities.GridColumns(cfg)
     reports: list[inequalities.InequalityReport] = []
     sel = args.selector
     if sel in ("sum-bounds", "all"):
-        reports.append(inequalities.check_sum_bounds(a, cfg))
+        reports.append(inequalities.check_sum_bounds(a, cfg, cols=cols))
     if sel in ("weighted-sum", "all"):
-        if p is not None:
-            reports.append(inequalities.check_weighted_sum(p, cfg))
-        else:
-            reports.append(inequalities.check_weighted_sum(family.P_CONVEX_HI, cfg))
-            reports.append(inequalities.check_weighted_sum(0.5, cfg))
+        for pw in (p,) if p is not None else (family.P_CONVEX_HI, 0.5):
+            reports.append(inequalities.check_weighted_sum(pw, cfg, cols=cols))
     if sel in ("product-pair", "all"):
-        reports.append(inequalities.check_product_pair(p if p is not None else 0.5, cfg))
+        reports.append(inequalities.check_product_pair(
+            p if p is not None else 0.5, cfg, cols=cols))
     if sel in ("mean-chain", "all"):
         reports.append(inequalities.check_mean_chain_pairs(
             p if p is not None else 0.5, n_pairs=1000, seed=args.seed, cfg=cfg))
     if sel in ("k-envelope", "all"):
-        if p is not None:
-            reports.append(inequalities.check_k_envelope(p, cfg))
-        else:
-            reports.append(inequalities.check_k_envelope(0.25, cfg))
-            reports.append(inequalities.check_k_envelope(0.1, cfg))
+        for pk in (p,) if p is not None else (0.25, 0.1):
+            reports.append(inequalities.check_k_envelope(pk, cfg, cols=cols))
     if sel in ("gamma-constants", "all"):
         reports.append(inequalities.check_gamma_constant_identities())
 
@@ -439,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         rows, manifest, code = args.handler(args)
     except (DomainError, ConvergenceError, BracketNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:  # OverflowError of a power, division by an underflowed 0
+        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveScanError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -81,11 +81,16 @@ def f(a: float, x: float, *, endpoint: bool = False) -> float:
     if endpoint and x == 1.0:
         return 1.0
     require_unit_interval(x, "f")
+    return f_from_k(a, x, ellip_k(x))
+
+
+def f_from_k(a: float, x: float, k: float) -> float:
+    """f(a, x) from k = K(x): k / (a - log(1-x)/2), for callers that hold K."""
     den = a - 0.5 * math.log1p(-x)
     if den <= 0.0:
         raise DomainError(
             f"f denominator a - log(1-x)/2 = {den!r} is not positive at x={x!r}")
-    return ellip_k(x) / den
+    return k / den
 
 
 def _uvds(x: float) -> tuple[float, float, float, float]:
@@ -209,7 +214,12 @@ def h(p: float, x: float, *, endpoint: bool = False) -> float:
             raise DomainError(f"h diverges at x=1 for p <= 0; got p={p!r}")
         return 0.0
     require_unit_interval(x, "h")
-    return (1.0 - x) ** p * ellip_k(x)
+    return h_from_k(p, x, ellip_k(x))
+
+
+def h_from_k(p: float, x: float, k: float) -> float:
+    """h(p, x) from k = K(x): (1-x)^p k, for callers that hold K."""
+    return (1.0 - x) ** p * k
 
 
 def g_aux(x: float) -> float:

@@ -8,6 +8,14 @@ certified as "violation no worse than -1e-12 slack"; floating point
 cannot certify strictness at an equality point itself, so strict gaps
 are confirmed only away from the recorded equality points.
 
+Each check makes one pass over its points.  At every point it evaluates
+K once per distinct argument, K(x) and, for the bounds that pair r with
+1 - r, K(1 - x), and derives all its clause margins from them.  A command
+that runs several checks on one grid shares a GridColumns, so K(x) and
+K(1 - x) are evaluated once per grid point for the whole command.  A
+margin that is NaN or infinite is no evidence: the check raises
+InconclusiveScanError (exit 3) instead of giving a verdict.
+
 Reports are independent and deterministic; random-pair checks take an
 explicit seed.
 """
@@ -17,10 +25,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 from . import family
-from .certify import DEFAULT_SCAN, ScanConfig, find_x_p
+from .certify import DEFAULT_SCAN, InconclusiveScanError, ScanConfig, find_x_p
 from .specfun import (
     GAMMA_QUARTER,
     GAMMA_THREE_QUARTER,
@@ -112,30 +121,55 @@ def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
     return out
 
 
-def _run(name: str,
-         param: float | None,
-         xs: list[float],
-         clauses: dict[str, Callable[[float], float]],
-         tight: tuple[str, ...],
-         x_p: float | None = None) -> InequalityReport:
-    margins = {cl: -math.inf for cl in clauses}
-    eq_hits: list[tuple[int, float, float]] = []
-    witness = None
-    for i, x in enumerate(xs):
-        for cl, fnc in clauses.items():
-            m = fnc(x)
-            if m > margins[cl]:
-                margins[cl] = m
-            if witness is None and m > VIOLATION_TOL:
-                witness = (x, m, cl)
-            if cl in tight and abs(m) <= EQUALITY_TOL:
-                eq_hits.append((i, x, m))
+class GridColumns:
+    """inequality_grid(cfg) with K(x) and K(1 - x), index-aligned.
+
+    Each column is computed on first use and kept by this object alone,
+    so the checks of one command that share it evaluate K once per point
+    and argument, and a command that never pairs r with 1 - r never
+    computes K(1 - x).
+    """
+
+    def __init__(self, cfg: ScanConfig = DEFAULT_SCAN):
+        self.cfg = cfg
+
+    @cached_property
+    def xs(self) -> list[float]:
+        return inequality_grid(self.cfg)
+
+    @cached_property
+    def k(self) -> list[float]:
+        return [ellip_k(x) for x in self.xs]
+
+    @cached_property
+    def k_mirror(self) -> list[float]:
+        return [ellip_k(1.0 - x) for x in self.xs]
+
+
+def _columns(cfg: ScanConfig, cols: GridColumns | None) -> GridColumns:
+    if cols is None:
+        return GridColumns(cfg)
+    if cols.cfg != cfg:
+        raise ValueError(f"grid columns built for {cols.cfg!r}, not for {cfg!r}")
+    return cols
+
+
+def _report(name: str,
+            param: float | None,
+            grid_n: int,
+            margins: dict[str, float],
+            equality_points: list[float],
+            witness: tuple[float, float, str] | None,
+            x_p: float | None = None) -> InequalityReport:
+    """The report of a check; witness is (x, margin, clause) or None."""
+    if not all(map(math.isfinite, margins.values())):
+        raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
     return InequalityReport(
         name=name,
         param=param,
-        grid_n=len(xs),
+        grid_n=grid_n,
         clause_margins=margins,
-        equality_points=_cluster(eq_hits),
+        equality_points=equality_points,
         verdict="fail" if witness else "pass",
         witness_x=witness[0] if witness else None,
         witness_value=witness[1] if witness else None,
@@ -144,187 +178,232 @@ def _run(name: str,
     )
 
 
-def check_sum_bounds(a: float, cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
+def _scan(name: str,
+          xs: Sequence[float],
+          clauses: Sequence[str],
+          margins_at: Callable[[int, float], Sequence[float]],
+          tight: Sequence[str] = (),
+          ) -> tuple[dict[str, float], list[tuple[int, float, float]],
+                     tuple[float, float, str] | None]:
+    """One pass over xs: margins_at(i, xs[i]) gives every clause margin at
+    that point, in the order of clauses.
+
+    Returns the maximum margin per clause, the equality hits
+    (i, x, margin) of the tight clauses and the first violation
+    (x, margin, clause) or None.  Raises InconclusiveScanError if any
+    margin is NaN or infinite: NaN never raises a maximum, so the check
+    is a running sum of margin * 0, which stays 0 only while every
+    margin is finite.
+    """
+    best = [-math.inf] * len(clauses)
+    is_tight = [cl in tight for cl in clauses]
+    eq_hits: list[tuple[int, float, float]] = []
+    witness = None
+    probe = 0.0
+    for i, x in enumerate(xs):
+        for j, m in enumerate(margins_at(i, x)):
+            probe += m * 0.0
+            if m > best[j]:
+                best[j] = m
+            if witness is None and m > VIOLATION_TOL:
+                witness = (x, m, clauses[j])
+            if is_tight[j] and abs(m) <= EQUALITY_TOL:
+                eq_hits.append((i, x, m))
+    if probe != 0.0:
+        raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
+    return dict(zip(clauses, best)), eq_hits, witness
+
+
+def _run(name: str,
+         param: float | None,
+         xs: Sequence[float],
+         clauses: Sequence[str],
+         margins_at: Callable[[int, float], Sequence[float]],
+         tight: Sequence[str] = (),
+         x_p: float | None = None) -> InequalityReport:
+    """Report of the clauses over xs, see _scan."""
+    margins, eq_hits, witness = _scan(name, xs, clauses, margins_at, tight)
+    return _report(name, param, len(xs), margins, _cluster(eq_hits), witness, x_p)
+
+
+def check_sum_bounds(a: float, cfg: ScanConfig = DEFAULT_SCAN, *,
+                     cols: GridColumns | None = None) -> InequalityReport:
     """4K(1/2)/(2a+log 2) <= f(a,r) + f(a,1-r) < 1 + pi/(2a) on (0,1).
 
     The bounds are claimed for a at or above the computed sharp constant;
     the lower bound is tight exactly at r = 1/2, the upper is approached
-    (at a logarithmic rate) as r -> 0 or 1.  Called with smaller a the
-    check runs anyway and reports the failure witness.
+    (at a logarithmic rate) as r -> 0 or 1.  Called with smaller a > 0
+    the check runs anyway and reports the failure witness.  cols, if
+    given, must be built from cfg.
     """
+    if not a > 0.0:
+        raise DomainError(f"sum bounds need a > 0; got a={a!r}")
     lower = 4.0 * ellip_k(0.5) / (2.0 * a + math.log(2.0))
     upper = 1.0 + PI / (2.0 * a)
+    cols = _columns(cfg, cols)
+    k, k_mirror, f_from_k = cols.k, cols.k_mirror, family.f_from_k
 
-    def total(r: float) -> float:
-        return family.f(a, r) + family.f(a, 1.0 - r)
+    def margins_at(i: int, r: float) -> tuple[float, float]:
+        total = f_from_k(a, r, k[i]) + f_from_k(a, 1.0 - r, k_mirror[i])
+        return lower - total, total - upper
 
-    xs = inequality_grid(cfg)
-    return _run("sum-bounds", a, xs,
-                {"lower": lambda r: lower - total(r),
-                 "upper": lambda r: total(r) - upper},
+    return _run("sum-bounds", a, cols.xs, ("lower", "upper"), margins_at,
                 tight=("lower",))
 
 
-def check_weighted_sum(p: float, cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
+def check_weighted_sum(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
+                       cols: GridColumns | None = None) -> InequalityReport:
     """K(1/2)/2^(p-1) <= h(p,r) + h(p,1-r) < pi/2 for p >= 3(2+sqrt2)/8.
 
     For p in the concavity window [3(2-sqrt2)/8, 1] both bounds reverse.
-    Midpoint equality at r = 1/2 in both regimes.
+    Midpoint equality at r = 1/2 in both regimes.  cols, if given, must
+    be built from cfg.
     """
-    mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
-
-    def total(r: float) -> float:
-        return family.h(p, r) + family.h(p, 1.0 - r)
-
     if p >= family.P_CONVEX_HI:
-        clauses = {"lower": lambda r: mid_bound - total(r),
-                   "upper": lambda r: total(r) - PI / 2}
+        convex = True
     elif family.P_CONCAVE_LO <= p <= 1.0:
-        clauses = {"lower": lambda r: PI / 2 - total(r),
-                   "upper": lambda r: total(r) - mid_bound}
+        convex = False
     else:
         raise DomainError(
             f"weighted-sum bounds are claimed only for p >= {family.P_CONVEX_HI!r} "
             f"or p in [{family.P_CONCAVE_LO!r}, 1]; got p={p!r}")
+    mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
+    below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
+    cols = _columns(cfg, cols)
+    k, k_mirror, h_from_k = cols.k, cols.k_mirror, family.h_from_k
 
-    xs = inequality_grid(cfg)
-    tight = ("lower",) if p >= family.P_CONVEX_HI else ("upper",)
-    return _run("weighted-sum", p, xs, clauses, tight=tight)
+    def margins_at(i: int, r: float) -> tuple[float, float]:
+        total = h_from_k(p, r, k[i]) + h_from_k(p, 1.0 - r, k_mirror[i])
+        return below - total, total - above
+
+    return _run("weighted-sum", p, cols.xs, ("lower", "upper"), margins_at,
+                tight=("lower",) if convex else ("upper",))
 
 
-def check_product_pair(p: float, cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
+def check_product_pair(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
+                       cols: GridColumns | None = None) -> InequalityReport:
     """Product-side bounds of the power family.
 
     sum_lower (p >= 0):  2^(1+p) K(1/2) (r-r^2)^p <= r^p K(r) + (1-r)^p K(1-r)
     geo_upper (p >= 7/32): sqrt((r-r^2)^p K(r) K(1-r)) <= K(1/2) / 2^p
-    Equality at r = 1/2 for both.
+    Equality at r = 1/2 for both.  cols, if given, must be built from cfg.
     """
     if p < 0.0:
         raise DomainError(f"product-pair bounds need p >= 0; got p={p!r}")
     k_half = ellip_k(0.5)
+    sum_scale = 2.0 ** (1.0 + p) * k_half
+    geo_bound = k_half / 2.0 ** p
+    geo = p >= family.P_LOGCONCAVE
+    cols = _columns(cfg, cols)
+    k, k_mirror = cols.k, cols.k_mirror
 
-    def sum_lower(r: float) -> float:
-        rhs = r ** p * ellip_k(r) + (1.0 - r) ** p * ellip_k(1.0 - r)
-        return 2.0 ** (1.0 + p) * k_half * (r - r * r) ** p - rhs
+    def margins_at(i: int, r: float) -> tuple[float, ...]:
+        kr, km = k[i], k_mirror[i]
+        w = (r - r * r) ** p
+        sum_lower = sum_scale * w - (r ** p * kr + (1.0 - r) ** p * km)
+        if geo:
+            return sum_lower, math.sqrt(w * kr * km) - geo_bound
+        return (sum_lower,)
 
-    clauses: dict[str, Callable[[float], float]] = {"sum_lower": sum_lower}
-    tight = ["sum_lower"]
-    if p >= family.P_LOGCONCAVE:
-        def geo_upper(r: float) -> float:
-            lhs = math.sqrt((r - r * r) ** p * ellip_k(r) * ellip_k(1.0 - r))
-            return lhs - k_half / 2.0 ** p
-        clauses["geo_upper"] = geo_upper
-        tight.append("geo_upper")
-
-    xs = inequality_grid(cfg)
-    return _run("product-pair", p, xs, clauses, tight=tuple(tight))
+    clauses = ("sum_lower", "geo_upper") if geo else ("sum_lower",)
+    return _run("product-pair", p, cols.xs, clauses, margins_at, tight=clauses)
 
 
-def _mean_chain_clauses(p: float) -> dict[str, Callable[[tuple[float, float]], float]]:
-    """Clauses of the mean-value chain for h(p, .), keyed by regime.
+def _mean_chain_clauses(p: float) -> tuple[str, ...]:
+    """Clauses of the mean-value chain for h(p, .) that apply at p.
 
     geometric   (p >= 7/32):          sqrt(h(x)h(y)) <= h((x+y)/2)
     midpoint    (p in [p_lo, 1]):     (h(x)+h(y))/2  <= h((x+y)/2)
     geo_argument(p >= 1/4):           h((x+y)/2)     <= h(sqrt(xy))
     All are equalities iff x = y.
     """
-    clauses: dict[str, Callable[[tuple[float, float]], float]] = {}
-    if p >= family.P_LOGCONCAVE:
-        def geometric(pair: tuple[float, float]) -> float:
-            x, y = pair
-            return (math.sqrt(family.h(p, x) * family.h(p, y))
-                    - family.h(p, 0.5 * (x + y)))
-        clauses["geometric"] = geometric
-    if family.P_CONCAVE_LO <= p <= 1.0:
-        def midpoint(pair: tuple[float, float]) -> float:
-            x, y = pair
-            return (0.5 * (family.h(p, x) + family.h(p, y))
-                    - family.h(p, 0.5 * (x + y)))
-        clauses["midpoint"] = midpoint
-    if p >= family.P_MONOTONE:
-        def geo_argument(pair: tuple[float, float]) -> float:
-            x, y = pair
-            return family.h(p, 0.5 * (x + y)) - family.h(p, math.sqrt(x * y))
-        clauses["geo_argument"] = geo_argument
+    applies = {"geometric": p >= family.P_LOGCONCAVE,
+               "midpoint": family.P_CONCAVE_LO <= p <= 1.0,
+               "geo_argument": p >= family.P_MONOTONE}
+    clauses = tuple(cl for cl, on in applies.items() if on)
     if not clauses:
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
     return clauses
 
 
+def _mean_chain_margins(p: float, clauses: tuple[str, ...]) -> Callable[[float, float], list[float]]:
+    """The margins of clauses at a pair (x, y), in their order.
+
+    p_lo > 7/32, so geometric applies wherever another clause does, and h
+    is evaluated once at each of x, y and (x+y)/2, and at sqrt(xy) for
+    geo_argument.
+    """
+    midpoint, geo_argument = "midpoint" in clauses, "geo_argument" in clauses
+    h = family.h
+
+    def margins_at(x: float, y: float) -> list[float]:
+        hx, hy, hm = h(p, x), h(p, y), h(p, 0.5 * (x + y))
+        out = [math.sqrt(hx * hy) - hm]
+        if midpoint:
+            out.append(0.5 * (hx + hy) - hm)
+        if geo_argument:
+            out.append(hm - h(p, math.sqrt(x * y)))
+        return out
+
+    return margins_at
+
+
 def check_mean_chain(p: float, x: float, y: float) -> InequalityReport:
     """All mean-chain clauses applicable at p, for one pair (x, y)."""
     clauses = _mean_chain_clauses(p)
-    margins = {}
-    witness = None
-    eq_hits: list[tuple[int, float, float]] = []
-    for cl, fnc in clauses.items():
-        m = fnc((x, y))
-        margins[cl] = m
-        if witness is None and m > VIOLATION_TOL:
-            witness = (x, m, cl)
-        if abs(m) <= EQUALITY_TOL:
-            eq_hits.append((0, x, m))
-    return InequalityReport(
-        name="mean-chain", param=p, grid_n=1,
-        clause_margins=margins,
-        equality_points=_cluster(eq_hits),
-        verdict="fail" if witness else "pass",
-        witness_x=witness[0] if witness else None,
-        witness_value=witness[1] if witness else None,
-        witness_clause=witness[2] if witness else None,
-    )
+    margins_at = _mean_chain_margins(p, clauses)
+    return _run("mean-chain", p, [x], clauses, lambda _i, _x: margins_at(x, y),
+                tight=clauses)
 
 
 def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
                            cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
     """Mean-chain clauses over seeded random pairs in the scan interval."""
     clauses = _mean_chain_clauses(p)
+    margins_at = _mean_chain_margins(p, clauses)
     rng = random.Random(seed)
     lo = cfg.lo + cfg.endpoint_offset
     hi = cfg.hi - cfg.endpoint_offset
-    margins = {cl: -math.inf for cl in clauses}
-    witness = None
-    for _ in range(n_pairs):
-        pair = (rng.uniform(lo, hi), rng.uniform(lo, hi))
-        for cl, fnc in clauses.items():
-            m = fnc(pair)
-            if m > margins[cl]:
-                margins[cl] = m
-            if witness is None and m > VIOLATION_TOL:
-                witness = (pair[0], m, cl)
-    return InequalityReport(
-        name="mean-chain", param=p, grid_n=n_pairs,
-        clause_margins=margins,
-        equality_points=[],
-        verdict="fail" if witness else "pass",
-        witness_x=witness[0] if witness else None,
-        witness_value=witness[1] if witness else None,
-        witness_clause=witness[2] if witness else None,
-    )
+    pairs = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n_pairs)]
+    return _run("mean-chain", p, [x for x, _ in pairs], clauses,
+                lambda i, _x: margins_at(*pairs[i]))
 
 
-def check_k_envelope(p: float, cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
+def check_k_envelope(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
+                     cols: GridColumns | None = None) -> InequalityReport:
     """Power-law envelopes of K.
 
     p >= 1/4:    (pi/2)(1-r)^p < K(r) < (pi/2)/(1-r)^p on (0,1).
     0 < p < 1/4: (pi/2)/(1-r)^p < K(r) < (1-x_p)^p K(x_p)/(1-r)^p on
-                 (0, x_p), with x_p located by certify.find_x_p.
+                 (0, x_p), with x_p located by certify.find_x_p.  For p
+                 below about 0.0253, x_p lies above the largest double
+                 below 1 and find_x_p raises BracketNotFoundError.
+    cols, if given, must be built from cfg; it is used for p >= 1/4 only,
+    since the grid for p < 1/4 ends at x_p.
     """
     if p <= 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
     if p >= family.P_MONOTONE:
-        xs = inequality_grid(cfg)
-        return _run("k-envelope", p, xs,
-                    {"lower": lambda r: (PI / 2) * (1.0 - r) ** p - ellip_k(r),
-                     "upper": lambda r: ellip_k(r) - (PI / 2) / (1.0 - r) ** p},
-                    tight=())
+        cols = _columns(cfg, cols)
+        k = cols.k
+
+        def margins_at(i: int, r: float) -> tuple[float, float]:
+            w = (1.0 - r) ** p
+            return (PI / 2) * w - k[i], k[i] - (PI / 2) / w
+
+        return _run("k-envelope", p, cols.xs, ("lower", "upper"), margins_at)
     x_p = find_x_p(p)
     cap = (1.0 - x_p) ** p * ellip_k(x_p)
-    xs = inequality_grid(cfg, hi=x_p)
-    return _run("k-envelope", p, xs,
-                {"lower": lambda r: (PI / 2) / (1.0 - r) ** p - ellip_k(r),
-                 "upper": lambda r: ellip_k(r) - cap / (1.0 - r) ** p},
-                tight=(), x_p=x_p)
+
+    def margins_below_x_p(_i: int, r: float) -> tuple[float, float]:
+        k, w = ellip_k(r), (1.0 - r) ** p
+        return (PI / 2) / w - k, k - cap / w
+
+    return _run("k-envelope", p, inequality_grid(cfg, hi=x_p), ("lower", "upper"),
+                margins_below_x_p, x_p=x_p)
+
+
+_GAMMA_CHAIN = ("chain_product_le_sum_sq", "chain_sum_sq_le_alpha", "chain_alpha_le_outer")
 
 
 def check_gamma_constant_identities(grid_n: int = 1000) -> InequalityReport:
@@ -349,31 +428,19 @@ def check_gamma_constant_identities(grid_n: int = 1000) -> InequalityReport:
 
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
-    worst_lo = -math.inf
-    worst_hi = -math.inf
-    worst_outer = -math.inf
     lo, hi = 1e-6, 1.0 - 1e-6
     xs = [lo + i * (hi - lo) / (grid_n - 1) for i in range(grid_n)]
     xs.append(0.5)
-    for r in xs:
-        s = (1.0 - r) ** p * ellip_k(r) + r ** p * ellip_k(1.0 - r)
-        worst_lo = max(worst_lo,
-                       4.0 * ellip_k(r) * ellip_k(1.0 - r) * (r - r * r) ** p - s * s)
-        worst_hi = max(worst_hi, s * s - alpha)
-        g = math.sqrt(r - r * r)
-        worst_outer = max(worst_outer,
-                          alpha - 4.0 * (1.0 - g) ** (2.0 * p) * ellip_k(g) ** 2)
-    margins["chain_product_le_sum_sq"] = worst_lo
-    margins["chain_sum_sq_le_alpha"] = worst_hi
-    margins["chain_alpha_le_outer"] = worst_outer
 
+    def chain_at(_i: int, r: float) -> tuple[float, float, float]:
+        kr, km = ellip_k(r), ellip_k(1.0 - r)
+        s = (1.0 - r) ** p * kr + r ** p * km
+        g = math.sqrt(r - r * r)
+        return (4.0 * kr * km * (r - r * r) ** p - s * s,
+                s * s - alpha,
+                alpha - 4.0 * (1.0 - g) ** (2.0 * p) * ellip_k(g) ** 2)
+
+    margins.update(_scan("gamma-constants", xs, _GAMMA_CHAIN, chain_at)[0])
     bad = [(cl, m) for cl, m in margins.items() if m > VIOLATION_TOL]
-    return InequalityReport(
-        name="gamma-constants", param=None, grid_n=grid_n,
-        clause_margins=margins,
-        equality_points=[0.5],
-        verdict="fail" if bad else "pass",
-        witness_x=None if not bad else 0.5,
-        witness_value=None if not bad else bad[0][1],
-        witness_clause=None if not bad else bad[0][0],
-    )
+    return _report("gamma-constants", None, grid_n, margins, [0.5],
+                   (0.5, bad[0][1], bad[0][0]) if bad else None)

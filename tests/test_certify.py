@@ -262,6 +262,26 @@ class TestFindXP:
         with pytest.raises(BracketNotFoundError):
             find_x_p(p)
 
+    @pytest.mark.parametrize("p", [0.03, 0.04])
+    def test_roots_above_one_minus_1e9(self, p):
+        # beyond the ladder's former last point 1 - 1e-9; L changes sign
+        # between x_p and a neighbouring double, and x_p is the 50-digit
+        # root rounded
+        xp = find_x_p(p)
+        assert 1.0 - 1e-9 < xp < 1.0
+        up, down = math.nextafter(xp, 1.0), math.nextafter(xp, 0.0)
+        assert (l_factor(p, xp) > 0.0 >= l_factor(p, up)
+                or l_factor(p, down) > 0.0 >= l_factor(p, xp))
+        pytest.importorskip("mpmath")
+        assert xp == oracles.mp_x_p(p)
+
+    @pytest.mark.parametrize("p", [0.001, 0.02, 0.025])
+    def test_root_above_largest_double(self, p):
+        # L(p, .) is still positive at the largest double below 1
+        assert l_factor(p, math.nextafter(1.0, 0.0)) > 0.0
+        with pytest.raises(BracketNotFoundError, match="largest double below 1"):
+            find_x_p(p)
+
 
 class TestSharpnessFlips:
     """Verdict flips under +/- perturbation around each sharp constant."""

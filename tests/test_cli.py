@@ -157,6 +157,55 @@ class TestNonFiniteInput:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestFloatRange:
+    def test_infinite_margin_is_inconclusive(self, capsys):
+        # the upper bound 1 + pi/(2a) overflows to inf, so its margin is -inf
+        code, out, err = run(capsys, ["verify", "sum-bounds", "--a", "1e-320",
+                                      "--format", "json"] + FAST)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "weighted-sum", "--p", "2000"],
+        ["verify", "product-pair", "--p", "2000"],
+        ["verify", "k-envelope", "--p", "2000"],
+        ["eval", "h", "--param", "p=-400", "0.999999"],
+        ["table", "h", "--param", "p=-400", "--grid-n", "5"],
+    ], ids=" ".join)
+    def test_overflow_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sum-bounds", "--a", "0"],
+        ["verify", "weighted-sum", "--p", "-2000"],
+    ], ids=" ".join)
+    def test_parameter_outside_claim_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv + FAST)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["0.03", "0.04"])
+    def test_k_envelope_small_p(self, capsys, p):
+        code, out, err = run(capsys, ["verify", "k-envelope", "--p", p,
+                                      "--format", "json"] + FAST)
+        assert code == 0, err
+        rows = json.loads(out)["results"]
+        assert rows[0]["clause"] == "x_p" and rows[0]["witness_x"] > 1.0 - 1e-9
+
+    def test_json_writes_nonfinite_as_null(self):
+        manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json", 0)
+        rows = [{"x": 0.5, "value": math.inf}, {"x": 0.6, "value": math.nan},
+                {"x": 0.7, "value": 1.0}]
+        doc = json.loads(cli._render(rows, manifest, "json"),
+                         parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert [r["value"] for r in doc["results"]] == [None, None, 1.0]
+
+
 class TestTable:
     def test_w_plus_table(self, capsys):
         code, out, _ = run(capsys, ["table", "w_plus", "--grid-n", "1000",

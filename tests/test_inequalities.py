@@ -4,9 +4,17 @@ import math
 
 import pytest
 
-from ellipcert import family
-from ellipcert.certify import ScanConfig, certify_monotone
+from ellipcert import cli, family, inequalities, specfun
+from ellipcert.certify import (
+    DEFAULT_SCAN,
+    InconclusiveScanError,
+    ScanConfig,
+    certify_monotone,
+    find_x_p,
+)
 from ellipcert.inequalities import (
+    VIOLATION_TOL,
+    GridColumns,
     check_gamma_constant_identities,
     check_k_envelope,
     check_mean_chain,
@@ -254,3 +262,137 @@ class TestGridAndReports:
         bad = check_sum_bounds(1.3, FAST)
         assert good.verdict == "pass" and good.witness_x is None
         assert bad.verdict == "fail" and bad.witness_x is not None
+
+
+def _per_clause_margins(name, q):
+    """Clause margins at r as functions of r alone, with one family.f,
+    family.h or ellip_k evaluation per use, as the checks computed them
+    before K was shared between clauses and checks."""
+    k_half = ellip_k(0.5)
+    if name == "sum-bounds":
+        lower = 4.0 * k_half / (2.0 * q + math.log(2.0))
+        upper = 1.0 + PI / (2.0 * q)
+        total = lambda r: family.f(q, r) + family.f(q, 1.0 - r)
+        return {"lower": lambda r: lower - total(r), "upper": lambda r: total(r) - upper}
+    if name == "weighted-sum":
+        mid = k_half / 2.0 ** (q - 1.0)
+        total = lambda r: family.h(q, r) + family.h(q, 1.0 - r)
+        if q >= family.P_CONVEX_HI:
+            return {"lower": lambda r: mid - total(r), "upper": lambda r: total(r) - PI / 2}
+        return {"lower": lambda r: PI / 2 - total(r), "upper": lambda r: total(r) - mid}
+    if name == "product-pair":
+        out = {"sum_lower": lambda r: (
+            2.0 ** (1.0 + q) * k_half * (r - r * r) ** q
+            - (r ** q * ellip_k(r) + (1.0 - r) ** q * ellip_k(1.0 - r)))}
+        if q >= family.P_LOGCONCAVE:
+            out["geo_upper"] = lambda r: (
+                math.sqrt((r - r * r) ** q * ellip_k(r) * ellip_k(1.0 - r)) - k_half / 2.0 ** q)
+        return out
+    assert name == "k-envelope" and q >= family.P_MONOTONE
+    return {"lower": lambda r: (PI / 2) * (1.0 - r) ** q - ellip_k(r),
+            "upper": lambda r: ellip_k(r) - (PI / 2) / (1.0 - r) ** q}
+
+
+SHARED_GRID_CHECKS = [
+    (check_sum_bounds, 1.47), (check_sum_bounds, 1.3),
+    (check_weighted_sum, family.P_CONVEX_HI), (check_weighted_sum, 0.5),
+    (check_product_pair, 0.1), (check_product_pair, 0.5),
+    (check_k_envelope, 0.25), (check_k_envelope, 0.7),
+]
+
+
+def _count_kernel(monkeypatch):
+    """Count ellip_k calls made through every module that reaches it."""
+    calls = [0]
+    real = specfun.ellip_k
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    for module in (inequalities, family, specfun):
+        monkeypatch.setattr(module, "ellip_k", counted)
+    return calls
+
+
+class TestSharedColumns:
+    def test_same_report_as_own_columns(self):
+        cols = GridColumns(FAST)
+        for check, q in SHARED_GRID_CHECKS:
+            assert check(q, FAST, cols=cols) == check(q, FAST), (check.__name__, q)
+
+    @pytest.mark.parametrize("check, q", SHARED_GRID_CHECKS,
+                             ids=[f"{c.__name__}-{q:.4g}" for c, q in SHARED_GRID_CHECKS])
+    def test_bit_identical_to_per_clause_evaluation(self, check, q):
+        rep = check(q, FAST)
+        clauses = _per_clause_margins(rep.name, q)
+        xs = inequality_grid(FAST)
+        assert rep.clause_margins == {cl: max(map(fn, xs)) for cl, fn in clauses.items()}
+        first = next(((r, fn(r), cl) for r in xs for cl, fn in clauses.items()
+                      if fn(r) > VIOLATION_TOL), (None, None, None))
+        assert (rep.witness_x, rep.witness_value, rep.witness_clause) == first
+
+    def test_columns_of_another_grid_rejected(self):
+        with pytest.raises(ValueError):
+            check_sum_bounds(1.47, FAST, cols=GridColumns(ScanConfig(n=100)))
+
+    def test_one_kernel_call_per_point_and_argument(self, monkeypatch):
+        calls = _count_kernel(monkeypatch)
+        cols = GridColumns(FAST)
+        check_k_envelope(0.5, FAST, cols=cols)
+        n = len(cols.xs)
+        assert calls[0] == n  # K(x) only: this check never pairs r with 1 - r
+        check_sum_bounds(1.47, FAST, cols=cols)
+        check_weighted_sum(0.5, FAST, cols=cols)
+        check_product_pair(0.5, FAST, cols=cols)
+        assert calls[0] == 2 * n + 3  # K(1 - x) once, K(1/2) once per check
+
+    def test_verify_all_kernel_budget(self, monkeypatch, capsys):
+        n = len(inequality_grid(DEFAULT_SCAN))
+        n_xp = len(inequality_grid(DEFAULT_SCAN, hi=find_x_p(0.1)))
+        calls = _count_kernel(monkeypatch)
+        assert cli.main(["verify", "all"]) == 0
+        # K(x) and K(1 - x) on the shared grid, K(x) on the grid up to
+        # x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy) for the 1000 mean-chain
+        # pairs, K(r), K(1 - r) and K(sqrt(r - r^2)) on the 1001-point gamma
+        # grid, and K(1/2) or K(x_p) once per check
+        assert calls[0] <= 2 * n + n_xp + 4 * 1000 + 3 * 1001 + 6
+
+
+class TestNonFiniteMargins:
+    def test_nan_margins_are_inconclusive(self):
+        # every margin is NaN, and NaN never raises a maximum
+        with pytest.raises(InconclusiveScanError):
+            check_product_pair(math.nan, FAST)
+
+    def test_infinite_bound_is_inconclusive(self):
+        # 1 + pi/(2a) overflows to inf
+        with pytest.raises(InconclusiveScanError):
+            check_sum_bounds(1e-320, FAST)
+
+    @pytest.mark.parametrize("nth", [2, 7, 30])
+    def test_one_nan_in_mean_chain(self, monkeypatch, nth):
+        real, calls = family.h, [0]
+
+        def h(p, x):
+            calls[0] += 1
+            return math.nan if calls[0] == nth else real(p, x)
+
+        monkeypatch.setattr(family, "h", h)
+        with pytest.raises(InconclusiveScanError):
+            check_mean_chain_pairs(0.5, n_pairs=10, cfg=FAST)
+        calls[0] = nth - 2
+        with pytest.raises(InconclusiveScanError):
+            check_mean_chain(0.5, 0.3, 0.4)
+
+    @pytest.mark.parametrize("nth", [1, 500])
+    def test_one_nan_in_gamma_check(self, monkeypatch, nth):
+        real, calls = inequalities.ellip_k, [0]
+
+        def k(x):
+            calls[0] += 1
+            return math.nan if calls[0] == nth else real(x)
+
+        monkeypatch.setattr(inequalities, "ellip_k", k)
+        with pytest.raises(InconclusiveScanError):
+            check_gamma_constant_identities()
