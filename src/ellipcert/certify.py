@@ -308,7 +308,8 @@ def find_x_p(p: float) -> float:
     shrinks it to float resolution, and the endpoint with the smaller
     |L| wins.  Outside (0, 1/4) the factor has constant sign and
     BracketNotFoundError is raised; so it is for p below about 0.0253,
-    where L is still positive at the largest double below 1.
+    where L is still positive at the largest double below 1, and for p
+    above about 1/4 - 3e-11, where x_p ~ 8(1 - 4p) lies below 1e-9.
 
     For roots very close to 1 (small p) the steepness of L makes the
     residual quantization-limited: no double between the bracketing
@@ -321,7 +322,11 @@ def find_x_p(p: float) -> float:
     changes = [i for i in range(len(signs) - 1)
                if signs[i][1] > 0.0 >= signs[i + 1][1]]
     if not changes or signs[0][1] <= 0.0:
-        if 0.0 < p < 0.25:
+        if 0.0 < p < 0.25 and signs[0][1] <= 0.0:
+            raise BracketNotFoundError(
+                f"l_factor(p={p!r}, .) is already non-positive at {_XP_LADDER[0]!r}: "
+                "x_p lies below it")
+        if 0.0 < p < 0.25 and signs[-1][1] > 0.0:
             raise BracketNotFoundError(
                 f"l_factor(p={p!r}, .) is positive up to the largest double below 1: "
                 "x_p lies above it")

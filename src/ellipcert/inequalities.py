@@ -127,7 +127,8 @@ class GridColumns:
     Each column is computed on first use and kept by this object alone,
     so the checks of one command that share it evaluate K once per point
     and argument, and a command that never pairs r with 1 - r never
-    computes K(1 - x).
+    computes K(1 - x).  A grid check takes either a GridColumns or a
+    plain ScanConfig, for which it builds its own.
     """
 
     def __init__(self, cfg: ScanConfig = DEFAULT_SCAN):
@@ -146,12 +147,9 @@ class GridColumns:
         return [ellip_k(1.0 - x) for x in self.xs]
 
 
-def _columns(cfg: ScanConfig, cols: GridColumns | None) -> GridColumns:
-    if cols is None:
-        return GridColumns(cfg)
-    if cols.cfg != cfg:
-        raise ValueError(f"grid columns built for {cols.cfg!r}, not for {cfg!r}")
-    return cols
+def _columns(grid: ScanConfig | GridColumns) -> GridColumns:
+    """The columns a check was given, or new ones for a plain ScanConfig."""
+    return grid if isinstance(grid, GridColumns) else GridColumns(grid)
 
 
 def _report(name: str,
@@ -226,21 +224,20 @@ def _run(name: str,
     return _report(name, param, len(xs), margins, _cluster(eq_hits), witness, x_p)
 
 
-def check_sum_bounds(a: float, cfg: ScanConfig = DEFAULT_SCAN, *,
-                     cols: GridColumns | None = None) -> InequalityReport:
+def check_sum_bounds(a: float,
+                     grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """4K(1/2)/(2a+log 2) <= f(a,r) + f(a,1-r) < 1 + pi/(2a) on (0,1).
 
     The bounds are claimed for a at or above the computed sharp constant;
     the lower bound is tight exactly at r = 1/2, the upper is approached
     (at a logarithmic rate) as r -> 0 or 1.  Called with smaller a > 0
-    the check runs anyway and reports the failure witness.  cols, if
-    given, must be built from cfg.
+    the check runs anyway and reports the failure witness.
     """
     if not a > 0.0:
         raise DomainError(f"sum bounds need a > 0; got a={a!r}")
     lower = 4.0 * ellip_k(0.5) / (2.0 * a + math.log(2.0))
     upper = 1.0 + PI / (2.0 * a)
-    cols = _columns(cfg, cols)
+    cols = _columns(grid)
     k, k_mirror, f_from_k = cols.k, cols.k_mirror, family.f_from_k
 
     def margins_at(i: int, r: float) -> tuple[float, float]:
@@ -251,13 +248,12 @@ def check_sum_bounds(a: float, cfg: ScanConfig = DEFAULT_SCAN, *,
                 tight=("lower",))
 
 
-def check_weighted_sum(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
-                       cols: GridColumns | None = None) -> InequalityReport:
+def check_weighted_sum(p: float,
+                       grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """K(1/2)/2^(p-1) <= h(p,r) + h(p,1-r) < pi/2 for p >= 3(2+sqrt2)/8.
 
     For p in the concavity window [3(2-sqrt2)/8, 1] both bounds reverse.
-    Midpoint equality at r = 1/2 in both regimes.  cols, if given, must
-    be built from cfg.
+    Midpoint equality at r = 1/2 in both regimes.
     """
     if p >= family.P_CONVEX_HI:
         convex = True
@@ -269,7 +265,7 @@ def check_weighted_sum(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
             f"or p in [{family.P_CONCAVE_LO!r}, 1]; got p={p!r}")
     mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
     below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
-    cols = _columns(cfg, cols)
+    cols = _columns(grid)
     k, k_mirror, h_from_k = cols.k, cols.k_mirror, family.h_from_k
 
     def margins_at(i: int, r: float) -> tuple[float, float]:
@@ -280,13 +276,13 @@ def check_weighted_sum(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
                 tight=("lower",) if convex else ("upper",))
 
 
-def check_product_pair(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
-                       cols: GridColumns | None = None) -> InequalityReport:
+def check_product_pair(p: float,
+                       grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """Product-side bounds of the power family.
 
     sum_lower (p >= 0):  2^(1+p) K(1/2) (r-r^2)^p <= r^p K(r) + (1-r)^p K(1-r)
     geo_upper (p >= 7/32): sqrt((r-r^2)^p K(r) K(1-r)) <= K(1/2) / 2^p
-    Equality at r = 1/2 for both.  cols, if given, must be built from cfg.
+    Equality at r = 1/2 for both.
     """
     if p < 0.0:
         raise DomainError(f"product-pair bounds need p >= 0; got p={p!r}")
@@ -294,7 +290,7 @@ def check_product_pair(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
     sum_scale = 2.0 ** (1.0 + p) * k_half
     geo_bound = k_half / 2.0 ** p
     geo = p >= family.P_LOGCONCAVE
-    cols = _columns(cfg, cols)
+    cols = _columns(grid)
     k, k_mirror = cols.k, cols.k_mirror
 
     def margins_at(i: int, r: float) -> tuple[float, ...]:
@@ -369,8 +365,8 @@ def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
                 lambda i, _x: margins_at(*pairs[i]))
 
 
-def check_k_envelope(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
-                     cols: GridColumns | None = None) -> InequalityReport:
+def check_k_envelope(p: float,
+                     grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """Power-law envelopes of K.
 
     p >= 1/4:    (pi/2)(1-r)^p < K(r) < (pi/2)/(1-r)^p on (0,1).
@@ -378,13 +374,17 @@ def check_k_envelope(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
                  (0, x_p), with x_p located by certify.find_x_p.  For p
                  below about 0.0253, x_p lies above the largest double
                  below 1 and find_x_p raises BracketNotFoundError.
-    cols, if given, must be built from cfg; it is used for p >= 1/4 only,
-    since the grid for p < 1/4 ends at x_p.
+    For p < 1/4 only the scan settings of grid are used, since that grid
+    ends at x_p.
     """
     if p <= 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
+    cols = _columns(grid)
     if p >= family.P_MONOTONE:
-        cols = _columns(cfg, cols)
+        # (1 - r)^p is smallest at the last grid point
+        if (1.0 - cols.xs[-1]) ** p == 0.0:
+            raise DomainError(
+                f"k-envelope: (1 - r)^p underflows to 0 at r={cols.xs[-1]!r} for p={p!r}")
         k = cols.k
 
         def margins_at(i: int, r: float) -> tuple[float, float]:
@@ -399,7 +399,7 @@ def check_k_envelope(p: float, cfg: ScanConfig = DEFAULT_SCAN, *,
         k, w = ellip_k(r), (1.0 - r) ** p
         return (PI / 2) / w - k, k - cap / w
 
-    return _run("k-envelope", p, inequality_grid(cfg, hi=x_p), ("lower", "upper"),
+    return _run("k-envelope", p, inequality_grid(cols.cfg, hi=x_p), ("lower", "upper"),
                 margins_below_x_p, x_p=x_p)
 
 

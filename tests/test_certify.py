@@ -282,6 +282,13 @@ class TestFindXP:
         with pytest.raises(BracketNotFoundError, match="largest double below 1"):
             find_x_p(p)
 
+    @pytest.mark.parametrize("p", [0.25 - 1e-11, 0.25 - 3e-11])
+    def test_root_below_first_ladder_point(self, p):
+        # x_p ~ 8(1 - 4p) < 1e-9: L(p, .) is already negative at 1e-9
+        assert l_factor(p, 1e-9) < 0.0
+        with pytest.raises(BracketNotFoundError, match="x_p lies below"):
+            find_x_p(p)
+
 
 class TestSharpnessFlips:
     """Verdict flips under +/- perturbation around each sharp constant."""

@@ -214,6 +214,14 @@ class TestKEnvelope:
         with pytest.raises(DomainError):
             check_k_envelope(0.0, FAST)
 
+    def test_underflowed_power_is_domain_error(self):
+        # (1 - r)^2000 is 0.0 near r = 1, where the upper bound divides by it
+        with pytest.raises(DomainError, match="underflows"):
+            check_k_envelope(2000.0, FAST)
+
+    def test_small_p_takes_its_grid_from_columns(self):
+        assert check_k_envelope(0.1, GridColumns(FAST)) == check_k_envelope(0.1, FAST)
+
 
 class TestGammaConstants:
     def test_pass(self):
@@ -319,7 +327,7 @@ class TestSharedColumns:
     def test_same_report_as_own_columns(self):
         cols = GridColumns(FAST)
         for check, q in SHARED_GRID_CHECKS:
-            assert check(q, FAST, cols=cols) == check(q, FAST), (check.__name__, q)
+            assert check(q, cols) == check(q, FAST), (check.__name__, q)
 
     @pytest.mark.parametrize("check, q", SHARED_GRID_CHECKS,
                              ids=[f"{c.__name__}-{q:.4g}" for c, q in SHARED_GRID_CHECKS])
@@ -332,19 +340,15 @@ class TestSharedColumns:
                       if fn(r) > VIOLATION_TOL), (None, None, None))
         assert (rep.witness_x, rep.witness_value, rep.witness_clause) == first
 
-    def test_columns_of_another_grid_rejected(self):
-        with pytest.raises(ValueError):
-            check_sum_bounds(1.47, FAST, cols=GridColumns(ScanConfig(n=100)))
-
     def test_one_kernel_call_per_point_and_argument(self, monkeypatch):
         calls = _count_kernel(monkeypatch)
         cols = GridColumns(FAST)
-        check_k_envelope(0.5, FAST, cols=cols)
+        check_k_envelope(0.5, cols)
         n = len(cols.xs)
         assert calls[0] == n  # K(x) only: this check never pairs r with 1 - r
-        check_sum_bounds(1.47, FAST, cols=cols)
-        check_weighted_sum(0.5, FAST, cols=cols)
-        check_product_pair(0.5, FAST, cols=cols)
+        check_sum_bounds(1.47, cols)
+        check_weighted_sum(0.5, cols)
+        check_product_pair(0.5, cols)
         assert calls[0] == 2 * n + 3  # K(1 - x) once, K(1/2) once per check
 
     def test_verify_all_kernel_budget(self, monkeypatch, capsys):
@@ -356,7 +360,7 @@ class TestSharedColumns:
         # x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy) for the 1000 mean-chain
         # pairs, K(r), K(1 - r) and K(sqrt(r - r^2)) on the 1001-point gamma
         # grid, and K(1/2) or K(x_p) once per check
-        assert calls[0] <= 2 * n + n_xp + 4 * 1000 + 3 * 1001 + 6
+        assert calls[0] == 2 * n + n_xp + 4 * 1000 + 3 * 1001 + 6
 
 
 class TestNonFiniteMargins:
