@@ -6,13 +6,17 @@ refinement around near-zero values.  Endpoint offsets keep the scans on
 the open interval, where the certified statements live and where several
 factors genuinely vanish.  Grid evaluation is strictly sequential and
 deterministic; a witness always re-evaluates to its reported value.
+
+Sign and monotonicity scans share one scan-and-refine engine, which stops
+at the first violation and refines the merged sequence of all points
+sampled so far at every level.  ScanConfig.grid builds every uniform grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 from .family import CriticalConstants, l_factor, w_plus
 
@@ -109,14 +113,74 @@ class ExtremumResult:
     tolerance: float
 
 
-def _mixed(x: float, v: float, margin: float, step: float | None = None) -> SignCertificate:
-    return SignCertificate("mixed", x, v, margin, step)
-
-
 def _require_finite(values) -> None:
     """A NaN or infinite sample is never evidence: the scan is inconclusive."""
     if not all(map(math.isfinite, values)):
         raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
+
+
+def _refine_scan(fn: Callable[[float], float],
+                 claimed: Literal["nonnegative", "nonpositive"],
+                 cfg: ScanConfig,
+                 pairs: bool) -> SignCertificate:
+    """The scan-and-refine engine behind certify_sign and certify_monotone.
+
+    The checked items are the samples fn(x) or, with pairs, the
+    differences fn(x_k) - fn(x_{k-1}) of consecutive samples.  Points are
+    sampled left to right and the scan stops at the first item on the
+    wrong side of the claim beyond SIGN_TOLERANCE; the margin is the
+    smallest |item| checked before it.  Each of the cfg.refine_depth
+    levels flags the items with |item| <= 10 * margin (at most
+    _MAX_FLAGGED, smallest first, then leftmost), splits the intervals
+    next to them into _SUBDIVISIONS + 1 parts and samples the new points;
+    the next level flags on the merged sequence.  A verdict needs every
+    sample taken before it to be finite.
+    """
+    sgn = 1.0 if claimed == "nonnegative" else -1.0
+    xs = cfg.grid()
+    vs: list[float | None] = [None] * len(xs)
+    if pairs:
+        vs[0] = fn(xs[0])
+    # indices k, ascending, whose item (vs[k], or vs[k] - vs[k-1]) is unchecked
+    todo: Sequence[int] = range(pairs, len(xs))
+    margin = math.inf
+    for level in range(cfg.refine_depth + 1):
+        if level:
+            items = [b - a for a, b in zip(vs, vs[1:])] if pairs else vs
+            threshold = 10.0 * margin
+            flagged = sorted((abs(t), i) for i, t in enumerate(items)
+                             if abs(t) <= threshold)[:_MAX_FLAGGED]
+            new: set[float] = set()
+            for _, i in flagged:
+                # the intervals on both sides of a sample, or the one a difference spans
+                for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1)):
+                    a, b = xs[j], xs[j + 1]
+                    step = (b - a) / (_SUBDIVISIONS + 1)
+                    new.update(a + k * step for k in range(1, _SUBDIVISIONS + 1))
+            known = dict(zip(xs, vs))
+            new.difference_update(known)
+            if not new:
+                break
+            xs = sorted([*xs, *new])
+            vs = [known.get(x) for x in xs]
+            del known, items  # dropped before sampling, to keep the peak memory down
+            todo = [k for k, v in enumerate(vs)
+                    if v is None or (pairs and vs[k - 1] is None)]
+        for k in todo:
+            v = vs[k]
+            if v is None:
+                v = vs[k] = fn(xs[k])
+            item = v - vs[k - 1] if pairs else v
+            if sgn * item < -SIGN_TOLERANCE:
+                _require_finite(u for u in vs if u is not None)
+                x = xs[k - 1] if pairs else xs[k]
+                return SignCertificate("mixed", x, item,
+                                       margin if margin < math.inf else abs(item),
+                                       xs[k] - x if pairs else None)
+            if abs(item) < margin:
+                margin = abs(item)
+        _require_finite(vs)
+    return SignCertificate(claimed, None, None, margin)
 
 
 def certify_sign(fn: Callable[[float], float],
@@ -125,56 +189,14 @@ def certify_sign(fn: Callable[[float], float],
     """Scan fn on the grid for the claimed sign, refining near zeros.
 
     Returns "mixed" with the first (leftmost) strict violation beyond
-    SIGN_TOLERANCE; otherwise refines refine_depth times around grid
-    values with |value| < 10 * min_abs_margin and returns the claimed
-    verdict with the final margin.  Either verdict needs every sample
-    taken before it to be finite; otherwise InconclusiveScanError.
+    SIGN_TOLERANCE; otherwise refines refine_depth times around values
+    with |value| <= 10 * min_abs_margin and returns the claimed verdict
+    with the final margin.  Either verdict needs every sample taken
+    before it to be finite; otherwise InconclusiveScanError.
     """
     if claimed not in ("nonnegative", "nonpositive"):
         raise ValueError(f"claimed must be 'nonnegative' or 'nonpositive'; got {claimed!r}")
-    sgn = 1.0 if claimed == "nonnegative" else -1.0
-
-    pts = cfg.grid()
-    seen: dict[float, float] = {}
-    margin = math.inf
-    for x in pts:
-        v = fn(x)
-        seen[x] = v
-        if sgn * v < -SIGN_TOLERANCE:
-            _require_finite(seen.values())
-            return _mixed(x, v, margin if margin < math.inf else abs(v))
-        if abs(v) < margin:
-            margin = abs(v)
-    _require_finite(seen.values())
-
-    for _ in range(cfg.refine_depth):
-        threshold = 10.0 * margin
-        flagged = sorted(range(len(pts)), key=lambda i: (abs(seen[pts[i]]), i))
-        flagged = [i for i in flagged if abs(seen[pts[i]]) <= threshold][:_MAX_FLAGGED]
-        if not flagged:
-            break
-        new_xs: set[float] = set()
-        for i in flagged:
-            for j in (i - 1, i):
-                if 0 <= j < len(pts) - 1:
-                    a, b = pts[j], pts[j + 1]
-                    stepw = (b - a) / (_SUBDIVISIONS + 1)
-                    new_xs.update(a + k * stepw for k in range(1, _SUBDIVISIONS + 1))
-        fresh = sorted(x for x in new_xs if x not in seen)
-        if not fresh:
-            break
-        for x in fresh:
-            v = fn(x)
-            seen[x] = v
-            if sgn * v < -SIGN_TOLERANCE:
-                _require_finite(seen.values())
-                return _mixed(x, v, margin)
-            if abs(v) < margin:
-                margin = abs(v)
-        _require_finite(seen.values())
-        pts = sorted(seen)
-
-    return SignCertificate(claimed, None, None, margin)
+    return _refine_scan(fn, claimed, cfg, pairs=False)
 
 
 def certify_monotone(fn: Callable[[float], float],
@@ -183,61 +205,14 @@ def certify_monotone(fn: Callable[[float], float],
     """Certify strict monotonicity via consecutive grid differences.
 
     The difference sequence fn(x_{i+1}) - fn(x_i) is sign-checked with
-    the same tolerance, refinement and witness contract as certify_sign;
-    a non-finite sample makes the scan inconclusive.
+    the same tolerance, refinement and witness contract as certify_sign
+    ("nonnegative" for increasing); a non-finite sample makes the scan
+    inconclusive.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing'; got {direction!r}")
-    sgn = 1.0 if direction == "increasing" else -1.0
-    verdict: Literal["nonnegative", "nonpositive"] = (
-        "nonnegative" if direction == "increasing" else "nonpositive")
-
-    pts = cfg.grid()
-    vals = [fn(x) for x in pts]
-    _require_finite(vals)
-    margin = math.inf
-
-    def check(seq_x: list[float], seq_v: list[float]) -> SignCertificate | None:
-        nonlocal margin
-        for i in range(len(seq_x) - 1):
-            d = seq_v[i + 1] - seq_v[i]
-            if sgn * d < -SIGN_TOLERANCE:
-                return _mixed(seq_x[i], d,
-                              margin if margin < math.inf else abs(d),
-                              seq_x[i + 1] - seq_x[i])
-            if abs(d) < margin:
-                margin = abs(d)
-        return None
-
-    bad = check(pts, vals)
-    if bad is not None:
-        return bad
-
-    for _ in range(cfg.refine_depth):
-        threshold = 10.0 * margin
-        diffs = [vals[i + 1] - vals[i] for i in range(len(pts) - 1)]
-        flagged = sorted(range(len(diffs)), key=lambda i: (abs(diffs[i]), i))
-        flagged = [i for i in flagged if abs(diffs[i]) <= threshold][:_MAX_FLAGGED]
-        if not flagged:
-            break
-        progressed = False
-        for i in sorted(flagged):
-            a, b = pts[i], pts[i + 1]
-            stepw = (b - a) / (_SUBDIVISIONS + 1)
-            seg_x = [a + k * stepw for k in range(_SUBDIVISIONS + 2)]
-            seg_x[0], seg_x[-1] = a, b
-            if seg_x[1] <= a or seg_x[-2] >= b:
-                continue  # interval already at float resolution
-            progressed = True
-            seg_v = [vals[i]] + [fn(x) for x in seg_x[1:-1]] + [vals[i + 1]]
-            _require_finite(seg_v)
-            bad = check(seg_x, seg_v)
-            if bad is not None:
-                return bad
-        if not progressed:
-            break
-
-    return SignCertificate(verdict, None, None, margin)
+    return _refine_scan(fn, "nonnegative" if direction == "increasing" else "nonpositive",
+                        cfg, pairs=True)
 
 
 def find_a_c(cfg: ScanConfig = DEFAULT_SCAN) -> ExtremumResult:

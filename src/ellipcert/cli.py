@@ -336,13 +336,11 @@ def _cmd_table(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManif
     params = _collect_params(args.param)
     fn = _resolve_fn(args.fn, params)
     cfg = _scan_from_args(args)
-    lo = cfg.lo + cfg.endpoint_offset
-    hi = cfg.hi - cfg.endpoint_offset
     if args.spacing == "uniform":
-        step = (hi - lo) / (cfg.n - 1)
-        xs = [lo + i * step for i in range(cfg.n)]
-        xs[-1] = hi
+        xs = cfg.grid()
     else:
+        lo = cfg.lo + cfg.endpoint_offset
+        hi = cfg.hi - cfg.endpoint_offset
         ratio = (hi / lo) ** (1.0 / (cfg.n - 1))
         xs = [lo * ratio ** i for i in range(cfg.n)]
         xs[-1] = hi
@@ -352,8 +350,20 @@ def _cmd_table(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManif
     return rows, manifest, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every number _parse_number accepts (-1e-05, -inf, -1/20) as a
+    value; argparse alone takes only -5, -.5 and -0.5 for one, not an option."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            list(map(float, arg_string.split("/", 1)))
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellipcert",
         description="Elliptic-integral convexity toolkit: evaluation, "
                     "sharp constants, sign certification, inequality grids.")

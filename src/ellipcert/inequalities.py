@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -73,18 +73,14 @@ class InequalityReport:
     x_p: float | None = None
 
 
-def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN, *, hi: float | None = None) -> list[float]:
-    """Uniform grid plus geometric endpoint tails plus the exact midpoint."""
+def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
+    """cfg.grid() plus geometric endpoint tails plus the exact midpoint."""
+    pts = set(cfg.grid())
     lo_v = cfg.lo + cfg.endpoint_offset
-    hi_v = (hi if hi is not None else cfg.hi) - cfg.endpoint_offset
-    if not lo_v < hi_v:
-        raise ValueError("empty grid interval")
-    step = (hi_v - lo_v) / (cfg.n - 1)
-    pts = {min(lo_v + i * step, hi_v) for i in range(cfg.n)}
-    pts.add(hi_v)
+    hi_v = cfg.hi - cfg.endpoint_offset
     # geometric tails from each endpoint up to one uniform step inward
+    span = (hi_v - lo_v) / (cfg.n - 1) / cfg.endpoint_offset
     for base, inward in ((lo_v, +1.0), (hi_v, -1.0)):
-        span = step / cfg.endpoint_offset
         if span > 1.0:
             ratio = span ** (1.0 / (_GEOMETRIC_POINTS + 1))
             d = cfg.endpoint_offset
@@ -399,14 +395,15 @@ def check_k_envelope(p: float,
         k, w = ellip_k(r), (1.0 - r) ** p
         return (PI / 2) / w - k, k - cap / w
 
-    return _run("k-envelope", p, inequality_grid(cols.cfg, hi=x_p), ("lower", "upper"),
+    return _run("k-envelope", p, inequality_grid(replace(cols.cfg, hi=x_p)), ("lower", "upper"),
                 margins_below_x_p, x_p=x_p)
 
 
+_GAMMA_GRID = ScanConfig(n=1000, endpoint_offset=1e-6)
 _GAMMA_CHAIN = ("chain_product_le_sum_sq", "chain_sum_sq_le_alpha", "chain_alpha_le_outer")
 
 
-def check_gamma_constant_identities(grid_n: int = 1000) -> InequalityReport:
+def check_gamma_constant_identities() -> InequalityReport:
     """Consistency of the elliptic kernel with the embedded Gamma constants.
 
     Checks K(1/2) = pi^(3/2) / (2 Gamma(3/4)^2) and
@@ -428,8 +425,7 @@ def check_gamma_constant_identities(grid_n: int = 1000) -> InequalityReport:
 
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
-    lo, hi = 1e-6, 1.0 - 1e-6
-    xs = [lo + i * (hi - lo) / (grid_n - 1) for i in range(grid_n)]
+    xs = _GAMMA_GRID.grid()
     xs.append(0.5)
 
     def chain_at(_i: int, r: float) -> tuple[float, float, float]:
@@ -442,5 +438,5 @@ def check_gamma_constant_identities(grid_n: int = 1000) -> InequalityReport:
 
     margins.update(_scan("gamma-constants", xs, _GAMMA_CHAIN, chain_at)[0])
     bad = [(cl, m) for cl, m in margins.items() if m > VIOLATION_TOL]
-    return _report("gamma-constants", None, grid_n, margins, [0.5],
+    return _report("gamma-constants", None, _GAMMA_GRID.n, margins, [0.5],
                    (0.5, bad[0][1], bad[0][0]) if bad else None)

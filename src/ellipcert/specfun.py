@@ -155,7 +155,8 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
     t_{n+1} = t_n (a+n)(b+n) x / ((c+n)(1+n)), stopping once
     |t_n| < rel_tol * |partial sum|.  The term cap guards against the
     logarithmic divergence of parameter combinations like
-    (1/2, 1/2; 1) turning into a hang near x = 1.
+    (1/2, 1/2; 1) turning into a hang near x = 1; a partial sum that
+    overflows or turns NaN raises ConvergenceError at once.
     """
     _check_c(c)
     if not -1.0 < x < 1.0:
@@ -167,6 +168,9 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
         term *= (a + n) * (b + n) * x / ((c + n) * (1.0 + n))
         total += term
         n += 1
+        if not math.isfinite(total):
+            raise ConvergenceError(
+                f"2F1({a}, {b}; {c}; {x}): non-finite partial sum {total} after {n} terms")
         if abs(term) < rel_tol * abs(total):
             return total
     raise ConvergenceError(

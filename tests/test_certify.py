@@ -172,6 +172,24 @@ class TestCertifyMonotone:
         with pytest.raises(ValueError):
             certify_monotone(ellip_k, "up", FAST)
 
+    def test_refinement_never_resamples(self):
+        xs = []
+        certify_monotone(lambda x: xs.append(x) or phi(x), "decreasing",
+                         ScanConfig(n=2000, refine_depth=2))
+        assert len(xs) == len(set(xs))
+
+    def test_each_level_refines_the_merged_sequence(self):
+        m1 = certify_monotone(phi, "decreasing", ScanConfig(n=2000, refine_depth=1))
+        m2 = certify_monotone(phi, "decreasing", ScanConfig(n=2000, refine_depth=2))
+        assert m2.min_abs_margin < m1.min_abs_margin
+
+    def test_mixed_scan_stops_at_witness(self):
+        xs = []
+        cert = certify_monotone(lambda x: xs.append(x) or ellip_e(x), "increasing", FAST)
+        assert cert.verdict == "mixed"
+        assert xs == FAST.grid()[:2]
+        assert (cert.witness_x, cert.witness_step) == (xs[0], xs[1] - xs[0])
+
 
 class TestFindAC:
     def test_value_and_location(self, a_c_result):

@@ -157,6 +157,21 @@ class TestNonFiniteInput:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestNegativeValues:
+    """A negative number in any form reaches its command, not the option parser."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["certify", "thm3-logconvex", "-1/20"], 0, ""),
+        (["eval", "K", "-1e-05"], 2, "ellip_k requires 0 <= x < 1"),
+        (["certify", "thm1-convex", "-inf"], 2, "must be finite"),
+        (["verify", "sum-bounds", "--a", "-1e-3"], 2, "sum bounds need a > 0"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_reaches_handler(self, capsys, argv, code, message):
+        got, _, err = run(capsys, argv + FAST)
+        assert got == code
+        assert message in err
+
+
 class TestFloatRange:
     def test_infinite_margin_is_inconclusive(self, capsys):
         # the upper bound 1 + pi/(2a) overflows to inf, so its margin is -inf

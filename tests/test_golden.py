@@ -1,0 +1,59 @@
+"""Golden outputs: SHA-256 digests of stdout for a fixed set of invocations.
+
+A refactor that claims unchanged behaviour must leave every digest and
+exit code here as it is.  The set covers certify at, just below and just
+above each sharp threshold, verify all, the k-envelope check below 1/4
+(whose grid ends at x_p), and both table spacings, all on a 500-point
+grid.  To re-pin after a deliberate output change, print
+hashlib.sha256(stdout.encode()).hexdigest() for each argv.
+"""
+
+import hashlib
+
+import pytest
+
+from ellipcert import cli
+
+GRID = ["--grid-n", "500"]
+
+# (argv without the grid option, exit code, sha256 of stdout)
+GOLDEN = [
+    (["certify", "thm1-convex", "1.4515692950422916"], 1, "6a125382f927bbefc3909a5aea55a54046b20864de82565b7b71252ecd621225"),
+    (["certify", "thm1-convex", "1.4615692950422916"], 0, "91e95627edb18c993926f9afee9c2acde44760244ee948fee21c8f61d38d9a5c"),
+    (["certify", "thm1-convex", "1.4715692950422916"], 0, "49c5f3848e353ee9bab6ee5b44a7331b5013a86500f0e2ec94ce0f4317ae0052"),
+    (["certify", "thm1-concave", "1.3233333333333333"], 1, "7a23813f9cbfe3df549c01f179098ad2c742179e03b37dec1403cd836642e79c"),
+    (["certify", "thm1-concave", "1.3333333333333333"], 0, "6220c35c9475097da2770a574b742f621d48f646e22d7572bbdff0d6369d4c84"),
+    (["certify", "thm1-concave", "1.3433333333333333"], 1, "f95593995ad327372b9a8e7f8dd08fb13ba05dc78e233a14ed76688741f739a3"),
+    (["certify", "thm2-convex", "1.3762943611198906"], 0, "d024f24eb73e5e3a7b3a3139c0997cab63c38a17d3b5822168ace636e8e52807"),
+    (["certify", "thm2-convex", "1.3862943611198906"], 0, "3adf1bcc4263213ccf8a598339c3563254266746f720d5f52c7d8637ee5ee0a0"),
+    (["certify", "thm2-convex", "1.3962943611198906"], 1, "f74016152f08e2b5efb9c54d220caae4381809dfc713a963e25a8c23e4f0bd56"),
+    (["certify", "thm2-concave", "1.59"], 1, "84e95aaddc378c0cf23453bf77a53b6755e6fb1e6337cd9a1594e4e1141127c2"),
+    (["certify", "thm2-concave", "1.6"], 0, "b57fdb4e78f19bb7034dadcb1560ed832ca52f914d5efcb9f4c6224eeda5d939"),
+    (["certify", "thm2-concave", "1.61"], 0, "0d5dc26c14e1b4f17910cddb44eb88075174dd6a63caafb7e0045d221a2965f5"),
+    (["certify", "thm3-logconcave", "0.20875"], 1, "914f1280b64173ef4fec070711fea9ef6c8f27f064a9232d273ed529657600fa"),
+    (["certify", "thm3-logconcave", "0.21875"], 0, "254338b5b7bab2eb20c4ee87ebc1a5defd257a9c87fc6e0576f38bec99396dc7"),
+    (["certify", "thm3-logconcave", "0.22875"], 0, "2289ebbf9a7cdc33b7cd8a634c1a208558247231a8b1b6d23d296390e5398dd2"),
+    (["certify", "thm3-logconvex", "-0.1"], 0, "7cf66f68ced268460efbbd3bcaae2f5d333e724c055937bbc2d085f8f19b02b1"),
+    (["certify", "thm3-logconvex", "0.0"], 0, "1bf655126eec65665d6b6c486ffa3b47e1a4c579ffeff018fd5952475f87847c"),
+    (["certify", "thm3-logconvex", "0.1"], 1, "15e5de2636078b53e24ef448c98b00e30c68ec5870fde5f0bbe9acda39bec806"),
+    (["certify", "cor14-convex", "1.2703300858899105"], 1, "04c573c708599b351f703d5a9e6c15a014b6c75184f3174eb2d743597724e0a2"),
+    (["certify", "cor14-convex", "1.2803300858899105"], 0, "8d62c2f90feabce41bde5e9cd1e93b8babd1eb57de1304ce9f5ce48eb938e938"),
+    (["certify", "cor14-convex", "1.2903300858899105"], 0, "148da118f02b19a43864c6d604b6abd9fd9521b45d69dd764909e4b1bae1e4f7"),
+    (["certify", "cor14-concave", "0.2096699141100893"], 1, "f769635b2708764386df1a9ed5834738909f88d08c90a10133374d54e134de48"),
+    (["certify", "cor14-concave", "0.21966991411008932"], 0, "8c21a7c08f5a7498159541a1c61734b2751171e7017fcf7c3ba93b063b68915f"),
+    (["certify", "cor14-concave", "0.22966991411008933"], 0, "e84c7fe7ec7fcdaafa2553e50cf5ec9e29ea74f876f51efa8413994db18804db"),
+    (["certify", "cor15-monotone", "0.24"], 1, "401378d8d33d148a9990de6ffbc9961ff9cc5e64abe18125a494a0fc82693af4"),
+    (["certify", "cor15-monotone", "0.25"], 0, "475d49480f0e8ad758b7bd8178ba9a0dee146c58fe166a8aa37eb44f594d435f"),
+    (["certify", "cor15-monotone", "0.26"], 0, "bd4692007b5137609526a13a3ed9fc62024b8d332f15f8b3629e443b95cf255c"),
+    (["verify", "all"], 0, "f12f1c3a458bbf71045509afe1a0b98db460b7edb14fba7acb254c1e2388092d"),
+    (["verify", "k-envelope", "--p", "0.1"], 0, "17886e6f7566ec2cad28a7b1d06f64bcf87c4e118c9ef9d4db00c3511af5c8eb"),
+    (["table", "K", "--spacing", "uniform"], 0, "9a2473afc6ddda8e1a32be060f20e01a2ddee80d746a53eb1e4d8e56e769561d"),
+    (["table", "K", "--spacing", "geometric"], 0, "ab97652b732e354b942b9c14ca3b6cd55ddef534d10be492537b4077924007be"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_stdout_digest(capsys, argv, code, digest):
+    assert cli.main(argv + GRID) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -61,7 +61,7 @@ def _params(fn, values):
 @given(fn=st.sampled_from(sorted(cli._EVAL_FNS)), values=st.lists(NUMBERS, min_size=3, max_size=3),
        xs=st.lists(st.one_of(FLOATS, UNIT), min_size=1, max_size=3), fmt=FORMATS, scan=SCAN)
 def test_eval(fn, values, xs, fmt, scan):
-    check(["eval", fn] + _params(fn, values) + ["--"] + xs, fmt, scan)
+    check(["eval", fn] + _params(fn, values) + xs, fmt, scan)
 
 
 @SETTINGS
@@ -80,7 +80,7 @@ def test_constants(fmt, scan):
 @SETTINGS
 @given(theorem=st.sampled_from(sorted(cli._CERTIFY_TABLE)), value=NUMBERS, fmt=FORMATS, scan=SCAN)
 def test_certify(theorem, value, fmt, scan):
-    check(["certify", theorem, "--", value], fmt, scan)
+    check(["certify", theorem, value], fmt, scan)
 
 
 @SETTINGS
@@ -88,5 +88,5 @@ def test_certify(theorem, value, fmt, scan):
        p=st.one_of(st.none(), NUMBERS), seed=st.integers(0, 2**32), fmt=FORMATS, scan=SCAN)
 def test_verify(selector, a, p, seed, fmt, scan):
     argv = ["verify", selector, f"--seed={seed}"]
-    argv += [f"--a={a}"] * (a is not None) + [f"--p={p}"] * (p is not None)
+    argv += ["--a", a] * (a is not None) + ["--p", p] * (p is not None)
     check(argv, fmt, scan)

@@ -155,6 +155,13 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError):
             hyp2f1(0.5, 0.5, 1.0, 0.999999, max_terms=1000)
 
+    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (math.nan, 0.5)])
+    def test_non_finite_sum_stops_at_once(self, a, b):
+        # the stop test |t_n| < rel_tol |sum| is False for NaN and inf, so
+        # without the check the series would run to the term cap
+        with pytest.raises(ConvergenceError, match="non-finite partial sum .* after 1 terms"):
+            hyp2f1(a, b, 1.0, 0.5)
+
     def test_brute_series_oracle_agreement(self):
         for x in [0.1, 0.5, 0.9, -0.5]:
             mine = hyp2f1(0.5, 0.5, 2.0, x)
