@@ -84,9 +84,9 @@ def _json(obj: Any, **kwargs: Any) -> str:
     """Strict JSON: a NaN or infinite value is written as null, never as
     the NaN/Infinity tokens that JSON does not have.
 
-    The values are copied with nulls only when the strict dump fails:
-    copying every 20,000-row table first costs about 30 ms (on a 2-core
-    Xeon) and 4 MB per JSON table command.
+    The values are copied with nulls only when the strict dump fails, so
+    an object with only finite values is dumped without a copy.  Table
+    rows do not come through here: `_render` maps its columns itself.
     """
     try:
         return json.dumps(obj, allow_nan=False, **kwargs)
@@ -95,27 +95,44 @@ def _json(obj: Any, **kwargs: Any) -> str:
 
 
 def _render(rows: list[dict[str, Any]], manifest: RunManifest, fmt: str) -> str:
-    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
+    """Byte for byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
+    keys = list(rows[0]) if rows else []
+    cols = list(zip(*map(dict.values, rows)))  # every handler's rows share keys
+    floats = [set(map(type, col)) == {float} for col in cols]
     if fmt == "json":
-        return _json({"manifest": manifest.to_dict(), "results": rows}, indent=2) + "\n"
+        head = _json({"manifest": manifest.to_dict(), "results": []}, indent=2)
+        if not rows:
+            return head + "\n"
+        cell = json.JSONEncoder(allow_nan=False).encode
+        cols = [list(map(float.__repr__, col))  # what json writes for a finite float
+                if is_float and all(map(math.isfinite, col))
+                else list(map(cell, map(_null_nonfinite, col)))
+                for col, is_float in zip(cols, floats)]
+        row = "    {\n" + ",\n".join(
+            f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
+        body = ",\n".join(map(row.__mod__, zip(*cols)))
+        return f"{head[:-4]}[\n{body}\n  ]\n}}\n"  # head ends '[]\n}'
+    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
-        cols = list(rows[0].keys()) if rows else []
         buf.write(f"# manifest: {mjson}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([fmt_full(row.get(c)) for c in cols])
+        writer.writerow(keys)
+        if all(floats):  # a float's %.17g never needs csv quoting
+            row = ",".join(["%.17g"] * len(cols)) + "\n"
+            buf.writelines(map(row.__mod__, zip(*cols)))
+        else:
+            writer.writerows(zip(*(map(fmt_full, col) for col in cols)))
         return buf.getvalue()
     # text
     lines = [f"manifest: {mjson}"]
     if rows:
-        cols = list(rows[0].keys())
-        table = [[fmt_human(row.get(c)) for c in cols] for row in rows]
-        widths = [max(len(c), *(len(t[i]) for t in table)) for i, c in enumerate(cols)]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-        for t in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(t, widths)))
+        cells = [list(map("%.12g".__mod__, col) if is_float else map(fmt_human, col))
+                 for col, is_float in zip(cols, floats)]
+        widths = [max(len(k), max(map(len, c))) for k, c in zip(keys, cells)]
+        row = "  ".join(f"%-{w}s" for w in widths)
+        lines.append(row % tuple(keys))
+        lines.extend(map(row.__mod__, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -192,13 +209,14 @@ def _resolve_fn(name: str, params: dict[str, float]):
 def _cmd_eval(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
     params = _collect_params(args.param)
     fn = _resolve_fn(args.fn, params)
+    xs = [_parse_number(text) for text in args.x]
     rows = []
-    for x in args.x:
+    for x in xs:
         try:
             rows.append({"x": x, "value": fn(x)})
         except (DomainError, ConvergenceError) as exc:
             raise DomainError(f"at x={x!r}: {exc}") from exc
-    manifest = RunManifest("eval", {"fn": args.fn, **params, "x": list(args.x)},
+    manifest = RunManifest("eval", {"fn": args.fn, **params, "x": xs},
                            _scan_from_args(args), args.format, args.seed)
     return rows, manifest, EXIT_OK
 
@@ -299,8 +317,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMani
         raise DomainError(
             f"unknown selector {args.selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
     cfg = _scan_from_args(args)
-    a = _finite(args.a, "--a") if args.a is not None else 1.47
-    p = _finite(args.p, "--p") if args.p is not None else None
+    a = _parse_number(args.a) if args.a is not None else 1.47
+    p = _parse_number(args.p) if args.p is not None else None
 
     # one grid with K(x) and K(1-x) for every grid check of this command
     cols = inequalities.GridColumns(cfg)
@@ -389,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
     p_eval.add_argument("--param", action="append", metavar="k=v",
                         help="function parameter, e.g. a=1.47 or p=7/32")
-    p_eval.add_argument("x", nargs="+", type=float, help="evaluation points")
+    p_eval.add_argument("x", nargs="+", help="evaluation points (float or fraction)")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_const = sub.add_parser("constants", parents=[common],
@@ -405,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run inequality grid checks")
     p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_SELECTORS)}")
-    p_ver.add_argument("--a", type=float, default=None, help="log-shift parameter")
-    p_ver.add_argument("--p", type=float, default=None, help="power parameter")
+    p_ver.add_argument("--a", default=None, help="log-shift parameter")
+    p_ver.add_argument("--p", default=None, help="power parameter")
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_tab = sub.add_parser("table", parents=[common],

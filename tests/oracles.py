@@ -211,3 +211,37 @@ def mp_phi(x: float, dps: int = 50) -> float:
         k, e = mpmath.ellipk(x), mpmath.ellipe(x)
         den = 2 * e * e - 2 * e * k + x * (1 - x) * k * k
         return float(mpmath.log(1 - x) / 2 + 2 * x * k * (e - k) / den)
+
+
+def render_reference(rows, manifest, fmt: str) -> str:
+    """The CLI's renderer as it was written row by row: one json.dumps
+    (indent=2) of the whole document, one csv.writer row and one
+    fmt_full/fmt_human and ljust call per cell.  ``cli._render`` must
+    produce the same bytes."""
+    import csv
+    import io
+
+    from ellipcert.cli import _json, fmt_full, fmt_human
+
+    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
+    if fmt == "json":
+        return _json({"manifest": manifest.to_dict(), "results": rows}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        cols = list(rows[0].keys()) if rows else []
+        buf.write(f"# manifest: {mjson}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([fmt_full(row.get(c)) for c in cols])
+        return buf.getvalue()
+    # text
+    lines = [f"manifest: {mjson}"]
+    if rows:
+        cols = list(rows[0].keys())
+        table = [[fmt_human(row.get(c)) for c in cols] for row in rows]
+        widths = [max(len(c), *(len(t[i]) for t in table)) for i, c in enumerate(cols)]
+        lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
+        for t in table:
+            lines.append("  ".join(cell.ljust(w) for cell, w in zip(t, widths)))
+    return "\n".join(lines) + "\n"

@@ -149,12 +149,26 @@ class TestNonFiniteInput:
         ["verify", "sum-bounds", "--a", "nan"],
         ["verify", "k-envelope", "--p", "inf"],
         ["eval", "h", "--param", "p=nan", "0.5"],
+        ["verify", "sum-bounds", "--a", "1/0"],
+        ["eval", "K", "nan"],
     ], ids=" ".join)
     def test_usage_error_not_verdict(self, capsys, argv):
         code, out, err = run(capsys, argv + FAST)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestFractions:
+    """Every number the CLI takes may be written as a fraction."""
+
+    def test_eval_point(self, capsys):
+        _, quarter, _ = run(capsys, ["eval", "K", "1/4"])
+        assert quarter == run(capsys, ["eval", "K", "0.25"])[1]
+
+    def test_verify_parameter(self, capsys):
+        code, _, err = run(capsys, ["verify", "k-envelope", "--p", "1/4"] + FAST)
+        assert code == 0, err
 
 
 class TestNegativeValues:

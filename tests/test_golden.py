@@ -4,7 +4,8 @@ A refactor that claims unchanged behaviour must leave every digest and
 exit code here as it is.  The set covers certify at, just below and just
 above each sharp threshold, verify all, the k-envelope check below 1/4
 (whose grid ends at x_p), and both table spacings, all on a 500-point
-grid.  To re-pin after a deliberate output change, print
+grid; and every output format: json and csv tables, constants and
+verify all (str and None cells), and eval's json.  To re-pin after a deliberate output change, print
 hashlib.sha256(stdout.encode()).hexdigest() for each argv.
 """
 
@@ -49,6 +50,20 @@ GOLDEN = [
     (["verify", "k-envelope", "--p", "0.1"], 0, "17886e6f7566ec2cad28a7b1d06f64bcf87c4e118c9ef9d4db00c3511af5c8eb"),
     (["table", "K", "--spacing", "uniform"], 0, "9a2473afc6ddda8e1a32be060f20e01a2ddee80d746a53eb1e4d8e56e769561d"),
     (["table", "K", "--spacing", "geometric"], 0, "ab97652b732e354b942b9c14ca3b6cd55ddef534d10be492537b4077924007be"),
+    (["table", "K", "--spacing", "uniform", "--format", "json"], 0, "b976fc5f6b4d73b1d77f659bbf493551c8f6b2d261fb4f3f024cd85e63ec93f8"),
+    (["table", "K", "--spacing", "geometric", "--format", "json"], 0, "4c0aa2e6139749afe5e5305a00d173e852abc7ddbcfe9080dc075bfd033f4375"),
+    (["table", "K", "--spacing", "uniform", "--format", "csv"], 0, "a20ca475f111f0e2e96754888cc106b5548d65c8692eb2d04fbd6eb688e8c4ef"),
+    (["table", "K", "--spacing", "geometric", "--format", "csv"], 0, "93d2b44d4df4bf2a8fc75b4abe19eb80a5980cbb1c0967b008eb32f84c762d83"),
+    (["table", "G", "--spacing", "uniform", "--format", "json"], 0, "6ff179b74322639956447a84e9766d460a54d7dafaccf744afdee7f97f05c6ae"),
+    (["table", "G", "--spacing", "geometric", "--format", "json"], 0, "ec0a8a49b9b1477eac91f6e2b29cf9c3fa7bdff7123e6969ebdf8eedf0643480"),
+    (["table", "G", "--spacing", "uniform", "--format", "csv"], 0, "1cb931be325fb816c7ef16b90e18f1009f20f961b4c89e32e0acc6e201929b86"),
+    (["table", "G", "--spacing", "geometric", "--format", "csv"], 0, "5e0357546a3457d922778c2c11d9a29982b54b0fe7166fbb7ecf775bca07f80d"),
+    (["constants", "--format", "text"], 0, "40b5492f2e5d1e8f919fbf3c7eaacddf91b1901d5996e5be89859fc8f52b2415"),
+    (["constants", "--format", "json"], 0, "dde600e2d9acc7f738827100597cd56dd3d0a52229e6096b8831682d61c0d588"),
+    (["constants", "--format", "csv"], 0, "1ada5b6c3497f830c1c656db4d19ef9228378deb1a03b5ac737c4a6f081e47de"),
+    (["verify", "all", "--format", "json"], 0, "e6c6f9bd9d651ff45af6fb43cfb4daea15efb0de9ced5a536b5bec27301b5020"),
+    (["verify", "all", "--format", "csv"], 0, "264515a393ae925254df56c4b78f7cb7167d29a8b9d97905df39396c1517a93d"),
+    (["eval", "K", "0.5", "0.9", "--format", "json"], 0, "d0a33e1247eeb9e940ec8267893bf201c805436f4e43cb556c12ab6c9cf2a952"),
 ]
 
 

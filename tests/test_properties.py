@@ -4,17 +4,21 @@ Every subcommand, given any float or fraction string where it takes a
 number, must end with an exit code in {0, 1, 2, 3}, never with a
 traceback, and its JSON output must be strict JSON (no NaN or Infinity
 tokens).  Grids are kept at 50 points so that each example is fast.
+The renderer is checked byte for byte against the row-by-row reference
+in ``oracles``, over any cells a row can hold.
 """
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from ellipcert import cli  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -90,3 +94,34 @@ def test_verify(selector, a, p, seed, fmt, scan):
     argv = ["verify", selector, f"--seed={seed}"]
     argv += ["--a", a] * (a is not None) + ["--p", p] * (p is not None)
     check(argv, fmt, scan)
+
+
+FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308, -1e308]))
+CELL_KINDS = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    FLOAT_CELLS,
+    st.one_of(FLOAT_CELLS, st.none(), st.integers(), st.booleans(),
+              st.text(alphabet=',"\n a%\u00e9', max_size=5)),
+])
+
+
+@st.composite
+def tables(draw):
+    """Rows with the same keys in the same order; each column all finite
+    floats, all floats, or any mix of cells."""
+    keys = draw(st.lists(st.text(alphabet='xy_ %",', min_size=1, max_size=4),
+                         min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 6))
+    cols = [draw(st.lists(draw(CELL_KINDS), min_size=n, max_size=n)) for _ in keys]
+    return [dict(zip(keys, vals)) for vals in zip(*cols)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@settings(SETTINGS, max_examples=300)
+@given(rows=tables())
+@example(rows=[])
+def test_render_matches_reference(fmt, rows):
+    manifest = cli.RunManifest("table", {"fn": "K", "spacing": "uniform"},
+                               cli.DEFAULT_SCAN, fmt, 0)
+    assert cli._render(rows, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
