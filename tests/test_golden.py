@@ -4,8 +4,9 @@ A refactor that claims unchanged behaviour must leave every digest and
 exit code here as it is.  The set covers certify at, just below and just
 above each sharp threshold, verify all, the k-envelope check below 1/4
 (whose grid ends at x_p), and both table spacings, all on a 500-point
-grid; and every output format: json and csv tables, constants and
-verify all (str and None cells), and eval's json.  To re-pin after a deliberate output change, print
+grid; every output format: json and csv tables, constants and
+verify all (str and None cells), and eval's json; and one csv table
+of every function `table` offers.  To re-pin after a deliberate output change, print
 hashlib.sha256(stdout.encode()).hexdigest() for each argv.
 """
 
@@ -64,6 +65,21 @@ GOLDEN = [
     (["verify", "all", "--format", "json"], 0, "e6c6f9bd9d651ff45af6fb43cfb4daea15efb0de9ced5a536b5bec27301b5020"),
     (["verify", "all", "--format", "csv"], 0, "264515a393ae925254df56c4b78f7cb7167d29a8b9d97905df39396c1517a93d"),
     (["eval", "K", "0.5", "0.9", "--format", "json"], 0, "d0a33e1247eeb9e940ec8267893bf201c805436f4e43cb556c12ab6c9cf2a952"),
+    (["table", "E", "--format", "csv"], 0, "7019b531ea10751666cd71dcd2b9a7d6081e014f1467322be29cde6908c1b9ef"),
+    (["table", "u", "--format", "csv"], 0, "e2cc221d5c55666978d72cc9b790a4b101fb7137e6f4765b4edcc29c5a35f753"),
+    (["table", "v", "--format", "csv"], 0, "7bb99b45b2d9c4577742721fb830db0c8f9ee3814f50bdd448c9d3661c67a4e5"),
+    (["table", "delta", "--format", "csv"], 0, "a3277cac1210fc600f3e39c7b776797e69dc9c21c224ce1f12540bced1f03c9d"),
+    (["table", "w_plus", "--format", "csv"], 0, "751dd79cb08c22fee21c4d88615addfee3cd66bed26bb18ea846e75786eb67d5"),
+    (["table", "w_minus", "--format", "csv"], 0, "008ce1e38b89128733bd200b9564c6b8bf64bfc8a9d598ef792bd0310af98f24"),
+    (["table", "phi", "--format", "csv"], 0, "a68b3b2c96418a9ef15fe9355f98aa55d44283dd16cec9597a47527d235beeca"),
+    (["table", "J", "--param", "p=0.5", "--format", "csv"], 0, "5d162e768f86343c0e78508e29731e345e09ada7a47beedee5d37dc1178b7b0b"),
+    (["table", "L", "--param", "p=0.1", "--format", "csv"], 0, "dd6cf0ef5d8a5fa7ead0ebcffec0746e7129dc56e3a14ada5a6df881ac6b6648"),
+    (["table", "f", "--param", "a=1.47", "--format", "csv"], 0, "7466641cdb264929915c78159f9c0e7a458b83166829ff2d97330070e0ec6e95"),
+    (["table", "h", "--param", "p=0.5", "--format", "csv"], 0, "1dfb9eb30da99b0a4e0623fc74714cf78b2ecc74becf4141e2ff4a4da0f3d4a0"),
+    # 2F1(1/2,1/2;1;x) diverges logarithmically at 1: the default grid's
+    # last point exceeds the term cap (exit 2, empty stdout)
+    (["table", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1", "--format", "csv"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["table", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1", "--format", "csv", "--hi", "0.5"], 0, "5200421bd2331a322ed3ae73b014eb246f1005b4ccf5fd53f40671e78f79ad4e"),
 ]
 
 
