@@ -7,14 +7,7 @@ from .specfun import (
     ConvergenceError,
     ellip_k,
     ellip_e,
-    ellip_k_modulus,
-    ellip_e_modulus,
     hyp2f1,
-    hyp2f1_euler,
-    hyp2f1_at_one,
-    d_ellip_k,
-    d_ellip_e,
-    k_near_one,
     legendre_residual,
 )
 from .family import (
@@ -26,10 +19,8 @@ from .family import (
     w_plus,
     w_minus,
     g_factor,
-    g_factor_quadratic,
     phi,
     recip_f_second_sign,
-    recip_f_multiplier,
     h,
     g_aux,
     log_h_second_factor,
@@ -46,7 +37,6 @@ from .certify import (
     certify_monotone,
     find_a_c,
     find_x_p,
-    critical_constants,
 )
 from .inequalities import (
     InequalityReport,
@@ -63,17 +53,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "ConvergenceError",
-    "ellip_k", "ellip_e", "ellip_k_modulus", "ellip_e_modulus",
-    "hyp2f1", "hyp2f1_euler", "hyp2f1_at_one",
-    "d_ellip_k", "d_ellip_e", "k_near_one", "legendre_residual",
+    "ellip_k", "ellip_e", "hyp2f1", "legendre_residual",
     "CriticalConstants", "f", "u_aux", "v_aux", "delta_aux",
-    "w_plus", "w_minus", "g_factor", "g_factor_quadratic",
-    "phi", "recip_f_second_sign", "recip_f_multiplier",
+    "w_plus", "w_minus", "g_factor", "phi", "recip_f_second_sign",
     "h", "g_aux", "log_h_second_factor", "j_factor", "l_factor",
     "ScanConfig", "SignCertificate", "ExtremumResult",
     "InconclusiveScanError", "BracketNotFoundError",
     "certify_sign", "certify_monotone", "find_a_c", "find_x_p",
-    "critical_constants",
     "InequalityReport", "check_sum_bounds", "check_weighted_sum",
     "check_product_pair", "check_mean_chain", "check_mean_chain_pairs",
     "check_k_envelope", "check_gamma_constant_identities",

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
-from .family import CriticalConstants, l_factor, w_plus
+from .family import l_factor, w_plus
 
 # Sign violations are only counted beyond this tolerance: floating point
 # cannot certify strictness at an equality point itself.
@@ -258,11 +258,6 @@ def find_a_c(cfg: ScanConfig = DEFAULT_SCAN) -> ExtremumResult:
             if fd > best_v:
                 best_x, best_v = d, fd
     return ExtremumResult(x_star=best_x, value=best_v, tolerance=b - a)
-
-
-def critical_constants(cfg: ScanConfig = DEFAULT_SCAN) -> CriticalConstants:
-    """All sharp thresholds, with a_c computed live by find_a_c."""
-    return CriticalConstants(a_c=find_a_c(cfg).value)
 
 
 # Scan ladder for locating the sign change of L: dense enough that the

@@ -171,8 +171,9 @@ def _collect_params(pairs: list[str] | None) -> dict[str, float]:
 
 
 def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
-    return ScanConfig(lo=args.lo, hi=args.hi, n=args.grid_n,
-                      endpoint_offset=args.offset, refine_depth=args.refine)
+    return ScanConfig(lo=_parse_number(args.lo), hi=_parse_number(args.hi),
+                      n=args.grid_n, endpoint_offset=_parse_number(args.offset),
+                      refine_depth=args.refine)
 
 
 # fn name -> (required param names, factory(params) -> callable(x))
@@ -228,18 +229,10 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunM
         {"name": "a_c", "value": res.value, "provenance": "computed",
          "x_star": res.x_star, "tolerance": res.tolerance},
     ]
-    algebraic = [
-        ("p_logconcave", family.P_LOGCONCAVE),
-        ("p_convex_hi", family.P_CONVEX_HI),
-        ("p_concave_lo", family.P_CONCAVE_LO),
-        ("p_monotone", family.P_MONOTONE),
-        ("a_recip_convex", family.A_RECIP_CONVEX),
-        ("a_recip_concave", family.A_RECIP_CONCAVE),
-        ("alpha_lemma", family.ALPHA_LEMMA),
-    ]
-    for name, value in algebraic:
-        rows.append({"name": name, "value": value, "provenance": "algebraic",
-                     "x_star": None, "tolerance": None})
+    rows += [{"name": name, "value": value, "provenance": "algebraic",
+              "x_star": None, "tolerance": None}
+             for name, value in asdict(family.CriticalConstants(a_c=res.value)).items()
+             if name != "a_c"]
     rows.append({"name": "K_half", "value": specfun.ellip_k(0.5),
                  "provenance": "computed", "x_star": None, "tolerance": None})
     rows.append({"name": "gamma_quarter", "value": specfun.GAMMA_QUARTER,
@@ -388,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
                         help="grid size (default %(default)s)")
-    common.add_argument("--lo", type=float, default=0.0, help="scan interval start")
-    common.add_argument("--hi", type=float, default=1.0, help="scan interval end")
-    common.add_argument("--offset", type=float, default=DEFAULT_SCAN.endpoint_offset,
+    common.add_argument("--lo", default="0", help="scan interval start")
+    common.add_argument("--hi", default="1", help="scan interval end")
+    common.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
                         help="distance kept from the interval ends")
     common.add_argument("--refine", type=int, default=DEFAULT_SCAN.refine_depth,
                         help="local refinement depth around near-zero values")

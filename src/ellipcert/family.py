@@ -63,11 +63,6 @@ class CriticalConstants:
                 f"a_c={self.a_c!r} must lie in (log 4, 8/5)")
 
 
-def _core(x: float) -> tuple[float, float, float, float]:
-    """(K, E, P, T2) at x with P = (K-E)/x, T2 = ((2-x)K-2E)/x^2."""
-    return ellip_kept(x)
-
-
 def f(a: float, x: float, *, endpoint: bool = False) -> float:
     """K(x) / (a - log(1-x)/2); continuous extensions at 0 and 1 on request.
 
@@ -101,7 +96,7 @@ def _uvds(x: float) -> tuple[float, float, float, float]:
         2F1(3/2,3/2;3;x)  = (16/pi) T2
     so u = ((1-x) T2 + 2(K-P)) / pi and v = 2(2K - P) / pi.
     """
-    k, _e, p, t2 = _core(x)
+    k, _e, p, t2 = ellip_kept(x)
     s = (2.0 / PI) * k
     u = ((1.0 - x) * t2 + 2.0 * (k - p)) / PI
     v = 2.0 * (2.0 * k - p) / PI
@@ -127,13 +122,14 @@ def delta_aux(x: float) -> float:
     return _uvds(x)[2]
 
 
-def _w_pair(x: float) -> tuple[float, float]:
+def _w_pair(x: float) -> tuple[float, float, float]:
+    """(u, w_plus, w_minus) at x."""
     u, v, d, s = _uvds(x)
     sq = math.sqrt(d) if d > 0.0 else 0.0
     lw = 0.5 * math.log1p(-x)
     # w_minus via the conjugate form 2s/(v + sqrt(Delta)): the direct
     # (v - sqrt(Delta)) difference cancels catastrophically near x = 0.
-    return lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
+    return u, lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
 
 
 def w_plus(x: float) -> float:
@@ -144,36 +140,20 @@ def w_plus(x: float) -> float:
     already at x = 1e-9.
     """
     require_unit_interval(x, "w_plus")
-    return _w_pair(x)[0]
+    return _w_pair(x)[1]
 
 
 def w_minus(x: float) -> float:
     """Lower root (in a) of the f'' quadratic; 4/3 at 0+, -inf at 1-."""
     require_unit_interval(x, "w_minus")
-    return _w_pair(x)[1]
+    return _w_pair(x)[2]
 
 
 def g_factor(a: float, x: float) -> float:
     """u(x) (a - w_plus(x)) (a - w_minus(x)); same sign as f''(a, .) at x."""
     require_unit_interval(x, "g_factor")
-    u, v, d, s = _uvds(x)
-    sq = math.sqrt(d) if d > 0.0 else 0.0
-    lw = 0.5 * math.log1p(-x)
-    wp = lw + (v + sq) / (2.0 * u)
-    wm = lw + 2.0 * s / (v + sq)
+    u, wp, wm = _w_pair(x)
     return u * (a - wp) * (a - wm)
-
-
-def g_factor_quadratic(a: float, x: float) -> float:
-    """Unfactored form z^2 u - z v + s with z = a - log(1-x)/2.
-
-    Algebraically identical to g_factor; kept as a cross-check of the
-    root factorization.
-    """
-    require_unit_interval(x, "g_factor_quadratic")
-    u, v, _d, s = _uvds(x)
-    z = a - 0.5 * math.log1p(-x)
-    return (z * u - v) * z + s
 
 
 def phi(x: float) -> float:
@@ -184,7 +164,7 @@ def phi(x: float) -> float:
     which tends to -5 pi^2 / 32 at 0, so phi -> 8/5 without a 0/0.
     """
     require_unit_interval(x, "phi")
-    k, _e, p, t2 = _core(x)
+    k, _e, p, t2 = ellip_kept(x)
     b = 2.0 * p * p - k * k - k * t2
     return 0.5 * math.log1p(-x) - 2.0 * k * p / b
 
@@ -192,17 +172,6 @@ def phi(x: float) -> float:
 def recip_f_second_sign(a: float, x: float) -> float:
     """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x."""
     return phi(x) - a
-
-
-def recip_f_multiplier(x: float) -> float:
-    """2KE - x(1-x)K^2 - 2E^2, the positive factor relating (1/f)'' to phi - a.
-
-    Computed as -x^2 (2P^2 - K^2 - K T2), which keeps the sign exact at
-    small x where the three raw terms cancel to O(x^2).
-    """
-    require_unit_interval(x, "recip_f_multiplier")
-    k, _e, p, t2 = _core(x)
-    return -x * x * (2.0 * p * p - k * k - k * t2)
 
 
 def h(p: float, x: float, *, endpoint: bool = False) -> float:
@@ -230,7 +199,7 @@ def g_aux(x: float) -> float:
     x -> 1 is logarithmic, G ~ -1/(2K).
     """
     require_unit_interval(x, "g_aux")
-    k, _e, p, t2 = _core(x)
+    k, _e, p, t2 = ellip_kept(x)
     return ((p * p + 2.0 * k * p - 2.0 * k * k) - k * t2) / (4.0 * k * k)
 
 
@@ -246,7 +215,7 @@ def j_factor(p: float, x: float) -> float:
     gives J/x^2 -> (pi/16)(32p^2 - 48p + 9) without cancellation.
     """
     require_unit_interval(x, "j_factor")
-    k, _e, pr, t2 = _core(x)
+    k, _e, pr, t2 = ellip_kept(x)
     return x * x * (t2 + (4.0 * p * p - 8.0 * p + 3.0) * k + 4.0 * (p - 1.0) * pr)
 
 
@@ -257,5 +226,5 @@ def l_factor(p: float, x: float) -> float:
     change (the turning point of h).
     """
     require_unit_interval(x, "l_factor")
-    k, _e, pr, _t2 = _core(x)
+    k, _e, pr, _t2 = ellip_kept(x)
     return x * ((1.0 - 2.0 * p) * k - pr)

@@ -5,9 +5,8 @@ Argument convention
 -------------------
 Every function of ``x`` below takes the *parameter* m = x, i.e.
 ``ellip_k(x)`` integrates with modulus sqrt(x).  Conflating parameter
-and modulus is the classic bug with these integrals, so the classical
-modulus form is exposed only through the explicit ``*_modulus``
-adapters.
+and modulus is the classic bug with these integrals; a caller holding
+the modulus r passes r**2.
 
 The production path is one pass of the arithmetic-geometric mean, which
 converges quadratically (about five doublings to machine precision) and
@@ -128,25 +127,6 @@ def ellip_kept(x: float) -> tuple[float, float, float, float]:
     return _agm(x)
 
 
-def ellip_k_modulus(r: float) -> float:
-    """First-kind integral at modulus r (parameter r**2)."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"ellip_k_modulus requires 0 <= r < 1; got {r!r}")
-    return ellip_k(r * r)
-
-
-def ellip_e_modulus(r: float) -> float:
-    """Second-kind integral at modulus r (parameter r**2)."""
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"ellip_e_modulus requires 0 <= r <= 1; got {r!r}")
-    return ellip_e(r * r)
-
-
-def _check_c(c: float) -> None:
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"lower parameter c={c!r} is zero or a negative integer")
-
-
 def hyp2f1(a: float, b: float, c: float, x: float, *,
            rel_tol: float = 1e-17, max_terms: int = 1_000_000) -> float:
     """Gauss hypergeometric series 2F1(a, b; c; x) for |x| < 1.
@@ -158,7 +138,8 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
     (1/2, 1/2; 1) turning into a hang near x = 1; a partial sum that
     overflows or turns NaN raises ConvergenceError at once.
     """
-    _check_c(c)
+    if c <= 0.0 and c == math.floor(c):
+        raise DomainError(f"lower parameter c={c!r} is zero or a negative integer")
     if not -1.0 < x < 1.0:
         raise DomainError(f"hyp2f1 series argument must satisfy |x| < 1; got {x!r}")
     term = 1.0
@@ -177,31 +158,6 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
         f"2F1({a}, {b}; {c}; {x}) did not converge within {max_terms} terms")
 
 
-def hyp2f1_euler(a: float, b: float, c: float, x: float) -> float:
-    """2F1 via the Euler transformation (1-x)^(c-a-b) 2F1(c-a, c-b; c; x).
-
-    Agrees with the direct series on the overlap and improves accuracy
-    toward x -> 1 when c - a - b > 0.
-    """
-    _check_c(c)
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"hyp2f1_euler argument must satisfy |x| < 1; got {x!r}")
-    return (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
-
-
-def hyp2f1_at_one(a: float, b: float, c: float) -> float:
-    """Value of 2F1(a, b; c; 1) = Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).
-
-    Defined only when c - a - b > 0 (checked here); c must not be a pole.
-    """
-    _check_c(c)
-    if c - a - b <= 0.0:
-        raise DomainError(
-            f"2F1 at unit argument needs c - a - b > 0; got {c - a - b!r}")
-    return (math.gamma(c) * math.gamma(c - a - b)
-            / (math.gamma(c - a) * math.gamma(c - b)))
-
-
 def ke_ratio(x: float) -> float:
     """(K(x) - E(x)) / x without cancellation; limit pi/4 at x = 0."""
     if not 0.0 <= x < 1.0:
@@ -214,40 +170,6 @@ def ke_ratio2(x: float) -> float:
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ke_ratio2 requires 0 <= x < 1; got {x!r}")
     return _agm(x)[3]
-
-
-def d_ellip_k(x: float) -> float:
-    """dK/dx = (E - (1-x)K) / (2x(1-x)), rearranged to stay finite at 0+.
-
-    With P = (K-E)/x the numerator is x(K - P), so the derivative equals
-    (K - P) / (2(1-x)); limit pi/8 as x -> 0.
-    """
-    require_unit_interval(x, "d_ellip_k")
-    return (ellip_k(x) - ke_ratio(x)) / (2.0 * (1.0 - x))
-
-
-def d_ellip_e(x: float) -> float:
-    """dE/dx = (E - K) / (2x) = -(K-E)/x / 2; always negative on (0,1)."""
-    require_unit_interval(x, "d_ellip_e")
-    return -0.5 * ke_ratio(x)
-
-
-def k_near_one(x: float, *, min_x: float = 0.9) -> float:
-    """Asymptotic form of K for x close to 1.
-
-    Returns log 4 + theta - (1-x) theta / 4 with theta = -log(1-x)/2.
-    The leading terms log 4 + theta are the true divergent asymptotics
-    (the source display carries theta with the opposite sign, which
-    would send K to -infinity; the divergent-to-+infinity sign is used).
-    The (1-x) theta correction term keeps the displayed coefficient; the
-    next-order expansion of K actually carries +(1-x)(theta+log4-1)/4,
-    so this form is good to O((1-x) theta) absolute, which is what its
-    contract promises.
-    """
-    if not min_x < x < 1.0:
-        raise DomainError(f"k_near_one requires {min_x} < x < 1; got {x!r}")
-    theta = -0.5 * math.log1p(-x)
-    return LOG4 + theta - 0.25 * (1.0 - x) * theta
 
 
 def legendre_residual(x: float) -> float:

@@ -6,6 +6,12 @@ finite differences, and plain bisection.  The production package must
 never import this module; expected values in the tests are produced by
 these oracles first and then pinned as literals.
 
+The cross-checks below the elementary oracles are built from the
+package's public functions: an alternative route to a value that
+production code computes one way only (Euler's transformation of 2F1,
+the unfactored f'' quadratic, the derivatives of K and E, the multiplier
+of (1/f)'') and the asymptotic expansion of K at 1.
+
 The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
 package's stabilized factor forms.  They import mpmath when called, so
@@ -18,6 +24,15 @@ import math
 import warnings
 
 from scipy.integrate import IntegrationWarning, quad
+
+from ellipcert.family import u_aux, v_aux
+from ellipcert.specfun import (
+    ellip_k,
+    hyp2f1,
+    ke_ratio,
+    ke_ratio2,
+    require_unit_interval,
+)
 
 PI = math.pi
 
@@ -110,6 +125,46 @@ def bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi, fhi = mid, fm
     return 0.5 * (lo + hi)
+
+
+def hyp2f1_euler(a: float, b: float, c: float, x: float) -> float:
+    """2F1 via the Euler transformation (1-x)^(c-a-b) 2F1(c-a, c-b; c; x)."""
+    return (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
+
+
+def g_factor_quadratic(a: float, x: float) -> float:
+    """Unfactored form z^2 u - z v + s of family.g_factor, z = a - log(1-x)/2."""
+    require_unit_interval(x, "g_factor_quadratic")
+    z = a - 0.5 * math.log1p(-x)
+    return (z * u_aux(x) - v_aux(x)) * z + (2.0 / PI) * ellip_k(x)
+
+
+def d_ellip_k(x: float) -> float:
+    """dK/dx = (E - (1-x)K) / (2x(1-x)) = (K - (K-E)/x) / (2(1-x)); pi/8 at 0+."""
+    require_unit_interval(x, "d_ellip_k")
+    return (ellip_k(x) - ke_ratio(x)) / (2.0 * (1.0 - x))
+
+
+def d_ellip_e(x: float) -> float:
+    """dE/dx = (E - K) / (2x) = -(K-E)/x / 2; -pi/8 at 0+."""
+    require_unit_interval(x, "d_ellip_e")
+    return -0.5 * ke_ratio(x)
+
+
+def recip_f_multiplier(x: float) -> float:
+    """2KE - x(1-x)K^2 - 2E^2, the factor relating (1/f)'' to phi - a, as
+    -x^2 (2P^2 - K^2 - K T2) with P = (K-E)/x and T2 = ((2-x)K-2E)/x^2,
+    which keeps the sign at small x where the raw terms cancel to O(x^2)."""
+    require_unit_interval(x, "recip_f_multiplier")
+    k, p, t2 = ellip_k(x), ke_ratio(x), ke_ratio2(x)
+    return -x * x * (2.0 * p * p - k * k - k * t2)
+
+
+def k_near_one(x: float) -> float:
+    """K at x near 1 from DLMF 19.12.1: L + (1-x)(L-1)/4 with
+    L = log 4 - log(1-x)/2; the omitted terms are O((1-x)^2 L)."""
+    big = math.log(4.0) - 0.5 * math.log1p(-x)
+    return big + 0.25 * (1.0 - x) * (big - 1.0)
 
 
 def gamma(z: float) -> float:

@@ -1,0 +1,33 @@
+"""Public-API surface: every exported name is reached by production code
+or by the acceptance gate.  Cross-checks that only tests use belong in
+tests/oracles.py, not in ``ellipcert.__all__``."""
+
+import ast
+from pathlib import Path
+
+import ellipcert
+
+PACKAGE = Path(ellipcert.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def _used_names(path: Path) -> set[str]:
+    """Names a module reads, reads as an attribute, or imports by name;
+    a definition alone or a name inside a string does not count."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_reached():
+    reached = _used_names(ACCEPTANCE)
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            reached |= _used_names(path)
+    assert sorted(set(ellipcert.__all__) - reached) == []

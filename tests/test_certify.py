@@ -15,7 +15,6 @@ from ellipcert.certify import (
     SignCertificate,
     certify_monotone,
     certify_sign,
-    critical_constants,
     find_a_c,
     find_x_p,
 )
@@ -234,11 +233,6 @@ class TestFindAC:
             oracles.second_central_diff(lambda t: family.f(ac + 2e-4, t), x, 1e-5)
             for x in [xs - 0.02, xs, xs + 0.02])
         assert below < 0.0 < above
-
-    def test_critical_constants_roundtrip(self, a_c_result):
-        cc = critical_constants()
-        assert cc.a_c == pytest.approx(a_c_result.value, abs=1e-12)
-        assert cc.p_logconcave == 7.0 / 32.0
 
 
 class TestFindXP:

@@ -151,6 +151,8 @@ class TestNonFiniteInput:
         ["eval", "h", "--param", "p=nan", "0.5"],
         ["verify", "sum-bounds", "--a", "1/0"],
         ["eval", "K", "nan"],
+        ["table", "K", "--offset", "1/0"],
+        ["table", "K", "--hi", "nan"],
     ], ids=" ".join)
     def test_usage_error_not_verdict(self, capsys, argv):
         code, out, err = run(capsys, argv + FAST)
@@ -165,6 +167,10 @@ class TestFractions:
     def test_eval_point(self, capsys):
         _, quarter, _ = run(capsys, ["eval", "K", "1/4"])
         assert quarter == run(capsys, ["eval", "K", "0.25"])[1]
+
+    def test_scan_bound(self, capsys):
+        _, quarter, _ = run(capsys, ["table", "K", "--grid-n", "5", "--lo", "1/4"])
+        assert quarter == run(capsys, ["table", "K", "--grid-n", "5", "--lo", "0.25"])[1]
 
     def test_verify_parameter(self, capsys):
         code, _, err = run(capsys, ["verify", "k-envelope", "--p", "1/4"] + FAST)

@@ -32,7 +32,7 @@ NUMBERS = st.one_of(
 UNIT = st.floats(min_value=0.0, max_value=1.0).map(repr)
 FORMATS = st.sampled_from(["json", "csv", "text"])
 SCAN = st.lists(st.tuples(st.sampled_from(["--lo", "--hi", "--offset"]),
-                          st.one_of(FLOATS, UNIT)), max_size=2)
+                          st.one_of(FLOATS, UNIT, NUMBERS)), max_size=2)
 
 
 def _reject_constant(token):

@@ -15,17 +15,10 @@ from ellipcert import specfun
 from ellipcert.specfun import (
     ConvergenceError,
     DomainError,
-    d_ellip_e,
-    d_ellip_k,
     ellip_e,
-    ellip_e_modulus,
     ellip_k,
-    ellip_k_modulus,
     ellip_kept,
     hyp2f1,
-    hyp2f1_at_one,
-    hyp2f1_euler,
-    k_near_one,
     ke_ratio,
     ke_ratio2,
     legendre_residual,
@@ -71,13 +64,6 @@ class TestEllipK:
         xs = grid(300)
         vals = [ellip_k(x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_modulus_adapter(self):
-        assert ellip_k_modulus(0.5) == ellip_k(0.25)
-        assert ellip_e_modulus(0.5) == ellip_e(0.25)
-        assert ellip_k_modulus(0.8) == pytest.approx(ellip_k(0.64), rel=1e-15)
-        with pytest.raises(DomainError):
-            ellip_k_modulus(1.0)
 
 
 class TestEllipE:
@@ -125,20 +111,15 @@ class TestHyp2f1:
         # Gamma(2)Gamma(1)/Gamma(3/2)^2 = 4/pi, cross-checked by the series
         target = oracles.gamma(2.0) * oracles.gamma(1.0) / oracles.gamma(1.5) ** 2
         assert target == pytest.approx(4.0 / PI, rel=1e-15)
-        assert hyp2f1_at_one(0.5, 0.5, 2.0) == pytest.approx(target, rel=1e-14)
         # near-one series cross-check; the n^-3 term tail makes the default
         # threshold needlessly deep here, 1e-11 already gives ~2e-8 truncation
         near = hyp2f1(0.5, 0.5, 2.0, 1.0 - 1e-6, rel_tol=1e-11)
         assert near == pytest.approx(4.0 / PI, abs=1e-5)
 
-    def test_at_one_domain(self):
-        with pytest.raises(DomainError):
-            hyp2f1_at_one(0.5, 0.5, 1.0)  # c - a - b = 0
-
     def test_negative_argument(self):
         # Euler transformation is an exact identity, also for x < 0
         direct = hyp2f1(0.5, 0.5, 1.25, -0.7)
-        euler = hyp2f1_euler(0.5, 0.5, 1.25, -0.7)
+        euler = oracles.hyp2f1_euler(0.5, 0.5, 1.25, -0.7)
         assert direct == pytest.approx(euler, rel=1e-13)
 
     def test_domain_errors(self):
@@ -172,14 +153,14 @@ class TestHyp2f1:
 class TestEulerPath:
     def test_consistency_near_one(self):
         a = hyp2f1(0.5, 0.5, 2.0, 0.99)
-        b = hyp2f1_euler(0.5, 0.5, 2.0, 0.99)
+        b = oracles.hyp2f1_euler(0.5, 0.5, 2.0, 0.99)
         assert abs(a - b) <= 1e-10 * abs(a)
 
     def test_at_zero(self):
-        assert hyp2f1_euler(0.5, 0.5, 2.0, 0.0) == 1.0
+        assert oracles.hyp2f1_euler(0.5, 0.5, 2.0, 0.0) == 1.0
 
     def test_k_route_09(self):
-        val = hyp2f1_euler(0.5, 0.5, 1.0, 0.9)
+        val = oracles.hyp2f1_euler(0.5, 0.5, 1.0, 0.9)
         assert val == pytest.approx(QUAD_K_09_SERIES_SCALED, rel=1e-12)
         assert QUAD_K_09_SERIES_SCALED == pytest.approx(
             (2.0 / PI) * oracles.quad_k(0.9), rel=1e-13)
@@ -190,52 +171,54 @@ class TestDerivatives:
         # series oracle: d/dx of the small-x series at 0 is pi/8
         fd = oracles.central_diff(oracles.series_k, 1e-5, 1e-6)
         assert fd == pytest.approx(PI / 8, rel=1e-4)
-        assert d_ellip_k(1e-10) == pytest.approx(PI / 8, rel=1e-9)
+        assert oracles.d_ellip_k(1e-10) == pytest.approx(PI / 8, rel=1e-9)
 
     def test_dk_substitution_identity(self):
         k, e = ellip_k(0.5), ellip_e(0.5)
-        assert d_ellip_k(0.5) == pytest.approx((e - 0.5 * k) / 0.5, rel=1e-13)
+        assert oracles.d_ellip_k(0.5) == pytest.approx((e - 0.5 * k) / 0.5, rel=1e-13)
 
     def test_dk_finite_difference_09(self):
         fd = oracles.central_diff(ellip_k, 0.9, 1e-6)
-        assert d_ellip_k(0.9) == pytest.approx(fd, rel=1e-6)
+        assert oracles.d_ellip_k(0.9) == pytest.approx(fd, rel=1e-6)
 
     def test_de_small_x_limit(self):
         fd = oracles.central_diff(oracles.series_e, 1e-5, 1e-6)
         assert fd == pytest.approx(-PI / 8, rel=1e-4)
-        assert d_ellip_e(1e-10) == pytest.approx(-PI / 8, rel=1e-9)
+        assert oracles.d_ellip_e(1e-10) == pytest.approx(-PI / 8, rel=1e-9)
 
     def test_de_substitution_identity(self):
         k, e = ellip_k(0.5), ellip_e(0.5)
-        assert d_ellip_e(0.5) == pytest.approx(e - k, rel=1e-13)
+        assert oracles.d_ellip_e(0.5) == pytest.approx(e - k, rel=1e-13)
 
     def test_de_negative_on_grid(self):
         for x in grid(100, lo=1e-6, hi=1 - 1e-6):
-            assert d_ellip_e(x) < 0.0
+            assert oracles.d_ellip_e(x) < 0.0
 
     def test_fd_consistency_sweep(self):
         for x in grid(50, lo=0.01, hi=0.99):
             fd_k = oracles.central_diff(ellip_k, x, 1e-6)
             fd_e = oracles.central_diff(ellip_e, x, 1e-6)
-            assert d_ellip_k(x) == pytest.approx(fd_k, rel=1e-6)
-            assert d_ellip_e(x) == pytest.approx(fd_e, rel=1e-6)
+            assert oracles.d_ellip_k(x) == pytest.approx(fd_k, rel=1e-6)
+            assert oracles.d_ellip_e(x) == pytest.approx(fd_e, rel=1e-6)
 
     def test_domain(self):
-        for fn in (d_ellip_k, d_ellip_e):
+        for fn in (oracles.d_ellip_k, oracles.d_ellip_e):
             for bad in (0.0, 1.0, -0.5):
                 with pytest.raises(DomainError):
                     fn(bad)
 
 
 class TestKNearOne:
+    """K against its asymptotic expansion at x -> 1 (DLMF 19.12.1)."""
+
     def test_close_agreement(self):
         x = 1.0 - 1e-8
-        assert abs(k_near_one(x) - ellip_k(x)) <= 1e-7
+        assert abs(oracles.k_near_one(x) - ellip_k(x)) <= 1e-7
 
     def test_moderate_agreement(self):
         x = 1.0 - 1e-4
         theta = -0.5 * math.log1p(-x)
-        assert abs(k_near_one(x) - ellip_k(x)) <= 1e-4 * theta
+        assert abs(oracles.k_near_one(x) - ellip_k(x)) <= 1e-4 * theta
 
     def test_log_gap_vanishes(self):
         gaps = []
@@ -245,12 +228,6 @@ class TestKNearOne:
             gaps.append(abs(ellip_k(x) - math.log(4.0) - theta))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-7
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            k_near_one(0.85)
-        with pytest.raises(DomainError):
-            k_near_one(0.95, min_x=0.96)
 
 
 class TestLegendreResidual:
