@@ -150,14 +150,20 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _parse_number(text: str) -> float:
-    """Plain float, or a rational like 7/32; finite, nonzero denominator."""
-    if "/" in text:
-        num, den = (float(part) for part in text.split("/", 1))
-        if den == 0.0:
-            raise DomainError(f"zero denominator in {text!r}")
-        return _finite(num / den, f"value {text!r}")
-    return _finite(float(text), f"value {text!r}")
+def _parse_number(text: str, what: str) -> float:
+    """Plain float, or a rational like 7/32; finite, nonzero denominator.
+
+    what names the option or argument the text came from, for the error.
+    """
+    head, sep, tail = text.partition("/")
+    try:
+        num, den = float(head), (float(tail) if sep else 1.0)
+    except ValueError:
+        raise DomainError(
+            f"{what} must be a number or a ratio like 7/32; got {text!r}") from None
+    if den == 0.0:
+        raise DomainError(f"{what}: zero denominator in {text!r}")
+    return _finite(num / den, f"{what} {text!r}")
 
 
 def _collect_params(pairs: list[str] | None) -> dict[str, float]:
@@ -166,13 +172,16 @@ def _collect_params(pairs: list[str] | None) -> dict[str, float]:
         if "=" not in item:
             raise DomainError(f"--param expects key=value; got {item!r}")
         key, val = item.split("=", 1)
-        params[key.strip()] = _parse_number(val)
+        key = key.strip()
+        params[key] = _parse_number(val, f"--param {key}")
     return params
 
 
 def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
-    return ScanConfig(lo=_parse_number(args.lo), hi=_parse_number(args.hi),
-                      n=args.grid_n, endpoint_offset=_parse_number(args.offset),
+    return ScanConfig(lo=_parse_number(args.lo, "--lo"),
+                      hi=_parse_number(args.hi, "--hi"),
+                      n=args.grid_n,
+                      endpoint_offset=_parse_number(args.offset, "--offset"),
                       refine_depth=args.refine)
 
 
@@ -210,7 +219,7 @@ def _resolve_fn(name: str, params: dict[str, float]):
 def _cmd_eval(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
     params = _collect_params(args.param)
     fn = _resolve_fn(args.fn, params)
-    xs = [_parse_number(text) for text in args.x]
+    xs = [_parse_number(text, "eval point") for text in args.x]
     rows = []
     for x in xs:
         try:
@@ -263,7 +272,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMan
             f"unknown theorem id {args.theorem!r}; choose from "
             f"{', '.join(sorted(_CERTIFY_TABLE))}")
     symbol, factory, claimed = _CERTIFY_TABLE[args.theorem]
-    value = _parse_number(args.value)
+    value = _parse_number(args.value, "certify value")
     cfg = _scan_from_args(args)
     cert = certify_sign(factory(value), claimed, cfg)
     rows = [{
@@ -310,8 +319,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMani
         raise DomainError(
             f"unknown selector {args.selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
     cfg = _scan_from_args(args)
-    a = _parse_number(args.a) if args.a is not None else 1.47
-    p = _parse_number(args.p) if args.p is not None else None
+    a = _parse_number(args.a, "--a") if args.a is not None else 1.47
+    p = _parse_number(args.p, "--p") if args.p is not None else None
 
     # one grid with K(x) and K(1-x) for every grid check of this command
     cols = inequalities.GridColumns(cfg)

@@ -74,8 +74,14 @@ class InequalityReport:
 
 
 def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
-    """cfg.grid() plus geometric endpoint tails plus the exact midpoint."""
-    pts = set(cfg.grid())
+    """cfg.grid() plus geometric endpoint tails plus the exact midpoint,
+    ascending and without repeats.
+
+    cfg.grid() is already ascending and the 2 * _GEOMETRIC_POINTS + 1
+    extra points are appended, so the sort has little to reorder and
+    runs in about linear time; equal points end up adjacent.
+    """
+    pts = cfg.grid()
     lo_v = cfg.lo + cfg.endpoint_offset
     hi_v = cfg.hi - cfg.endpoint_offset
     # geometric tails from each endpoint up to one uniform step inward
@@ -86,10 +92,11 @@ def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
             d = cfg.endpoint_offset
             for _ in range(_GEOMETRIC_POINTS):
                 d *= ratio
-                pts.add(base + inward * d)
+                pts.append(base + inward * d)
     if lo_v < 0.5 < hi_v:
-        pts.add(0.5)
-    return sorted(pts)
+        pts.append(0.5)
+    pts.sort()
+    return [x for prev, x in zip([None, *pts], pts) if x != prev]
 
 
 def _cluster(points: list[tuple[int, float, float]]) -> list[float]:

@@ -11,7 +11,10 @@ the modulus r passes r**2.
 The production path is one pass of the arithmetic-geometric mean, which
 converges quadratically (about five doublings to machine precision) and
 yields K, E and the ratios (K-E)/x and ((2-x)K-2E)/x^2 together, the
-ratios from a sum of positive terms with no series cut.  The
+ratios from a sum of positive terms with no series cut.  ``ellip_k``,
+the one function the inequality grids call, runs the same recurrence
+without the E, P and T2 sums; a test guards that it returns
+``ellip_kept(x)[0]`` bit for bit.  The
 hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -93,6 +96,26 @@ def _agm(x: float) -> tuple[float, float, float, float]:
     return k, k * (e - 0.5 * x * x * tail), 0.5 * k * (1.0 + x * s), k * s
 
 
+def _agm_k(x: float) -> float:
+    """K at 0 <= x < 1: the a, b, q, t recurrence of _agm without its
+    E, P and T2 sums, which never feed a, b, q or t, so the result is
+    _agm(x)[0] to the bit.  Change the two loops together.
+    """
+    y = math.sqrt(1.0 - x)
+    t = 0.5 / (1.0 + y)
+    a, b = 0.5 * (1.0 + y), math.sqrt(y)
+    d = a - b
+    a, b = 0.5 * (a + b), math.sqrt(a * b)
+    q = x * t / a
+    t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+    while q > 1e-3:
+        d = a - b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        q = x * t / a
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+    return PI / (a + b)
+
+
 def ellip_k(x: float) -> float:
     """Complete integral of the first kind at parameter x, 0 <= x < 1.
 
@@ -101,7 +124,7 @@ def ellip_k(x: float) -> float:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
-    return _agm(x)[0]
+    return _agm_k(x)
 
 
 def ellip_e(x: float) -> float:

@@ -10,7 +10,9 @@ The cross-checks below the elementary oracles are built from the
 package's public functions: an alternative route to a value that
 production code computes one way only (Euler's transformation of 2F1,
 the unfactored f'' quadratic, the derivatives of K and E, the multiplier
-of (1/f)'') and the asymptotic expansion of K at 1.
+of (1/f)'') and the asymptotic expansion of K at 1.  The ``*_reference``
+functions are earlier, simpler forms of production code that a faster
+form replaced; the tests require the same output from both.
 
 The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
@@ -25,7 +27,9 @@ import warnings
 
 from scipy.integrate import IntegrationWarning, quad
 
+from ellipcert.certify import ScanConfig
 from ellipcert.family import u_aux, v_aux
+from ellipcert.inequalities import _GEOMETRIC_POINTS
 from ellipcert.specfun import (
     ellip_k,
     hyp2f1,
@@ -266,6 +270,26 @@ def mp_phi(x: float, dps: int = 50) -> float:
         k, e = mpmath.ellipk(x), mpmath.ellipe(x)
         den = 2 * e * e - 2 * e * k + x * (1 - x) * k * k
         return float(mpmath.log(1 - x) / 2 + 2 * x * k * (e - k) / den)
+
+
+def inequality_grid_reference(cfg: ScanConfig) -> list[float]:
+    """inequalities.inequality_grid as it was first written: the uniform
+    grid, the geometric endpoint tails and the midpoint gathered in a
+    set and sorted.  The production builder must return the same list."""
+    pts = set(cfg.grid())
+    lo_v = cfg.lo + cfg.endpoint_offset
+    hi_v = cfg.hi - cfg.endpoint_offset
+    span = (hi_v - lo_v) / (cfg.n - 1) / cfg.endpoint_offset
+    for base, inward in ((lo_v, +1.0), (hi_v, -1.0)):
+        if span > 1.0:
+            ratio = span ** (1.0 / (_GEOMETRIC_POINTS + 1))
+            d = cfg.endpoint_offset
+            for _ in range(_GEOMETRIC_POINTS):
+                d *= ratio
+                pts.add(base + inward * d)
+    if lo_v < 0.5 < hi_v:
+        pts.add(0.5)
+    return sorted(pts)
 
 
 def render_reference(rows, manifest, fmt: str) -> str:

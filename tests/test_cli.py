@@ -177,6 +177,23 @@ class TestFractions:
         assert code == 0, err
 
 
+    @pytest.mark.parametrize("argv, what", [
+        (["table", "K", "--lo", "abc"], "--lo"),
+        (["table", "K", "--hi", "1/x"], "--hi"),
+        (["table", "K", "--offset", "x"], "--offset"),
+        (["eval", "h", "--param", "p=x", "0.5"], "--param p"),
+        (["eval", "K", "0.5", "abc"], "eval point"),
+        (["certify", "thm1-convex", "abc"], "certify value"),
+        (["verify", "sum-bounds", "--a", "1/x"], "--a"),
+        (["verify", "k-envelope", "--p", "1/2/3"], "--p"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_bad_number_names_its_source(self, capsys, argv, what):
+        code, out, err = run(capsys, argv + FAST)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {what} ") and err.count("\n") == 1
+
+
 class TestNegativeValues:
     """A negative number in any form reaches its command, not the option parser."""
 

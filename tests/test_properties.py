@@ -5,7 +5,10 @@ number, must end with an exit code in {0, 1, 2, 3}, never with a
 traceback, and its JSON output must be strict JSON (no NaN or Infinity
 tokens).  Grids are kept at 50 points so that each example is fast.
 The renderer is checked byte for byte against the row-by-row reference
-in ``oracles``, over any cells a row can hold.
+in ``oracles``, over any cells a row can hold, and the inequality grid
+against its set-based reference over any valid scan settings.  ``ellip_k``
+runs a K-only AGM loop beside the full one of ``ellip_kept``; the two
+must give the same double at every x in [0, 1).
 """
 
 import contextlib
@@ -20,6 +23,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from ellipcert import cli  # noqa: E402
+from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
+from ellipcert.inequalities import inequality_grid  # noqa: E402
+from ellipcert.specfun import ellip_k, ellip_kept  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -125,3 +131,54 @@ def test_render_matches_reference(fmt, rows):
     manifest = cli.RunManifest("table", {"fn": "K", "spacing": "uniform"},
                                cli.DEFAULT_SCAN, fmt, 0)
     assert cli._render(rows, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
+
+
+def _examples(name, values):
+    """example(name=v) for each of values."""
+    def wrap(test):
+        for v in values:
+            test = example(**{name: v})(test)
+        return test
+    return wrap
+
+
+# 0, the smallest subnormal, a deep underflow, the midpoint and every
+# 1 - 2^-k down to the last double below 1, where the loop runs longest
+K_EXAMPLES = [0.0, 5e-324, 1e-300, 0.5, *(1.0 - 2.0 ** -k for k in range(1, 53)),
+              math.nextafter(1.0, 0.0)]
+
+
+@settings(SETTINGS, max_examples=2000)
+@given(x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_subnormal=True))
+@_examples("x", K_EXAMPLES)
+def test_ellip_k_is_ellip_kept_k(x):
+    assert ellip_k(x) == ellip_kept(x)[0]
+
+
+@st.composite
+def scan_configs(draw):
+    """Valid ScanConfigs: hi - lo >= 1/4 > 2 * endpoint_offset, with the
+    midpoint inside or outside [lo, hi] and spans above and below 1."""
+    lo = draw(st.floats(0.0, 0.75))
+    hi = draw(st.floats(lo + 0.25, 1.0))
+    n = draw(st.integers(2, 5000))
+    offset = draw(st.one_of(st.floats(1e-15, 0.1),
+                            st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)))
+    return ScanConfig(lo=lo, hi=hi, n=n, endpoint_offset=offset)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(cfg=scan_configs())
+@_examples("cfg", [
+    DEFAULT_SCAN,
+    # the first tail point past lo lands on grid[1] (span just above 1)
+    ScanConfig(lo=0.25, hi=0.75, n=9, endpoint_offset=0.04999999999999999),
+    ScanConfig(n=9, endpoint_offset=0.0999999999999998),
+    # 0.5 is already a uniform grid point
+    ScanConfig(n=101, endpoint_offset=1e-9),
+    # span <= 1: no tails
+    ScanConfig(n=5000, endpoint_offset=0.1),
+    ScanConfig(n=9, endpoint_offset=0.1),  # span exactly 1
+])
+def test_inequality_grid_matches_reference(cfg):
+    assert inequality_grid(cfg) == oracles.inequality_grid_reference(cfg)

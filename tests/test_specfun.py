@@ -11,7 +11,7 @@ import random
 import pytest
 
 import oracles
-from ellipcert import specfun
+from ellipcert import cli, specfun
 from ellipcert.specfun import (
     ConvergenceError,
     DomainError,
@@ -294,6 +294,17 @@ class TestOnePassKernel:
             ellip_kept(1.0)
         with pytest.raises(DomainError):
             ellip_kept(math.nan)
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_k_only_pass_on_table_grids(self, spacing):
+        # ellip_k runs the K-only AGM loop, ellip_kept the full one: every
+        # value of a 20k-point `table K` is ellip_kept's K to the bit
+        args = cli.build_parser().parse_args(
+            ["table", "K", "--grid-n", "20000", "--spacing", spacing])
+        rows = cli._cmd_table(args)[0]
+        assert len(rows) == 20000
+        bad = [r["x"] for r in rows if r["value"] != ellip_kept(r["x"])[0]]
+        assert not bad, bad[:5]
 
 
 class TestTextRoundTrip:
