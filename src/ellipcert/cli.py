@@ -2,10 +2,15 @@
 constants, run sign certifications, verify the inequality corollaries,
 and emit plot-ready tables.
 
-Every run embeds a manifest (command, parameters, scan configuration,
-output format, seed) in its output; replaying the same invocation
-byte-reproduces the output.  Exit codes: 0 verified/pass, 1
-counterexample found, 2 usage or domain error, 3 inconclusive.
+Each command is two steps in ``_COMMANDS``: a parse step from the argparse
+namespace to the manifest's parameters, and a run step
+``run(cfg, seed, **parameters) -> (rows, exit code)``.  Every run embeds
+its manifest (command, parameters, scan configuration, output format,
+seed) in its output; ``run_from_manifest`` hands that manifest to the
+run step and byte-reproduces the output.  ``eval`` and ``table`` take
+exactly the ``--param`` keys their function needs; any other key is a
+usage error.  Exit codes: 0 verified/pass, 1 counterexample found, 2
+usage or domain error, 3 inconclusive.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .certify import (
     ScanConfig,
     certify_sign,
     find_a_c,
-    find_x_p,
 )
 from .specfun import ConvergenceError, DomainError
 
@@ -35,6 +39,8 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+Rows = list[dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -46,15 +52,6 @@ class RunManifest:
     scan: ScanConfig
     output_format: str
     seed: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "scan": asdict(self.scan),
-            "output_format": self.output_format,
-            "seed": self.seed,
-        }
 
 
 def fmt_full(v: Any) -> str:
@@ -94,13 +91,13 @@ def _json(obj: Any, **kwargs: Any) -> str:
         return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
 
 
-def _render(rows: list[dict[str, Any]], manifest: RunManifest, fmt: str) -> str:
+def _render(rows: Rows, manifest: RunManifest, fmt: str) -> str:
     """Byte for byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
     keys = list(rows[0]) if rows else []
-    cols = list(zip(*map(dict.values, rows)))  # every handler's rows share keys
+    cols = list(zip(*map(dict.values, rows)))  # every run step's rows share keys
     floats = [set(map(type, col)) == {float} for col in cols]
     if fmt == "json":
-        head = _json({"manifest": manifest.to_dict(), "results": []}, indent=2)
+        head = _json({"manifest": asdict(manifest), "results": []}, indent=2)
         if not rows:
             return head + "\n"
         cell = json.JSONEncoder(allow_nan=False).encode
@@ -112,7 +109,7 @@ def _render(rows: list[dict[str, Any]], manifest: RunManifest, fmt: str) -> str:
             f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
         body = ",\n".join(map(row.__mod__, zip(*cols)))
         return f"{head[:-4]}[\n{body}\n  ]\n}}\n"  # head ends '[]\n}'
-    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
+    mjson = _json(asdict(manifest), separators=(",", ":"), sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# manifest: {mjson}\n")
@@ -166,17 +163,6 @@ def _parse_number(text: str, what: str) -> float:
     return _finite(num / den, f"{what} {text!r}")
 
 
-def _collect_params(pairs: list[str] | None) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise DomainError(f"--param expects key=value; got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        params[key] = _parse_number(val, f"--param {key}")
-    return params
-
-
 def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
     return ScanConfig(lo=_parse_number(args.lo, "--lo"),
                       hi=_parse_number(args.hi, "--hi"),
@@ -206,33 +192,47 @@ _EVAL_FNS: dict[str, tuple[tuple[str, ...], Any]] = {
 
 
 def _resolve_fn(name: str, params: dict[str, float]):
+    """The callable of zoo function name, which must take exactly params."""
     if name not in _EVAL_FNS:
         raise DomainError(
             f"unknown function {name!r}; choose from {', '.join(sorted(_EVAL_FNS))}")
     required, factory = _EVAL_FNS[name]
+    for key in params:
+        if key not in required:
+            raise DomainError(f"function {name!r} takes no --param {key}")
     missing = [k for k in required if k not in params]
     if missing:
         raise DomainError(f"function {name!r} needs --param {missing[0]}=<value>")
     return factory(params)
 
 
-def _cmd_eval(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
-    params = _collect_params(args.param)
-    fn = _resolve_fn(args.fn, params)
-    xs = [_parse_number(text, "eval point") for text in args.x]
+def _collect_params(fn: str, pairs: list[str] | None) -> dict[str, float]:
+    """The --param pairs of function fn, checked here as well as in the run
+    step, so that no key can overwrite another manifest parameter."""
+    params: dict[str, float] = {}
+    for item in pairs or []:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise DomainError(f"--param expects key=value; got {item!r}")
+        key = key.strip()
+        params[key] = _parse_number(val, f"--param {key}")
+    _resolve_fn(fn, params)
+    return params
+
+
+def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
+              **params: float) -> tuple[Rows, int]:
+    f = _resolve_fn(fn, params)
     rows = []
-    for x in xs:
+    for xi in x:
         try:
-            rows.append({"x": x, "value": fn(x)})
+            rows.append({"x": xi, "value": f(xi)})
         except (DomainError, ConvergenceError) as exc:
-            raise DomainError(f"at x={x!r}: {exc}") from exc
-    manifest = RunManifest("eval", {"fn": args.fn, **params, "x": xs},
-                           _scan_from_args(args), args.format, args.seed)
-    return rows, manifest, EXIT_OK
+            raise DomainError(f"at x={xi!r}: {exc}") from exc
+    return rows, EXIT_OK
 
 
-def _cmd_constants(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
-    cfg = _scan_from_args(args)
+def _run_constants(cfg: ScanConfig, seed: int) -> tuple[Rows, int]:
     res = find_a_c(cfg)
     rows = [
         {"name": "a_c", "value": res.value, "provenance": "computed",
@@ -248,8 +248,7 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunM
                  "provenance": "embedded", "x_star": None, "tolerance": None})
     rows.append({"name": "gamma_three_quarter", "value": specfun.GAMMA_THREE_QUARTER,
                  "provenance": "embedded", "x_star": None, "tolerance": None})
-    manifest = RunManifest("constants", {}, cfg, args.format, args.seed)
-    return rows, manifest, EXIT_OK
+    return rows, EXIT_OK
 
 
 # theorem id -> (param symbol, factor factory, claimed sign)
@@ -266,17 +265,22 @@ _CERTIFY_TABLE = {
 }
 
 
-def _cmd_certify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
-    if args.theorem not in _CERTIFY_TABLE:
+def _claim(theorem: str) -> tuple[str, Any, str]:
+    """(param symbol, factor factory, claimed sign) of a theorem id."""
+    if theorem not in _CERTIFY_TABLE:
         raise DomainError(
-            f"unknown theorem id {args.theorem!r}; choose from "
+            f"unknown theorem id {theorem!r}; choose from "
             f"{', '.join(sorted(_CERTIFY_TABLE))}")
-    symbol, factory, claimed = _CERTIFY_TABLE[args.theorem]
-    value = _parse_number(args.value, "certify value")
-    cfg = _scan_from_args(args)
+    return _CERTIFY_TABLE[theorem]
+
+
+def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
+                 **params: float) -> tuple[Rows, int]:
+    symbol, factory, claimed = _claim(theorem)
+    value = params[symbol]
     cert = certify_sign(factory(value), claimed, cfg)
     rows = [{
-        "theorem": args.theorem,
+        "theorem": theorem,
         symbol: value,
         "claimed": claimed,
         "verdict": cert.verdict,
@@ -284,17 +288,14 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunMan
         "witness_x": cert.witness_x,
         "witness_value": cert.witness_value,
     }]
-    manifest = RunManifest("certify", {"theorem": args.theorem, symbol: value},
-                           cfg, args.format, args.seed)
-    code = EXIT_OK if cert.verdict == claimed else EXIT_COUNTEREXAMPLE
-    return rows, manifest, code
+    return rows, EXIT_OK if cert.verdict == claimed else EXIT_COUNTEREXAMPLE
 
 
 _VERIFY_SELECTORS = ("sum-bounds", "weighted-sum", "product-pair",
                      "mean-chain", "k-envelope", "gamma-constants", "all")
 
 
-def _report_rows(rep: inequalities.InequalityReport) -> list[dict[str, Any]]:
+def _report_rows(rep: inequalities.InequalityReport) -> Rows:
     rows = []
     if rep.x_p is not None:
         rows.append({"check": rep.name, "param": rep.param, "clause": "x_p",
@@ -314,49 +315,38 @@ def _report_rows(rep: inequalities.InequalityReport) -> list[dict[str, Any]]:
     return rows
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
-    if args.selector not in _VERIFY_SELECTORS:
+def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
+                p: float | None) -> tuple[Rows, int]:
+    if selector not in _VERIFY_SELECTORS:
         raise DomainError(
-            f"unknown selector {args.selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
-    cfg = _scan_from_args(args)
-    a = _parse_number(args.a, "--a") if args.a is not None else 1.47
-    p = _parse_number(args.p, "--p") if args.p is not None else None
-
+            f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
     # one grid with K(x) and K(1-x) for every grid check of this command
     cols = inequalities.GridColumns(cfg)
     reports: list[inequalities.InequalityReport] = []
-    sel = args.selector
-    if sel in ("sum-bounds", "all"):
+    if selector in ("sum-bounds", "all"):
         reports.append(inequalities.check_sum_bounds(a, cols))
-    if sel in ("weighted-sum", "all"):
+    if selector in ("weighted-sum", "all"):
         for pw in (p,) if p is not None else (family.P_CONVEX_HI, 0.5):
             reports.append(inequalities.check_weighted_sum(pw, cols))
-    if sel in ("product-pair", "all"):
+    if selector in ("product-pair", "all"):
         reports.append(inequalities.check_product_pair(
             p if p is not None else 0.5, cols))
-    if sel in ("mean-chain", "all"):
+    if selector in ("mean-chain", "all"):
         reports.append(inequalities.check_mean_chain_pairs(
-            p if p is not None else 0.5, n_pairs=1000, seed=args.seed, cfg=cfg))
-    if sel in ("k-envelope", "all"):
+            p if p is not None else 0.5, n_pairs=1000, seed=seed, cfg=cfg))
+    if selector in ("k-envelope", "all"):
         for pk in (p,) if p is not None else (0.25, 0.1):
             reports.append(inequalities.check_k_envelope(pk, cols))
-    if sel in ("gamma-constants", "all"):
+    if selector in ("gamma-constants", "all"):
         reports.append(inequalities.check_gamma_constant_identities())
-
-    rows: list[dict[str, Any]] = []
-    for rep in reports:
-        rows.extend(_report_rows(rep))
-    manifest = RunManifest("verify", {"selector": sel, "a": a, "p": p},
-                           cfg, args.format, args.seed)
-    code = EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_COUNTEREXAMPLE
-    return rows, manifest, code
+    rows = [row for rep in reports for row in _report_rows(rep)]
+    return rows, EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManifest, int]:
-    params = _collect_params(args.param)
-    fn = _resolve_fn(args.fn, params)
-    cfg = _scan_from_args(args)
-    if args.spacing == "uniform":
+def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
+               **params: float) -> tuple[Rows, int]:
+    f = _resolve_fn(fn, params)
+    if spacing == "uniform":
         xs = cfg.grid()
     else:
         lo = cfg.lo + cfg.endpoint_offset
@@ -364,10 +354,25 @@ def _cmd_table(args: argparse.Namespace) -> tuple[list[dict[str, Any]], RunManif
         ratio = (hi / lo) ** (1.0 / (cfg.n - 1))
         xs = [lo * ratio ** i for i in range(cfg.n)]
         xs[-1] = hi
-    rows = [{"x": x, "value": fn(x)} for x in xs]
-    manifest = RunManifest("table", {"fn": args.fn, **params, "spacing": args.spacing},
-                           cfg, args.format, args.seed)
-    return rows, manifest, EXIT_OK
+    return [{"x": x, "value": f(x)} for x in xs], EXIT_OK
+
+
+# command -> (parse step: namespace -> manifest parameters, run step)
+_COMMANDS = {
+    "eval": (lambda args: {"fn": args.fn, **_collect_params(args.fn, args.param),
+                           "x": [_parse_number(text, "eval point") for text in args.x]},
+             _run_eval),
+    "constants": (lambda args: {}, _run_constants),
+    "certify": (lambda args: {"theorem": args.theorem,
+                              _claim(args.theorem)[0]: _parse_number(args.value, "certify value")},
+                _run_certify),
+    "verify": (lambda args: {"selector": args.selector, "a": _parse_number(args.a, "--a"),
+                             "p": None if args.p is None else _parse_number(args.p, "--p")},
+               _run_verify),
+    "table": (lambda args: {"fn": args.fn, **_collect_params(args.fn, args.param),
+                            "spacing": args.spacing},
+              _run_table),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -410,24 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--param", action="append", metavar="k=v",
                         help="function parameter, e.g. a=1.47 or p=7/32")
     p_eval.add_argument("x", nargs="+", help="evaluation points (float or fraction)")
-    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_const = sub.add_parser("constants", parents=[common],
-                             help="print the sharp constants with provenance")
-    p_const.set_defaults(handler=_cmd_constants)
+    sub.add_parser("constants", parents=[common],
+                   help="print the sharp constants with provenance")
 
     p_cert = sub.add_parser("certify", parents=[common],
                             help="sign-certify one convexity statement")
     p_cert.add_argument("theorem", help=f"one of: {', '.join(_CERTIFY_TABLE)}")
     p_cert.add_argument("value", help="parameter value (float or fraction like 7/32)")
-    p_cert.set_defaults(handler=_cmd_certify)
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run inequality grid checks")
     p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_SELECTORS)}")
-    p_ver.add_argument("--a", default=None, help="log-shift parameter")
+    p_ver.add_argument("--a", default="1.47", help="log-shift parameter")
     p_ver.add_argument("--p", default=None, help="power parameter")
-    p_ver.set_defaults(handler=_cmd_verify)
 
     p_tab = sub.add_parser("table", parents=[common],
                            help="emit an x,value table for external plotting")
@@ -435,58 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--param", action="append", metavar="k=v",
                        help="function parameter, e.g. p=0.5")
     p_tab.add_argument("--spacing", choices=("uniform", "geometric"), default="uniform")
-    p_tab.set_defaults(handler=_cmd_table)
 
     return parser
 
 
 def run_from_manifest(manifest: dict[str, Any]) -> str:
-    """Re-run a manifest dict and return the rendered output text."""
-    scan = manifest["scan"]
-    argv = [manifest["command"]]
-    params = manifest["parameters"]
-    if manifest["command"] == "eval":
-        argv.append(params["fn"])
-        for key, val in params.items():
-            if key in ("fn", "x"):
-                continue
-            argv += ["--param", f"{key}={val!r}"]
-        argv += [repr(x) for x in params["x"]]
-    elif manifest["command"] == "table":
-        argv.append(params["fn"])
-        for key, val in params.items():
-            if key in ("fn", "spacing"):
-                continue
-            argv += ["--param", f"{key}={val!r}"]
-        argv += ["--spacing", params["spacing"]]
-    elif manifest["command"] == "certify":
-        theorem = params["theorem"]
-        symbol = _CERTIFY_TABLE[theorem][0]
-        argv += [theorem, repr(params[symbol])]
-    elif manifest["command"] == "verify":
-        argv.append(params["selector"])
-        if params.get("a") is not None:
-            argv += ["--a", repr(params["a"])]
-        if params.get("p") is not None:
-            argv += ["--p", repr(params["p"])]
-    argv += ["--grid-n", str(scan["n"]), "--lo", repr(scan["lo"]),
-             "--hi", repr(scan["hi"]), "--offset", repr(scan["endpoint_offset"]),
-             "--refine", str(scan["refine_depth"]),
-             "--format", manifest["output_format"],
-             "--seed", str(manifest["seed"])]
-    import contextlib
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        main(argv)
-    return buf.getvalue()
+    """Re-run a manifest dict, as parsed from any output, and return the
+    rendered output text: the run step called with the manifest's values."""
+    m = RunManifest(**{**manifest, "scan": ScanConfig(**manifest["scan"])})
+    rows, _ = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
+    return _render(rows, m, m.output_format)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parse, run = _COMMANDS[args.command]
     try:
-        rows, manifest, code = args.handler(args)
+        params = parse(args)
+        cfg = _scan_from_args(args)
+        rows, code = run(cfg, args.seed, **params)
     except (DomainError, ConvergenceError, BracketNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -496,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveScanError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    manifest = RunManifest(args.command, params, cfg, args.format, args.seed)
     _emit(_render(rows, manifest, args.format), args.out)
     return code
 

@@ -1,5 +1,5 @@
-"""Complete elliptic integrals, the Gauss hypergeometric series, and
-cancellation-free helper ratios.
+"""Complete elliptic integrals, with the cancellation-free ratios
+(K-E)/x and ((2-x)K-2E)/x^2, and the Gauss hypergeometric series.
 
 Argument convention
 -------------------
@@ -179,20 +179,6 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
             return total
     raise ConvergenceError(
         f"2F1({a}, {b}; {c}; {x}) did not converge within {max_terms} terms")
-
-
-def ke_ratio(x: float) -> float:
-    """(K(x) - E(x)) / x without cancellation; limit pi/4 at x = 0."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"ke_ratio requires 0 <= x < 1; got {x!r}")
-    return _agm(x)[2]
-
-
-def ke_ratio2(x: float) -> float:
-    """((2 - x)K(x) - 2E(x)) / x**2 without cancellation; limit pi/16 at 0."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"ke_ratio2 requires 0 <= x < 1; got {x!r}")
-    return _agm(x)[3]
 
 
 def legendre_residual(x: float) -> float:

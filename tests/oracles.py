@@ -10,7 +10,8 @@ The cross-checks below the elementary oracles are built from the
 package's public functions: an alternative route to a value that
 production code computes one way only (Euler's transformation of 2F1,
 the unfactored f'' quadratic, the derivatives of K and E, the multiplier
-of (1/f)'') and the asymptotic expansion of K at 1.  The ``*_reference``
+of (1/f)'') and the asymptotic expansion of K at 1; ``ke_ratio`` and
+``ke_ratio2`` name the two ratios of ``ellip_kept``.  The ``*_reference``
 functions are earlier, simpler forms of production code that a faster
 form replaced; the tests require the same output from both.
 
@@ -32,9 +33,8 @@ from ellipcert.family import u_aux, v_aux
 from ellipcert.inequalities import _GEOMETRIC_POINTS
 from ellipcert.specfun import (
     ellip_k,
+    ellip_kept,
     hyp2f1,
-    ke_ratio,
-    ke_ratio2,
     require_unit_interval,
 )
 
@@ -141,6 +141,16 @@ def g_factor_quadratic(a: float, x: float) -> float:
     require_unit_interval(x, "g_factor_quadratic")
     z = a - 0.5 * math.log1p(-x)
     return (z * u_aux(x) - v_aux(x)) * z + (2.0 / PI) * ellip_k(x)
+
+
+def ke_ratio(x: float) -> float:
+    """(K - E)/x without cancellation, from the one AGM pass; pi/4 at 0."""
+    return ellip_kept(x)[2]
+
+
+def ke_ratio2(x: float) -> float:
+    """((2 - x)K - 2E)/x^2 without cancellation, from the one AGM pass; pi/16 at 0."""
+    return ellip_kept(x)[3]
 
 
 def d_ellip_k(x: float) -> float:
@@ -299,12 +309,13 @@ def render_reference(rows, manifest, fmt: str) -> str:
     produce the same bytes."""
     import csv
     import io
+    from dataclasses import asdict
 
     from ellipcert.cli import _json, fmt_full, fmt_human
 
-    mjson = _json(manifest.to_dict(), separators=(",", ":"), sort_keys=True)
+    mjson = _json(asdict(manifest), separators=(",", ":"), sort_keys=True)
     if fmt == "json":
-        return _json({"manifest": manifest.to_dict(), "results": rows}, indent=2) + "\n"
+        return _json({"manifest": asdict(manifest), "results": rows}, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         cols = list(rows[0].keys()) if rows else []

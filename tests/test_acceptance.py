@@ -32,6 +32,7 @@ import time
 import pytest
 
 import oracles
+from oracles import ke_ratio, ke_ratio2
 from ellipcert import family
 from ellipcert.certify import (
     ScanConfig,
@@ -67,8 +68,6 @@ from ellipcert.specfun import (
     ellip_e,
     ellip_k,
     hyp2f1,
-    ke_ratio,
-    ke_ratio2,
     legendre_residual,
 )
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from ellipcert import cli
+from ellipcert.specfun import DomainError
 
 FAST = ["--grid-n", "2000"]
 
@@ -15,6 +16,13 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def manifest_of(out, fmt):
+    """The manifest dict that a run's output embeds."""
+    if fmt == "json":
+        return json.loads(out)["manifest"]
+    return json.loads(out.splitlines()[0].partition("manifest: ")[2])
 
 
 class TestEval:
@@ -55,6 +63,18 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "f", "0.5"])
         assert code == 2
         assert "needs --param" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "K", "--param", "fn=2", "0.5"], "function 'K' takes no --param fn"),
+        (["table", "K", "--param", "x=3"], "function 'K' takes no --param x"),
+        (["eval", "h", "--param", "p=1/2", "--param", "x=9", "0.5"],
+         "function 'h' takes no --param x"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_param_the_function_does_not_take(self, capsys, argv, message):
+        code, out, err = run(capsys, argv + FAST)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_domain_error_reports_x(self, capsys):
         code, _, err = run(capsys, ["eval", "K", "1.5"])
@@ -319,12 +339,27 @@ class TestOutputContracts:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
-    def test_manifest_replay(self, capsys):
-        argv = ["certify", "thm1-concave", "4/3", "--format", "csv", *FAST]
-        _, out1, _ = run(capsys, argv)
-        manifest = json.loads(out1.splitlines()[0][len("# manifest: "):])
-        out2 = cli.run_from_manifest(manifest)
-        assert out2 == out1
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "h", "--param", "p=7/32", "0.5", "0.25"],
+        ["table", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=2",
+         "--hi", "0.5", "--spacing", "geometric"],
+        ["certify", "thm3-logconvex", "-1/20"],
+        ["verify", "all", "--seed", "4"],
+        ["verify", "k-envelope", "--p", "0.1"],
+        ["constants"],
+    ], ids=" ".join)
+    def test_manifest_replay(self, capsys, argv, fmt):
+        code, out, err = run(capsys, argv + ["--format", fmt, *FAST])
+        assert code in (0, 1), err
+        assert cli.run_from_manifest(manifest_of(out, fmt)) == out
+
+    def test_replay_checks_theorem_id(self, capsys):
+        _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])
+        manifest = manifest_of(out, "json")
+        manifest["parameters"]["theorem"] = "thm9-magic"
+        with pytest.raises(DomainError, match="unknown theorem id 'thm9-magic'"):
+            cli.run_from_manifest(manifest)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "k.csv"

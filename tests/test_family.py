@@ -27,7 +27,7 @@ from ellipcert.family import (
     w_minus,
     w_plus,
 )
-from ellipcert.specfun import DomainError, ellip_e, ellip_k
+from ellipcert.specfun import DomainError, ellip_e, ellip_k, ellip_kept
 
 PI = math.pi
 LOG4 = math.log(4.0)
@@ -391,16 +391,14 @@ class TestLemmaDomains:
     @staticmethod
     def _sq_margin(x):
         # (pi/16) x^2 K - (E^2 - (1-x) K^2); positive means violated
-        from ellipcert.specfun import ke_ratio, ke_ratio2
         return x * x * ((PI / 16) * ellip_k(x)
-                        - (ke_ratio(x) ** 2 - ellip_k(x) * ke_ratio2(x)))
+                        - (ellip_kept(x)[2] ** 2 - ellip_k(x) * ellip_kept(x)[3]))
 
     @staticmethod
     def _gap_margin(x):
         # (x^2/16) K - (E - sqrt(1-x) K); positive means violated
-        from ellipcert.specfun import ke_ratio
         return x * (x * ellip_k(x) / 16
-                    - (ellip_k(x) / (1 + math.sqrt(1 - x)) - ke_ratio(x)))
+                    - (ellip_k(x) / (1 + math.sqrt(1 - x)) - ellip_kept(x)[2]))
 
     def test_hold_on_alpha_domain(self):
         for i in range(1, 2001):

@@ -3,7 +3,9 @@
 Every subcommand, given any float or fraction string where it takes a
 number, must end with an exit code in {0, 1, 2, 3}, never with a
 traceback, and its JSON output must be strict JSON (no NaN or Infinity
-tokens).  Grids are kept at 50 points so that each example is fast.
+tokens).  Every output replays: ``cli.run_from_manifest`` on the
+manifest it embeds returns the same text.  Grids are kept at 50 points
+so that each example is fast.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings.  ``ellip_k``
@@ -57,7 +59,10 @@ def check(argv, fmt, scan):
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 1):
         if fmt == "json":
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            manifest = json.loads(out.getvalue(), parse_constant=_reject_constant)["manifest"]
+        else:
+            manifest = json.loads(out.getvalue().splitlines()[0].partition("manifest: ")[2])
+        assert cli.run_from_manifest(manifest) == out.getvalue(), argv
     else:
         assert out.getvalue() == "", argv
 

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from ellipcert import cli, specfun
+from ellipcert.certify import ScanConfig
 from ellipcert.specfun import (
     ConvergenceError,
     DomainError,
@@ -19,8 +20,6 @@ from ellipcert.specfun import (
     ellip_k,
     ellip_kept,
     hyp2f1,
-    ke_ratio,
-    ke_ratio2,
     legendre_residual,
 )
 
@@ -245,25 +244,25 @@ class TestLegendreResidual:
 
 class TestRatioHelpers:
     def test_ke_ratio_limit_and_match(self):
-        assert ke_ratio(0.0) == pytest.approx(PI / 4, rel=1e-15)
+        assert ellip_kept(0.0)[2] == pytest.approx(PI / 4, rel=1e-15)
         for x in [1e-8, 0.1, 0.2499, 0.25, 0.6, 0.95]:
             k, e = ellip_k(x), ellip_e(x)
             expected = (oracles.quad_k(x) - oracles.quad_e(x)) / x if x > 0.01 else None
-            assert ke_ratio(x) * x == pytest.approx(k - e, rel=2e-12, abs=1e-15)
+            assert ellip_kept(x)[2] * x == pytest.approx(k - e, rel=2e-12, abs=1e-15)
             if expected is not None:
-                assert ke_ratio(x) == pytest.approx(expected, rel=1e-10)
+                assert ellip_kept(x)[2] == pytest.approx(expected, rel=1e-10)
 
     def test_ke_ratio2_limit_and_match(self):
-        assert ke_ratio2(0.0) == pytest.approx(PI / 16, rel=1e-15)
+        assert ellip_kept(0.0)[3] == pytest.approx(PI / 16, rel=1e-15)
         for x in [0.1, 0.2499, 0.25, 0.6, 0.95]:
             k, e = ellip_k(x), ellip_e(x)
-            assert ke_ratio2(x) * x * x == pytest.approx((2 - x) * k - 2 * e,
-                                                         rel=2e-11, abs=1e-15)
+            assert ellip_kept(x)[3] * x * x == pytest.approx((2 - x) * k - 2 * e,
+                                                             rel=2e-11, abs=1e-15)
 
     def test_series_direct_continuity_at_cut(self):
         lo, hi = 0.25 - 1e-12, 0.25
-        assert ke_ratio(lo) == pytest.approx(ke_ratio(hi), rel=1e-12)
-        assert ke_ratio2(lo) == pytest.approx(ke_ratio2(hi), rel=1e-11)
+        assert ellip_kept(lo)[2] == pytest.approx(ellip_kept(hi)[2], rel=1e-12)
+        assert ellip_kept(lo)[3] == pytest.approx(ellip_kept(hi)[3], rel=1e-11)
 
 
 class TestOnePassKernel:
@@ -288,8 +287,7 @@ class TestOnePassKernel:
     def test_zero_limits_and_single_sources(self):
         assert ellip_kept(0.0) == (PI / 2, PI / 2, PI / 4, PI / 16)
         for x in (1e-9, 0.3, 0.9):
-            k, e, p, t2 = ellip_kept(x)
-            assert (k, e, p, t2) == (ellip_k(x), ellip_e(x), ke_ratio(x), ke_ratio2(x))
+            assert ellip_kept(x)[:2] == (ellip_k(x), ellip_e(x))
         with pytest.raises(DomainError):
             ellip_kept(1.0)
         with pytest.raises(DomainError):
@@ -299,9 +297,7 @@ class TestOnePassKernel:
     def test_k_only_pass_on_table_grids(self, spacing):
         # ellip_k runs the K-only AGM loop, ellip_kept the full one: every
         # value of a 20k-point `table K` is ellip_kept's K to the bit
-        args = cli.build_parser().parse_args(
-            ["table", "K", "--grid-n", "20000", "--spacing", spacing])
-        rows = cli._cmd_table(args)[0]
+        rows = cli._run_table(ScanConfig(n=20000), 0, "K", spacing)[0]
         assert len(rows) == 20000
         bad = [r["x"] for r in rows if r["value"] != ellip_kept(r["x"])[0]]
         assert not bad, bad[:5]
