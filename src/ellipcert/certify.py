@@ -7,9 +7,9 @@ the open interval, where the certified statements live and where several
 factors genuinely vanish.  Grid evaluation is strictly sequential and
 deterministic; a witness always re-evaluates to its reported value.
 
-Sign and monotonicity scans share one scan-and-refine engine, which stops
-at the first violation and refines the merged sequence of all points
-sampled so far at every level.  ScanConfig.grid builds every uniform grid.
+Sign and monotonicity scans share one engine, which stops at the first
+violation; each refine level samples and splices in only the new points
+of the intervals it flags.  ScanConfig.grid builds every uniform grid.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def _refine_scan(fn: Callable[[float], float],
     smallest |item| checked before it.  Each of the cfg.refine_depth
     levels flags the items with |item| <= 10 * margin (at most
     _MAX_FLAGGED, smallest first, then leftmost), splits the intervals
-    next to them into _SUBDIVISIONS + 1 parts and samples the new points;
-    the next level flags on the merged sequence.  A verdict needs every
-    sample taken before it to be finite.
+    next to them into _SUBDIVISIONS + 1 parts and samples and splices in
+    only the new points; the next level flags on the merged sequence.
+    A verdict needs every sample taken before it to be finite.
     """
     sgn = 1.0 if claimed == "nonnegative" else -1.0
     xs = cfg.grid()
@@ -146,26 +146,27 @@ def _refine_scan(fn: Callable[[float], float],
     margin = math.inf
     for level in range(cfg.refine_depth + 1):
         if level:
-            items = [b - a for a, b in zip(vs, vs[1:])] if pairs else vs
+            mags = [abs(b - a) for a, b in zip(vs, vs[1:])] if pairs else list(map(abs, vs))
             threshold = 10.0 * margin
-            flagged = sorted((abs(t), i) for i, t in enumerate(items)
-                             if abs(t) <= threshold)[:_MAX_FLAGGED]
-            new: set[float] = set()
-            for _, i in flagged:
-                # the intervals on both sides of a sample, or the one a difference spans
-                for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1)):
-                    a, b = xs[j], xs[j + 1]
-                    step = (b - a) / (_SUBDIVISIONS + 1)
-                    new.update(a + k * step for k in range(1, _SUBDIVISIONS + 1))
-            known = dict(zip(xs, vs))
-            new.difference_update(known)
-            if not new:
+            flagged = sorted((i for i, m in enumerate(mags) if m <= threshold),
+                             key=mags.__getitem__)[:_MAX_FLAGGED]
+            # the intervals on both sides of a sample, or the one a difference spans
+            spans = sorted({j for i in flagged
+                            for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1))})
+            head_xs, head_vs, todo, done = [], [], [], 0
+            for j in spans:
+                a, b = xs[j], xs[j + 1]
+                step = (b - a) / (_SUBDIVISIONS + 1)
+                # rounding is monotone, so the new points lie strictly between a and b
+                new = sorted({a + k * step for k in range(1, _SUBDIVISIONS + 1)} - {a, b})
+                if new:
+                    head_xs += xs[done:j + 1] + new
+                    head_vs += vs[done:j + 1] + [None] * len(new)
+                    todo += range(len(head_xs) - len(new), len(head_xs) + pairs)
+                    done = j + 1
+            if not todo:
                 break
-            xs = sorted([*xs, *new])
-            vs = [known.get(x) for x in xs]
-            del known, items  # dropped before sampling, to keep the peak memory down
-            todo = [k for k, v in enumerate(vs)
-                    if v is None or (pairs and vs[k - 1] is None)]
+            xs, vs = head_xs + xs[done:], head_vs + vs[done:]
         for k in todo:
             v = vs[k]
             if v is None:
@@ -179,7 +180,7 @@ def _refine_scan(fn: Callable[[float], float],
                                        xs[k] - x if pairs else None)
             if abs(item) < margin:
                 margin = abs(item)
-        _require_finite(vs)
+        _require_finite([vs[k] for k in todo] if level else vs)  # this level's samples
     return SignCertificate(claimed, None, None, margin)
 
 
@@ -285,10 +286,7 @@ def find_x_p(p: float) -> float:
     residual quantization-limited: no double between the bracketing
     neighbors of the true root gets closer than |L'(x_p)| * ulp(x_p).
     """
-    signs = []
-    for x in _XP_LADDER:
-        v = l_factor(p, x)
-        signs.append((x, v))
+    signs = [(x, l_factor(p, x)) for x in _XP_LADDER]
     changes = [i for i in range(len(signs) - 1)
                if signs[i][1] > 0.0 >= signs[i + 1][1]]
     if not changes or signs[0][1] <= 0.0:

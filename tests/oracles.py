@@ -25,10 +25,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Callable, Literal, Sequence
 
 from scipy.integrate import IntegrationWarning, quad
 
-from ellipcert.certify import ScanConfig
+from ellipcert.certify import (
+    _MAX_FLAGGED,
+    _SUBDIVISIONS,
+    SIGN_TOLERANCE,
+    ScanConfig,
+    SignCertificate,
+    _require_finite,
+)
 from ellipcert.family import u_aux, v_aux
 from ellipcert.inequalities import _GEOMETRIC_POINTS
 from ellipcert.specfun import (
@@ -335,3 +343,70 @@ def render_reference(rows, manifest, fmt: str) -> str:
         for t in table:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(t, widths)))
     return "\n".join(lines) + "\n"
+
+
+def refine_scan_reference(fn: Callable[[float], float],
+                          claimed: Literal["nonnegative", "nonpositive"],
+                          cfg: ScanConfig,
+                          pairs: bool) -> SignCertificate:
+    """certify._refine_scan as it was first written: every refine level
+    merges the new points into the whole sequence with a dict, a global
+    sort and a scan of every index for unchecked items.  The production
+    engine must return the same certificate or raise the same exception.
+
+    The checked items are the samples fn(x) or, with pairs, the
+    differences fn(x_k) - fn(x_{k-1}) of consecutive samples.  Points are
+    sampled left to right and the scan stops at the first item on the
+    wrong side of the claim beyond SIGN_TOLERANCE; the margin is the
+    smallest |item| checked before it.  Each of the cfg.refine_depth
+    levels flags the items with |item| <= 10 * margin (at most
+    _MAX_FLAGGED, smallest first, then leftmost), splits the intervals
+    next to them into _SUBDIVISIONS + 1 parts and samples the new points;
+    the next level flags on the merged sequence.  A verdict needs every
+    sample taken before it to be finite.
+    """
+    sgn = 1.0 if claimed == "nonnegative" else -1.0
+    xs = cfg.grid()
+    vs: list[float | None] = [None] * len(xs)
+    if pairs:
+        vs[0] = fn(xs[0])
+    # indices k, ascending, whose item (vs[k], or vs[k] - vs[k-1]) is unchecked
+    todo: Sequence[int] = range(pairs, len(xs))
+    margin = math.inf
+    for level in range(cfg.refine_depth + 1):
+        if level:
+            items = [b - a for a, b in zip(vs, vs[1:])] if pairs else vs
+            threshold = 10.0 * margin
+            flagged = sorted((abs(t), i) for i, t in enumerate(items)
+                             if abs(t) <= threshold)[:_MAX_FLAGGED]
+            new: set[float] = set()
+            for _, i in flagged:
+                # the intervals on both sides of a sample, or the one a difference spans
+                for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1)):
+                    a, b = xs[j], xs[j + 1]
+                    step = (b - a) / (_SUBDIVISIONS + 1)
+                    new.update(a + k * step for k in range(1, _SUBDIVISIONS + 1))
+            known = dict(zip(xs, vs))
+            new.difference_update(known)
+            if not new:
+                break
+            xs = sorted([*xs, *new])
+            vs = [known.get(x) for x in xs]
+            del known, items  # dropped before sampling, to keep the peak memory down
+            todo = [k for k, v in enumerate(vs)
+                    if v is None or (pairs and vs[k - 1] is None)]
+        for k in todo:
+            v = vs[k]
+            if v is None:
+                v = vs[k] = fn(xs[k])
+            item = v - vs[k - 1] if pairs else v
+            if sgn * item < -SIGN_TOLERANCE:
+                _require_finite(u for u in vs if u is not None)
+                x = xs[k - 1] if pairs else xs[k]
+                return SignCertificate("mixed", x, item,
+                                       margin if margin < math.inf else abs(item),
+                                       xs[k] - x if pairs else None)
+            if abs(item) < margin:
+                margin = abs(item)
+        _require_finite(vs)
+    return SignCertificate(claimed, None, None, margin)

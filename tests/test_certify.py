@@ -1,11 +1,12 @@
 """Certification-engine tests: scans, the sharp constant, root finding."""
 
+import functools
 import math
 
 import pytest
 
 import oracles
-from ellipcert import family
+from ellipcert import cli, family
 from ellipcert.certify import (
     BracketNotFoundError,
     DEFAULT_SCAN,
@@ -13,6 +14,7 @@ from ellipcert.certify import (
     InconclusiveScanError,
     ScanConfig,
     SignCertificate,
+    _refine_scan,
     certify_monotone,
     certify_sign,
     find_a_c,
@@ -188,6 +190,99 @@ class TestCertifyMonotone:
         assert cert.verdict == "mixed"
         assert xs == FAST.grid()[:2]
         assert (cert.witness_x, cert.witness_step) == (xs[0], xs[1] - xs[0])
+
+
+def _counted(fn):
+    """A wrapper of fn, and the list of the points it has been called at."""
+    xs = []
+    return (lambda x: xs.append(x) or fn(x)), xs
+
+
+class TestSampleCounts:
+    """How many points a scan samples on its grid, pinned: a faster refine
+    step must sample the same points, no more and no fewer."""
+
+    @pytest.mark.parametrize("fn, claimed, expected", [
+        (functools.partial(g_factor, 4 / 3), "nonpositive", 10016),
+        (functools.partial(family.recip_f_second_sign, 8 / 5), "nonpositive", 10016),
+        (functools.partial(family.log_h_second_factor, 0.0), "nonpositive", 14096),
+        (functools.partial(g_factor, 1.4682884211935747), "nonnegative", 14112),
+        (functools.partial(family.log_h_second_factor, 0.062213815567035924),
+         "nonpositive", 10000),
+    ], ids=["thm1-concave 4/3", "thm2-concave 8/5", "thm3-logconvex 0",
+            "thm1-convex 1.4682884211935747", "thm3-logconvex 0.0622 mixed"])
+    def test_certify_default_grid(self, fn, claimed, expected):
+        counted, xs = _counted(fn)
+        certify_sign(counted, claimed)
+        assert len(xs) == expected
+
+    def test_monotone(self):
+        counted, xs = _counted(phi)
+        certify_monotone(counted, "decreasing", ScanConfig(n=2000, refine_depth=2))
+        assert len(xs) == 6096
+
+    def test_flag_cap(self):
+        counted, xs = _counted(lambda x: 0.0)
+        certify_sign(counted, "nonnegative", ScanConfig(n=1000, refine_depth=3))
+        assert len(xs) == 7144
+
+
+_THRESHOLDS = {
+    "thm1-convex": A_C_EXPECTED,
+    "thm1-concave": 4 / 3,
+    "thm2-convex": math.log(4.0),
+    "thm2-concave": 8 / 5,
+    "thm3-logconcave": 7 / 32,
+    "thm3-logconvex": 0.0,
+    "cor14-convex": family.P_CONVEX_HI,
+    "cor14-concave": family.P_CONCAVE_LO,
+    "cor15-monotone": 0.25,
+}
+
+
+def _engine_cases():
+    """(id, fn, claimed): every certify factor at its threshold and 1e-3
+    to each side of it, and functions that stress the refine step."""
+    for theorem, (_, name, claimed) in cli._CERTIFY_TABLE.items():
+        for value in (_THRESHOLDS[theorem] - 1e-3, _THRESHOLDS[theorem],
+                      _THRESHOLDS[theorem] + 1e-3):
+            yield (f"{theorem} {value!r}",
+                   functools.partial(getattr(family, name), value), claimed)
+    yield "zero (flag cap)", lambda x: 0.0, "nonnegative"
+    yield "1e-13 sin(40x)", lambda x: 1e-13 * math.sin(40.0 * x), "nonnegative"
+    yield "nan above 0.9", lambda x: x if x <= 0.9 else math.nan, "nonnegative"
+    yield "nan after a violation", lambda x: 0.5 - x if x <= 0.9 else math.nan, "nonnegative"
+
+
+_ENGINE_CASES = list(_engine_cases())
+
+
+def _outcome(engine, fn, claimed, cfg, pairs):
+    try:
+        return repr(engine(fn, claimed, cfg, pairs))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestEngineAgainstReference:
+    """_refine_scan returns what oracles.refine_scan_reference, which
+    rebuilds the whole sequence at every refine level, returns, or raises
+    what it raises."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScanConfig(),
+        ScanConfig(n=37, refine_depth=4),
+        # grid steps of 3 or 4 ulp: most subdivision points round onto each
+        # other or onto the ends of their intervals
+        ScanConfig(lo=0.3, hi=0.30000000000001, n=50, endpoint_offset=1e-16, refine_depth=3),
+    ], ids=["default", "n37-depth4", "ulp-interval"])
+    @pytest.mark.parametrize("pairs", [False, True], ids=["sign", "pairs"])
+    @pytest.mark.parametrize("fn, claimed", [c[1:] for c in _ENGINE_CASES],
+                             ids=[c[0] for c in _ENGINE_CASES])
+    def test_same_outcome(self, fn, claimed, pairs, cfg):
+        fn = functools.cache(fn)  # both engines sample the same points
+        assert (_outcome(_refine_scan, fn, claimed, cfg, pairs)
+                == _outcome(oracles.refine_scan_reference, fn, claimed, cfg, pairs))
 
 
 class TestFindAC:

@@ -2,7 +2,8 @@
 
 A refactor that claims unchanged behaviour must leave every digest and
 exit code here as it is.  The set covers certify at, just below and just
-above each sharp threshold, verify all, the k-envelope check below 1/4
+above each sharp threshold, certify at refine depths 0 and 4, verify
+all, the k-envelope check below 1/4
 (whose grid ends at x_p), verify on narrowed grids (whose tails and
 midpoint differ from the default) and both table spacings, all on a
 500-point grid; every output format: json and csv tables, constants and
@@ -88,6 +89,12 @@ GOLDEN = [
     (["verify", "sum-bounds", "--offset", "0.01", "--format", "csv"], 0, "81a577d5dcabeea493e1442263ef88efdf28cb858a64cf96abf32f47e21903d1"),
     (["verify", "weighted-sum", "--p", "1.5", "--lo", "0.25", "--format", "csv"], 0, "a7605a9f0f67f8fb2099ad375207b992e2a95bb6381fa83a6ce5e26757be1b47"),
     (["verify", "k-envelope", "--p", "0.1", "--offset", "1e-6", "--format", "csv"], 0, "7ad0ef54a7d1c95bd8b7d80c0e5cb880f2285b15685c9e4584733955d45e4f35"),
+    # certify without refinement and with four levels of it, so that the
+    # scan's refine levels other than the default two are pinned
+    (["certify", "thm1-convex", "1.4715692950422916", "--refine", "0"], 0, "c134ebdcb949e623134da2785a2fc53874c4f7c3ec76fe4a6c76ac1a6fef1a18"),
+    (["certify", "thm1-convex", "1.4715692950422916", "--refine", "4"], 0, "912cfecb6803acd8683e2fa76296cccf3822173d8c9929ec18f72ebb61a84047"),
+    (["certify", "thm3-logconvex", "0.0", "--refine", "0"], 0, "a44de45ed51db7b01004308b1ec32765c9bed18855ad47a1e2a091c95c95b3a4"),
+    (["certify", "thm3-logconvex", "0.0", "--refine", "4"], 0, "ea0760815c495f7b9eb3e7070ad56e50efd94d0ff95ac7553b34fa7b333e4290"),
 ]
 
 
