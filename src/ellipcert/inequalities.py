@@ -8,12 +8,14 @@ certified as "violation no worse than -1e-12 slack"; floating point
 cannot certify strictness at an equality point itself, so strict gaps
 are confirmed only away from the recorded equality points.
 
-Each check makes one pass over its points.  At every point it evaluates
-K once per distinct argument, K(x) and, for the bounds that pair r with
-1 - r, K(1 - x), and derives all its clause margins from them.  A command
-that runs several checks on one grid shares a GridColumns, so K(x) and
-K(1 - x) are evaluated once per grid point for the whole command.  A
-margin that is NaN or infinite is no evidence: the check raises
+Each check builds one margin column per clause, a list index-aligned
+with its points, from columns of K: K(x) and, for the bounds that pair
+r with 1 - r, K(1 - x), each evaluated once per point.  A command that
+runs several checks on one grid shares a GridColumns, so K(x) and
+K(1 - x) are evaluated once per grid point for the whole command.  One
+reducer, _report, turns the margin columns into the report: the maximum
+per clause, the first violation and the equality points.  A margin that
+is NaN or infinite is no evidence: the check raises
 InconclusiveScanError (exit 3) instead of giving a verdict.
 
 Reports are independent and deterministic; random-pair checks take an
@@ -26,10 +28,16 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import family
-from .certify import DEFAULT_SCAN, InconclusiveScanError, ScanConfig, find_x_p
+from .certify import (
+    DEFAULT_SCAN,
+    BracketNotFoundError,
+    InconclusiveScanError,
+    ScanConfig,
+    find_x_p,
+)
 from .specfun import (
     GAMMA_QUARTER,
     GAMMA_THREE_QUARTER,
@@ -157,74 +165,39 @@ def _columns(grid: ScanConfig | GridColumns) -> GridColumns:
 
 def _report(name: str,
             param: float | None,
-            grid_n: int,
-            margins: dict[str, float],
-            equality_points: list[float],
-            witness: tuple[float, float, str] | None,
+            xs: Sequence[float],
+            columns: dict[str, list[float]],
+            tight: Sequence[str] = (),
             x_p: float | None = None) -> InequalityReport:
-    """The report of a check; witness is (x, margin, clause) or None."""
-    if not all(map(math.isfinite, margins.values())):
+    """The report of margin columns: columns maps each clause, in order, to
+    its margins at xs, index-aligned.
+
+    Per clause: the maximum margin, the first index above VIOLATION_TOL
+    and, for the tight clauses, the equality hits.  The witness is the
+    first violation in point order, ties going to clause order.  An
+    empty column, or one that holds a NaN or an infinity, is no evidence:
+    InconclusiveScanError.
+    """
+    if not all(col and all(map(math.isfinite, col)) for col in columns.values()):
         raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
+    margins = {cl: max(col) for cl, col in columns.items()}
+    firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
+              for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
+    hits = [(i, x, m) for cl, col in columns.items() if cl in tight
+            for i, (x, m) in enumerate(zip(xs, col)) if abs(m) <= EQUALITY_TOL]
+    i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
         name=name,
         param=param,
-        grid_n=grid_n,
+        grid_n=len(xs),
         clause_margins=margins,
-        equality_points=equality_points,
-        verdict="fail" if witness else "pass",
-        witness_x=witness[0] if witness else None,
-        witness_value=witness[1] if witness else None,
-        witness_clause=witness[2] if witness else None,
+        equality_points=_cluster(hits),
+        verdict="fail" if firsts else "pass",
+        witness_x=None if i is None else xs[i],
+        witness_value=None if i is None else columns[clause][i],
+        witness_clause=clause,
         x_p=x_p,
     )
-
-
-def _scan(name: str,
-          xs: Sequence[float],
-          clauses: Sequence[str],
-          margins_at: Callable[[int, float], Sequence[float]],
-          tight: Sequence[str] = (),
-          ) -> tuple[dict[str, float], list[tuple[int, float, float]],
-                     tuple[float, float, str] | None]:
-    """One pass over xs: margins_at(i, xs[i]) gives every clause margin at
-    that point, in the order of clauses.
-
-    Returns the maximum margin per clause, the equality hits
-    (i, x, margin) of the tight clauses and the first violation
-    (x, margin, clause) or None.  Raises InconclusiveScanError if any
-    margin is NaN or infinite: NaN never raises a maximum, so the check
-    is a running sum of margin * 0, which stays 0 only while every
-    margin is finite.
-    """
-    best = [-math.inf] * len(clauses)
-    is_tight = [cl in tight for cl in clauses]
-    eq_hits: list[tuple[int, float, float]] = []
-    witness = None
-    probe = 0.0
-    for i, x in enumerate(xs):
-        for j, m in enumerate(margins_at(i, x)):
-            probe += m * 0.0
-            if m > best[j]:
-                best[j] = m
-            if witness is None and m > VIOLATION_TOL:
-                witness = (x, m, clauses[j])
-            if is_tight[j] and abs(m) <= EQUALITY_TOL:
-                eq_hits.append((i, x, m))
-    if probe != 0.0:
-        raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
-    return dict(zip(clauses, best)), eq_hits, witness
-
-
-def _run(name: str,
-         param: float | None,
-         xs: Sequence[float],
-         clauses: Sequence[str],
-         margins_at: Callable[[int, float], Sequence[float]],
-         tight: Sequence[str] = (),
-         x_p: float | None = None) -> InequalityReport:
-    """Report of the clauses over xs, see _scan."""
-    margins, eq_hits, witness = _scan(name, xs, clauses, margins_at, tight)
-    return _report(name, param, len(xs), margins, _cluster(eq_hits), witness, x_p)
 
 
 def check_sum_bounds(a: float,
@@ -241,14 +214,12 @@ def check_sum_bounds(a: float,
     lower = 4.0 * ellip_k(0.5) / (2.0 * a + math.log(2.0))
     upper = 1.0 + PI / (2.0 * a)
     cols = _columns(grid)
-    k, k_mirror, f_from_k = cols.k, cols.k_mirror, family.f_from_k
-
-    def margins_at(i: int, r: float) -> tuple[float, float]:
-        total = f_from_k(a, r, k[i]) + f_from_k(a, 1.0 - r, k_mirror[i])
-        return lower - total, total - upper
-
-    return _run("sum-bounds", a, cols.xs, ("lower", "upper"), margins_at,
-                tight=("lower",))
+    f_from_k = family.f_from_k
+    total = [f_from_k(a, r, kr) + f_from_k(a, 1.0 - r, km)
+             for r, kr, km in zip(cols.xs, cols.k, cols.k_mirror)]
+    return _report("sum-bounds", a, cols.xs,
+                   {"lower": [lower - t for t in total], "upper": [t - upper for t in total]},
+                   tight=("lower",))
 
 
 def check_weighted_sum(p: float,
@@ -269,14 +240,12 @@ def check_weighted_sum(p: float,
     mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
     below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
     cols = _columns(grid)
-    k, k_mirror, h_from_k = cols.k, cols.k_mirror, family.h_from_k
-
-    def margins_at(i: int, r: float) -> tuple[float, float]:
-        total = h_from_k(p, r, k[i]) + h_from_k(p, 1.0 - r, k_mirror[i])
-        return below - total, total - above
-
-    return _run("weighted-sum", p, cols.xs, ("lower", "upper"), margins_at,
-                tight=("lower",) if convex else ("upper",))
+    h_from_k = family.h_from_k
+    total = [h_from_k(p, r, kr) + h_from_k(p, 1.0 - r, km)
+             for r, kr, km in zip(cols.xs, cols.k, cols.k_mirror)]
+    return _report("weighted-sum", p, cols.xs,
+                   {"lower": [below - t for t in total], "upper": [t - above for t in total]},
+                   tight=("lower",) if convex else ("upper",))
 
 
 def check_product_pair(p: float,
@@ -292,20 +261,15 @@ def check_product_pair(p: float,
     k_half = ellip_k(0.5)
     sum_scale = 2.0 ** (1.0 + p) * k_half
     geo_bound = k_half / 2.0 ** p
-    geo = p >= family.P_LOGCONCAVE
     cols = _columns(grid)
-    k, k_mirror = cols.k, cols.k_mirror
-
-    def margins_at(i: int, r: float) -> tuple[float, ...]:
-        kr, km = k[i], k_mirror[i]
-        w = (r - r * r) ** p
-        sum_lower = sum_scale * w - (r ** p * kr + (1.0 - r) ** p * km)
-        if geo:
-            return sum_lower, math.sqrt(w * kr * km) - geo_bound
-        return (sum_lower,)
-
-    clauses = ("sum_lower", "geo_upper") if geo else ("sum_lower",)
-    return _run("product-pair", p, cols.xs, clauses, margins_at, tight=clauses)
+    xs, k, k_mirror = cols.xs, cols.k, cols.k_mirror
+    w = [(r - r * r) ** p for r in xs]
+    columns = {"sum_lower": [sum_scale * wr - (r ** p * kr + (1.0 - r) ** p * km)
+                             for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
+    if p >= family.P_LOGCONCAVE:
+        columns["geo_upper"] = [math.sqrt(wr * kr * km) - geo_bound
+                                for wr, kr, km in zip(w, k, k_mirror)]
+    return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 
 def _mean_chain_clauses(p: float) -> tuple[str, ...]:
@@ -325,47 +289,39 @@ def _mean_chain_clauses(p: float) -> tuple[str, ...]:
     return clauses
 
 
-def _mean_chain_margins(p: float, clauses: tuple[str, ...]) -> Callable[[float, float], list[float]]:
-    """The margins of clauses at a pair (x, y), in their order.
+def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
+    """The mean-chain clauses that apply at p, over the pairs (xs[i], ys[i]).
 
     p_lo > 7/32, so geometric applies wherever another clause does, and h
     is evaluated once at each of x, y and (x+y)/2, and at sqrt(xy) for
     geo_argument.
     """
-    midpoint, geo_argument = "midpoint" in clauses, "geo_argument" in clauses
+    clauses = _mean_chain_clauses(p)
     h = family.h
-
-    def margins_at(x: float, y: float) -> list[float]:
-        hx, hy, hm = h(p, x), h(p, y), h(p, 0.5 * (x + y))
-        out = [math.sqrt(hx * hy) - hm]
-        if midpoint:
-            out.append(0.5 * (hx + hy) - hm)
-        if geo_argument:
-            out.append(hm - h(p, math.sqrt(x * y)))
-        return out
-
-    return margins_at
+    hx = [h(p, x) for x in xs]
+    hy = [h(p, y) for y in ys]
+    hm = [h(p, 0.5 * (x + y)) for x, y in zip(xs, ys)]
+    columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
+    if "midpoint" in clauses:
+        columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
+    if "geo_argument" in clauses:
+        columns["geo_argument"] = [m - h(p, math.sqrt(x * y)) for x, y, m in zip(xs, ys, hm)]
+    return _report("mean-chain", p, xs, columns, tight=clauses if tight else ())
 
 
 def check_mean_chain(p: float, x: float, y: float) -> InequalityReport:
     """All mean-chain clauses applicable at p, for one pair (x, y)."""
-    clauses = _mean_chain_clauses(p)
-    margins_at = _mean_chain_margins(p, clauses)
-    return _run("mean-chain", p, [x], clauses, lambda _i, _x: margins_at(x, y),
-                tight=clauses)
+    return _mean_chain(p, [x], [y], tight=True)
 
 
 def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
                            cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
     """Mean-chain clauses over seeded random pairs in the scan interval."""
-    clauses = _mean_chain_clauses(p)
-    margins_at = _mean_chain_margins(p, clauses)
     rng = random.Random(seed)
     lo = cfg.lo + cfg.endpoint_offset
     hi = cfg.hi - cfg.endpoint_offset
-    pairs = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n_pairs)]
-    return _run("mean-chain", p, [x for x, _ in pairs], clauses,
-                lambda i, _x: margins_at(*pairs[i]))
+    draws = [rng.uniform(lo, hi) for _ in range(2 * n_pairs)]
+    return _mean_chain(p, draws[::2], draws[1::2], tight=False)
 
 
 def check_k_envelope(p: float,
@@ -376,34 +332,37 @@ def check_k_envelope(p: float,
     0 < p < 1/4: (pi/2)/(1-r)^p < K(r) < (1-x_p)^p K(x_p)/(1-r)^p on
                  (0, x_p), with x_p located by certify.find_x_p.  For p
                  below about 0.0253, x_p lies above the largest double
-                 below 1 and find_x_p raises BracketNotFoundError.
+                 below 1, and for p above about 1/4 - 3e-11 below the
+                 first ladder point; no grid can be built there and the
+                 check raises InconclusiveScanError.
     For p < 1/4 only the scan settings of grid are used, since that grid
     ends at x_p.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
     cols = _columns(grid)
     if p >= family.P_MONOTONE:
+        xs, k = cols.xs, cols.k
         # (1 - r)^p is smallest at the last grid point
-        if (1.0 - cols.xs[-1]) ** p == 0.0:
+        if (1.0 - xs[-1]) ** p == 0.0:
             raise DomainError(
-                f"k-envelope: (1 - r)^p underflows to 0 at r={cols.xs[-1]!r} for p={p!r}")
-        k = cols.k
-
-        def margins_at(i: int, r: float) -> tuple[float, float]:
-            w = (1.0 - r) ** p
-            return (PI / 2) * w - k[i], k[i] - (PI / 2) / w
-
-        return _run("k-envelope", p, cols.xs, ("lower", "upper"), margins_at)
-    x_p = find_x_p(p)
+                f"k-envelope: (1 - r)^p underflows to 0 at r={xs[-1]!r} for p={p!r}")
+        w = [(1.0 - r) ** p for r in xs]
+        return _report("k-envelope", p, xs,
+                       {"lower": [(PI / 2) * wr - kr for wr, kr in zip(w, k)],
+                        "upper": [kr - (PI / 2) / wr for wr, kr in zip(w, k)]})
+    try:
+        x_p = find_x_p(p)
+    except BracketNotFoundError as exc:
+        raise InconclusiveScanError(str(exc)) from exc
     cap = (1.0 - x_p) ** p * ellip_k(x_p)
-
-    def margins_below_x_p(_i: int, r: float) -> tuple[float, float]:
-        k, w = ellip_k(r), (1.0 - r) ** p
-        return (PI / 2) / w - k, k - cap / w
-
-    return _run("k-envelope", p, inequality_grid(replace(cols.cfg, hi=x_p)), ("lower", "upper"),
-                margins_below_x_p, x_p=x_p)
+    xs = inequality_grid(replace(cols.cfg, hi=x_p))
+    k = [ellip_k(r) for r in xs]
+    w = [(1.0 - r) ** p for r in xs]
+    return _report("k-envelope", p, xs,
+                   {"lower": [(PI / 2) / wr - kr for wr, kr in zip(w, k)],
+                    "upper": [kr - cap / wr for wr, kr in zip(w, k)]},
+                   x_p=x_p)
 
 
 _GAMMA_GRID = ScanConfig(n=1000, endpoint_offset=1e-6)
@@ -417,33 +376,31 @@ def check_gamma_constant_identities() -> InequalityReport:
     K(1/2)^2 = Gamma(1/4)^4 / (16 pi) to 1e-12 relative,
     Gamma(1/4) Gamma(3/4) = pi sqrt(2) to 1e-13, and the p = 1/4
     product/sum chain against alpha = Gamma(1/4)^4 / (2^(2+2p) pi)
-    on a grid.
+    on a grid led by r = 1/2, where the chain is an equality.  The
+    identities do not depend on r: their columns are constant, so a
+    failed identity is reported at r = 1/2.
     """
     k_half = ellip_k(0.5)
     closed = PI * math.sqrt(PI) / (2.0 * GAMMA_THREE_QUARTER ** 2)
     sq = GAMMA_QUARTER ** 4 / (16.0 * PI)
     refl = GAMMA_QUARTER * GAMMA_THREE_QUARTER - PI * SQRT2
 
-    margins = {
-        "k_half_closed_form": abs(k_half - closed) / closed - 1e-12,
-        "k_half_squared": abs(k_half * k_half - sq) / sq - 1e-12,
-        "gamma_reflection": abs(refl) - 1e-13,
-    }
-
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
-    xs = _GAMMA_GRID.grid()
-    xs.append(0.5)
-
-    def chain_at(_i: int, r: float) -> tuple[float, float, float]:
-        kr, km = ellip_k(r), ellip_k(1.0 - r)
-        s = (1.0 - r) ** p * kr + r ** p * km
-        g = math.sqrt(r - r * r)
-        return (4.0 * kr * km * (r - r * r) ** p - s * s,
-                s * s - alpha,
-                alpha - 4.0 * (1.0 - g) ** (2.0 * p) * ellip_k(g) ** 2)
-
-    margins.update(_scan("gamma-constants", xs, _GAMMA_CHAIN, chain_at)[0])
-    bad = [(cl, m) for cl, m in margins.items() if m > VIOLATION_TOL]
-    return _report("gamma-constants", None, _GAMMA_GRID.n, margins, [0.5],
-                   (0.5, bad[0][1], bad[0][0]) if bad else None)
+    xs = [0.5, *_GAMMA_GRID.grid()]
+    k = [ellip_k(r) for r in xs]
+    k_mirror = [ellip_k(1.0 - r) for r in xs]
+    s = [(1.0 - r) ** p * kr + r ** p * km for r, kr, km in zip(xs, k, k_mirror)]
+    g = [math.sqrt(r - r * r) for r in xs]
+    n = len(xs)
+    columns = {
+        "k_half_closed_form": [abs(k_half - closed) / closed - 1e-12] * n,
+        "k_half_squared": [abs(k_half * k_half - sq) / sq - 1e-12] * n,
+        "gamma_reflection": [abs(refl) - 1e-13] * n,
+        "chain_product_le_sum_sq": [4.0 * kr * km * (r - r * r) ** p - sr * sr
+                                    for r, kr, km, sr in zip(xs, k, k_mirror, s)],
+        "chain_sum_sq_le_alpha": [sr * sr - alpha for sr in s],
+        "chain_alpha_le_outer": [alpha - 4.0 * (1.0 - gr) ** (2.0 * p) * ellip_k(gr) ** 2
+                                 for gr in g],
+    }
+    return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN)

@@ -33,12 +33,19 @@ from ellipcert.certify import (
     _MAX_FLAGGED,
     _SUBDIVISIONS,
     SIGN_TOLERANCE,
+    InconclusiveScanError,
     ScanConfig,
     SignCertificate,
     _require_finite,
 )
 from ellipcert.family import u_aux, v_aux
-from ellipcert.inequalities import _GEOMETRIC_POINTS
+from ellipcert.inequalities import (
+    _GEOMETRIC_POINTS,
+    EQUALITY_TOL,
+    VIOLATION_TOL,
+    InequalityReport,
+    _cluster,
+)
 from ellipcert.specfun import (
     ellip_k,
     ellip_kept,
@@ -410,3 +417,55 @@ def refine_scan_reference(fn: Callable[[float], float],
                 margin = abs(item)
         _require_finite(vs)
     return SignCertificate(claimed, None, None, margin)
+
+
+def inequality_scan_reference(name: str,
+                              param: float | None,
+                              xs: Sequence[float],
+                              clauses: Sequence[str],
+                              margins_at: Callable[[int, float], Sequence[float]],
+                              tight: Sequence[str] = (),
+                              x_p: float | None = None) -> InequalityReport:
+    """The inequality checks' report as it was first built: one pass over
+    xs in which margins_at(i, xs[i]) gives every clause margin at that
+    point, in the order of clauses.  ``inequalities._report``, which
+    reduces whole margin columns, must return the same report or raise
+    the same exception.
+
+    Keeps the maximum margin per clause, the equality hits (i, x, margin)
+    of the tight clauses and the first violation (x, margin, clause).
+    Raises InconclusiveScanError if any margin is NaN or infinite: NaN
+    never raises a maximum, so the check is a running sum of margin * 0,
+    which stays 0 only while every margin is finite.
+    """
+    best = [-math.inf] * len(clauses)
+    is_tight = [cl in tight for cl in clauses]
+    eq_hits: list[tuple[int, float, float]] = []
+    witness = None
+    probe = 0.0
+    for i, x in enumerate(xs):
+        for j, m in enumerate(margins_at(i, x)):
+            probe += m * 0.0
+            if m > best[j]:
+                best[j] = m
+            if witness is None and m > VIOLATION_TOL:
+                witness = (x, m, clauses[j])
+            if is_tight[j] and abs(m) <= EQUALITY_TOL:
+                eq_hits.append((i, x, m))
+    if probe != 0.0:
+        raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
+    margins = dict(zip(clauses, best))
+    if not all(map(math.isfinite, margins.values())):
+        raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
+    return InequalityReport(
+        name=name,
+        param=param,
+        grid_n=len(xs),
+        clause_margins=margins,
+        equality_points=_cluster(eq_hits),
+        verdict="fail" if witness else "pass",
+        witness_x=witness[0] if witness else None,
+        witness_value=witness[1] if witness else None,
+        witness_clause=witness[2] if witness else None,
+        x_p=x_p,
+    )

@@ -269,6 +269,15 @@ class TestFloatRange:
         rows = json.loads(out)["results"]
         assert rows[0]["clause"] == "x_p" and rows[0]["witness_x"] > 1.0 - 1e-9
 
+    @pytest.mark.parametrize("p", ["0.02", "0.24999999999"])
+    def test_k_envelope_without_x_p_is_inconclusive(self, capsys, p):
+        # a valid p whose turning point no double in the ladder's range holds
+        code, out, err = run(capsys, ["verify", "k-envelope", "--p", p] + FAST)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_json_writes_nonfinite_as_null(self):
         manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json", 0)
         rows = [{"x": 0.5, "value": math.inf}, {"x": 0.6, "value": math.nan},

@@ -3,7 +3,8 @@
 A refactor that claims unchanged behaviour must leave every digest and
 exit code here as it is.  The set covers certify at, just below and just
 above each sharp threshold, certify at refine depths 0 and 4, verify
-all, the k-envelope check below 1/4
+all, verify checks that fail (exit 1) or run in their other regimes,
+the k-envelope check below 1/4
 (whose grid ends at x_p), verify on narrowed grids (whose tails and
 midpoint differ from the default) and both table spacings, all on a
 500-point grid; every output format: json and csv tables, constants and
@@ -95,6 +96,15 @@ GOLDEN = [
     (["certify", "thm1-convex", "1.4715692950422916", "--refine", "4"], 0, "912cfecb6803acd8683e2fa76296cccf3822173d8c9929ec18f72ebb61a84047"),
     (["certify", "thm3-logconvex", "0.0", "--refine", "0"], 0, "a44de45ed51db7b01004308b1ec32765c9bed18855ad47a1e2a091c95c95b3a4"),
     (["certify", "thm3-logconvex", "0.0", "--refine", "4"], 0, "ea0760815c495f7b9eb3e7070ad56e50efd94d0ff95ac7553b34fa7b333e4290"),
+    # verify below the claimed range (a failure witness at the first grid
+    # point, then an interior one), the concave weighted-sum regime with
+    # its upper clause tight, the one-clause product-pair regime and a
+    # seeded mean-chain run, so that each check's reduction is pinned
+    (["verify", "sum-bounds", "--a", "1.3", "--format", "json"], 1, "d25a8b68622020f998a7377613ee660435406f4dc0e20ae6c8d6ce46f064e310"),
+    (["verify", "sum-bounds", "--a", "1.45", "--format", "csv"], 1, "f90be2b25dafd145b0681854d65681be7fd64e80deed0d12c2ded4c11f3535d7"),
+    (["verify", "weighted-sum", "--p", "0.3", "--format", "csv"], 0, "951a8c89c5033dc8fe4b568760e794a3401e895fce3347ea95aec00a438ea376"),
+    (["verify", "product-pair", "--p", "0.1", "--format", "csv"], 0, "256719d944776a30f2d213d78df70af9589dcef4df52261ba6c23eaa6786691a"),
+    (["verify", "mean-chain", "--p", "1.2", "--seed", "7", "--format", "csv"], 0, "db5969e936b01535329d64b0914a5f639575812855b70d2fd8751aed4d37229f"),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from ellipcert import cli, family, inequalities, specfun
 from ellipcert.certify import (
     DEFAULT_SCAN,
+    BracketNotFoundError,
     InconclusiveScanError,
     ScanConfig,
     certify_monotone,
@@ -181,6 +182,10 @@ class TestMeanChain:
         with pytest.raises(DomainError):
             _clauses_at(0.1)
 
+    def test_no_pairs_is_inconclusive(self):
+        with pytest.raises(InconclusiveScanError):
+            check_mean_chain_pairs(0.5, n_pairs=0, cfg=FAST)
+
     def test_determinism(self):
         a = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)
         b = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)
@@ -215,6 +220,20 @@ class TestKEnvelope:
         with pytest.raises(DomainError):
             check_k_envelope(0.0, FAST)
 
+    def test_nan_p_is_domain_error(self):
+        with pytest.raises(DomainError, match="needs p > 0"):
+            check_k_envelope(math.nan, FAST)
+
+    @pytest.mark.parametrize("p", [0.02, 0.24999999999])
+    def test_no_double_holds_x_p_is_inconclusive(self, p):
+        # x_p lies above the largest double below 1 (0.02) or below the
+        # first ladder point 1e-9: a valid p whose grid cannot be built
+        with pytest.raises(BracketNotFoundError) as found:
+            find_x_p(p)
+        with pytest.raises(InconclusiveScanError) as raised:
+            check_k_envelope(p, FAST)
+        assert str(raised.value) == str(found.value)
+
     def test_underflowed_power_is_domain_error(self):
         # (1 - r)^2000 is 0.0 near r = 1, where the upper bound divides by it
         with pytest.raises(DomainError, match="underflows"):
@@ -229,6 +248,18 @@ class TestGammaConstants:
         rep = check_gamma_constant_identities()
         assert rep.verdict == "pass"
         assert "chain_alpha_le_outer" in rep.clause_margins
+
+    def test_failed_identity_reported_at_half(self, monkeypatch):
+        # a Gamma(1/4) off by 1e-9 relative breaks K(1/2)^2 = Gamma(1/4)^4/(16 pi),
+        # the reflection and the chain; the identities come first and do
+        # not depend on r, so the witness is the first of them, at r = 1/2
+        monkeypatch.setattr(inequalities, "GAMMA_QUARTER", specfun.GAMMA_QUARTER * (1 + 1e-9))
+        rep = check_gamma_constant_identities()
+        assert rep.verdict == "fail"
+        assert (rep.witness_x, rep.witness_clause) == (0.5, "k_half_squared")
+        assert rep.witness_value == rep.clause_margins["k_half_squared"] > VIOLATION_TOL
+        # the first chain clause does not involve Gamma(1/4): still tight at 1/2
+        assert rep.equality_points == [0.5]
 
     def test_chain_outside_claimed_range_exploratory(self, capsys):
         # the chain is asserted on p in [1/4, 1] only; outside that range

@@ -8,7 +8,9 @@ manifest it embeds returns the same text.  Grids are kept at 50 points
 so that each example is fast.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
-against its set-based reference over any valid scan settings.  ``ellip_k``
+against its set-based reference over any valid scan settings, and the
+inequality checks' column reducer against the per-point scan it replaced
+over any margin columns.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``ellip_kept``; the two
 must give the same double at every x in [0, 1).
 """
@@ -26,7 +28,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from ellipcert import cli  # noqa: E402
 from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
-from ellipcert.inequalities import inequality_grid  # noqa: E402
+from ellipcert.inequalities import (  # noqa: E402
+    EQUALITY_TOL,
+    VIOLATION_TOL,
+    _report,
+    inequality_grid,
+)
 from ellipcert.specfun import ellip_k, ellip_kept  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -187,3 +194,74 @@ def scan_configs(draw):
 ])
 def test_inequality_grid_matches_reference(cfg):
     assert inequality_grid(cfg) == oracles.inequality_grid_reference(cfg)
+
+
+# the tolerances, either side of them, signed zeros, and the non-finite values
+MARGIN_VALUES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+for _tol in (VIOLATION_TOL, EQUALITY_TOL):
+    MARGIN_VALUES += [_tol, -_tol, math.nextafter(_tol, 1.0), math.nextafter(-_tol, -1.0),
+                      math.nextafter(_tol, 0.0), math.nextafter(-_tol, 0.0)]
+NONFINITE = [math.nan, math.inf, -math.inf]
+# steps between points: repeats, steps inside CLUSTER_TOL, and back steps
+X_STEPS = st.sampled_from([0.0, 1e-7, 5e-7, 1e-6, 2e-6, 1e-3, 0.2, -0.3])
+
+
+@st.composite
+def margin_columns(draw):
+    """Points, and 1-3 clauses with their margin columns and a tight subset.
+
+    Each column draws from the tolerance values (so runs of equality hits
+    form bands, adjacent or apart), from small or large floats, and may
+    hold one non-finite value at any index."""
+    n = draw(st.integers(0, 12))
+    xs = [draw(st.floats(0.0, 1.0))]
+    for _ in range(n - 1):
+        xs.append(xs[-1] + draw(X_STEPS))
+    xs = xs[:n]
+    clauses = draw(st.lists(st.sampled_from(["lower", "upper", "geo", "mid"]),
+                            min_size=1, max_size=3, unique=True))
+    columns = {}
+    for cl in clauses:
+        values = draw(st.sampled_from([
+            st.sampled_from(MARGIN_VALUES),
+            st.sampled_from([m for m in MARGIN_VALUES if m <= VIOLATION_TOL]),
+            st.sampled_from([0.0, -0.0, -1.0]),
+            st.floats(-2e-9, 2e-9),
+            st.floats(-1e3, VIOLATION_TOL),
+            st.one_of(st.sampled_from(MARGIN_VALUES), st.floats(-1e3, 1e3)),
+        ]))
+        col = draw(st.lists(values, min_size=n, max_size=n))
+        if n and draw(st.integers(0, 7)) == 0:
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NONFINITE))
+        columns[cl] = col
+    tight = draw(st.lists(st.sampled_from(clauses), unique=True))
+    return xs, columns, tight
+
+
+def _report_outcome(fn, *args):
+    """repr of the report, which tells -0.0 from 0.0, or the exception raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(SETTINGS, max_examples=400)
+@given(data=margin_columns(), x_p=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(data=([], {"lower": []}, []), x_p=None)
+@example(data=([], {"lower": [], "upper": []}, ["lower"]), x_p=None)
+@example(data=([0.5, 0.6], {"lower": [-0.0, 0.0], "upper": [0.0, -0.0]}, ["upper"]), x_p=None)
+@example(data=([0.1, 0.2, 0.3], {"a": [VIOLATION_TOL, 2e-12, 3e-12], "b": [0.0, 2e-12, 1.0]},
+               ["a", "b"]), x_p=0.9)
+@example(data=([0.1, 0.2], {"a": [0.0, math.nan]}, ["a"]), x_p=None)
+@example(data=([0.1, 0.2], {"a": [-math.inf, -math.inf]}, []), x_p=None)
+def test_report_matches_scan_reference(data, x_p):
+    xs, columns, tight = data
+    cols = list(columns.values())
+
+    def margins_at(i, _x):
+        return [col[i] for col in cols]
+
+    assert (_report_outcome(_report, "check", 0.5, xs, columns, tight, x_p)
+            == _report_outcome(oracles.inequality_scan_reference,
+                               "check", 0.5, xs, list(columns), margins_at, tight, x_p))
