@@ -38,18 +38,15 @@ from .certify import (
     find_a_c,
     find_x_p,
 )
-from .inequalities import (
-    InequalityReport,
-    check_sum_bounds,
-    check_weighted_sum,
-    check_product_pair,
-    check_mean_chain,
-    check_mean_chain_pairs,
-    check_k_envelope,
-    check_gamma_constant_identities,
-)
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562): importing the package loads no check.
+_INEQUALITIES = (
+    "InequalityReport", "check_sum_bounds", "check_weighted_sum",
+    "check_product_pair", "check_mean_chain", "check_mean_chain_pairs",
+    "check_k_envelope", "check_gamma_constant_identities",
+)
 
 __all__ = [
     "DomainError", "ConvergenceError",
@@ -60,7 +57,16 @@ __all__ = [
     "ScanConfig", "SignCertificate", "ExtremumResult",
     "InconclusiveScanError", "BracketNotFoundError",
     "certify_sign", "certify_monotone", "find_a_c", "find_x_p",
-    "InequalityReport", "check_sum_bounds", "check_weighted_sum",
-    "check_product_pair", "check_mean_chain", "check_mean_chain_pairs",
-    "check_k_envelope", "check_gamma_constant_identities",
+    *_INEQUALITIES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _INEQUALITIES:
+        from . import inequalities
+        return getattr(inequalities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_INEQUALITIES})

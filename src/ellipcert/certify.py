@@ -10,13 +10,13 @@ deterministic; a witness always re-evaluates to its reported value.
 Sign and monotonicity scans share one engine, which stops at the first
 violation; each refine level samples and splices in only the new points
 of the intervals it flags.  ScanConfig.grid builds every uniform grid.
+The records are named tuples, validated on every construction path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from collections import namedtuple
 
 from .family import l_factor, w_plus
 
@@ -42,8 +42,8 @@ class BracketNotFoundError(RuntimeError):
     """No sign change was found where a root was requested."""
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth",
+                            defaults=(0.0, 1.0, 10_000, 1e-9, 2))):
     """Grid specification for all certification runs.
 
     The scan covers [lo + endpoint_offset, hi - endpoint_offset] with n
@@ -51,13 +51,10 @@ class ScanConfig:
     around near-zero values.
     """
 
-    lo: float = 0.0
-    hi: float = 1.0
-    n: int = 10_000
-    endpoint_offset: float = 1e-9
-    refine_depth: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.lo < self.hi <= 1.0:
             raise ValueError(f"need 0 <= lo < hi <= 1; got lo={self.lo}, hi={self.hi}")
         if self.n < 2:
@@ -68,6 +65,9 @@ class ScanConfig:
             raise ValueError(f"refine_depth must be >= 0; got {self.refine_depth}")
         if self.lo + self.endpoint_offset >= self.hi - self.endpoint_offset:
             raise ValueError("offsets leave an empty scan interval")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def grid(self) -> list[float]:
         lo = self.lo + self.endpoint_offset
@@ -81,8 +81,8 @@ class ScanConfig:
 DEFAULT_SCAN = ScanConfig()
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(namedtuple("SignCertificate", "verdict witness_x witness_value "
+                                 "min_abs_margin witness_step", defaults=(None,))):
     """Outcome of a sign or monotonicity scan.
 
     verdict is "nonnegative" / "nonpositive" when the claim held on the
@@ -93,24 +93,21 @@ class SignCertificate:
     min_abs_margin is the smallest |value| seen where the claim held.
     """
 
-    verdict: Literal["nonnegative", "nonpositive", "mixed"]
-    witness_x: float | None
-    witness_value: float | None
-    min_abs_margin: float
-    witness_step: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.verdict == "mixed") != (self.witness_x is not None):
             raise ValueError("witness present if and only if verdict is mixed")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
 
-@dataclass(frozen=True)
-class ExtremumResult:
+class ExtremumResult(namedtuple("ExtremumResult", "x_star value tolerance")):
     """Location, value and attained bracket width of a 1-D maximization."""
 
-    x_star: float
-    value: float
-    tolerance: float
+    __slots__ = ()
 
 
 def _require_finite(values) -> None:
@@ -148,6 +145,7 @@ def _refine_scan(fn: Callable[[float], float],
         if level:
             mags = [abs(b - a) for a, b in zip(vs, vs[1:])] if pairs else list(map(abs, vs))
             threshold = 10.0 * margin
+            # near-monotone mags: linear-time sort (heapq.nsmallest is not)
             flagged = sorted((i for i, m in enumerate(mags) if m <= threshold),
                              key=mags.__getitem__)[:_MAX_FLAGGED]
             # the intervals on both sides of a sample, or the one a difference spans

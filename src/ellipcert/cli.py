@@ -10,22 +10,21 @@ seed) in its output; ``run_from_manifest`` hands that manifest to the
 run step and byte-reproduces the output.  ``eval`` and ``table`` take
 exactly the ``--param`` keys their function needs; any other key is a
 usage error.  Exit codes: 0 verified/pass, 1 counterexample found, 2
-usage or domain error, 3 inconclusive.
+usage or domain error (an unwritable ``--out`` too), 3 inconclusive.
+Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Any
+from collections import namedtuple
 
-from . import family, inequalities, specfun
+from . import family, specfun
 from .certify import (
     DEFAULT_SCAN,
     BracketNotFoundError,
@@ -41,18 +40,14 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-Rows = list[dict[str, Any]]
 
-
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(namedtuple("RunManifest", "command parameters scan output_format seed")):
     """Everything needed to reproduce a run byte-for-byte."""
 
-    command: str
-    parameters: dict[str, Any]
-    scan: ScanConfig
-    output_format: str
-    seed: int
+    __slots__ = ()
+
+    def _asdict(self) -> dict[str, Any]:  # as outputs embed it: scan a dict, not a list
+        return {**super()._asdict(), "scan": self.scan._asdict()}
 
 
 def fmt_full(v: Any) -> str:
@@ -92,13 +87,13 @@ def _json(obj: Any, **kwargs: Any) -> str:
         return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
 
 
-def _render(rows: Rows, manifest: RunManifest, fmt: str) -> str:
+def _render(rows: list[dict], manifest: RunManifest, fmt: str) -> str:
     """Byte for byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
     keys = list(rows[0]) if rows else []
     cols = list(zip(*map(dict.values, rows)))  # every run step's rows share keys
     floats = [set(map(type, col)) == {float} for col in cols]
     if fmt == "json":
-        head = _json({"manifest": asdict(manifest), "results": []}, indent=2)
+        head = _json({"manifest": manifest._asdict(), "results": []}, indent=2)
         if not rows:
             return head + "\n"
         cell = json.JSONEncoder(allow_nan=False).encode
@@ -110,8 +105,10 @@ def _render(rows: Rows, manifest: RunManifest, fmt: str) -> str:
             f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
         body = ",\n".join(map(row.__mod__, zip(*cols)))
         return f"{head[:-4]}[\n{body}\n  ]\n}}\n"  # head ends '[]\n}'
-    mjson = _json(asdict(manifest), separators=(",", ":"), sort_keys=True)
+    mjson = _json(manifest._asdict(), separators=(",", ":"), sort_keys=True)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         buf.write(f"# manifest: {mjson}\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -222,7 +219,7 @@ def _collect_params(fn: str, pairs: list[str] | None) -> dict[str, float]:
 
 
 def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
-              **params: float) -> tuple[Rows, int]:
+              **params: float) -> tuple[list[dict], int]:
     f = _resolve_fn(fn, params)
     rows = []
     for xi in x:
@@ -233,7 +230,7 @@ def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
     return rows, EXIT_OK
 
 
-def _run_constants(cfg: ScanConfig, seed: int) -> tuple[Rows, int]:
+def _run_constants(cfg: ScanConfig, seed: int) -> tuple[list[dict], int]:
     res = find_a_c(cfg)
     rows = [
         {"name": "a_c", "value": res.value, "provenance": "computed",
@@ -241,7 +238,7 @@ def _run_constants(cfg: ScanConfig, seed: int) -> tuple[Rows, int]:
     ]
     rows += [{"name": name, "value": value, "provenance": "algebraic",
               "x_star": None, "tolerance": None}
-             for name, value in asdict(family.CriticalConstants(a_c=res.value)).items()
+             for name, value in family.CriticalConstants(a_c=res.value)._asdict().items()
              if name != "a_c"]
     rows.append({"name": "K_half", "value": specfun.ellip_k(0.5),
                  "provenance": "computed", "x_star": None, "tolerance": None})
@@ -276,7 +273,7 @@ def _claim(theorem: str) -> tuple[str, str, str]:
 
 
 def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
-                 **params: float) -> tuple[Rows, int]:
+                 **params: float) -> tuple[list[dict], int]:
     symbol, factor, claimed = _claim(theorem)
     value = params[symbol]
     # looked up per command, so that a patched family attribute is called
@@ -297,7 +294,7 @@ _VERIFY_SELECTORS = ("sum-bounds", "weighted-sum", "product-pair",
                      "mean-chain", "k-envelope", "gamma-constants", "all")
 
 
-def _report_rows(rep: inequalities.InequalityReport) -> Rows:
+def _report_rows(rep: inequalities.InequalityReport) -> list[dict]:
     rows = []
     if rep.x_p is not None:
         rows.append({"check": rep.name, "param": rep.param, "clause": "x_p",
@@ -318,10 +315,12 @@ def _report_rows(rep: inequalities.InequalityReport) -> Rows:
 
 
 def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
-                p: float | None) -> tuple[Rows, int]:
+                p: float | None) -> tuple[list[dict], int]:
     if selector not in _VERIFY_SELECTORS:
         raise DomainError(
             f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
+    from . import inequalities  # only verify pays for loading the checks
+
     # one grid with K(x) and K(1-x) for every grid check of this command
     cols = inequalities.GridColumns(cfg)
     reports: list[inequalities.InequalityReport] = []
@@ -346,7 +345,7 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
 
 
 def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
-               **params: float) -> tuple[Rows, int]:
+               **params: float) -> tuple[list[dict], int]:
     f = _resolve_fn(fn, params)
     if spacing == "uniform":
         xs = cfg.grid()
@@ -467,7 +466,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     manifest = RunManifest(args.command, params, cfg, args.format, args.seed)
-    _emit(_render(rows, manifest, args.format), args.out)
+    try:
+        _emit(_render(rows, manifest, args.format), args.out)
+    except OSError as exc:  # --out names a missing directory, a directory, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
-from typing import Sequence
 
 from . import family
 from .certify import (
@@ -57,8 +56,10 @@ SQRT2 = math.sqrt(2.0)
 _GEOMETRIC_POINTS = 20
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(namedtuple("InequalityReport",
+                                  "name param grid_n clause_margins equality_points verdict "
+                                  "witness_x witness_value witness_clause x_p",
+                                  defaults=(None, None, None, None))):
     """Outcome of one inequality check.
 
     clause_margins holds, per clause, the maximum of (lhs - rhs) over
@@ -69,16 +70,7 @@ class InequalityReport:
     fields identify the first offending point.
     """
 
-    name: str
-    param: float | None
-    grid_n: int
-    clause_margins: dict[str, float]
-    equality_points: list[float]
-    verdict: str
-    witness_x: float | None = None
-    witness_value: float | None = None
-    witness_clause: str | None = None
-    x_p: float | None = None
+    __slots__ = ()
 
 
 def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
@@ -356,7 +348,7 @@ def check_k_envelope(p: float,
     except BracketNotFoundError as exc:
         raise InconclusiveScanError(str(exc)) from exc
     cap = (1.0 - x_p) ** p * ellip_k(x_p)
-    xs = inequality_grid(replace(cols.cfg, hi=x_p))
+    xs = inequality_grid(cols.cfg._replace(hi=x_p))
     k = [ellip_k(r) for r in xs]
     w = [(1.0 - r) ** p for r in xs]
     return _report("k-envelope", p, xs,

@@ -324,13 +324,12 @@ def render_reference(rows, manifest, fmt: str) -> str:
     produce the same bytes."""
     import csv
     import io
-    from dataclasses import asdict
 
     from ellipcert.cli import _json, fmt_full, fmt_human
 
-    mjson = _json(asdict(manifest), separators=(",", ":"), sort_keys=True)
+    mjson = _json(manifest._asdict(), separators=(",", ":"), sort_keys=True)
     if fmt == "json":
-        return _json({"manifest": asdict(manifest), "results": rows}, indent=2) + "\n"
+        return _json({"manifest": manifest._asdict(), "results": rows}, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         cols = list(rows[0].keys()) if rows else []

@@ -63,6 +63,18 @@ class TestScanConfig:
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(ValueError):
             ScanConfig(**kwargs)
+        # _replace and _make build through tuple.__new__ unless overridden
+        with pytest.raises(ValueError):
+            DEFAULT_SCAN._replace(**kwargs)
+        with pytest.raises(ValueError):
+            ScanConfig._make((ScanConfig()._asdict() | kwargs).values())
+
+    def test_replace_keeps_fields(self):
+        cfg = DEFAULT_SCAN._replace(n=5)
+        assert type(cfg) is ScanConfig
+        assert cfg == ScanConfig(n=5)
+        with pytest.raises(ValueError, match="unexpected field"):
+            DEFAULT_SCAN._replace(m=5)
 
 
 class TestSignCertificate:
@@ -71,6 +83,10 @@ class TestSignCertificate:
             SignCertificate("mixed", None, None, 0.0)
         with pytest.raises(ValueError):
             SignCertificate("nonnegative", 0.5, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            SignCertificate("nonnegative", None, None, 0.0)._replace(witness_x=0.5)
+        with pytest.raises(ValueError):
+            SignCertificate("mixed", 0.5, -1.0, 0.0)._replace(verdict="nonpositive")
 
 
 class TestCertifySign:

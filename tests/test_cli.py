@@ -378,6 +378,16 @@ class TestOutputContracts:
         assert out == ""
         assert "1.8540746773013717" in target.read_text()
 
+    @pytest.mark.parametrize("where", ["missing/dir/x.json", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        # a missing directory, or a directory given as the path
+        code, out, err = run(capsys, ["certify", "thm1-concave", "4/3", *FAST,
+                                      "--out", str(tmp_path / where)])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: [Errno ")
+        assert "Traceback" not in err
+
     def test_seventeen_digit_csv(self, capsys):
         _, out, _ = run(capsys, ["eval", "E", "0.3", "--format", "csv"])
         value = out.strip().splitlines()[-1].split(",")[1]

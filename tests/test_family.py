@@ -378,6 +378,8 @@ class TestCriticalConstants:
             CriticalConstants(a_c=1.2)
         with pytest.raises(ValueError):
             CriticalConstants(a_c=1.7)
+        with pytest.raises(ValueError):
+            CriticalConstants(a_c=1.46)._replace(a_c=1.2)
 
 
 class TestLemmaDomains:

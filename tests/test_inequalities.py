@@ -1,6 +1,5 @@
 """Inequality-grid tests: bounds, midpoint sharpness, negative controls."""
 
-import dataclasses
 import math
 
 import pytest
@@ -385,7 +384,7 @@ class TestSharedColumns:
 
     def test_verify_all_kernel_budget(self, monkeypatch, capsys):
         n = len(inequality_grid(DEFAULT_SCAN))
-        n_xp = len(inequality_grid(dataclasses.replace(DEFAULT_SCAN, hi=find_x_p(0.1))))
+        n_xp = len(inequality_grid(DEFAULT_SCAN._replace(hi=find_x_p(0.1))))
         calls = _count_kernel(monkeypatch)
         assert cli.main(["verify", "all"]) == 0
         # K(x) and K(1 - x) on the shared grid, K(x) on the grid up to
