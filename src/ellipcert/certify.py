@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .family import l_factor, w_plus
 
@@ -117,7 +118,7 @@ def _require_finite(values) -> None:
 
 
 def _refine_scan(fn: Callable[[float], float],
-                 claimed: Literal["nonnegative", "nonpositive"],
+                 claimed: str,
                  cfg: ScanConfig,
                  pairs: bool) -> SignCertificate:
     """The scan-and-refine engine behind certify_sign and certify_monotone.
@@ -183,7 +184,7 @@ def _refine_scan(fn: Callable[[float], float],
 
 
 def certify_sign(fn: Callable[[float], float],
-                 claimed: Literal["nonnegative", "nonpositive"],
+                 claimed: str,
                  cfg: ScanConfig = DEFAULT_SCAN) -> SignCertificate:
     """Scan fn on the grid for the claimed sign, refining near zeros.
 
@@ -199,7 +200,7 @@ def certify_sign(fn: Callable[[float], float],
 
 
 def certify_monotone(fn: Callable[[float], float],
-                     direction: Literal["increasing", "decreasing"],
+                     direction: str,
                      cfg: ScanConfig = DEFAULT_SCAN) -> SignCertificate:
     """Certify strict monotonicity via consecutive grid differences.
 

@@ -46,24 +46,24 @@ class RunManifest(namedtuple("RunManifest", "command parameters scan output_form
 
     __slots__ = ()
 
-    def _asdict(self) -> dict[str, Any]:  # as outputs embed it: scan a dict, not a list
+    def _asdict(self) -> dict[str, object]:  # as outputs embed it: scan a dict, not a list
         return {**super()._asdict(), "scan": self.scan._asdict()}
 
 
-def fmt_full(v: Any) -> str:
+def fmt_full(v: object) -> str:
     """Full-precision text: 17 significant digits round-trip a double."""
     if isinstance(v, float):
         return format(v, ".17g")
     return "" if v is None else str(v)
 
 
-def fmt_human(v: Any) -> str:
+def fmt_human(v: object) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     return "" if v is None else str(v)
 
 
-def _null_nonfinite(v: Any) -> Any:
+def _null_nonfinite(v: object) -> object:
     if isinstance(v, float):
         return v if math.isfinite(v) else None
     if isinstance(v, dict):
@@ -73,7 +73,7 @@ def _null_nonfinite(v: Any) -> Any:
     return v
 
 
-def _json(obj: Any, **kwargs: Any) -> str:
+def _json(obj: object, **kwargs: object) -> str:
     """Strict JSON: a NaN or infinite value is written as null, never as
     the NaN/Infinity tokens that JSON does not have.
 
@@ -170,7 +170,7 @@ def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
 
 
 # fn name -> (required param names, factory(params) -> callable(x))
-_EVAL_FNS: dict[str, tuple[tuple[str, ...], Any]] = {
+_EVAL_FNS: dict[str, tuple[tuple[str, ...], object]] = {
     "K": ((), lambda ps: specfun.ellip_k),
     "E": ((), lambda ps: specfun.ellip_e),
     "2F1": (("a", "b", "c"),
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_from_manifest(manifest: dict[str, Any]) -> str:
+def run_from_manifest(manifest: dict[str, object]) -> str:
     """Re-run a manifest dict, as parsed from any output, and return the
     rendered output text: the run step called with the manifest's values."""
     m = RunManifest(**{**manifest, "scan": ScanConfig(**manifest["scan"])})

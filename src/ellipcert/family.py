@@ -6,12 +6,16 @@ h(p, x) = (1-x)^p K(x), together with the auxiliary functions whose
 signs carry their second derivatives (g_factor, phi - a, p + G, J, L).
 
 Sign factors are evaluated through exact rearrangements in terms of
-K, E, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
+K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
 sign-trustworthy at both interval ends where the textbook expressions
-are 0/0-ill-conditioned.  All four come from one AGM pass
-(specfun.ellip_kept), so each factor costs one kernel call and has no
-series branch.  Raw numerical differentiation is never used
-here; finite differences exist only as oracles in the test suite.
+are 0/0-ill-conditioned.  All three come from one AGM pass without the
+E sum (specfun.ellip_kpt), so each factor costs one kernel call and has
+no series branch.  Each factor a certify scan calls is one frame over
+the kernel (the quadratic's coefficients and roots share one helper;
+phi and G are those factors at a = 0 and p = -0.0) and tests 0 < x < 1
+inline, calling require_unit_interval only to raise.  Raw
+numerical differentiation is never used here; finite differences exist
+only as oracles in the test suite.
 
 Everything is a pure function; endpoint extension values are produced
 only when the caller passes an explicit endpoint flag.
@@ -27,7 +31,7 @@ from .specfun import (
     LOG4,
     DomainError,
     ellip_k,
-    ellip_kept,
+    ellip_kpt,
     require_unit_interval,
 )
 
@@ -89,48 +93,47 @@ def f_from_k(a: float, x: float, k: float) -> float:
     return k / den
 
 
-def _uvds(x: float) -> tuple[float, float, float, float]:
-    """(u, v, Delta, s) with s = 2F1(1/2,1/2;1;x) = (2/pi) K.
+def _quadratic(x: float) -> tuple[float, float, float, float, float]:
+    """(u, v, Delta, w_plus, w_minus) of the f'' quadratic u z^2 - v z + s
+    in z = a - log(1-x)/2, after the caller's check of 0 < x < 1.
 
-    Closed forms via K, E:
+    With s = 2F1(1/2,1/2;1;x) = (2/pi) K and the closed forms
         2F1(1/2,1/2;2;x)  = (4/pi)(K - P)
         2F1(3/2,3/2;3;x)  = (16/pi) T2
-    so u = ((1-x) T2 + 2(K-P)) / pi and v = 2(2K - P) / pi.
+    u = ((1-x) T2 + 2(K-P)) / pi, v = 2(2K - P) / pi, Delta = v^2 - 4 u s,
+    and w_plus, w_minus are its roots as values of a.
     """
-    k, _e, p, t2 = ellip_kept(x)
+    k, p, t2, _tail = ellip_kpt(x)
     s = (2.0 / PI) * k
     u = ((1.0 - x) * t2 + 2.0 * (k - p)) / PI
     v = 2.0 * (2.0 * k - p) / PI
     d = v * v - 4.0 * u * s
-    return u, v, d, s
-
-
-def u_aux(x: float) -> float:
-    """Leading quadratic coefficient; increasing from 9/16 toward 2/pi."""
-    require_unit_interval(x, "u_aux")
-    return _uvds(x)[0]
-
-
-def v_aux(x: float) -> float:
-    """Middle quadratic coefficient; positive on [0, 1)."""
-    require_unit_interval(x, "v_aux")
-    return _uvds(x)[1]
-
-
-def delta_aux(x: float) -> float:
-    """Discriminant v^2 - 4 u s; increasing from 0, slope 3/16 at 0."""
-    require_unit_interval(x, "delta_aux")
-    return _uvds(x)[2]
-
-
-def _w_pair(x: float) -> tuple[float, float, float]:
-    """(u, w_plus, w_minus) at x."""
-    u, v, d, s = _uvds(x)
     sq = math.sqrt(d) if d > 0.0 else 0.0
     lw = 0.5 * math.log1p(-x)
     # w_minus via the conjugate form 2s/(v + sqrt(Delta)): the direct
     # (v - sqrt(Delta)) difference cancels catastrophically near x = 0.
-    return u, lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
+    return u, v, d, lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
+
+
+def u_aux(x: float) -> float:
+    """Leading quadratic coefficient; increasing from 9/16 toward 2/pi."""
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "u_aux")
+    return _quadratic(x)[0]
+
+
+def v_aux(x: float) -> float:
+    """Middle quadratic coefficient; positive on [0, 1)."""
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "v_aux")
+    return _quadratic(x)[1]
+
+
+def delta_aux(x: float) -> float:
+    """Discriminant v^2 - 4 u s; increasing from 0, slope 3/16 at 0."""
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "delta_aux")
+    return _quadratic(x)[2]
 
 
 def w_plus(x: float) -> float:
@@ -140,20 +143,23 @@ def w_plus(x: float) -> float:
     Carries a sqrt(3x/16) cusp at 0, so it sits ~1.2e-5 above 4/3
     already at x = 1e-9.
     """
-    require_unit_interval(x, "w_plus")
-    return _w_pair(x)[1]
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "w_plus")
+    return _quadratic(x)[3]
 
 
 def w_minus(x: float) -> float:
     """Lower root (in a) of the f'' quadratic; 4/3 at 0+, -inf at 1-."""
-    require_unit_interval(x, "w_minus")
-    return _w_pair(x)[2]
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "w_minus")
+    return _quadratic(x)[4]
 
 
 def g_factor(a: float, x: float) -> float:
     """u(x) (a - w_plus(x)) (a - w_minus(x)); same sign as f''(a, .) at x."""
-    require_unit_interval(x, "g_factor")
-    u, wp, wm = _w_pair(x)
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "g_factor")
+    u, _v, _d, wp, wm = _quadratic(x)
     return u * (a - wp) * (a - wm)
 
 
@@ -164,15 +170,19 @@ def phi(x: float) -> float:
     B = 2P^2 - K^2 - K T2 (the denominator bracket divided by x^2),
     which tends to -5 pi^2 / 32 at 0, so phi -> 8/5 without a 0/0.
     """
-    require_unit_interval(x, "phi")
-    k, _e, p, t2 = ellip_kept(x)
-    b = 2.0 * p * p - k * k - k * t2
-    return 0.5 * math.log1p(-x) - 2.0 * k * p / b
+    return recip_f_second_sign(0.0, x)   # y - 0.0 is y to the bit
 
 
 def recip_f_second_sign(a: float, x: float) -> float:
-    """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x."""
-    return phi(x) - a
+    """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x.
+
+    phi's formula lives here, so that a certify scan makes one call.
+    """
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "phi")
+    k, p, t2, _tail = ellip_kpt(x)
+    b = 2.0 * p * p - k * k - k * t2
+    return 0.5 * math.log1p(-x) - 2.0 * k * p / b - a
 
 
 def h(p: float, x: float, *, endpoint: bool = False) -> float:
@@ -199,14 +209,18 @@ def g_aux(x: float) -> float:
     tends to -7/32 at 0 without cancellation.  The approach to 0 at
     x -> 1 is logarithmic, G ~ -1/(2K).
     """
-    require_unit_interval(x, "g_aux")
-    k, _e, p, t2 = ellip_kept(x)
-    return ((p * p + 2.0 * k * p - 2.0 * k * k) - k * t2) / (4.0 * k * k)
+    return log_h_second_factor(-0.0, x)   # -0.0 + y is y to the bit
 
 
 def log_h_second_factor(p: float, x: float) -> float:
-    """p + G(x); its sign is opposite to the sign of (log h(p, .))'' at x."""
-    return p + g_aux(x)
+    """p + G(x); its sign is opposite to the sign of (log h(p, .))'' at x.
+
+    G's formula lives here, so that a certify scan makes one call.
+    """
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "g_aux")
+    k, pr, t2, _tail = ellip_kpt(x)
+    return p + ((pr * pr + 2.0 * k * pr - 2.0 * k * k) - k * t2) / (4.0 * k * k)
 
 
 def j_factor(p: float, x: float) -> float:
@@ -215,8 +229,9 @@ def j_factor(p: float, x: float) -> float:
     Stabilized form J = x^2 (T2 + (4p^2-8p+3)K + 4(p-1)P); near 0 this
     gives J/x^2 -> (pi/16)(32p^2 - 48p + 9) without cancellation.
     """
-    require_unit_interval(x, "j_factor")
-    k, _e, pr, t2 = ellip_kept(x)
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "j_factor")
+    k, pr, t2, _tail = ellip_kpt(x)
     return x * x * (t2 + (4.0 * p * p - 8.0 * p + 3.0) * k + 4.0 * (p - 1.0) * pr)
 
 
@@ -226,6 +241,7 @@ def l_factor(p: float, x: float) -> float:
     Slope (pi/4)(1 - 4p) at 0; for p in (0, 1/4) it has exactly one sign
     change (the turning point of h).
     """
-    require_unit_interval(x, "l_factor")
-    k, _e, pr, _t2 = ellip_kept(x)
+    if not 0.0 < x < 1.0:
+        require_unit_interval(x, "l_factor")
+    k, pr, _t2, _tail = ellip_kpt(x)
     return x * ((1.0 - 2.0 * p) * k - pr)

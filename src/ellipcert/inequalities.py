@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 
 from . import family

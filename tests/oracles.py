@@ -15,6 +15,11 @@ of (1/f)'') and the asymptotic expansion of K at 1; ``ke_ratio`` and
 functions are earlier, simpler forms of production code that a faster
 form replaced; the tests require the same output from both.
 
+``agm_reference`` is the four-output AGM pass that built E beside K, P
+and T2 before the factors' pass dropped the E sum, and
+``FACTOR_REFERENCES`` the sign factors as they were built on it; the
+tests require every bit of the production values from them.
+
 The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
 package's stabilized factor forms.  They import mpmath when called, so
@@ -468,3 +473,95 @@ def inequality_scan_reference(name: str,
         witness_clause=witness[2] if witness else None,
         x_p=x_p,
     )
+
+
+def agm_reference(x: float) -> tuple[float, float, float, float]:
+    """(K, E, P, T2) at 0 <= x < 1 from one AGM pass that sums E beside
+    K, P and T2 (see specfun._agm for the recurrence)."""
+    y = math.sqrt(1.0 - x)                    # b_0
+    t = 0.5 / (1.0 + y)                       # t_1
+    a, b = 0.5 * (1.0 + y), math.sqrt(y)      # a_1, b_1
+    g = a * b                                 # b_2^2
+    e = g + 0.5 * x * x * t * t
+    d = a - b
+    a, b = 0.5 * (a + b), math.sqrt(g)        # a_2, b_2
+    q = x * t / a                             # c_1 / a_2
+    head = 2.0 * t * t
+    t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+    head += 4.0 * t * t
+    pw = 4.0
+    tail = 0.0                                # sum_{n>=3} 2^n t_n^2
+    while q > 1e-3:
+        d = a - b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        q = x * t / a
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        pw += pw
+        tail += pw * t * t
+    s = head + tail
+    k = PI / (a + b)
+    return k, k * (e - 0.5 * x * x * tail), 0.5 * k * (1.0 + x * s), k * s
+
+
+def legendre_residual_reference(x: float) -> float:
+    """specfun.legendre_residual on agm_reference."""
+    require_unit_interval(x, "legendre_residual")
+    kx, ex = agm_reference(x)[:2]
+    kc, ec = agm_reference(1.0 - x)[:2]
+    return ex * kc + ec * kx - kx * kc - 0.5 * PI
+
+
+def _w_pair_reference(x: float) -> tuple[float, float, float, float, float]:
+    """(u, v, Delta, w_plus, w_minus) on agm_reference."""
+    k, _e, p, t2 = agm_reference(x)
+    s = (2.0 / PI) * k
+    u = ((1.0 - x) * t2 + 2.0 * (k - p)) / PI
+    v = 2.0 * (2.0 * k - p) / PI
+    d = v * v - 4.0 * u * s
+    sq = math.sqrt(d) if d > 0.0 else 0.0
+    lw = 0.5 * math.log1p(-x)
+    return u, v, d, lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
+
+
+def _phi_reference(x: float) -> float:
+    k, _e, p, t2 = agm_reference(x)
+    b = 2.0 * p * p - k * k - k * t2
+    return 0.5 * math.log1p(-x) - 2.0 * k * p / b
+
+
+def _g_aux_reference(x: float) -> float:
+    k, _e, p, t2 = agm_reference(x)
+    return ((p * p + 2.0 * k * p - 2.0 * k * k) - k * t2) / (4.0 * k * k)
+
+
+def _j_reference(p: float, x: float) -> float:
+    k, _e, pr, t2 = agm_reference(x)
+    return x * x * (t2 + (4.0 * p * p - 8.0 * p + 3.0) * k + 4.0 * (p - 1.0) * pr)
+
+
+def _l_reference(p: float, x: float) -> float:
+    k, _e, pr, _t2 = agm_reference(x)
+    return x * ((1.0 - 2.0 * p) * k - pr)
+
+
+def _g_factor_reference(a: float, x: float) -> float:
+    u, _v, _d, wp, wm = _w_pair_reference(x)
+    return u * (a - wp) * (a - wm)
+
+
+# family function name -> (takes a parameter, reference at 0 < x < 1);
+# the references take (parameter, x) and ignore the parameter if it has none
+FACTOR_REFERENCES: dict[str, tuple[bool, Callable[[float, float], float]]] = {
+    "u_aux": (False, lambda _, x: _w_pair_reference(x)[0]),
+    "v_aux": (False, lambda _, x: _w_pair_reference(x)[1]),
+    "delta_aux": (False, lambda _, x: _w_pair_reference(x)[2]),
+    "w_plus": (False, lambda _, x: _w_pair_reference(x)[3]),
+    "w_minus": (False, lambda _, x: _w_pair_reference(x)[4]),
+    "g_factor": (True, _g_factor_reference),
+    "phi": (False, lambda _, x: _phi_reference(x)),
+    "recip_f_second_sign": (True, lambda a, x: _phi_reference(x) - a),
+    "g_aux": (False, lambda _, x: _g_aux_reference(x)),
+    "log_h_second_factor": (True, lambda p, x: p + _g_aux_reference(x)),
+    "j_factor": (True, _j_reference),
+    "l_factor": (True, _l_reference),
+}

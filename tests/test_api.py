@@ -1,9 +1,13 @@
 """Public-API surface: every exported name is reached by production code
-or by the acceptance gate.  Cross-checks that only tests use belong in
-tests/oracles.py, not in ``ellipcert.__all__``."""
+or by the acceptance gate, and the annotations of the public callables
+resolve.  Cross-checks that only tests use belong in tests/oracles.py,
+not in ``ellipcert.__all__``."""
 
 import ast
+import typing
 from pathlib import Path
+
+import pytest
 
 import ellipcert
 from ellipcert import cli
@@ -34,3 +38,17 @@ def test_every_public_name_is_reached():
     # certify looks its factors up by name: getattr(family, name)
     reached |= {factor for _, factor, _ in cli._CERTIFY_TABLE.values()}
     assert sorted(set(ellipcert.__all__) - reached) == []
+
+
+@pytest.mark.parametrize("name", [*ellipcert.__all__, "cli.main", "cli.build_parser",
+                                  "cli.run_from_manifest"])
+def test_annotations_resolve(name):
+    # annotations are postponed strings; each must name something the
+    # module has, so that typing.get_type_hints can evaluate it
+    module, _, attr = name.rpartition(".")
+    obj = getattr(cli if module else ellipcert, attr)
+    typing.get_type_hints(obj)
+    for method in vars(obj).values() if isinstance(obj, type) else ():
+        method = getattr(method, "__func__", method)  # staticmethod, classmethod
+        if callable(method):
+            typing.get_type_hints(method)

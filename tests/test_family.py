@@ -1,12 +1,15 @@
 """Function-zoo tests: factor identities, endpoint behavior, the
 closed forms near x = 0, and the finite-difference sign oracles."""
 
+import functools
 import math
 import random
 
 import pytest
 
 import oracles
+from ellipcert import cli, family
+from ellipcert.certify import ScanConfig, certify_sign
 from ellipcert.family import (
     ALPHA_LEMMA,
     CriticalConstants,
@@ -432,3 +435,59 @@ class TestDomainRejection:
     def test_rejects_outside_unit_interval(self, fn, bad):
         with pytest.raises(DomainError):
             fn(bad)
+
+
+# family function -> the name its domain error gives (the ones that were
+# phi(x) - a and p + G(x) keep the message of phi and g_aux)
+DOMAIN_NAMES = {
+    "u_aux": "u_aux", "v_aux": "v_aux", "delta_aux": "delta_aux",
+    "w_plus": "w_plus", "w_minus": "w_minus", "g_factor": "g_factor",
+    "phi": "phi", "recip_f_second_sign": "phi", "g_aux": "g_aux",
+    "log_h_second_factor": "g_aux", "j_factor": "j_factor", "l_factor": "l_factor",
+}
+
+
+class TestHotPath:
+    """A sign factor is one kernel call, and its inline 0 < x < 1 test
+    calls require_unit_interval only to raise."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"kernel": 0, "domain": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(family, "ellip_kpt", counted("kernel", family.ellip_kpt))
+        monkeypatch.setattr(family, "require_unit_interval",
+                            counted("domain", family.require_unit_interval))
+        return counts
+
+    @pytest.mark.parametrize("theorem", sorted(cli._CERTIFY_TABLE))
+    def test_one_kernel_call_per_evaluation(self, theorem, counts):
+        symbol, factor, claimed = cli._CERTIFY_TABLE[theorem]
+        evals = 0
+        for value in ((1.3, 1.5) if symbol == "a" else (0.1, 0.3)):
+            fn = functools.partial(getattr(family, factor), value)
+
+            def counted(x, fn=fn):
+                nonlocal evals
+                evals += 1
+                return fn(x)
+            certify_sign(counted, claimed, ScanConfig(n=200, refine_depth=2))
+        assert evals > 0
+        assert counts == {"kernel": evals, "domain": 0}
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_NAMES))
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.2, math.nan, math.inf, -math.inf])
+    def test_domain_message_unchanged(self, name, bad, counts):
+        takes_param = oracles.FACTOR_REFERENCES[name][0]
+        args = (0.3, bad) if takes_param else (bad,)
+        expected = f"{DOMAIN_NAMES[name]} must lie in the open interval (0, 1); got {bad!r}"
+        with pytest.raises(DomainError) as info:
+            getattr(family, name)(*args)
+        assert str(info.value) == expected
+        assert counts == {"kernel": 0, "domain": 1}

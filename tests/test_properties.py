@@ -12,13 +12,18 @@ against its set-based reference over any valid scan settings, and the
 inequality checks' column reducer against the per-point scan it replaced
 over any margin columns.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``ellip_kept``; the two
-must give the same double at every x in [0, 1).
+must give the same double at every x in [0, 1).  The factors' pass
+skips the E sum; E and every factor must give the same double as on
+``oracles.agm_reference``, which sums it, at every x in (0, 1).  Where
+``hyp2f1`` raises at once that its term cap cannot be met, summing to
+the cap must raise the same error.
 """
 
 import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -26,7 +31,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from ellipcert import cli  # noqa: E402
+from ellipcert import cli, family, specfun  # noqa: E402
 from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
 from ellipcert.inequalities import (  # noqa: E402
     EQUALITY_TOL,
@@ -34,7 +39,12 @@ from ellipcert.inequalities import (  # noqa: E402
     _report,
     inequality_grid,
 )
-from ellipcert.specfun import ellip_k, ellip_kept  # noqa: E402
+from ellipcert.specfun import (  # noqa: E402
+    ellip_e,
+    ellip_k,
+    ellip_kept,
+    legendre_residual,
+)
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -145,11 +155,11 @@ def test_render_matches_reference(fmt, rows):
     assert cli._render(rows, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
 
 
-def _examples(name, values):
-    """example(name=v) for each of values."""
+def _examples(name, values, **fixed):
+    """example(name=v, **fixed) for each of values."""
     def wrap(test):
         for v in values:
-            test = example(**{name: v})(test)
+            test = example(**{name: v}, **fixed)(test)
         return test
     return wrap
 
@@ -165,6 +175,42 @@ K_EXAMPLES = [0.0, 5e-324, 1e-300, 0.5, *(1.0 - 2.0 ** -k for k in range(1, 53))
 @_examples("x", K_EXAMPLES)
 def test_ellip_k_is_ellip_kept_k(x):
     assert ellip_k(x) == ellip_kept(x)[0]
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(x=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       param=st.floats(-2.0, 3.0))
+@_examples("x", [1e-300, 1e-9, 0.5, 1.0 - 1e-9, math.nextafter(1.0, 0.0)], param=1.47)
+def test_e_free_kernel_matches_reference(x, param):
+    # E, formed apart from the factors' pass, and every factor keep every
+    # bit of their values on the pass that summed E beside K, P and T2
+    assert _outcome(ellip_kept, x) == _outcome(oracles.agm_reference, x)
+    assert _outcome(ellip_e, x) == _outcome(lambda x: oracles.agm_reference(x)[1], x)
+    assert (_outcome(legendre_residual, x)
+            == _outcome(oracles.legendre_residual_reference, x))
+    for name, (takes_param, reference) in oracles.FACTOR_REFERENCES.items():
+        args = (param, x) if takes_param else (x,)
+        assert _outcome(getattr(family, name), *args) == _outcome(reference, param, x), name
+
+
+HYP_PARAMS = st.one_of(st.floats(1e-3, 4.0), st.floats(1e3, 1e12))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(a=HYP_PARAMS, b=HYP_PARAMS, c_share=st.floats(0.0, 1.2),
+       one_minus_x=st.floats(1e-12, 1.0, exclude_max=True),
+       max_terms=st.integers(1, 3000))
+@example(a=0.5, b=0.5, c_share=1.0, one_minus_x=1e-9, max_terms=3000)
+@example(a=1.5, b=1.5, c_share=1.0, one_minus_x=1e-3, max_terms=1000)
+@example(a=1e10, b=1e10, c_share=0.5, one_minus_x=1e-9, max_terms=3000)  # overflows
+def test_hyp2f1_cap_bound_is_sound(a, b, c_share, one_minus_x, max_terms):
+    # the early ConvergenceError comes only where summing up to the cap
+    # raises the same error; c = c_share (a + b) also covers c > a + b,
+    # and large a, b sums that overflow first
+    c, x = c_share * (a + b), 1.0 - one_minus_x
+    with mock.patch.object(specfun, "_cap_unreachable", lambda *args: False):
+        summed = _outcome(specfun.hyp2f1, a, b, c, x, max_terms=max_terms)
+    assert _outcome(specfun.hyp2f1, a, b, c, x, max_terms=max_terms) == summed
 
 
 @st.composite
@@ -238,10 +284,10 @@ def margin_columns(draw):
     return xs, columns, tight
 
 
-def _report_outcome(fn, *args):
-    """repr of the report, which tells -0.0 from 0.0, or the exception raised."""
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, which tells -0.0 from 0.0, or the exception raised."""
     try:
-        return repr(fn(*args))
+        return repr(fn(*args, **kwargs))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -262,6 +308,6 @@ def test_report_matches_scan_reference(data, x_p):
     def margins_at(i, _x):
         return [col[i] for col in cols]
 
-    assert (_report_outcome(_report, "check", 0.5, xs, columns, tight, x_p)
-            == _report_outcome(oracles.inequality_scan_reference,
-                               "check", 0.5, xs, list(columns), margins_at, tight, x_p))
+    assert (_outcome(_report, "check", 0.5, xs, columns, tight, x_p)
+            == _outcome(oracles.inequality_scan_reference,
+                        "check", 0.5, xs, list(columns), margins_at, tight, x_p))

@@ -5,8 +5,11 @@ or brute-series oracles in oracles.py and frozen; the tests re-derive
 them at run time so a drifting oracle or kernel is caught either way.
 """
 
+import contextlib
+import io
 import math
 import random
+import time
 
 import pytest
 
@@ -134,6 +137,47 @@ class TestHyp2f1:
     def test_term_cap(self):
         with pytest.raises(ConvergenceError):
             hyp2f1(0.5, 0.5, 1.0, 0.999999, max_terms=1000)
+
+    # to the bit, sums that converge before the cap, some close to it
+    @pytest.mark.parametrize("args, expected", [
+        ((0.5, 0.5, 1.0, 0.5), "0x1.2e2acd2eea493p+0"),
+        ((0.5, 0.5, 1.0, 0.99), "0x1.2d25cab8ece94p+1"),
+        ((0.5, 0.5, 1.0, 0.9999), "0x1.e83d16655da6bp+1"),
+        ((0.5, 0.5, 1.0, -0.9), "0x1.b14e01263b9e7p-1"),
+        ((1.5, 1.5, 3.0, 0.9), "0x1.f818a12c810adp+1"),
+        ((1.0, 1.0, 1.0, 0.5), "0x1.0000000000000p+1"),
+        ((1.0, 1.0, 2.0, 0.999), "0x1.ba89f3d352a94p+2"),
+        ((2.0, 3.0, 4.5, 0.7), "0x1.138421d6083b0p+2"),
+        ((0.25, 0.75, 1.0, 0.999), "0x1.3edf7cdba2594p+1"),
+    ])
+    def test_converging_sums_unchanged(self, args, expected):
+        assert hyp2f1(*args).hex() == expected
+
+    def test_unreachable_cap_fails_at_once(self):
+        # 2F1(1/2,1/2;1;x) = (2/pi) K grows like log(1/(1-x)); at the last
+        # point of the default grid its terms fall too slowly for the cap
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError) as info:
+            hyp2f1(0.5, 0.5, 1.0, 0.999999999)
+        assert time.perf_counter() - t0 < 0.1
+        assert str(info.value) == ("2F1(0.5, 0.5; 1.0; 0.999999999) "
+                                   "did not converge within 1000000 terms")
+
+    @pytest.mark.parametrize("grid_n, budget_s", [("100", 0.1), ("10000", None)])
+    def test_table_reproducer(self, grid_n, budget_s):
+        # the default grid's other 9,999 points converge, at about 1 s in
+        # all; on 100 points only the last one is slow without the bound
+        argv = ["table", "2F1", "--param", "a=0.5", "--param", "b=0.5",
+                "--param", "c=1", "--grid-n", grid_n]
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == ("error: 2F1(0.5, 0.5; 1.0; 0.999999999) "
+                                  "did not converge within 1000000 terms\n")
+        assert budget_s is None or elapsed < budget_s
 
     @pytest.mark.parametrize("a, b", [(1e200, 1e200), (math.nan, 0.5)])
     def test_non_finite_sum_stops_at_once(self, a, b):
