@@ -4,7 +4,9 @@ and emit plot-ready tables.
 
 Each command is two steps in ``_COMMANDS``: a parse step from the argparse
 namespace to the manifest's parameters, and a run step
-``run(cfg, seed, **parameters) -> (rows, exit code)``.  Every run embeds
+``run(cfg, seed, **parameters) -> (columns, exit code)``, whose columns are
+a dict of equal-length lists with its keys in output order; ``_render``
+formats them as they are, so no step builds a dict per row.  Every run embeds
 its manifest (command, parameters, scan configuration, output format,
 seed) in its output; ``run_from_manifest`` hands that manifest to the
 run step and byte-reproduces the output.  ``eval`` and ``table`` take
@@ -78,8 +80,8 @@ def _json(obj: object, **kwargs: object) -> str:
     the NaN/Infinity tokens that JSON does not have.
 
     The values are copied with nulls only when the strict dump fails, so
-    an object with only finite values is dumped without a copy.  Table
-    rows do not come through here: `_render` maps its columns itself.
+    an object with only finite values is dumped without a copy.  The
+    run steps' columns do not come through here: `_render` maps them itself.
     """
     try:
         return json.dumps(obj, allow_nan=False, **kwargs)
@@ -87,14 +89,15 @@ def _json(obj: object, **kwargs: object) -> str:
         return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
 
 
-def _render(rows: list[dict], manifest: RunManifest, fmt: str) -> str:
-    """Byte for byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
-    keys = list(rows[0]) if rows else []
-    cols = list(zip(*map(dict.values, rows)))  # every run step's rows share keys
+def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
+    """The columns of a run step, keys in output order, as text: byte for
+    byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
+    keys, cols = list(columns), list(columns.values())
+    n_rows = len(cols[0]) if cols else 0
     floats = [set(map(type, col)) == {float} for col in cols]
     if fmt == "json":
         head = _json({"manifest": manifest._asdict(), "results": []}, indent=2)
-        if not rows:
+        if not n_rows:
             return head + "\n"
         cell = json.JSONEncoder(allow_nan=False).encode
         cols = [list(map(float.__repr__, col))  # what json writes for a finite float
@@ -121,7 +124,7 @@ def _render(rows: list[dict], manifest: RunManifest, fmt: str) -> str:
         return buf.getvalue()
     # text
     lines = [f"manifest: {mjson}"]
-    if rows:
+    if n_rows:
         cells = [list(map("%.12g".__mod__, col) if is_float else map(fmt_human, col))
                  for col, is_float in zip(cols, floats)]
         widths = [max(len(k), max(map(len, c))) for k, c in zip(keys, cells)]
@@ -169,39 +172,40 @@ def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
                       refine_depth=args.refine)
 
 
-# fn name -> (required param names, factory(params) -> callable(x))
-_EVAL_FNS: dict[str, tuple[tuple[str, ...], object]] = {
-    "K": ((), lambda ps: specfun.ellip_k),
-    "E": ((), lambda ps: specfun.ellip_e),
-    "2F1": (("a", "b", "c"),
-            lambda ps: (lambda x: specfun.hyp2f1(ps["a"], ps["b"], ps["c"], x))),
-    "f": (("a",), lambda ps: (lambda x: family.f(ps["a"], x))),
-    "h": (("p",), lambda ps: (lambda x: family.h(ps["p"], x))),
-    "u": ((), lambda ps: family.u_aux),
-    "v": ((), lambda ps: family.v_aux),
-    "delta": ((), lambda ps: family.delta_aux),
-    "w_plus": ((), lambda ps: family.w_plus),
-    "w_minus": ((), lambda ps: family.w_minus),
-    "phi": ((), lambda ps: family.phi),
-    "G": ((), lambda ps: family.g_aux),
-    "J": (("p",), lambda ps: (lambda x: family.j_factor(ps["p"], x))),
-    "L": (("p",), lambda ps: (lambda x: family.l_factor(ps["p"], x))),
+# fn name -> (required param names, module, function name); the function
+# takes the params in that order, then x
+_EVAL_FNS: dict[str, tuple[tuple[str, ...], object, str]] = {
+    "K": ((), specfun, "ellip_k"),
+    "E": ((), specfun, "ellip_e"),
+    "2F1": (("a", "b", "c"), specfun, "hyp2f1"),
+    "f": (("a",), family, "f"),
+    "h": (("p",), family, "h"),
+    "u": ((), family, "u_aux"),
+    "v": ((), family, "v_aux"),
+    "delta": ((), family, "delta_aux"),
+    "w_plus": ((), family, "w_plus"),
+    "w_minus": ((), family, "w_minus"),
+    "phi": ((), family, "phi"),
+    "G": ((), family, "g_aux"),
+    "J": (("p",), family, "j_factor"),
+    "L": (("p",), family, "l_factor"),
 }
 
 
 def _resolve_fn(name: str, params: dict[str, float]):
-    """The callable of zoo function name, which must take exactly params."""
+    """The function of x of zoo function name, which must take exactly params."""
     if name not in _EVAL_FNS:
         raise DomainError(
             f"unknown function {name!r}; choose from {', '.join(sorted(_EVAL_FNS))}")
-    required, factory = _EVAL_FNS[name]
+    required, module, attr = _EVAL_FNS[name]
     for key in params:
         if key not in required:
             raise DomainError(f"function {name!r} takes no --param {key}")
     missing = [k for k in required if k not in params]
     if missing:
         raise DomainError(f"function {name!r} needs --param {missing[0]}=<value>")
-    return factory(params)
+    fn = getattr(module, attr)  # looked up per command, so that a patched attribute is called
+    return functools.partial(fn, *(params[k] for k in required)) if required else fn
 
 
 def _collect_params(fn: str, pairs: list[str] | None) -> dict[str, float]:
@@ -218,35 +222,33 @@ def _collect_params(fn: str, pairs: list[str] | None) -> dict[str, float]:
     return params
 
 
+def _columns(keys: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
+    """The few rows of a small run step, as its columns named keys."""
+    return dict(zip(keys, map(list, zip(*rows))))
+
+
 def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
-              **params: float) -> tuple[list[dict], int]:
+              **params: float) -> tuple[dict[str, list], int]:
     f = _resolve_fn(fn, params)
-    rows = []
+    values = []
     for xi in x:
         try:
-            rows.append({"x": xi, "value": f(xi)})
+            values.append(f(xi))
         except (DomainError, ConvergenceError) as exc:
             raise DomainError(f"at x={xi!r}: {exc}") from exc
-    return rows, EXIT_OK
+    return {"x": x, "value": values}, EXIT_OK
 
 
-def _run_constants(cfg: ScanConfig, seed: int) -> tuple[list[dict], int]:
+def _run_constants(cfg: ScanConfig, seed: int) -> tuple[dict[str, list], int]:
     res = find_a_c(cfg)
-    rows = [
-        {"name": "a_c", "value": res.value, "provenance": "computed",
-         "x_star": res.x_star, "tolerance": res.tolerance},
-    ]
-    rows += [{"name": name, "value": value, "provenance": "algebraic",
-              "x_star": None, "tolerance": None}
+    rows = [("a_c", res.value, "computed", res.x_star, res.tolerance)]
+    rows += [(name, value, "algebraic", None, None)
              for name, value in family.CriticalConstants(a_c=res.value)._asdict().items()
              if name != "a_c"]
-    rows.append({"name": "K_half", "value": specfun.ellip_k(0.5),
-                 "provenance": "computed", "x_star": None, "tolerance": None})
-    rows.append({"name": "gamma_quarter", "value": specfun.GAMMA_QUARTER,
-                 "provenance": "embedded", "x_star": None, "tolerance": None})
-    rows.append({"name": "gamma_three_quarter", "value": specfun.GAMMA_THREE_QUARTER,
-                 "provenance": "embedded", "x_star": None, "tolerance": None})
-    return rows, EXIT_OK
+    rows += [("K_half", specfun.ellip_k(0.5), "computed", None, None),
+             ("gamma_quarter", specfun.GAMMA_QUARTER, "embedded", None, None),
+             ("gamma_three_quarter", specfun.GAMMA_THREE_QUARTER, "embedded", None, None)]
+    return _columns(("name", "value", "provenance", "x_star", "tolerance"), rows), EXIT_OK
 
 
 # theorem id -> (param symbol, name of the family factor, claimed sign)
@@ -273,49 +275,24 @@ def _claim(theorem: str) -> tuple[str, str, str]:
 
 
 def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
-                 **params: float) -> tuple[list[dict], int]:
+                 **params: float) -> tuple[dict[str, list], int]:
     symbol, factor, claimed = _claim(theorem)
     value = params[symbol]
     # looked up per command, so that a patched family attribute is called
     cert = certify_sign(functools.partial(getattr(family, factor), value), claimed, cfg)
-    rows = [{
-        "theorem": theorem,
-        symbol: value,
-        "claimed": claimed,
-        "verdict": cert.verdict,
-        "min_abs_margin": cert.min_abs_margin,
-        "witness_x": cert.witness_x,
-        "witness_value": cert.witness_value,
-    }]
-    return rows, EXIT_OK if cert.verdict == claimed else EXIT_COUNTEREXAMPLE
+    keys = ("theorem", symbol, "claimed", "verdict", "min_abs_margin",
+            "witness_x", "witness_value")
+    row = (theorem, value, claimed, cert.verdict, cert.min_abs_margin,
+           cert.witness_x, cert.witness_value)
+    return _columns(keys, [row]), EXIT_OK if cert.verdict == claimed else EXIT_COUNTEREXAMPLE
 
 
 _VERIFY_SELECTORS = ("sum-bounds", "weighted-sum", "product-pair",
                      "mean-chain", "k-envelope", "gamma-constants", "all")
 
 
-def _report_rows(rep: inequalities.InequalityReport) -> list[dict]:
-    rows = []
-    if rep.x_p is not None:
-        rows.append({"check": rep.name, "param": rep.param, "clause": "x_p",
-                     "max_violation": None, "verdict": rep.verdict,
-                     "witness_x": rep.x_p,
-                     "equality_points": ""})
-    for clause, margin in rep.clause_margins.items():
-        rows.append({
-            "check": rep.name,
-            "param": rep.param,
-            "clause": clause,
-            "max_violation": margin,
-            "verdict": rep.verdict,
-            "witness_x": rep.witness_x if rep.witness_clause == clause else None,
-            "equality_points": ";".join(fmt_full(x) for x in rep.equality_points),
-        })
-    return rows
-
-
 def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
-                p: float | None) -> tuple[list[dict], int]:
+                p: float | None) -> tuple[dict[str, list], int]:
     if selector not in _VERIFY_SELECTORS:
         raise DomainError(
             f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
@@ -340,12 +317,23 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
             reports.append(inequalities.check_k_envelope(pk, cols))
     if selector in ("gamma-constants", "all"):
         reports.append(inequalities.check_gamma_constant_identities())
-    rows = [row for rep in reports for row in _report_rows(rep)]
-    return rows, EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_COUNTEREXAMPLE
+    # each report's x_p row, where it has one, then one row per clause
+    rows = []
+    for rep in reports:
+        if rep.x_p is not None:
+            rows.append((rep.name, rep.param, "x_p", None, rep.verdict, rep.x_p, ""))
+        points = ";".join(map(fmt_full, rep.equality_points))
+        rows += [(rep.name, rep.param, clause, margin, rep.verdict,
+                  rep.witness_x if rep.witness_clause == clause else None, points)
+                 for clause, margin in rep.clause_margins.items()]
+    keys = ("check", "param", "clause", "max_violation", "verdict", "witness_x",
+            "equality_points")
+    return (_columns(keys, rows),
+            EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_COUNTEREXAMPLE)
 
 
 def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
-               **params: float) -> tuple[list[dict], int]:
+               **params: float) -> tuple[dict[str, list], int]:
     f = _resolve_fn(fn, params)
     if spacing == "uniform":
         xs = cfg.grid()
@@ -355,7 +343,7 @@ def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
         ratio = (hi / lo) ** (1.0 / (cfg.n - 1))
         xs = [lo * ratio ** i for i in range(cfg.n)]
         xs[-1] = hi
-    return [{"x": x, "value": f(x)} for x in xs], EXIT_OK
+    return {"x": xs, "value": list(map(f, xs))}, EXIT_OK
 
 
 # command -> (parse step: namespace -> manifest parameters, run step)
@@ -443,10 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_from_manifest(manifest: dict[str, object]) -> str:
     """Re-run a manifest dict, as parsed from any output, and return the
-    rendered output text: the run step called with the manifest's values."""
+    rendered output text: the run step called with the manifest's values,
+    and its columns rendered."""
     m = RunManifest(**{**manifest, "scan": ScanConfig(**manifest["scan"])})
-    rows, _ = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
-    return _render(rows, m, m.output_format)
+    columns, _ = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
+    return _render(columns, m, m.output_format)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -455,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = parse(args)
         cfg = _scan_from_args(args)
-        rows, code = run(cfg, args.seed, **params)
+        columns, code = run(cfg, args.seed, **params)
     except (DomainError, ConvergenceError, BracketNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -467,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONCLUSIVE
     manifest = RunManifest(args.command, params, cfg, args.format, args.seed)
     try:
-        _emit(_render(rows, manifest, args.format), args.out)
+        _emit(_render(columns, manifest, args.format), args.out)
     except OSError as exc:  # --out names a missing directory, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,8 +15,10 @@ the ratios from a sum of positive terms with no series cut.  The sign
 factors read only K, P and T2, through ``ellip_kpt``, so the pass skips
 the E sum; E is formed from the same pass only for ``ellip_e``,
 ``ellip_kept`` and ``legendre_residual``.  ``ellip_k``, the one function
-the inequality grids call, runs the same recurrence without the P and T2
-sums; a test guards that it returns ``ellip_kept(x)[0]`` bit for bit.
+the inequality grids call, runs the same recurrence in its own loop,
+without the P and T2 sums: change the loops of ``_agm`` and ``ellip_k``
+together.  A test guards that ``ellip_k`` returns ``ellip_kept(x)[0]``
+bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -73,7 +75,8 @@ def _agm(x: float) -> tuple[float, float, float, float]:
     q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
-    kept, and a, b within 3e-14 of each other.
+    kept, and a, b within 3e-14 of each other.  ``ellip_k`` runs the a, b,
+    q, t recurrence alone: change the two loops together.
     """
     y = math.sqrt(1.0 - x)                    # b_0
     t = 0.5 / (1.0 + y)                       # t_1
@@ -113,11 +116,17 @@ def _e_from(x: float, k: float, tail: float) -> float:
     return k * (e - 0.5 * x * x * tail)
 
 
-def _agm_k(x: float) -> float:
-    """K at 0 <= x < 1: the a, b, q, t recurrence of _agm without its
-    P, T2 and tail sums, which never feed a, b, q or t, so the result is
-    _agm(x)[0] to the bit.  Change the two loops together.
+def ellip_k(x: float) -> float:
+    """Complete integral of the first kind at parameter x, 0 <= x < 1.
+
+    Strictly increasing, diverging like -log(1-x)/2 as x -> 1.
+    Relative error is a few ulp across the domain.  The loop is the a, b,
+    q, t recurrence of ``_agm`` without its P, T2 and tail sums, which
+    never feed a, b, q or t, so the result is ``_agm(x)[0]`` to the bit.
+    Change the two loops together.
     """
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
     y = math.sqrt(1.0 - x)
     t = 0.5 / (1.0 + y)
     a, b = 0.5 * (1.0 + y), math.sqrt(y)
@@ -131,17 +140,6 @@ def _agm_k(x: float) -> float:
         q = x * t / a
         t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
     return PI / (a + b)
-
-
-def ellip_k(x: float) -> float:
-    """Complete integral of the first kind at parameter x, 0 <= x < 1.
-
-    Strictly increasing, diverging like -log(1-x)/2 as x -> 1.
-    Relative error is a few ulp across the domain.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
-    return _agm_k(x)
 
 
 def ellip_e(x: float) -> float:
@@ -237,10 +235,16 @@ def legendre_residual(x: float) -> float:
     """E(x)K(1-x) + E(1-x)K(x) - K(x)K(1-x) - pi/2.
 
     Identically zero in exact arithmetic; a continuous self-test of the
-    K/E kernel, expected below 1e-12 in magnitude everywhere on (0,1).
+    K/E kernel, expected below 1e-12 in magnitude on (0,1) wherever
+    1 - x rounds below 1: for x <= 2**-54 it rounds to 1, where K is
+    infinite, and DomainError is raised.
     """
     require_unit_interval(x, "legendre_residual")
+    xc = 1.0 - x
+    if xc == 1.0:
+        raise DomainError(f"legendre_residual needs 1 - x < 1 in floating point, "
+                          f"since K(1) is infinite; got x={x!r}")
     kx, _p, _t2, tx = _agm(x)
-    kc, _p, _t2, tc = _agm(1.0 - x)
-    ex, ec = _e_from(x, kx, tx), _e_from(1.0 - x, kc, tc)
+    kc, _p, _t2, tc = _agm(xc)
+    ex, ec = _e_from(x, kx, tx), _e_from(xc, kc, tc)
     return ex * kc + ec * kx - kx * kc - 0.5 * PI

@@ -52,6 +52,7 @@ from ellipcert.inequalities import (
     _cluster,
 )
 from ellipcert.specfun import (
+    DomainError,
     ellip_k,
     ellip_kept,
     hyp2f1,
@@ -506,6 +507,9 @@ def agm_reference(x: float) -> tuple[float, float, float, float]:
 def legendre_residual_reference(x: float) -> float:
     """specfun.legendre_residual on agm_reference."""
     require_unit_interval(x, "legendre_residual")
+    if 1.0 - x == 1.0:
+        raise DomainError(f"legendre_residual needs 1 - x < 1 in floating point, "
+                          f"since K(1) is infinite; got x={x!r}")
     kx, ex = agm_reference(x)[:2]
     kc, ec = agm_reference(1.0 - x)[:2]
     return ex * kc + ec * kx - kx * kc - 0.5 * PI

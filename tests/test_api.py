@@ -1,7 +1,8 @@
 """Public-API surface: every exported name is reached by production code
 or by the acceptance gate, and the annotations of the public callables
-resolve.  Cross-checks that only tests use belong in tests/oracles.py,
-not in ``ellipcert.__all__``."""
+and of every function ``ellipcert.cli`` defines resolve.  Cross-checks
+that only tests use belong in tests/oracles.py, not in
+``ellipcert.__all__``."""
 
 import ast
 import typing
@@ -35,13 +36,18 @@ def test_every_public_name_is_reached():
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             reached |= _used_names(path)
-    # certify looks its factors up by name: getattr(family, name)
+    # certify, eval and table look their functions up by name: getattr(family, name)
     reached |= {factor for _, factor, _ in cli._CERTIFY_TABLE.values()}
+    reached |= {attr for _, _, attr in cli._EVAL_FNS.values()}
     assert sorted(set(ellipcert.__all__) - reached) == []
 
 
-@pytest.mark.parametrize("name", [*ellipcert.__all__, "cli.main", "cli.build_parser",
-                                  "cli.run_from_manifest"])
+# every function and class that ellipcert.cli defines, private ones too
+CLI_DEFINED = [f"cli.{name}" for name, obj in vars(cli).items()
+               if callable(obj) and getattr(obj, "__module__", None) == cli.__name__]
+
+
+@pytest.mark.parametrize("name", [*ellipcert.__all__, *CLI_DEFINED])
 def test_annotations_resolve(name):
     # annotations are postponed strings; each must name something the
     # module has, so that typing.get_type_hints can evaluate it

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ellipcert import cli
+from ellipcert import cli, family, specfun
 from ellipcert.specfun import DomainError
 
 FAST = ["--grid-n", "2000"]
@@ -280,14 +280,28 @@ class TestFloatRange:
 
     def test_json_writes_nonfinite_as_null(self):
         manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json", 0)
-        rows = [{"x": 0.5, "value": math.inf}, {"x": 0.6, "value": math.nan},
-                {"x": 0.7, "value": 1.0}]
-        doc = json.loads(cli._render(rows, manifest, "json"),
+        columns = {"x": [0.5, 0.6, 0.7], "value": [math.inf, math.nan, 1.0]}
+        doc = json.loads(cli._render(columns, manifest, "json"),
                          parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
         assert [r["value"] for r in doc["results"]] == [None, None, 1.0]
 
 
 class TestTable:
+    @pytest.mark.parametrize("module, attr, argv", [
+        (specfun, "ellip_k", ["table", "K"]),
+        (family, "j_factor", ["table", "J", "--param", "p=0.5"]),
+    ])
+    def test_function_looked_up_per_command(self, monkeypatch, capsys, module, attr, argv):
+        # a module attribute patched after import (as the benchmark's tracer
+        # does) is the one that eval and table call
+        calls = []
+        original = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args: calls.append(args) or original(*args))
+        code, _, _ = run(capsys, argv + ["--grid-n", "50"])
+        assert code == 0 and len(calls) == 50
+        code, _, _ = run(capsys, ["eval", *argv[1:], "0.5"])
+        assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == 51
+
     def test_w_plus_table(self, capsys):
         code, out, _ = run(capsys, ["table", "w_plus", "--grid-n", "1000",
                                     "--format", "csv"])

@@ -8,8 +8,9 @@ the k-envelope check below 1/4
 (whose grid ends at x_p), verify on narrowed grids (whose tails and
 midpoint differ from the default) and both table spacings, all on a
 500-point grid; every output format: json and csv tables, constants and
-verify all (str and None cells), and eval's json; and one csv table
-of every function `table` offers.  To re-pin after a deliberate output change, print
+verify all (str and None cells), eval's json, eval of every function
+with parameters in csv and text, and the w_plus and J tables in json
+and text; and one csv table of every function `table` offers.  To re-pin after a deliberate output change, print
 hashlib.sha256(stdout.encode()).hexdigest() for each argv.
 """
 
@@ -105,6 +106,28 @@ GOLDEN = [
     (["verify", "weighted-sum", "--p", "0.3", "--format", "csv"], 0, "951a8c89c5033dc8fe4b568760e794a3401e895fce3347ea95aec00a438ea376"),
     (["verify", "product-pair", "--p", "0.1", "--format", "csv"], 0, "256719d944776a30f2d213d78df70af9589dcef4df52261ba6c23eaa6786691a"),
     (["verify", "mean-chain", "--p", "1.2", "--seed", "7", "--format", "csv"], 0, "db5969e936b01535329d64b0914a5f639575812855b70d2fd8751aed4d37229f"),
+    # eval of every parametrised function in csv and text, and an eval
+    # whose second point is outside K's domain (exit 2, empty stdout)
+    (["eval", "f", "--param", "a=1.47", "0.1", "1/2", "0.999", "--format", "csv"], 0, "4ea6a5ec08e938a8e382c6fadf3a42e78b823b6c3dc35d2ac9731f4b87b733c0"),
+    (["eval", "h", "--param", "p=7/32", "1e-9", "0.5", "0.9", "--format", "csv"], 0, "6a61a71470d7c3b56935ecd655edee11fd958dae1c956ada2a0cc84b8720b7ec"),
+    (["eval", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1", "0.1", "0.5", "0.9", "--format", "csv"], 0, "40626efdca1fb20251765f56468faac6693439348d05518b60ac324cb2046cf9"),
+    (["eval", "J", "--param", "p=0.5", "0.01", "0.5", "0.99", "--format", "csv"], 0, "07de32cf926321bd00b24b0f02a5b5ae83bfdb85dc6b2293cfc22ad05b3657cd"),
+    (["eval", "L", "--param", "p=0.1", "0.01", "0.5", "0.99", "--format", "csv"], 0, "c501d5df2be62ad47babf7a831086609bbe3cec2ac767b5ab9916d61056bcb70"),
+    (["eval", "f", "--param", "a=1.47", "0.1", "1/2", "0.999", "--format", "text"], 0, "c4dcee040c7cbcf6f0fbd7b9847cf35746babc90e2c4fdb11367be9fb1f244da"),
+    (["eval", "h", "--param", "p=7/32", "1e-9", "0.5", "0.9", "--format", "text"], 0, "fb7371d5e345c6b5496493d998c425cd5e3272ea12029d325b3d9ebc4c010a64"),
+    (["eval", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1", "0.1", "0.5", "0.9", "--format", "text"], 0, "b1ba4ceaecf0f1b6339cbc6fed87b9b5681be0bb3816c4c525ee055c781c16e7"),
+    (["eval", "J", "--param", "p=0.5", "0.01", "0.5", "0.99", "--format", "text"], 0, "1dd80f2014cf2960a3af777f69101f7d85d8d1f574f90241d85f9a9192e3b98f"),
+    (["eval", "L", "--param", "p=0.1", "0.01", "0.5", "0.99", "--format", "text"], 0, "f1a4c3dbdfde5fa2c2193d751d5257f992b50bb5e5f94cb2749e657eadf66c44"),
+    (["eval", "K", "0.5", "1.5"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # the w_plus and J tables in json and text, both spacings
+    (["table", "w_plus", "--spacing", "uniform", "--format", "json"], 0, "10402245f9726944e5c449aec2be93cffdca6e601604ccd0a5d3571243e908c7"),
+    (["table", "w_plus", "--spacing", "geometric", "--format", "json"], 0, "0eb1fbdbc279f774b2461f8dd9dbc5f6d20e2072618e89f90389cc4fdb287567"),
+    (["table", "w_plus", "--spacing", "uniform", "--format", "text"], 0, "f1d718cf5d3d5112e4b72f40ac0ad8fd5d9804a9d7bf34243b5402ffd9c612dc"),
+    (["table", "w_plus", "--spacing", "geometric", "--format", "text"], 0, "105c2ee667931f6b6156d6e30ad4382c8633d784d1e047d4ded7c10c58f1eb2c"),
+    (["table", "J", "--param", "p=0.5", "--spacing", "uniform", "--format", "json"], 0, "40960c10965a1b0e69984f5774ef3b0dae48312cad6a3ff0348543d4d49d3da5"),
+    (["table", "J", "--param", "p=0.5", "--spacing", "geometric", "--format", "json"], 0, "06dbd1c3fbc8ce126569ba2853dd7b6065ef4c91d6a883471d58ade4aabe3648"),
+    (["table", "J", "--param", "p=0.5", "--spacing", "uniform", "--format", "text"], 0, "a35e607ad4616c55d015519055c4513929dbacfb5bac749033478c048a06a837"),
+    (["table", "J", "--param", "p=0.5", "--spacing", "geometric", "--format", "text"], 0, "c77fad3c0d83b887941cc4c54fff40c70d2943cc327f8c42f5876e47bb69eb12"),
 ]
 
 

@@ -152,7 +152,8 @@ def tables(draw):
 def test_render_matches_reference(fmt, rows):
     manifest = cli.RunManifest("table", {"fn": "K", "spacing": "uniform"},
                                cli.DEFAULT_SCAN, fmt, 0)
-    assert cli._render(rows, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
+    columns = {k: [row[k] for row in rows] for k in rows[0]} if rows else {}
+    assert cli._render(columns, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
 
 
 def _examples(name, values, **fixed):

@@ -285,6 +285,18 @@ class TestLegendreResidual:
         for x in grid(100, lo=1e-4, hi=1 - 1e-4):
             assert abs(legendre_residual(x)) <= 1e-12
 
+    @pytest.mark.parametrize("x", [5.55e-17, 1e-300])
+    def test_one_minus_x_rounding_to_one_is_a_domain_error(self, x):
+        # 1 - x rounds to 1.0, where K(1 - x) is infinite
+        with pytest.raises(DomainError, match=r"legendre_residual needs 1 - x < 1"):
+            legendre_residual(x)
+
+    def test_smallest_x_whose_complement_rounds_below_one(self):
+        x = math.nextafter(2.0**-54, 1.0)
+        assert 1.0 - x < 1.0 and 1.0 - math.nextafter(x, 0.0) == 1.0
+        value = legendre_residual(x)
+        assert math.isfinite(value) and abs(value) < 1e-12
+
 
 class TestRatioHelpers:
     def test_ke_ratio_limit_and_match(self):
@@ -341,9 +353,9 @@ class TestOnePassKernel:
     def test_k_only_pass_on_table_grids(self, spacing):
         # ellip_k runs the K-only AGM loop, ellip_kept the full one: every
         # value of a 20k-point `table K` is ellip_kept's K to the bit
-        rows = cli._run_table(ScanConfig(n=20000), 0, "K", spacing)[0]
-        assert len(rows) == 20000
-        bad = [r["x"] for r in rows if r["value"] != ellip_kept(r["x"])[0]]
+        cols = cli._run_table(ScanConfig(n=20000), 0, "K", spacing)[0]
+        assert len(cols["x"]) == 20000
+        bad = [x for x, v in zip(cols["x"], cols["value"]) if v != ellip_kept(x)[0]]
         assert not bad, bad[:5]
 
 
