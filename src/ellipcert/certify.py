@@ -49,7 +49,8 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
 
     The scan covers [lo + endpoint_offset, hi - endpoint_offset] with n
     uniform points; refine_depth levels of local refinement are applied
-    around near-zero values.
+    around near-zero values.  endpoint_offset is a normal double, so that
+    no step or ratio built from it overflows; hi - endpoint_offset < 1.
     """
 
     __slots__ = ()
@@ -60,12 +61,16 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
             raise ValueError(f"need 0 <= lo < hi <= 1; got lo={self.lo}, hi={self.hi}")
         if self.n < 2:
             raise ValueError(f"grid size must be at least 2; got n={self.n}")
-        if not self.endpoint_offset > 0.0:  # also NaN
-            raise ValueError(f"endpoint_offset must be positive; got {self.endpoint_offset}")
+        if not self.endpoint_offset >= 2.2250738585072014e-308:  # also NaN
+            raise ValueError("endpoint_offset must be at least the smallest normal double "
+                             f"2.2250738585072014e-308; got {self.endpoint_offset}")
         if self.refine_depth < 0:
             raise ValueError(f"refine_depth must be >= 0; got {self.refine_depth}")
         if self.lo + self.endpoint_offset >= self.hi - self.endpoint_offset:
             raise ValueError("offsets leave an empty scan interval")
+        if not self.hi - self.endpoint_offset < 1.0:
+            raise ValueError("hi - endpoint_offset rounds to 1, outside (0, 1); "
+                             f"got endpoint_offset={self.endpoint_offset}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates

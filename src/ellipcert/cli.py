@@ -8,8 +8,9 @@ namespace to the manifest's parameters, and a run step
 a dict of equal-length lists with its keys in output order; ``_render``
 formats them as they are, so no step builds a dict per row.  Every run embeds
 its manifest (command, parameters, scan configuration, output format,
-seed) in its output; ``run_from_manifest`` hands that manifest to the
-run step and byte-reproduces the output.  ``eval`` and ``table`` take
+seed) in its output; ``main`` runs the manifest it records through
+``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
+a replay byte-reproduces the output.  ``eval`` and ``table`` take
 exactly the ``--param`` keys their function needs; any other key is a
 usage error.  Exit codes: 0 verified/pass, 1 counterexample found, 2
 usage or domain error (an unwritable ``--out`` too), 3 inconclusive.
@@ -77,16 +78,8 @@ def _null_nonfinite(v: object) -> object:
 
 def _json(obj: object, **kwargs: object) -> str:
     """Strict JSON: a NaN or infinite value is written as null, never as
-    the NaN/Infinity tokens that JSON does not have.
-
-    The values are copied with nulls only when the strict dump fails, so
-    an object with only finite values is dumped without a copy.  The
-    run steps' columns do not come through here: `_render` maps them itself.
-    """
-    try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
-    except ValueError:
-        return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
+    the NaN/Infinity tokens that JSON does not have."""
+    return json.dumps(_null_nonfinite(obj), allow_nan=False, **kwargs)
 
 
 def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
@@ -429,22 +422,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(m: RunManifest) -> tuple[str, int]:
+    """The output text and exit code of manifest m: its run step, rendered."""
+    columns, code = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
+    return _render(columns, m, m.output_format), code
+
+
 def run_from_manifest(manifest: dict[str, object]) -> str:
     """Re-run a manifest dict, as parsed from any output, and return the
-    rendered output text: the run step called with the manifest's values,
-    and its columns rendered."""
-    m = RunManifest(**{**manifest, "scan": ScanConfig(**manifest["scan"])})
-    columns, _ = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
-    return _render(columns, m, m.output_format)
+    rendered output text: what main wrote for it."""
+    return _run(RunManifest(**{**manifest, "scan": ScanConfig(**manifest["scan"])}))[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    parse, run = _COMMANDS[args.command]
     try:
-        params = parse(args)
-        cfg = _scan_from_args(args)
-        columns, code = run(cfg, args.seed, **params)
+        params = _COMMANDS[args.command][0](args)  # before the scan, for its error
+        text, code = _run(RunManifest(args.command, params, _scan_from_args(args),
+                                      args.format, args.seed))
     except (DomainError, ConvergenceError, BracketNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -454,9 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveScanError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    manifest = RunManifest(args.command, params, cfg, args.format, args.seed)
     try:
-        _emit(_render(columns, manifest, args.format), args.out)
+        _emit(text, args.out)
     except OSError as exc:  # --out names a missing directory, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

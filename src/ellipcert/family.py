@@ -17,8 +17,9 @@ inline, calling require_unit_interval only to raise.  Raw
 numerical differentiation is never used here; finite differences exist
 only as oracles in the test suite.
 
-Everything is a pure function; endpoint extension values are produced
-only when the caller passes an explicit endpoint flag.
+Every function here is pure and takes x in the open interval (0, 1),
+where the paper states its results; the public ones raise DomainError at
+0 and 1, and their docstrings state the limits there.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ SQRT2 = math.sqrt(2.0)
 
 # Parameter thresholds of the zoo (all algebraic except a_c, which is
 # computed by certify.find_a_c and deliberately not hard-coded here).
-A_CONCAVE = 4.0 / 3.0            # unique concavity value of f(a, .)
 A_RECIP_CONVEX = LOG4            # 1/f convex  iff a <= log 4
 A_RECIP_CONCAVE = 8.0 / 5.0      # 1/f concave iff a >= 8/5
 P_LOGCONCAVE = 7.0 / 32.0        # h log-concave iff p >= 7/32
@@ -68,18 +68,8 @@ class CriticalConstants(namedtuple(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
 
-def f(a: float, x: float, *, endpoint: bool = False) -> float:
-    """K(x) / (a - log(1-x)/2); continuous extensions at 0 and 1 on request.
-
-    With ``endpoint=True`` the closures f(a, 0) = pi/(2a) and f(a, 1) = 1
-    are returned at exactly 0.0 / 1.0; otherwise endpoints raise.
-    """
-    if endpoint and x == 0.0:
-        if a <= 0.0:
-            raise DomainError(f"f endpoint value at 0 needs a > 0; got a={a!r}")
-        return PI / (2.0 * a)
-    if endpoint and x == 1.0:
-        return 1.0
+def f(a: float, x: float) -> float:
+    """K(x) / (a - log(1-x)/2); tends to pi/(2a) at 0+ (a > 0) and to 1 at 1-."""
     require_unit_interval(x, "f")
     return f_from_k(a, x, ellip_k(x))
 
@@ -185,21 +175,10 @@ def recip_f_second_sign(a: float, x: float) -> float:
     return 0.5 * math.log1p(-x) - 2.0 * k * p / b - a
 
 
-def h(p: float, x: float, *, endpoint: bool = False) -> float:
-    """(1-x)^p K(x); endpoint closures h(p, 0) = pi/2 and h(p, 1) = 0 (p > 0)."""
-    if endpoint and x == 0.0:
-        return PI / 2
-    if endpoint and x == 1.0:
-        if p <= 0.0:
-            raise DomainError(f"h diverges at x=1 for p <= 0; got p={p!r}")
-        return 0.0
+def h(p: float, x: float) -> float:
+    """(1-x)^p K(x); tends to pi/2 at 0+ and, for p > 0, to 0 at 1-."""
     require_unit_interval(x, "h")
-    return h_from_k(p, x, ellip_k(x))
-
-
-def h_from_k(p: float, x: float, k: float) -> float:
-    """h(p, x) from k = K(x): (1-x)^p k, for callers that hold K."""
-    return (1.0 - x) ** p * k
+    return (1.0 - x) ** p * ellip_k(x)
 
 
 def g_aux(x: float) -> float:

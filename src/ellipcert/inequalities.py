@@ -52,8 +52,6 @@ VIOLATION_TOL = 1e-12
 EQUALITY_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 
-SQRT2 = math.sqrt(2.0)
-
 _GEOMETRIC_POINTS = 20
 
 
@@ -233,8 +231,8 @@ def check_weighted_sum(p: float,
     mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
     below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
     cols = _columns(grid)
-    h_from_k = family.h_from_k
-    total = [h_from_k(p, r, kr) + h_from_k(p, 1.0 - r, km)
+    # h(p, r) + h(p, 1 - r), with 1 - (1 - r) rounded as h(p, 1 - r) rounds it
+    total = [(1.0 - r) ** p * kr + (1.0 - (1.0 - r)) ** p * km
              for r, kr, km in zip(cols.xs, cols.k, cols.k_mirror)]
     return _report("weighted-sum", p, cols.xs,
                    {"lower": [below - t for t in total], "upper": [t - above for t in total]},
@@ -376,7 +374,7 @@ def check_gamma_constant_identities() -> InequalityReport:
     k_half = ellip_k(0.5)
     closed = PI * math.sqrt(PI) / (2.0 * GAMMA_THREE_QUARTER ** 2)
     sq = GAMMA_QUARTER ** 4 / (16.0 * PI)
-    refl = GAMMA_QUARTER * GAMMA_THREE_QUARTER - PI * SQRT2
+    refl = GAMMA_QUARTER * GAMMA_THREE_QUARTER - PI * family.SQRT2
 
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)

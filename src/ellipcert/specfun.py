@@ -13,12 +13,11 @@ converges quadratically (about five doublings to machine precision) and
 yields K and the ratios P = (K-E)/x and T2 = ((2-x)K-2E)/x^2 together,
 the ratios from a sum of positive terms with no series cut.  The sign
 factors read only K, P and T2, through ``ellip_kpt``, so the pass skips
-the E sum; E is formed from the same pass only for ``ellip_e``,
-``ellip_kept`` and ``legendre_residual``.  ``ellip_k``, the one function
-the inequality grids call, runs the same recurrence in its own loop,
-without the P and T2 sums: change the loops of ``_agm`` and ``ellip_k``
-together.  A test guards that ``ellip_k`` returns ``ellip_kept(x)[0]``
-bit for bit.
+the E sum; ``_e_from`` forms E from the same pass only for ``ellip_e``
+and ``legendre_residual``.  ``ellip_k``, the one function the inequality
+grids call, runs the same recurrence in its own loop, without the P and
+T2 sums: change the loops of ``ellip_kpt`` and ``ellip_k`` together.  A
+test guards that ``ellip_k`` returns ``ellip_kpt(x)[0]`` bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -57,9 +56,11 @@ def require_unit_interval(x: float, what: str = "x") -> None:
         raise DomainError(f"{what} must lie in the open interval (0, 1); got {x!r}")
 
 
-def _agm(x: float) -> tuple[float, float, float, float]:
+def ellip_kpt(x: float) -> tuple[float, float, float, float]:
     """(K, P, T2, tail) at 0 <= x < 1 in one AGM pass, P = (K-E)/x and
     T2 = ((2-x)K - 2E)/x^2; tail is the part of the T2 sum that E needs.
+    The sign factors' kernel entry: no domain check, for callers that
+    have checked 0 < x < 1 themselves.
 
     With a_0 = 1, b_0 = sqrt(1-x), c_{n+1} = (a_n - b_n)/2 = c_n^2/(4 a_{n+1})
     (Borwein & Borwein, *Pi and the AGM*, ch. 1), t_n = c_n/x and the
@@ -71,7 +72,7 @@ def _agm(x: float) -> tuple[float, float, float, float]:
     where b_2^2 + c_1^2/2 = a_1^2 - 2 c_2^2 replaces the one step of the E
     sum that cancels badly as x -> 1.  The sign factors read only K, P and
     T2, so E is not formed here: ``_e_from`` forms it from K and tail for
-    ``ellip_e`` and ``ellip_kept``.  t_{n+1} is (a_n - b_n)/(2x) while
+    ``ellip_e`` and ``legendre_residual``.  t_{n+1} is (a_n - b_n)/(2x) while
     q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
@@ -101,13 +102,8 @@ def _agm(x: float) -> tuple[float, float, float, float]:
     return k, 0.5 * k * (1.0 + x * s), k * s, tail
 
 
-# The sign factors' kernel entry: (K, P, T2, tail) with no domain check,
-# for callers that have checked 0 < x < 1 themselves.
-ellip_kpt = _agm
-
-
 def _e_from(x: float, k: float, tail: float) -> float:
-    """E from K and tail of _agm(x): its first step, same operations in
+    """E from K and tail of ellip_kpt(x): its first step, same operations in
     the same order, gives b_2^2 + c_1^2/2, so E keeps every bit."""
     y = math.sqrt(1.0 - x)
     t = 0.5 / (1.0 + y)
@@ -121,8 +117,8 @@ def ellip_k(x: float) -> float:
 
     Strictly increasing, diverging like -log(1-x)/2 as x -> 1.
     Relative error is a few ulp across the domain.  The loop is the a, b,
-    q, t recurrence of ``_agm`` without its P, T2 and tail sums, which
-    never feed a, b, q or t, so the result is ``_agm(x)[0]`` to the bit.
+    q, t recurrence of ``ellip_kpt`` without its P, T2 and tail sums, which
+    never feed a, b, q or t, so the result is ``ellip_kpt(x)[0]`` to the bit.
     Change the two loops together.
     """
     if not 0.0 <= x < 1.0:
@@ -151,20 +147,8 @@ def ellip_e(x: float) -> float:
         raise DomainError(f"ellip_e requires 0 <= x <= 1; got {x!r}")
     if x == 1.0:
         return 1.0
-    k, _p, _t2, tail = _agm(x)
+    k, _p, _t2, tail = ellip_kpt(x)
     return _e_from(x, k, tail)
-
-
-def ellip_kept(x: float) -> tuple[float, float, float, float]:
-    """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) in one AGM pass, 0 <= x < 1.
-
-    The two ratios are free of cancellation and take their limits
-    pi/4 and pi/16 at x = 0.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"ellip_kept requires 0 <= x < 1; got {x!r}")
-    k, p, t2, tail = _agm(x)
-    return k, _e_from(x, k, tail), p, t2
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *,
@@ -244,7 +228,7 @@ def legendre_residual(x: float) -> float:
     if xc == 1.0:
         raise DomainError(f"legendre_residual needs 1 - x < 1 in floating point, "
                           f"since K(1) is infinite; got x={x!r}")
-    kx, _p, _t2, tx = _agm(x)
-    kc, _p, _t2, tc = _agm(xc)
+    kx, _p, _t2, tx = ellip_kpt(x)
+    kc, _p, _t2, tc = ellip_kpt(xc)
     ex, ec = _e_from(x, kx, tx), _e_from(xc, kc, tc)
     return ex * kc + ec * kx - kx * kc - 0.5 * PI

@@ -10,8 +10,10 @@ The cross-checks below the elementary oracles are built from the
 package's public functions: an alternative route to a value that
 production code computes one way only (Euler's transformation of 2F1,
 the unfactored f'' quadratic, the derivatives of K and E, the multiplier
-of (1/f)'') and the asymptotic expansion of K at 1; ``ke_ratio`` and
-``ke_ratio2`` name the two ratios of ``ellip_kept``.  The ``*_reference``
+of (1/f)'') and the asymptotic expansion of K at 1.  ``ellip_kept`` is
+(K, E, P, T2) from the kernel pass ``specfun.ellip_kpt`` and its E step
+``specfun._e_from``, and ``ke_ratio`` and ``ke_ratio2`` name its two
+ratios.  The ``*_reference``
 functions are earlier, simpler forms of production code that a faster
 form replaced; the tests require the same output from both.
 
@@ -53,8 +55,9 @@ from ellipcert.inequalities import (
 )
 from ellipcert.specfun import (
     DomainError,
+    _e_from,
     ellip_k,
-    ellip_kept,
+    ellip_kpt,
     hyp2f1,
     require_unit_interval,
 )
@@ -162,6 +165,18 @@ def g_factor_quadratic(a: float, x: float) -> float:
     require_unit_interval(x, "g_factor_quadratic")
     z = a - 0.5 * math.log1p(-x)
     return (z * u_aux(x) - v_aux(x)) * z + (2.0 / PI) * ellip_k(x)
+
+
+def ellip_kept(x: float) -> tuple[float, float, float, float]:
+    """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) in one AGM pass, 0 <= x < 1.
+
+    The two ratios are free of cancellation and take their limits
+    pi/4 and pi/16 at x = 0.
+    """
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"ellip_kept requires 0 <= x < 1; got {x!r}")
+    k, p, t2, tail = ellip_kpt(x)
+    return k, _e_from(x, k, tail), p, t2
 
 
 def ke_ratio(x: float) -> float:
@@ -478,7 +493,7 @@ def inequality_scan_reference(name: str,
 
 def agm_reference(x: float) -> tuple[float, float, float, float]:
     """(K, E, P, T2) at 0 <= x < 1 from one AGM pass that sums E beside
-    K, P and T2 (see specfun._agm for the recurrence)."""
+    K, P and T2 (see specfun.ellip_kpt for the recurrence)."""
     y = math.sqrt(1.0 - x)                    # b_0
     t = 0.5 / (1.0 + y)                       # t_1
     a, b = 0.5 * (1.0 + y), math.sqrt(y)      # a_1, b_1

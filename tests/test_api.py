@@ -1,5 +1,6 @@
-"""Public-API surface: every exported name is reached by production code
-or by the acceptance gate, and the annotations of the public callables
+"""Public-API surface: every exported name, and every public module-level
+name of the library modules, is reached by production code or by the
+acceptance gate, and the annotations of the public callables
 and of every function ``ellipcert.cli`` defines resolve.  Cross-checks
 that only tests use belong in tests/oracles.py, not in
 ``ellipcert.__all__``."""
@@ -31,7 +32,9 @@ def _used_names(path: Path) -> set[str]:
     return used
 
 
-def test_every_public_name_is_reached():
+def _reached() -> set[str]:
+    """Names read by package code (the re-exports of __init__ do not
+    count), looked up by the cli tables, or used by the acceptance gate."""
     reached = _used_names(ACCEPTANCE)
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
@@ -39,7 +42,30 @@ def test_every_public_name_is_reached():
     # certify, eval and table look their functions up by name: getattr(family, name)
     reached |= {factor for _, factor, _ in cli._CERTIFY_TABLE.values()}
     reached |= {attr for _, _, attr in cli._EVAL_FNS.values()}
-    assert sorted(set(ellipcert.__all__) - reached) == []
+    return reached
+
+
+def test_every_public_name_is_reached():
+    assert sorted(set(ellipcert.__all__) - _reached()) == []
+
+
+def _public_definitions(path: Path) -> set[str]:
+    """The public names a module binds at module level: its functions,
+    classes and assignments, not the names it imports."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("module", ["specfun", "family", "certify", "inequalities"])
+def test_every_public_module_name_is_reached(module):
+    # a test-only helper belongs in tests/oracles.py
+    assert sorted(_public_definitions(PACKAGE / f"{module}.py") - _reached()) == []
 
 
 # every function and class that ellipcert.cli defines, private ones too

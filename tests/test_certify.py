@@ -59,6 +59,10 @@ class TestScanConfig:
         dict(endpoint_offset=0.0),
         dict(refine_depth=-1),
         dict(lo=0.4, hi=0.4000000001, endpoint_offset=1e-3),
+        # below the smallest normal double; hi - offset rounding to 1
+        dict(hi=0.5, endpoint_offset=math.nextafter(2.2250738585072014e-308, 0.0)),
+        dict(endpoint_offset=2.0 ** -54),
+        dict(lo=0.5, endpoint_offset=1e-300),
     ])
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,6 +72,11 @@ class TestScanConfig:
             DEFAULT_SCAN._replace(**kwargs)
         with pytest.raises(ValueError):
             ScanConfig._make((ScanConfig()._asdict() | kwargs).values())
+
+    def test_least_offsets(self):
+        tiny = 2.2250738585072014e-308  # the smallest normal double
+        assert ScanConfig(hi=0.5, endpoint_offset=tiny).grid()[0] == tiny
+        assert ScanConfig(endpoint_offset=2.0 ** -53).grid()[-1] < 1.0
 
     def test_replace_keeps_fields(self):
         cfg = DEFAULT_SCAN._replace(n=5)

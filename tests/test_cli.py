@@ -278,6 +278,42 @@ class TestFloatRange:
         assert err.startswith("inconclusive: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # an offset below the smallest normal double overflows a tail ratio
+        ["verify", "sum-bounds", "--lo", "0.5", "--hi", "0.6", "--offset", "1e-320",
+         "--grid-n", "5"],
+        ["table", "K", "--spacing", "geometric", "--offset", "1e-309", "--grid-n", "5"],
+        # 1 - offset rounds to 1, outside (0, 1)
+        ["certify", "thm1-convex", "1.5", "--offset", "1e-17"],
+        ["verify", "sum-bounds", "--offset", "1e-300"],
+        ["eval", "K", "0.5", "--offset", "1e-17"],
+    ], ids=" ".join)
+    def test_offset_outside_unit_interval_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "endpoint_offset" in err
+
+    def test_parse_error_reported_before_scan_error(self, capsys):
+        code, _, err = run(capsys, ["certify", "thm9-magic", "1", "--offset", "1e-17"])
+        assert code == 2
+        assert "unknown theorem id" in err and "endpoint_offset" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_nan_manifest_parameter_is_null(self, fmt):
+        manifest = cli.RunManifest("eval", {"fn": "f", "a": math.nan, "x": [0.5]},
+                                   cli.DEFAULT_SCAN, fmt, 0)
+        text, code = cli._run(manifest)
+        assert code == 0
+        strict = dict(parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        if fmt == "json":
+            doc = json.loads(text, **strict)
+            assert doc["results"] == [{"x": 0.5, "value": None}]
+            embedded = doc["manifest"]
+        else:
+            embedded = json.loads(text.splitlines()[0].partition("manifest: ")[2], **strict)
+        assert embedded["parameters"] == {"fn": "f", "a": None, "x": [0.5]}
+
     def test_json_writes_nonfinite_as_null(self):
         manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json", 0)
         columns = {"x": [0.5, 0.6, 0.7], "value": [math.inf, math.nan, 1.0]}
@@ -376,6 +412,12 @@ class TestOutputContracts:
         code, out, err = run(capsys, argv + ["--format", fmt, *FAST])
         assert code in (0, 1), err
         assert cli.run_from_manifest(manifest_of(out, fmt)) == out
+
+    def test_main_runs_the_manifest_it_records(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda m, run=cli._run: seen.append(m) or run(m))
+        _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])
+        assert [m._asdict() for m in seen] == [manifest_of(out, "json")]
 
     def test_replay_checks_theorem_id(self, capsys):
         _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+from oracles import ellip_kept
 from ellipcert import cli, family
 from ellipcert.certify import ScanConfig, certify_sign
 from ellipcert.family import (
@@ -30,7 +31,7 @@ from ellipcert.family import (
     w_minus,
     w_plus,
 )
-from ellipcert.specfun import DomainError, ellip_e, ellip_k, ellip_kept
+from ellipcert.specfun import DomainError, ellip_e, ellip_k
 
 PI = math.pi
 LOG4 = math.log(4.0)
@@ -49,9 +50,11 @@ def grid(n, lo=1e-9, hi=1 - 1e-9):
 
 class TestLogShiftFamily:
     def test_endpoint_values(self):
-        assert f(1.0, 0.0, endpoint=True) == pytest.approx(PI / 2, rel=1e-15)
-        assert f(1.0, 1.0, endpoint=True) == 1.0
-        assert f(2.5, 0.0, endpoint=True) == pytest.approx(PI / 5, rel=1e-15)
+        # the limits pi/(2a) at 0+ and 1 at 1-; at a = log 4, f - 1 is
+        # O((1-x) log(1-x)), the error of K = log 4 - log(1-x)/2
+        assert f(1.0, 1e-300) == pytest.approx(PI / 2, rel=1e-15)
+        assert f(LOG4, 1 - 1e-12) == pytest.approx(1.0, rel=1e-11)
+        assert f(2.5, 1e-300) == pytest.approx(PI / 5, rel=1e-15)
 
     def test_substitution(self):
         val = f(4.0 / 3.0, 0.5)
@@ -59,8 +62,8 @@ class TestLogShiftFamily:
         assert val == pytest.approx(expected, rel=1e-15)
 
     def test_endpoint_continuity(self):
-        assert f(1.3, 1e-12) == pytest.approx(f(1.3, 0.0, endpoint=True), rel=1e-9)
-        assert f(1.3, 1 - 1e-12) == pytest.approx(f(1.3, 1.0, endpoint=True), rel=1e-2)
+        assert f(1.3, 1e-12) == pytest.approx(PI / 2.6, rel=1e-9)
+        assert f(1.3, 1 - 1e-12) == pytest.approx(1.0, rel=1e-2)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -70,8 +73,6 @@ class TestLogShiftFamily:
         # denominator a - log(1-x)/2 fails for negative a near 0
         with pytest.raises(DomainError):
             f(-2.0, 1e-6)
-        with pytest.raises(DomainError):
-            f(-1.0, 0.0, endpoint=True)
 
 
 class TestQuadraticCoefficients:
@@ -234,10 +235,14 @@ class TestRecipF:
 class TestPowerFamily:
     def test_h_values_and_endpoints(self):
         assert h(0.5, 0.5) == pytest.approx(math.sqrt(0.5) * ellip_k(0.5), rel=1e-15)
-        assert h(0.3, 0.0, endpoint=True) == PI / 2
-        assert h(0.3, 1.0, endpoint=True) == 0.0
+        # the limits pi/2 at 0+ and 0 at 1- (p > 0), the latter like
+        # (1-x)^p (log 4 - log(1-x)/2)
+        assert h(0.3, 1e-300) == pytest.approx(PI / 2, rel=1e-15)
+        x = 1 - 1e-12
+        assert h(0.3, x) == pytest.approx((1 - x) ** 0.3 * (LOG4 - 0.5 * math.log1p(-x)),
+                                          rel=1e-9)
         with pytest.raises(DomainError):
-            h(-0.2, 1.0, endpoint=True)
+            h(0.5, 0.0)
         with pytest.raises(DomainError):
             h(0.5, 1.0)
 

@@ -11,8 +11,8 @@ in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings, and the
 inequality checks' column reducer against the per-point scan it replaced
 over any margin columns.  ``ellip_k``
-runs a K-only AGM loop beside the full one of ``ellip_kept``; the two
-must give the same double at every x in [0, 1).  The factors' pass
+runs a K-only AGM loop beside the full one of ``specfun.ellip_kpt``; the
+two must give the same double at every x in [0, 1).  The factors' pass
 skips the E sum; E and every factor must give the same double as on
 ``oracles.agm_reference``, which sums it, at every x in (0, 1).  Where
 ``hyp2f1`` raises at once that its term cap cannot be met, summing to
@@ -31,6 +31,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
+from oracles import ellip_kept  # noqa: E402
 from ellipcert import cli, family, specfun  # noqa: E402
 from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
 from ellipcert.inequalities import (  # noqa: E402
@@ -42,7 +43,6 @@ from ellipcert.inequalities import (  # noqa: E402
 from ellipcert.specfun import (  # noqa: E402
     ellip_e,
     ellip_k,
-    ellip_kept,
     legendre_residual,
 )
 

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import oracles
+from oracles import ellip_kept
 from ellipcert import cli, specfun
 from ellipcert.certify import ScanConfig
 from ellipcert.specfun import (
@@ -21,7 +22,6 @@ from ellipcert.specfun import (
     DomainError,
     ellip_e,
     ellip_k,
-    ellip_kept,
     hyp2f1,
     legendre_residual,
 )
@@ -327,7 +327,7 @@ class TestOnePassKernel:
         # the last double below 1: the ladders plus a seeded draw, uniform
         # on (0, 1) and log-uniform toward either end.  Most points sit
         # near 1, where the AGM takes the most steps and E is a small
-        # difference of O(K) terms unless it is summed as in _agm.
+        # difference of O(K) terms unless it is summed as in ellip_kpt.
         pytest.importorskip("mpmath")
         rng = random.Random(0)
         xs = ([10.0 ** -k for k in range(1, 13)]
