@@ -6,9 +6,10 @@ Each command is two steps in ``_COMMANDS``: a parse step from the argparse
 namespace to the manifest's parameters, and a run step
 ``run(cfg, seed, **parameters) -> (columns, exit code)``, whose columns are
 a dict of equal-length lists with its keys in output order; ``_render``
-formats them as they are, so no step builds a dict per row.  Every run embeds
-its manifest (command, parameters, scan configuration, output format,
-seed) in its output; ``main`` runs the manifest it records through
+formats them as they are, so no step builds a dict per row, and writes
+each table body with one format call, with no string per row.  Every run
+embeds its manifest (command, parameters, scan configuration, output
+format, seed) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
 a replay byte-reproduces the output.  ``eval`` and ``table`` take
 exactly the ``--param`` keys their function needs; any other key is a
@@ -26,6 +27,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from . import family, specfun
 from .certify import (
@@ -84,7 +86,18 @@ def _json(obj: object, **kwargs: object) -> str:
 
 def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
     """The columns of a run step, keys in output order, as text: byte for
-    byte what json.dumps(indent=2), csv.writer or ljust write row by row."""
+    byte what json.dumps(indent=2), csv.writer or ljust write row by row.
+
+    A table is one % call, with no string built per row: a row template,
+    repeated once per row, applied to the cells in row order.  json and
+    text put their head, its own % signs escaped, in front of it, which
+    keeps one large string fewer alive than joining head and body.  json
+    takes a column of finite floats as floats through %r, which is what
+    json writes for them, and any other column as its json cells through
+    %s.  csv takes a table of float columns through %.17g and leaves a
+    table with any other column to csv.writer, whose quoting of a cell
+    depends on its row (a lone empty field is written "").  Text pads its
+    %.12g and fmt_human cells to the column widths, keys as the first row."""
     keys, cols = list(columns), list(columns.values())
     n_rows = len(cols[0]) if cols else 0
     floats = [set(map(type, col)) == {float} for col in cols]
@@ -93,14 +106,14 @@ def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
         if not n_rows:
             return head + "\n"
         cell = json.JSONEncoder(allow_nan=False).encode
-        cols = [list(map(float.__repr__, col))  # what json writes for a finite float
-                if is_float and all(map(math.isfinite, col))
-                else list(map(cell, map(_null_nonfinite, col)))
-                for col, is_float in zip(cols, floats)]
-        row = "    {\n" + ",\n".join(
-            f"      {json.dumps(k).replace('%', '%%')}: %s" for k in keys) + "\n    }"
-        body = ",\n".join(map(row.__mod__, zip(*cols)))
-        return f"{head[:-4]}[\n{body}\n  ]\n}}\n"  # head ends '[]\n}'
+        specs, cols = zip(*[("%r", col) if is_float and all(map(math.isfinite, col))
+                            else ("%s", list(map(cell, map(_null_nonfinite, col))))
+                            for col, is_float in zip(cols, floats)])
+        row = "    {\n" + ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: {spec}"
+                                      for k, spec in zip(keys, specs)) + "\n    }"
+        doc = "".join([head[:-4].replace("%", "%%"), "[\n",  # head ends '[]\n}'
+                       ",\n".join([row] * n_rows), "\n  ]\n}\n"])
+        return doc % tuple(chain.from_iterable(zip(*cols)))
     mjson = _json(manifest._asdict(), separators=(",", ":"), sort_keys=True)
     if fmt == "csv":
         import csv
@@ -111,20 +124,20 @@ def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
         writer.writerow(keys)
         if all(floats):  # a float's %.17g never needs csv quoting
             row = ",".join(["%.17g"] * len(cols)) + "\n"
-            buf.writelines(map(row.__mod__, zip(*cols)))
+            buf.write(row * n_rows % tuple(chain.from_iterable(zip(*cols))))
         else:
             writer.writerows(zip(*(map(fmt_full, col) for col in cols)))
         return buf.getvalue()
     # text
-    lines = [f"manifest: {mjson}"]
-    if n_rows:
-        cells = [list(map("%.12g".__mod__, col) if is_float else map(fmt_human, col))
-                 for col, is_float in zip(cols, floats)]
-        widths = [max(len(k), max(map(len, c))) for k, c in zip(keys, cells)]
-        row = "  ".join(f"%-{w}s" for w in widths)
-        lines.append(row % tuple(keys))
-        lines.extend(map(row.__mod__, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    text = f"manifest: {mjson}\n"
+    if not n_rows:
+        return text
+    cells = [list(map("%.12g".__mod__, col) if is_float else map(fmt_human, col))
+             for col, is_float in zip(cols, floats)]
+    widths = [max(len(k), max(map(len, c))) for k, c in zip(keys, cells)]
+    row = "  ".join(f"%-{w}s" for w in widths) + "\n"  # the keys are its first row
+    return ((text.replace("%", "%%") + row * (n_rows + 1))
+            % (*keys, *chain.from_iterable(zip(*cells))))
 
 
 def _emit(text: str, out: str | None) -> None:

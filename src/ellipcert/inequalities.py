@@ -129,8 +129,10 @@ class GridColumns:
     Each column is computed on first use and kept by this object alone,
     so the checks of one command that share it evaluate K once per point
     and argument, and a command that never pairs r with 1 - r never
-    computes K(1 - x).  A grid check takes either a GridColumns or a
-    plain ScanConfig, for which it builds its own.
+    computes K(1 - x).  k_mirror raises DomainError, naming
+    endpoint_offset, where 1 - x rounds to 1 at the first grid point.  A
+    grid check takes either a GridColumns or a plain ScanConfig, for
+    which it builds its own.
     """
 
     def __init__(self, cfg: ScanConfig = DEFAULT_SCAN):
@@ -146,6 +148,11 @@ class GridColumns:
 
     @cached_property
     def k_mirror(self) -> list[float]:
+        x = self.xs[0]  # the smallest point has the largest mirror point
+        if not 1.0 - x < 1.0:
+            raise DomainError(
+                f"endpoint_offset={self.cfg.endpoint_offset!r}: at the grid point "
+                f"x={x!r} the mirror point 1 - x rounds to 1, outside (0, 1)")
         return [ellip_k(1.0 - x) for x in self.xs]
 
 

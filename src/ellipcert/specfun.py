@@ -162,7 +162,7 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
     (1/2, 1/2; 1) turning into a hang near x = 1; where the cap provably
     cannot be met (``_cap_unreachable``) that ConvergenceError comes
     before any term is summed.  A partial sum that overflows or turns
-    NaN raises ConvergenceError at once.
+    NaN raises ConvergenceError at once, also where a + b overflows.
     """
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"lower parameter c={c!r} is zero or a negative integer")
@@ -200,11 +200,13 @@ def _cap_unreachable(a: float, b: float, c: float, x: float,
     passes the stop test t_n < rel_tol S_n; the factor 2 covers the
     rounding of up to 10^12 computed terms.  xab <= c and
     x(a+b) <= c+1 keep every term ratio at most 1, so the sums stay
-    finite and no other error comes first.
+    finite and no other error comes first.  They are tested before the
+    exact sum c - a - b, so that an a + b that overflows gives False,
+    never fsum's OverflowError.
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0 and 0.0 < x < 1.0
-            and math.fsum((c, -a, -b)) <= 0.0        # c <= a + b, exactly
             and x * a * b <= c and x * (a + b) <= c + 1.0
+            and math.fsum((c, -a, -b)) <= 0.0        # c <= a + b, exactly
             and rel_tol > 0.0 and 1 <= max_terms <= 10**12):
         return False
     t1 = a * b * x / c

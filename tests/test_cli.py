@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import oracles
 from ellipcert import cli, family, specfun
 from ellipcert.specfun import DomainError
 
@@ -251,6 +252,15 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_hyp2f1_parameters_are_usage_error(self, capsys):
+        # a + b overflows: the series stops at its first non-finite partial
+        # sum, not in the test of its term cap
+        code, out, err = run(capsys, ["eval", "2F1", "--param", "a=1e308", "--param",
+                                      "b=1e308", "--param", "c=1", "0.5"])
+        assert (code, out) == (2, "")
+        assert err == ("error: at x=0.5: 2F1(1e+308, 1e+308; 1.0; 0.5): "
+                       "non-finite partial sum inf after 1 terms\n")
+
     @pytest.mark.parametrize("argv", [
         ["verify", "sum-bounds", "--a", "0"],
         ["verify", "weighted-sum", "--p", "-2000"],
@@ -293,6 +303,22 @@ class TestFloatRange:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "endpoint_offset" in err
+
+    @pytest.mark.parametrize("selector, scan", [
+        ("all", ["--hi", "0.5", "--offset", "2.2250738585072014e-308", "--grid-n", "2"]),
+        ("sum-bounds", ["--lo", "0", "--offset", "1e-17", "--hi", "0.5"]),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_mirror_point_rounding_to_one_is_usage_error(self, capsys, selector, scan):
+        # 1 - x rounds to 1 at the first grid point x = offset, so K(1 - x)
+        # is undefined there; the error names the offset and that point
+        offset = scan[scan.index("--offset") + 1]
+        code, out, err = run(capsys, ["verify", selector] + scan)
+        assert (code, out) == (2, "")
+        assert err == (f"error: endpoint_offset={offset}: at the grid point x={offset} "
+                       "the mirror point 1 - x rounds to 1, outside (0, 1)\n")
+        # a check that uses K(x) alone still runs on that grid
+        code, _, err = run(capsys, ["verify", "k-envelope", "--p", "0.5"] + scan)
+        assert code == 0, err
 
     def test_parse_error_reported_before_scan_error(self, capsys):
         code, _, err = run(capsys, ["certify", "thm9-magic", "1", "--offset", "1e-17"])
@@ -425,6 +451,25 @@ class TestOutputContracts:
         manifest["parameters"]["theorem"] = "thm9-magic"
         with pytest.raises(DomainError, match="unknown theorem id 'thm9-magic'"):
             cli.run_from_manifest(manifest)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("kind", ["finite", "non-finite", "mixed"])
+    def test_render_matches_reference_at_size(self, kind, fmt):
+        # 2,000 rows of each kind of column, each next to a finite float
+        # column under a key that holds % and ", under a manifest with a %
+        n = 2000
+        xs = [i / n - 0.5 for i in range(n)]
+        cells = {
+            "finite": [math.exp(x * 1400.0) * (-1.0) ** i for i, x in enumerate(xs)],
+            "non-finite": [x / 3.0 for x in xs[:-2]] + [math.nan, math.inf],
+            "mixed": [(None, i, f'{i},"%s"\n', -0.0)[i % 4] for i in range(n)],
+        }[kind]
+        columns = {'x%s "1%"': xs, kind: cells}
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        manifest = cli.RunManifest("table", {"fn": "K%s", "spacing": "uniform"},
+                                   cli.DEFAULT_SCAN, fmt, 0)
+        assert cli._render(columns, manifest, fmt) == oracles.render_reference(
+            rows, manifest, fmt)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "k.csv"

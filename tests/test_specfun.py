@@ -179,10 +179,11 @@ class TestHyp2f1:
                                   "did not converge within 1000000 terms\n")
         assert budget_s is None or elapsed < budget_s
 
-    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (math.nan, 0.5)])
+    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e308, 1e308), (math.nan, 0.5)])
     def test_non_finite_sum_stops_at_once(self, a, b):
         # the stop test |t_n| < rel_tol |sum| is False for NaN and inf, so
-        # without the check the series would run to the term cap
+        # without the check the series would run to the term cap; where
+        # a + b overflows, the test of that cap must not raise first
         with pytest.raises(ConvergenceError, match="non-finite partial sum .* after 1 terms"):
             hyp2f1(a, b, 1.0, 0.5)
 
