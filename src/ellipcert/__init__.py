@@ -11,7 +11,6 @@ from .specfun import (
     legendre_residual,
 )
 from .family import (
-    CriticalConstants,
     f,
     u_aux,
     v_aux,
@@ -51,7 +50,7 @@ _INEQUALITIES = (
 __all__ = [
     "DomainError", "ConvergenceError",
     "ellip_k", "ellip_e", "hyp2f1", "legendre_residual",
-    "CriticalConstants", "f", "u_aux", "v_aux", "delta_aux",
+    "f", "u_aux", "v_aux", "delta_aux",
     "w_plus", "w_minus", "g_factor", "phi", "recip_f_second_sign",
     "h", "g_aux", "log_h_second_factor", "j_factor", "l_factor",
     "ScanConfig", "SignCertificate", "ExtremumResult",

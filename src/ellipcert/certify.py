@@ -9,8 +9,8 @@ deterministic; a witness always re-evaluates to its reported value.
 
 Sign and monotonicity scans share one engine, which stops at the first
 violation; each refine level samples and splices in only the new points
-of the intervals it flags.  ScanConfig.grid builds every uniform grid.
-The records are named tuples, validated on every construction path.
+of the intervals it flags.  ScanConfig.grid builds every grid on
+ScanConfig.ends; the records are named tuples, validated however built.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
                             defaults=(0.0, 1.0, 10_000, 1e-9, 2))):
     """Grid specification for all certification runs.
 
-    The scan covers [lo + endpoint_offset, hi - endpoint_offset] with n
-    uniform points; refine_depth levels of local refinement are applied
+    The scan covers ends = [lo + endpoint_offset, hi - endpoint_offset];
+    grid puts n points on it in equal steps or, for spacing "geometric",
+    equal ratios.  refine_depth levels of local refinement are applied
     around near-zero values.  endpoint_offset is a normal double, so that
     no step or ratio built from it overflows; hi - endpoint_offset < 1.
     """
@@ -66,20 +67,29 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
                              f"2.2250738585072014e-308; got {self.endpoint_offset}")
         if self.refine_depth < 0:
             raise ValueError(f"refine_depth must be >= 0; got {self.refine_depth}")
-        if self.lo + self.endpoint_offset >= self.hi - self.endpoint_offset:
+        lo, hi = self.ends
+        if lo >= hi:
             raise ValueError("offsets leave an empty scan interval")
-        if not self.hi - self.endpoint_offset < 1.0:
+        if not hi < 1.0:
             raise ValueError("hi - endpoint_offset rounds to 1, outside (0, 1); "
                              f"got endpoint_offset={self.endpoint_offset}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
-    def grid(self) -> list[float]:
-        lo = self.lo + self.endpoint_offset
-        hi = self.hi - self.endpoint_offset
-        step = (hi - lo) / (self.n - 1)
-        pts = [lo + i * step for i in range(self.n)]
+    @property
+    def ends(self) -> tuple[float, float]:
+        """The scanned interval's ends: lo + endpoint_offset, hi - endpoint_offset."""
+        return self.lo + self.endpoint_offset, self.hi - self.endpoint_offset
+
+    def grid(self, spacing: str = "uniform") -> list[float]:
+        lo, hi = self.ends
+        if spacing == "uniform":
+            step = (hi - lo) / (self.n - 1)
+            pts = [lo + i * step for i in range(self.n)]
+        else:
+            ratio = (hi / lo) ** (1.0 / (self.n - 1))
+            pts = [lo * ratio ** i for i in range(self.n)]
         pts[-1] = hi
         return pts
 

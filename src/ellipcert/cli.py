@@ -13,8 +13,10 @@ format, seed) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
 a replay byte-reproduces the output.  ``eval`` and ``table`` take
 exactly the ``--param`` keys their function needs; any other key is a
-usage error.  Exit codes: 0 verified/pass, 1 counterexample found, 2
-usage or domain error (an unwritable ``--out`` too), 3 inconclusive.
+usage error.  ``table`` evaluates its last point, nearest 1, first: a
+failing last point is the one reported, at once.  Exit codes: 0
+verified/pass, 1 counterexample found, 2 usage or domain error (an
+unwritable ``--out`` too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
 """
 
@@ -247,10 +249,14 @@ def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
 
 def _run_constants(cfg: ScanConfig, seed: int) -> tuple[dict[str, list], int]:
     res = find_a_c(cfg)
+    if not family.A_RECIP_CONVEX < res.value < family.A_RECIP_CONCAVE:
+        raise ValueError(f"a_c={res.value!r} must lie in (log 4, 8/5)")
     rows = [("a_c", res.value, "computed", res.x_star, res.tolerance)]
-    rows += [(name, value, "algebraic", None, None)
-             for name, value in family.CriticalConstants(a_c=res.value)._asdict().items()
-             if name != "a_c"]
+    rows += [(name, value, "algebraic", None, None) for name, value in (
+        ("p_logconcave", family.P_LOGCONCAVE), ("p_convex_hi", family.P_CONVEX_HI),
+        ("p_concave_lo", family.P_CONCAVE_LO), ("p_monotone", family.P_MONOTONE),
+        ("a_recip_convex", family.A_RECIP_CONVEX), ("a_recip_concave", family.A_RECIP_CONCAVE),
+        ("alpha_lemma", family.ALPHA_LEMMA))]
     rows += [("K_half", specfun.ellip_k(0.5), "computed", None, None),
              ("gamma_quarter", specfun.GAMMA_QUARTER, "embedded", None, None),
              ("gamma_three_quarter", specfun.GAMMA_THREE_QUARTER, "embedded", None, None)]
@@ -341,15 +347,9 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
 def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
                **params: float) -> tuple[dict[str, list], int]:
     f = _resolve_fn(fn, params)
-    if spacing == "uniform":
-        xs = cfg.grid()
-    else:
-        lo = cfg.lo + cfg.endpoint_offset
-        hi = cfg.hi - cfg.endpoint_offset
-        ratio = (hi / lo) ** (1.0 / (cfg.n - 1))
-        xs = [lo * ratio ** i for i in range(cfg.n)]
-        xs[-1] = hi
-    return {"x": xs, "value": list(map(f, xs))}, EXIT_OK
+    xs = cfg.grid(spacing)
+    last = f(xs[-1])  # first, so that a function that fails nearest 1 fails at once
+    return {"x": xs, "value": [*map(f, xs[:-1]), last]}, EXIT_OK
 
 
 # command -> (parse step: namespace -> manifest parameters, run step)

@@ -25,7 +25,6 @@ where the paper states its results; the public ones raise DomainError at
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .specfun import (
     PI,
@@ -47,25 +46,6 @@ P_MONOTONE = 0.25                # h decreasing iff p >= 1/4
 P_CONVEX_HI = 3.0 * (2.0 + SQRT2) / 8.0   # h convex iff p <= 0 or p >= this
 P_CONCAVE_LO = 3.0 * (2.0 - SQRT2) / 8.0  # h concave iff p in [this, 1]
 ALPHA_LEMMA = (8.0 / 97.0) * (11.0 - 2.0 * math.sqrt(6.0))
-
-class CriticalConstants(namedtuple(
-        "CriticalConstants",
-        "a_c p_logconcave p_convex_hi p_concave_lo p_monotone "
-        "a_recip_convex a_recip_concave alpha_lemma",
-        defaults=(P_LOGCONCAVE, P_CONVEX_HI, P_CONCAVE_LO, P_MONOTONE,
-                  A_RECIP_CONVEX, A_RECIP_CONCAVE, ALPHA_LEMMA))):
-    """The sharp parameter thresholds, with a_c computed at run time."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.a_recip_convex < self.a_c < self.a_recip_concave:
-            raise ValueError(
-                f"a_c={self.a_c!r} must lie in (log 4, 8/5)")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
 
 def f(a: float, x: float) -> float:

@@ -81,8 +81,7 @@ def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
     runs in about linear time; equal points end up adjacent.
     """
     pts = cfg.grid()
-    lo_v = cfg.lo + cfg.endpoint_offset
-    hi_v = cfg.hi - cfg.endpoint_offset
+    lo_v, hi_v = cfg.ends
     # geometric tails from each endpoint up to one uniform step inward
     span = (hi_v - lo_v) / (cfg.n - 1) / cfg.endpoint_offset
     for base, inward in ((lo_v, +1.0), (hi_v, -1.0)):
@@ -316,8 +315,7 @@ def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
                            cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
     """Mean-chain clauses over seeded random pairs in the scan interval."""
     rng = random.Random(seed)
-    lo = cfg.lo + cfg.endpoint_offset
-    hi = cfg.hi - cfg.endpoint_offset
+    lo, hi = cfg.ends
     draws = [rng.uniform(lo, hi) for _ in range(2 * n_pairs)]
     return _mean_chain(p, draws[::2], draws[1::2], tight=False)
 
@@ -333,8 +331,9 @@ def check_k_envelope(p: float,
                  below 1, and for p above about 1/4 - 3e-11 below the
                  first ladder point; no grid can be built there and the
                  check raises InconclusiveScanError.
-    For p < 1/4 only the scan settings of grid are used, since that grid
-    ends at x_p.
+    For p < 1/4 the grid's scan ends at min(hi, x_p): where hi <= x_p it
+    is grid itself, and where lo and the offsets leave no point below x_p
+    the check raises InconclusiveScanError, naming x_p.
     """
     if not p > 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
@@ -353,9 +352,14 @@ def check_k_envelope(p: float,
         x_p = find_x_p(p)
     except BracketNotFoundError as exc:
         raise InconclusiveScanError(str(exc)) from exc
+    if cols.cfg.hi > x_p:  # the scan ends at min(hi, x_p)
+        try:
+            cols = GridColumns(cols.cfg._replace(hi=x_p))
+        except ValueError as exc:
+            raise InconclusiveScanError(
+                f"k-envelope: for p={p!r} no scan point lies below x_p={x_p!r}") from exc
     cap = (1.0 - x_p) ** p * ellip_k(x_p)
-    xs = inequality_grid(cols.cfg._replace(hi=x_p))
-    k = [ellip_k(r) for r in xs]
+    xs, k = cols.xs, cols.k
     w = [(1.0 - r) ** p for r in xs]
     return _report("k-envelope", p, xs,
                    {"lower": [(PI / 2) / wr - kr for wr, kr in zip(w, k)],

@@ -338,6 +338,18 @@ def inequality_grid_reference(cfg: ScanConfig) -> list[float]:
     return sorted(pts)
 
 
+def geometric_grid_reference(cfg: ScanConfig) -> list[float]:
+    """The geometric table grid as cli._run_table first built it: n points
+    in equal ratios over [lo + offset, hi - offset], the last one exact.
+    ScanConfig.grid("geometric") must return the same list."""
+    lo = cfg.lo + cfg.endpoint_offset
+    hi = cfg.hi - cfg.endpoint_offset
+    ratio = (hi / lo) ** (1.0 / (cfg.n - 1))
+    xs = [lo * ratio ** i for i in range(cfg.n)]
+    xs[-1] = hi
+    return xs
+
+
 def render_reference(rows, manifest, fmt: str) -> str:
     """The CLI's renderer as it was written row by row: one json.dumps
     (indent=2) of the whole document, one csv.writer row and one

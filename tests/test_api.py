@@ -1,7 +1,8 @@
 """Public-API surface: every exported name, and every public module-level
 name of the library modules, is reached by production code or by the
 acceptance gate, and the annotations of the public callables
-and of every function ``ellipcert.cli`` defines resolve.  Cross-checks
+and of every function ``ellipcert.cli`` defines resolve.  The package's
+``__version__`` is the one ``pyproject.toml`` declares.  Cross-checks
 that only tests use belong in tests/oracles.py, not in
 ``ellipcert.__all__``."""
 
@@ -16,6 +17,7 @@ from ellipcert import cli
 
 PACKAGE = Path(ellipcert.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def _used_names(path: Path) -> set[str]:
@@ -84,3 +86,9 @@ def test_annotations_resolve(name):
         method = getattr(method, "__func__", method)  # staticmethod, classmethod
         if callable(method):
             typing.get_type_hints(method)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        assert ellipcert.__version__ == tomllib.load(fh)["project"]["version"]

@@ -3,11 +3,13 @@ manifest embedding and byte reproducibility."""
 
 import json
 import math
+import time
 
 import pytest
 
 import oracles
 from ellipcert import cli, family, specfun
+from ellipcert.certify import ScanConfig
 from ellipcert.specfun import DomainError
 
 FAST = ["--grid-n", "2000"]
@@ -288,6 +290,15 @@ class TestFloatRange:
         assert err.startswith("inconclusive: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["k-envelope", "--p", "0.1"], ["all"]], ids=" ".join)
+    def test_k_envelope_without_scan_point_below_x_p_is_inconclusive(self, capsys, argv):
+        # lo = 0.9995 lies above x_p(0.1) = 0.99926...: the message names
+        # x_p, not an hi that the user did not give
+        code, out, err = run(capsys, ["verify", *argv, "--lo", "0.9995"] + FAST)
+        assert (code, out) == (3, "")
+        assert err == ("inconclusive: k-envelope: for p=0.1 no scan point lies below "
+                       "x_p=0.9992631006990728\n")
+
     @pytest.mark.parametrize("argv", [
         # an offset below the smallest normal double overflows a tail ratio
         ["verify", "sum-bounds", "--lo", "0.5", "--hi", "0.6", "--offset", "1e-320",
@@ -363,6 +374,37 @@ class TestTable:
         assert code == 0 and len(calls) == 50
         code, _, _ = run(capsys, ["eval", *argv[1:], "0.5"])
         assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == 51
+
+    def test_failing_last_point_is_evaluated_first(self, monkeypatch, capsys):
+        # the point nearest 1 is evaluated first, so a function that fails
+        # there is called once and its error is the one reported
+        last = ScanConfig(n=50).grid()[-1]
+        calls = []
+
+        def stub(x):
+            calls.append(x)
+            if x == last:
+                raise specfun.ConvergenceError(f"no value at x={x!r}")
+            return 0.0
+
+        monkeypatch.setattr(specfun, "ellip_k", stub)
+        code, out, err = run(capsys, ["table", "K", "--grid-n", "50"])
+        assert (code, out, calls) == (2, "", [last])
+        assert err == f"error: no value at x={last!r}\n"
+
+    @pytest.mark.parametrize("fn, params, message", [
+        ("2F1", ["a=0.5", "b=0.5", "c=1"],  # diverges at 1: fails at the last point
+         "2F1(0.5, 0.5; 1.0; 0.999999999) did not converge within 1000000 terms"),
+        ("f", ["a=-1"],  # a negative denominator near 0: fails at the first point
+         "f denominator a - log(1-x)/2 = -0.9999999995 is not positive at x=1e-09"),
+        ("h", ["p=-400"], "out of floating-point range: (34, 'Numerical result out of range')"),
+    ], ids=["2F1", "f", "h"])
+    def test_failing_table_message(self, capsys, fn, params, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["table", fn, *(f"--param={p}" for p in params)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if fn == "2F1":  # it summed 9,999 points before it failed, about 1 s
+            assert time.perf_counter() - start < 0.2
 
     def test_w_plus_table(self, capsys):
         code, out, _ = run(capsys, ["table", "w_plus", "--grid-n", "1000",

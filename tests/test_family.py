@@ -10,10 +10,9 @@ import pytest
 import oracles
 from oracles import ellip_kept
 from ellipcert import cli, family
-from ellipcert.certify import ScanConfig, certify_sign
+from ellipcert.certify import ExtremumResult, ScanConfig, certify_sign
 from ellipcert.family import (
     ALPHA_LEMMA,
-    CriticalConstants,
     P_CONCAVE_LO,
     P_CONVEX_HI,
     delta_aux,
@@ -371,23 +370,26 @@ class TestLFactor:
 
 
 class TestCriticalConstants:
+    """The algebraic thresholds that `constants` prints, and its check that
+    the computed a_c lies strictly between log 4 and 8/5."""
+
     def test_algebraic_fields(self):
-        cc = CriticalConstants(a_c=1.46)
-        assert cc.p_logconcave == 7.0 / 32.0
-        assert cc.p_convex_hi == pytest.approx(1.2803300858899106, rel=1e-15)
-        assert cc.p_concave_lo == pytest.approx(0.21966991411008936, rel=1e-15)
-        assert cc.a_recip_convex == pytest.approx(LOG4, rel=1e-15)
-        assert cc.a_recip_concave == 1.6
-        assert cc.alpha_lemma == pytest.approx(ALPHA_LEMMA, rel=1e-15)
+        assert family.P_LOGCONCAVE == 7.0 / 32.0
+        assert family.P_MONOTONE == 0.25
+        assert P_CONVEX_HI == pytest.approx(1.2803300858899106, rel=1e-15)
+        assert P_CONCAVE_LO == pytest.approx(0.21966991411008936, rel=1e-15)
+        assert family.A_RECIP_CONVEX == pytest.approx(LOG4, rel=1e-15)
+        assert family.A_RECIP_CONCAVE == 1.6
         assert ALPHA_LEMMA == pytest.approx(0.5031769496440119, rel=1e-14)
 
-    def test_a_c_window_enforced(self):
-        with pytest.raises(ValueError):
-            CriticalConstants(a_c=1.2)
-        with pytest.raises(ValueError):
-            CriticalConstants(a_c=1.7)
-        with pytest.raises(ValueError):
-            CriticalConstants(a_c=1.46)._replace(a_c=1.2)
+    def test_a_c_window_enforced(self, monkeypatch, capsys):
+        for a_c in (1.2, 1.7):
+            monkeypatch.setattr(cli, "find_a_c",
+                                lambda cfg, a_c=a_c: ExtremumResult(0.5, a_c, 1e-10))
+            assert cli.main(["constants"]) == cli.EXIT_USAGE
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: a_c={a_c!r} must lie in (log 4, 8/5)\n"
 
 
 class TestLemmaDomains:

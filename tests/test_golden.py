@@ -4,9 +4,9 @@ A refactor that claims unchanged behaviour must leave every digest and
 exit code here as it is.  The set covers certify at, just below and just
 above each sharp threshold, certify at refine depths 0 and 4, verify
 all, verify checks that fail (exit 1) or run in their other regimes,
-the k-envelope check below 1/4
-(whose grid ends at x_p), verify on narrowed grids (whose tails and
-midpoint differ from the default) and both table spacings, all on a
+the k-envelope check below 1/4 (whose grid ends at min(hi, x_p); with
+lo above x_p it exits 3, which test_cli.py checks), verify on narrowed
+grids (whose tails and midpoint differ from the default) and both table spacings, all on a
 500-point grid; every output format: json and csv tables, constants and
 verify all (str and None cells), eval's json, eval of every function
 with parameters in csv and text, and the w_plus and J tables in json
@@ -86,8 +86,9 @@ GOLDEN = [
     (["table", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1", "--format", "csv", "--hi", "0.5"], 0, "5200421bd2331a322ed3ae73b014eb246f1005b4ccf5fd53f40671e78f79ad4e"),
     # verify on grids other than the default, so that the geometric
     # tails, the midpoint and the de-duplication of inequality_grid are
-    # pinned; the sum-bounds grid has no tails (span < 1)
-    (["verify", "all", "--lo", "0.1", "--hi", "0.9", "--offset", "1e-3", "--format", "csv"], 0, "c9cfafbb7864b433b15d4765d599552f53a6dbc8bc0f2cb23a0ca084ed4265db"),
+    # pinned; the sum-bounds grid has no tails (span < 1), and k-envelope
+    # at p = 0.1 scans up to hi = 0.9, below x_p
+    (["verify", "all", "--lo", "0.1", "--hi", "0.9", "--offset", "1e-3", "--format", "csv"], 0, "417ec2348908a284716ebdb5f6fc44d53dfbb0e43b988efb96eb626f49c65c06"),
     (["verify", "sum-bounds", "--offset", "0.01", "--format", "csv"], 0, "81a577d5dcabeea493e1442263ef88efdf28cb858a64cf96abf32f47e21903d1"),
     (["verify", "weighted-sum", "--p", "1.5", "--lo", "0.25", "--format", "csv"], 0, "a7605a9f0f67f8fb2099ad375207b992e2a95bb6381fa83a6ce5e26757be1b47"),
     (["verify", "k-envelope", "--p", "0.1", "--offset", "1e-6", "--format", "csv"], 0, "7ad0ef54a7d1c95bd8b7d80c0e5cb880f2285b15685c9e4584733955d45e4f35"),

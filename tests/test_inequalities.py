@@ -233,6 +233,21 @@ class TestKEnvelope:
             check_k_envelope(p, FAST)
         assert str(raised.value) == str(found.value)
 
+    def test_scan_ends_at_hi_below_x_p(self):
+        # hi = 0.5 < x_p(0.1): the check scans the grid it was given, up to
+        # 0.5 - offset, and takes K from that grid's shared column
+        cfg = ScanConfig(hi=0.5, n=201)
+        cols = GridColumns(cfg)
+        rep = check_k_envelope(0.1, cols)
+        assert "k" in vars(cols) and cols.xs[-1] == cfg.ends[1]
+        assert rep.grid_n == len(cols.xs) == len(inequality_grid(cfg))
+        x_p = find_x_p(0.1)
+        cap = (1.0 - x_p) ** 0.1 * ellip_k(x_p)
+        assert rep.x_p == x_p
+        assert rep.clause_margins == {
+            "lower": max((PI / 2) / (1.0 - r) ** 0.1 - ellip_k(r) for r in cols.xs),
+            "upper": max(ellip_k(r) - cap / (1.0 - r) ** 0.1 for r in cols.xs)}
+
     def test_underflowed_power_is_domain_error(self):
         # (1 - r)^2000 is 0.0 near r = 1, where the upper bound divides by it
         with pytest.raises(DomainError, match="underflows"):

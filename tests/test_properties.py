@@ -8,7 +8,8 @@ manifest it embeds returns the same text.  Grids are kept at 50 points
 so that each example is fast.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
-against its set-based reference over any valid scan settings, and the
+against its set-based reference over any valid scan settings (with the
+geometric table grid against the loop the table first used), and the
 inequality checks' column reducer against the per-point scan it replaced
 over any margin columns.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``specfun.ellip_kpt``; the
@@ -241,6 +242,12 @@ def scan_configs(draw):
 ])
 def test_inequality_grid_matches_reference(cfg):
     assert inequality_grid(cfg) == oracles.inequality_grid_reference(cfg)
+    # the table grids too: geometric bit for bit as the table built it,
+    # and both spacings exactly on the ends of the scan
+    geometric = cfg.grid("geometric")
+    assert geometric == oracles.geometric_grid_reference(cfg)
+    for xs in (cfg.grid(), geometric):
+        assert (xs[0], xs[-1]) == cfg.ends and len(xs) == cfg.n
 
 
 # the tolerances, either side of them, signed zeros, and the non-finite values
