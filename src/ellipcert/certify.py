@@ -32,6 +32,7 @@ _MAX_FLAGGED = 256
 _SUBDIVISIONS = 8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SPACINGS = ("uniform", "geometric")  # of ScanConfig.grid
 
 
 class InconclusiveScanError(RuntimeError):
@@ -87,9 +88,11 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
         if spacing == "uniform":
             step = (hi - lo) / (self.n - 1)
             pts = [lo + i * step for i in range(self.n)]
-        else:
+        elif spacing == "geometric":
             ratio = (hi / lo) ** (1.0 / (self.n - 1))
             pts = [lo * ratio ** i for i in range(self.n)]
+        else:
+            raise ValueError(f"spacing must be one of {', '.join(SPACINGS)}; got {spacing!r}")
         pts[-1] = hi
         return pts
 

@@ -13,10 +13,10 @@ format, seed) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
 a replay byte-reproduces the output.  ``eval`` and ``table`` take
 exactly the ``--param`` keys their function needs; any other key is a
-usage error.  ``table`` evaluates its last point, nearest 1, first: a
-failing last point is the one reported, at once.  Exit codes: 0
-verified/pass, 1 counterexample found, 2 usage or domain error (an
-unwritable ``--out`` too), 3 inconclusive.
+usage error.  Both evaluate their last point first, so a function that
+fails there fails at once; every evaluation error names its point.
+Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
+error (an unwritable ``--out`` too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
 """
 
@@ -34,6 +34,7 @@ from itertools import chain
 from . import family, specfun
 from .certify import (
     DEFAULT_SCAN,
+    SPACINGS,
     BracketNotFoundError,
     InconclusiveScanError,
     ScanConfig,
@@ -46,12 +47,23 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+_FORMATS = ("json", "csv", "text")
 
 
 class RunManifest(namedtuple("RunManifest", "command parameters scan output_format seed")):
-    """Everything needed to reproduce a run byte-for-byte."""
+    """Everything needed to reproduce a run byte-for-byte, checked however built."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for field, names in (("command", _COMMANDS), ("output_format", _FORMATS)):
+            if getattr(self, field) not in names:
+                raise ValueError(f"{field} must be one of {', '.join(names)}; "
+                                 f"got {getattr(self, field)!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates
 
     def _asdict(self) -> dict[str, object]:  # as outputs embed it: scan a dict, not a list
         return {**super()._asdict(), "scan": self.scan._asdict()}
@@ -216,18 +228,19 @@ def _resolve_fn(name: str, params: dict[str, float]):
     return functools.partial(fn, *(params[k] for k in required)) if required else fn
 
 
-def _collect_params(fn: str, pairs: list[str] | None) -> dict[str, float]:
-    """The --param pairs of function fn, checked here as well as in the run
-    step, so that no key can overwrite another manifest parameter."""
+def _collect_params(args: argparse.Namespace) -> dict[str, object]:
+    """fn and the --param pairs of an eval or table command, the pairs checked
+    here as well as in the run step, so that no key can overwrite another
+    manifest parameter."""
     params: dict[str, float] = {}
-    for item in pairs or []:
+    for item in args.param or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise DomainError(f"--param expects key=value; got {item!r}")
         key = key.strip()
         params[key] = _parse_number(val, f"--param {key}")
-    _resolve_fn(fn, params)
-    return params
+    _resolve_fn(args.fn, params)
+    return {"fn": args.fn, **params}
 
 
 def _columns(keys: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
@@ -238,13 +251,15 @@ def _columns(keys: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
 def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
               **params: float) -> tuple[dict[str, list], int]:
     f = _resolve_fn(fn, params)
-    values = []
-    for xi in x:
-        try:
-            values.append(f(xi))
-        except (DomainError, ConvergenceError) as exc:
-            raise DomainError(f"at x={xi!r}: {exc}") from exc
-    return {"x": x, "value": values}, EXIT_OK
+    values: list[float] = []
+    try:
+        values.extend(map(f, x[-1:]))  # first, so that a function failing there fails at once
+        values.extend(map(f, x[:-1]))
+    except (DomainError, ConvergenceError, OverflowError) as exc:
+        # list.extend keeps what it appended, so x[len(values) - 1] is the failing point
+        what = f"out of floating-point range: {exc}" if isinstance(exc, OverflowError) else exc
+        raise DomainError(f"at x={x[len(values) - 1]!r}: {what}") from exc
+    return {"x": x, "value": values[1:] + values[:1]}, EXIT_OK
 
 
 def _run_constants(cfg: ScanConfig, seed: int) -> tuple[dict[str, list], int]:
@@ -346,15 +361,12 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
 
 def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
                **params: float) -> tuple[dict[str, list], int]:
-    f = _resolve_fn(fn, params)
-    xs = cfg.grid(spacing)
-    last = f(xs[-1])  # first, so that a function that fails nearest 1 fails at once
-    return {"x": xs, "value": [*map(f, xs[:-1]), last]}, EXIT_OK
+    return _run_eval(cfg, seed, fn, cfg.grid(spacing), **params)
 
 
 # command -> (parse step: namespace -> manifest parameters, run step)
 _COMMANDS = {
-    "eval": (lambda args: {"fn": args.fn, **_collect_params(args.fn, args.param),
+    "eval": (lambda args: {**_collect_params(args),
                            "x": [_parse_number(text, "eval point") for text in args.x]},
              _run_eval),
     "constants": (lambda args: {}, _run_constants),
@@ -364,9 +376,7 @@ _COMMANDS = {
     "verify": (lambda args: {"selector": args.selector, "a": _parse_number(args.a, "--a"),
                              "p": None if args.p is None else _parse_number(args.p, "--p")},
                _run_verify),
-    "table": (lambda args: {"fn": args.fn, **_collect_params(args.fn, args.param),
-                            "spacing": args.spacing},
-              _run_table),
+    "table": (lambda args: {**_collect_params(args), "spacing": args.spacing}, _run_table),
 }
 
 
@@ -396,19 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="distance kept from the interval ends")
     common.add_argument("--refine", type=int, default=DEFAULT_SCAN.refine_depth,
                         help="local refinement depth around near-zero values")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
+    common.add_argument("--format", choices=_FORMATS, default="text",
                         help="output format (default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for random-pair checks (default %(default)s)")
     common.add_argument("--out", default=None, help="write output to this path")
 
+    zoo = argparse.ArgumentParser(add_help=False)  # eval and table: fn before their own
+    zoo.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
+    zoo.add_argument("--param", action="append", metavar="k=v",
+                     help="function parameter, e.g. a=1.47 or p=7/32")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[common, zoo],
                             help="evaluate a zoo function at given points")
-    p_eval.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
-    p_eval.add_argument("--param", action="append", metavar="k=v",
-                        help="function parameter, e.g. a=1.47 or p=7/32")
     p_eval.add_argument("x", nargs="+", help="evaluation points (float or fraction)")
 
     sub.add_parser("constants", parents=[common],
@@ -425,12 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--a", default="1.47", help="log-shift parameter")
     p_ver.add_argument("--p", default=None, help="power parameter")
 
-    p_tab = sub.add_parser("table", parents=[common],
+    p_tab = sub.add_parser("table", parents=[common, zoo],
                            help="emit an x,value table for external plotting")
-    p_tab.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
-    p_tab.add_argument("--param", action="append", metavar="k=v",
-                       help="function parameter, e.g. p=0.5")
-    p_tab.add_argument("--spacing", choices=("uniform", "geometric"), default="uniform")
+    p_tab.add_argument("--spacing", choices=SPACINGS, default="uniform")
 
     return parser
 

@@ -269,41 +269,28 @@ def check_product_pair(p: float,
     return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 
-def _mean_chain_clauses(p: float) -> tuple[str, ...]:
-    """Clauses of the mean-value chain for h(p, .) that apply at p.
+def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
+    """The mean-chain clauses that apply at p, over the pairs (xs[i], ys[i]).
 
     geometric   (p >= 7/32):          sqrt(h(x)h(y)) <= h((x+y)/2)
     midpoint    (p in [p_lo, 1]):     (h(x)+h(y))/2  <= h((x+y)/2)
     geo_argument(p >= 1/4):           h((x+y)/2)     <= h(sqrt(xy))
-    All are equalities iff x = y.
+    All are equalities iff x = y.  p_lo > 7/32, so geometric applies
+    wherever another clause does, and h is evaluated once at each of x,
+    y and (x+y)/2, and at sqrt(xy) for geo_argument.
     """
-    applies = {"geometric": p >= family.P_LOGCONCAVE,
-               "midpoint": family.P_CONCAVE_LO <= p <= 1.0,
-               "geo_argument": p >= family.P_MONOTONE}
-    clauses = tuple(cl for cl, on in applies.items() if on)
-    if not clauses:
+    if not p >= family.P_LOGCONCAVE:  # also NaN
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
-    return clauses
-
-
-def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
-    """The mean-chain clauses that apply at p, over the pairs (xs[i], ys[i]).
-
-    p_lo > 7/32, so geometric applies wherever another clause does, and h
-    is evaluated once at each of x, y and (x+y)/2, and at sqrt(xy) for
-    geo_argument.
-    """
-    clauses = _mean_chain_clauses(p)
     h = family.h
     hx = [h(p, x) for x in xs]
     hy = [h(p, y) for y in ys]
     hm = [h(p, 0.5 * (x + y)) for x, y in zip(xs, ys)]
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
-    if "midpoint" in clauses:
+    if family.P_CONCAVE_LO <= p <= 1.0:
         columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
-    if "geo_argument" in clauses:
+    if p >= family.P_MONOTONE:
         columns["geo_argument"] = [m - h(p, math.sqrt(x * y)) for x, y, m in zip(xs, ys, hm)]
-    return _report("mean-chain", p, xs, columns, tight=clauses if tight else ())
+    return _report("mean-chain", p, xs, columns, tight=tuple(columns) if tight else ())
 
 
 def check_mean_chain(p: float, x: float, y: float) -> InequalityReport:

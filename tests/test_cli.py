@@ -72,6 +72,7 @@ class TestEval:
         (["table", "K", "--param", "x=3"], "function 'K' takes no --param x"),
         (["eval", "h", "--param", "p=1/2", "--param", "x=9", "0.5"],
          "function 'h' takes no --param x"),
+        (["eval", "K", "--param", "p", "0.5"], "--param expects key=value; got 'p'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_param_the_function_does_not_take(self, capsys, argv, message):
         code, out, err = run(capsys, argv + FAST)
@@ -83,6 +84,16 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "K", "1.5"])
         assert code == 2
         assert "1.5" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "h", "--param", "p=-400", "0.999999"],
+         "at x=0.999999: out of floating-point range: (34, 'Numerical result out of range')"),
+        # the last point is evaluated first, so of several failing points it is reported
+        (["eval", "f", "--param", "a=-1", "1e-9", "0.5", "1e-8"],
+         "at x=1e-08: f denominator a - log(1-x)/2 = -0.999999995 is not positive at x=1e-08"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_error_names_its_point(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 class TestConstants:
@@ -390,14 +401,16 @@ class TestTable:
         monkeypatch.setattr(specfun, "ellip_k", stub)
         code, out, err = run(capsys, ["table", "K", "--grid-n", "50"])
         assert (code, out, calls) == (2, "", [last])
-        assert err == f"error: no value at x={last!r}\n"
+        assert err == f"error: at x={last!r}: no value at x={last!r}\n"
 
     @pytest.mark.parametrize("fn, params, message", [
         ("2F1", ["a=0.5", "b=0.5", "c=1"],  # diverges at 1: fails at the last point
-         "2F1(0.5, 0.5; 1.0; 0.999999999) did not converge within 1000000 terms"),
+         "at x=0.999999999: 2F1(0.5, 0.5; 1.0; 0.999999999) did not converge within "
+         "1000000 terms"),
         ("f", ["a=-1"],  # a negative denominator near 0: fails at the first point
-         "f denominator a - log(1-x)/2 = -0.9999999995 is not positive at x=1e-09"),
-        ("h", ["p=-400"], "out of floating-point range: (34, 'Numerical result out of range')"),
+         "at x=1e-09: f denominator a - log(1-x)/2 = -0.9999999995 is not positive at x=1e-09"),
+        ("h", ["p=-400"], "at x=0.999999999: out of floating-point range: "
+                          "(34, 'Numerical result out of range')"),
     ], ids=["2F1", "f", "h"])
     def test_failing_table_message(self, capsys, fn, params, message):
         start = time.perf_counter()
@@ -486,6 +499,15 @@ class TestOutputContracts:
         monkeypatch.setattr(cli, "_run", lambda m, run=cli._run: seen.append(m) or run(m))
         _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])
         assert [m._asdict() for m in seen] == [manifest_of(out, "json")]
+
+    @pytest.mark.parametrize("key, value", [
+        ("spacing", "bogus"), ("output_format", "xml"), ("command", "nope")])
+    def test_replay_rejects_unknown_name(self, capsys, key, value):
+        _, out, _ = run(capsys, ["table", "K", "--format", "json", "--grid-n", "5"])
+        manifest = manifest_of(out, "json")
+        (manifest["parameters"] if key == "spacing" else manifest)[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be one of .*; got '{value}'$"):
+            cli.run_from_manifest(manifest)
 
     def test_replay_checks_theorem_id(self, capsys):
         _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])

@@ -192,8 +192,7 @@ class TestMeanChain:
 
 
 def _clauses_at(p):
-    from ellipcert.inequalities import _mean_chain_clauses
-    return _mean_chain_clauses(p)
+    return tuple(check_mean_chain(p, 0.3, 0.4).clause_margins)
 
 
 class TestKEnvelope:

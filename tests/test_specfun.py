@@ -175,7 +175,7 @@ class TestHyp2f1:
             code = cli.main(argv)
         elapsed = time.perf_counter() - t0
         assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue() == ("error: 2F1(0.5, 0.5; 1.0; 0.999999999) "
+        assert err.getvalue() == ("error: at x=0.999999999: 2F1(0.5, 0.5; 1.0; 0.999999999) "
                                   "did not converge within 1000000 terms\n")
         assert budget_s is None or elapsed < budget_s
 
@@ -186,6 +186,12 @@ class TestHyp2f1:
         # a + b overflows, the test of that cap must not raise first
         with pytest.raises(ConvergenceError, match="non-finite partial sum .* after 1 terms"):
             hyp2f1(a, b, 1.0, 0.5)
+
+    def test_underflowing_first_term(self):
+        # a*b underflows to 0, so the cap test stops at its t1 > 0 guard,
+        # before 1/t1, and the series ends at its first term
+        assert specfun._cap_unreachable(1e-200, 1e-200, 1e-200, 0.5, 1e-17, 1_000_000) is False
+        assert hyp2f1(1e-200, 1e-200, 1e-200, 0.5) == 1.0
 
     def test_brute_series_oracle_agreement(self):
         for x in [0.1, 0.5, 0.9, -0.5]:
