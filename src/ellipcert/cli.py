@@ -325,7 +325,9 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
             f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
     from . import inequalities  # only verify pays for loading the checks
 
-    # one grid with K(x) and K(1-x) for every grid check of this command
+    # one grid with K(x) and K(1-x) for every grid check of this command;
+    # the checks that pair r with 1 - r come first, so one AGM pass per
+    # point gives both columns
     cols = inequalities.GridColumns(cfg)
     reports: list[inequalities.InequalityReport] = []
     if selector in ("sum-bounds", "all"):

@@ -10,9 +10,11 @@ are confirmed only away from the recorded equality points.
 
 Each check builds one margin column per clause, a list index-aligned
 with its points, from columns of K: K(x) and, for the bounds that pair
-r with 1 - r, K(1 - x), each evaluated once per point.  A command that
-runs several checks on one grid shares a GridColumns, so K(x) and
-K(1 - x) are evaluated once per grid point for the whole command.  One
+r with 1 - r, K(1 - x).  The mirror point is the exact 1 - r, never its
+rounding: specfun.ellip_k_columns takes K(1 - x) from the nome of the
+AGM pass that gives K(x), so both columns cost one pass per point.  A
+command that runs several checks on one grid shares a GridColumns, so
+that pass runs once per grid point for the whole command.  One
 reducer, _report, turns the margin columns into the report: the maximum
 per clause, the first violation and the equality points.  A margin that
 is NaN or infinite is no evidence: the check raises
@@ -44,6 +46,7 @@ from .specfun import (
     PI,
     DomainError,
     ellip_k,
+    ellip_k_columns,
 )
 
 # A clause is violated only beyond this; |margin| <= EQUALITY_TOL marks
@@ -125,12 +128,14 @@ def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
 class GridColumns:
     """inequality_grid(cfg) with K(x) and K(1 - x), index-aligned.
 
-    Each column is computed on first use and kept by this object alone,
-    so the checks of one command that share it evaluate K once per point
-    and argument, and a command that never pairs r with 1 - r never
-    computes K(1 - x).  k_mirror raises DomainError, naming
-    endpoint_offset, where 1 - x rounds to 1 at the first grid point.  A
-    grid check takes either a GridColumns or a plain ScanConfig, for
+    The columns are computed on first use and kept by this object alone.
+    k_pair, which the checks that pair r with 1 - r read, gives both from
+    one ellip_k_columns pass; k, which a K-only check reads, is that
+    pass's K column where it has run, and ellip_k per point otherwise.
+    So the checks of one command that share it run the AGM once per point
+    as long as the pairing checks come first, as they do in cli's verify,
+    and a command that never pairs r with 1 - r never computes K(1 - x).
+    A grid check takes either a GridColumns or a plain ScanConfig, for
     which it builds its own.
     """
 
@@ -142,17 +147,14 @@ class GridColumns:
         return inequality_grid(self.cfg)
 
     @cached_property
-    def k(self) -> list[float]:
-        return [ellip_k(x) for x in self.xs]
+    def k_pair(self) -> tuple[list[float], list[float]]:
+        return ellip_k_columns(self.xs)
 
     @cached_property
-    def k_mirror(self) -> list[float]:
-        x = self.xs[0]  # the smallest point has the largest mirror point
-        if not 1.0 - x < 1.0:
-            raise DomainError(
-                f"endpoint_offset={self.cfg.endpoint_offset!r}: at the grid point "
-                f"x={x!r} the mirror point 1 - x rounds to 1, outside (0, 1)")
-        return [ellip_k(1.0 - x) for x in self.xs]
+    def k(self) -> list[float]:
+        if "k_pair" in self.__dict__:
+            return self.k_pair[0]
+        return [ellip_k(x) for x in self.xs]
 
 
 def _columns(grid: ScanConfig | GridColumns) -> GridColumns:
@@ -212,8 +214,9 @@ def check_sum_bounds(a: float,
     upper = 1.0 + PI / (2.0 * a)
     cols = _columns(grid)
     f_from_k = family.f_from_k
-    total = [f_from_k(a, r, kr) + f_from_k(a, 1.0 - r, km)
-             for r, kr, km in zip(cols.xs, cols.k, cols.k_mirror)]
+    # f(a, 1 - r) = K(1 - r) / (a - log(r)/2), at the exact mirror point
+    total = [f_from_k(a, r, kr) + km / (a - 0.5 * math.log(r))
+             for r, kr, km in zip(cols.xs, *cols.k_pair)]
     return _report("sum-bounds", a, cols.xs,
                    {"lower": [lower - t for t in total], "upper": [t - upper for t in total]},
                    tight=("lower",))
@@ -237,9 +240,9 @@ def check_weighted_sum(p: float,
     mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
     below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
     cols = _columns(grid)
-    # h(p, r) + h(p, 1 - r), with 1 - (1 - r) rounded as h(p, 1 - r) rounds it
-    total = [(1.0 - r) ** p * kr + (1.0 - (1.0 - r)) ** p * km
-             for r, kr, km in zip(cols.xs, cols.k, cols.k_mirror)]
+    # h(p, r) + h(p, 1 - r), at the exact mirror point
+    total = [(1.0 - r) ** p * kr + r ** p * km
+             for r, kr, km in zip(cols.xs, *cols.k_pair)]
     return _report("weighted-sum", p, cols.xs,
                    {"lower": [below - t for t in total], "upper": [t - above for t in total]},
                    tight=("lower",) if convex else ("upper",))
@@ -259,7 +262,7 @@ def check_product_pair(p: float,
     sum_scale = 2.0 ** (1.0 + p) * k_half
     geo_bound = k_half / 2.0 ** p
     cols = _columns(grid)
-    xs, k, k_mirror = cols.xs, cols.k, cols.k_mirror
+    xs, (k, k_mirror) = cols.xs, cols.k_pair
     w = [(r - r * r) ** p for r in xs]
     columns = {"sum_lower": [sum_scale * wr - (r ** p * kr + (1.0 - r) ** p * km)
                              for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
@@ -377,8 +380,7 @@ def check_gamma_constant_identities() -> InequalityReport:
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
     xs = [0.5, *_GAMMA_GRID.grid()]
-    k = [ellip_k(r) for r in xs]
-    k_mirror = [ellip_k(1.0 - r) for r in xs]
+    k, k_mirror = ellip_k_columns(xs)
     s = [(1.0 - r) ** p * kr + r ** p * km for r, kr, km in zip(xs, k, k_mirror)]
     g = [math.sqrt(r - r * r) for r in xs]
     n = len(xs)

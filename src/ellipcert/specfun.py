@@ -14,10 +14,13 @@ yields K and the ratios P = (K-E)/x and T2 = ((2-x)K-2E)/x^2 together,
 the ratios from a sum of positive terms with no series cut.  The sign
 factors read only K, P and T2, through ``ellip_kpt``, so the pass skips
 the E sum; ``_e_from`` forms E from the same pass only for ``ellip_e``
-and ``legendre_residual``.  ``ellip_k``, the one function the inequality
-grids call, runs the same recurrence in its own loop, without the P and
-T2 sums: change the loops of ``ellip_kpt`` and ``ellip_k`` together.  A
-test guards that ``ellip_k`` returns ``ellip_kpt(x)[0]`` bit for bit.
+and ``legendre_residual``.  The inequality grids call ``ellip_k``, which
+runs the same recurrence in its own loop without the P and T2 sums, and,
+where a bound pairs r with 1 - r, ``ellip_k_columns``, which runs it
+inline once per point and reads K(1 - x) off the nome of the last Landen
+step.  Change the three loops of ``ellip_kpt``, ``ellip_k`` and
+``ellip_k_columns`` together: tests guard that ``ellip_k`` returns
+``ellip_kpt(x)[0]``, and ``ellip_k_columns`` ``ellip_k``'s values, bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -27,9 +30,11 @@ All functions are pure, deterministic and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 PI = math.pi
 LOG4 = math.log(4.0)
+_LOG16 = math.log(16.0)
 
 # Gamma(1/4) and Gamma(3/4), rounded to nearest double from the
 # 40-digit values 3.625609908221908311930685155867672002995...
@@ -76,8 +81,9 @@ def ellip_kpt(x: float) -> tuple[float, float, float, float]:
     q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
-    kept, and a, b within 3e-14 of each other.  ``ellip_k`` runs the a, b,
-    q, t recurrence alone: change the two loops together.
+    kept, and a, b within 3e-14 of each other.  ``ellip_k`` and
+    ``ellip_k_columns`` run the a, b, q, t recurrence alone: change the
+    three loops together.
     """
     y = math.sqrt(1.0 - x)                    # b_0
     t = 0.5 / (1.0 + y)                       # t_1
@@ -119,7 +125,7 @@ def ellip_k(x: float) -> float:
     Relative error is a few ulp across the domain.  The loop is the a, b,
     q, t recurrence of ``ellip_kpt`` without its P, T2 and tail sums, which
     never feed a, b, q or t, so the result is ``ellip_kpt(x)[0]`` to the bit.
-    Change the two loops together.
+    Change the three loops together (see ``ellip_kpt``).
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
@@ -136,6 +142,56 @@ def ellip_k(x: float) -> float:
         q = x * t / a
         t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
     return PI / (a + b)
+
+
+def ellip_k_columns(xs: Iterable[float]) -> tuple[list[float], list[float]]:
+    """(K(x), K(1 - x)) for each x of xs, 0 < x < 1, from one AGM pass per
+    point: the columns of the bounds that pair r with the exact 1 - r.
+
+    The loop is ``ellip_k``'s, so the first list is ``ellip_k``'s values to
+    the bit; change the three loops together.  After it, a = a_M, t = t_M
+    and pw = 2^M, so k_M = x t/a = c_M/a_M is the modulus of the last
+    Landen step.  Each step squares the nome, exp(-pi K(1 - x)/K(x)) at
+    modulus sqrt(x) (Borwein & Borwein, *Pi and the AGM*, ch. 1-2; DLMF
+    19.5, 22.2.1), and the nome of modulus k is k^2/16 + k^4/32 + O(k^6),
+    whose -log is log 16 - 2 log k - k^2/2 + O(k^4), so
+
+        K(1 - x) = K(x) (log 16 - 2 log k_M - k_M^2/2) / (pi 2^M),
+
+    where k_M < 3e-7 leaves the omitted terms below 1e-26.  For x < 1e-150,
+    k_M ~ x^2/64 would leave the normal range; there the nome is x/16 to
+    the last bit and K(1 - x) = K(x) (log 16 - log x)/pi.  K(x)/pi is
+    taken as 1/(a_M + b_M), and 2^M scales it exactly.  1 - x is never
+    rounded, so K(1 - x) keeps a relative error below 3 * 2^-52 at the
+    exact mirror for every double x in (0, 1).
+    """
+    ks: list[float] = []
+    kms: list[float] = []
+    for x in xs:
+        if not 0.0 < x < 1.0:
+            raise DomainError(f"ellip_k_columns requires 0 < x < 1; got {x!r}")
+        y = math.sqrt(1.0 - x)
+        t = 0.5 / (1.0 + y)
+        a, b = 0.5 * (1.0 + y), math.sqrt(y)
+        d = a - b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        q = x * t / a
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        pw = 4.0
+        while q > 1e-3:
+            d = a - b
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            q = x * t / a
+            t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
+        k = PI / (a + b)
+        ks.append(k)
+        if x < 1e-150:
+            kms.append((_LOG16 - math.log(x)) / (a + b))
+        else:
+            km = x * t / a
+            kms.append((_LOG16 - 2.0 * math.log(km) - 0.5 * km * km) / (pw * (a + b)))
+    return ks, kms
 
 
 def ellip_e(x: float) -> float:

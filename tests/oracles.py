@@ -305,6 +305,19 @@ def mp_kept(x: float, dps: int = 50) -> tuple[float, float, float, float]:
                 float(((2 - x) * k - 2 * e) / (x * x)))
 
 
+def mp_k_mirror(x: float) -> float:
+    """K(1 - x) at the exact mirror point, from mpmath.
+
+    1 - x needs about -log10(x) digits more than x itself, so the working
+    precision is 40 - log10(x) digits: at a fixed 40 digits 1 - x rounds,
+    and the reference is wrong below x ~ 1e-30.
+    """
+    import mpmath
+
+    with mpmath.workdps(40 + max(0, math.ceil(-math.log10(x)))):
+        return float(mpmath.ellipk(1 - mpmath.mpf(x)))
+
+
 def mp_phi(x: float, dps: int = 50) -> float:
     """phi(x) = log(1-x)/2 + 2xK(E-K) / (2E^2 - 2EK + x(1-x)K^2) from
     mpmath K and E; the denominator is O(x^2), so dps must exceed twice

@@ -1,6 +1,7 @@
 """Command-line contract tests: subcommands, formats, exit codes,
 manifest embedding and byte reproducibility."""
 
+import csv
 import json
 import math
 import time
@@ -330,15 +331,17 @@ class TestFloatRange:
         ("all", ["--hi", "0.5", "--offset", "2.2250738585072014e-308", "--grid-n", "2"]),
         ("sum-bounds", ["--lo", "0", "--offset", "1e-17", "--hi", "0.5"]),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
-    def test_mirror_point_rounding_to_one_is_usage_error(self, capsys, selector, scan):
-        # 1 - x rounds to 1 at the first grid point x = offset, so K(1 - x)
-        # is undefined there; the error names the offset and that point
-        offset = scan[scan.index("--offset") + 1]
-        code, out, err = run(capsys, ["verify", selector] + scan)
-        assert (code, out) == (2, "")
-        assert err == (f"error: endpoint_offset={offset}: at the grid point x={offset} "
-                       "the mirror point 1 - x rounds to 1, outside (0, 1)\n")
-        # a check that uses K(x) alone still runs on that grid
+    def test_mirror_point_is_exact_where_one_minus_x_rounds_to_one(self, capsys, selector,
+                                                                    scan):
+        # 1 - x rounds to 1 at the first grid point x = offset, but K(1 - x)
+        # comes from the nome of K(x)'s AGM pass at the exact mirror point,
+        # so every check gives its verdict there
+        code, out, err = run(capsys, ["verify", selector, "--format", "csv"] + scan)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert rows and {r["verdict"] for r in rows} == {"pass"}
+        assert {r["check"] for r in rows} >= {"sum-bounds"}
+        # a check that uses K(x) alone runs on that grid too
         code, _, err = run(capsys, ["verify", "k-envelope", "--p", "0.5"] + scan)
         assert code == 0, err
 

@@ -51,7 +51,7 @@ GOLDEN = [
     (["certify", "cor15-monotone", "0.24"], 1, "401378d8d33d148a9990de6ffbc9961ff9cc5e64abe18125a494a0fc82693af4"),
     (["certify", "cor15-monotone", "0.25"], 0, "475d49480f0e8ad758b7bd8178ba9a0dee146c58fe166a8aa37eb44f594d435f"),
     (["certify", "cor15-monotone", "0.26"], 0, "bd4692007b5137609526a13a3ed9fc62024b8d332f15f8b3629e443b95cf255c"),
-    (["verify", "all"], 0, "f12f1c3a458bbf71045509afe1a0b98db460b7edb14fba7acb254c1e2388092d"),
+    (["verify", "all"], 0, "9d87289f403ad0a22e34f693f03b60874cb530af053b731928282c03af19906b"),
     (["verify", "k-envelope", "--p", "0.1"], 0, "17886e6f7566ec2cad28a7b1d06f64bcf87c4e118c9ef9d4db00c3511af5c8eb"),
     (["table", "K", "--spacing", "uniform"], 0, "9a2473afc6ddda8e1a32be060f20e01a2ddee80d746a53eb1e4d8e56e769561d"),
     (["table", "K", "--spacing", "geometric"], 0, "ab97652b732e354b942b9c14ca3b6cd55ddef534d10be492537b4077924007be"),
@@ -66,8 +66,8 @@ GOLDEN = [
     (["constants", "--format", "text"], 0, "40b5492f2e5d1e8f919fbf3c7eaacddf91b1901d5996e5be89859fc8f52b2415"),
     (["constants", "--format", "json"], 0, "dde600e2d9acc7f738827100597cd56dd3d0a52229e6096b8831682d61c0d588"),
     (["constants", "--format", "csv"], 0, "1ada5b6c3497f830c1c656db4d19ef9228378deb1a03b5ac737c4a6f081e47de"),
-    (["verify", "all", "--format", "json"], 0, "e6c6f9bd9d651ff45af6fb43cfb4daea15efb0de9ced5a536b5bec27301b5020"),
-    (["verify", "all", "--format", "csv"], 0, "264515a393ae925254df56c4b78f7cb7167d29a8b9d97905df39396c1517a93d"),
+    (["verify", "all", "--format", "json"], 0, "02033286ab99769dab05aa399123a5dfbf4395e4b7572e2d29bfe0fea6523a50"),
+    (["verify", "all", "--format", "csv"], 0, "b0eaf0635e178dffbb41a74f956d00465d09c8f1b44affc0ec55aebcb5eec1d6"),
     (["eval", "K", "0.5", "0.9", "--format", "json"], 0, "d0a33e1247eeb9e940ec8267893bf201c805436f4e43cb556c12ab6c9cf2a952"),
     (["table", "E", "--format", "csv"], 0, "7019b531ea10751666cd71dcd2b9a7d6081e014f1467322be29cde6908c1b9ef"),
     (["table", "u", "--format", "csv"], 0, "e2cc221d5c55666978d72cc9b790a4b101fb7137e6f4765b4edcc29c5a35f753"),
@@ -88,9 +88,9 @@ GOLDEN = [
     # tails, the midpoint and the de-duplication of inequality_grid are
     # pinned; the sum-bounds grid has no tails (span < 1), and k-envelope
     # at p = 0.1 scans up to hi = 0.9, below x_p
-    (["verify", "all", "--lo", "0.1", "--hi", "0.9", "--offset", "1e-3", "--format", "csv"], 0, "417ec2348908a284716ebdb5f6fc44d53dfbb0e43b988efb96eb626f49c65c06"),
+    (["verify", "all", "--lo", "0.1", "--hi", "0.9", "--offset", "1e-3", "--format", "csv"], 0, "710fb9cca69909cc71b84c6c09a3477e482dd8e4486b64dc36df733d4d8d4572"),
     (["verify", "sum-bounds", "--offset", "0.01", "--format", "csv"], 0, "81a577d5dcabeea493e1442263ef88efdf28cb858a64cf96abf32f47e21903d1"),
-    (["verify", "weighted-sum", "--p", "1.5", "--lo", "0.25", "--format", "csv"], 0, "a7605a9f0f67f8fb2099ad375207b992e2a95bb6381fa83a6ce5e26757be1b47"),
+    (["verify", "weighted-sum", "--p", "1.5", "--lo", "0.25", "--format", "csv"], 0, "8db6799726ee7b8237cd7935612f66abedc3066a0c4116741008e57e2f0770bc"),
     (["verify", "k-envelope", "--p", "0.1", "--offset", "1e-6", "--format", "csv"], 0, "7ad0ef54a7d1c95bd8b7d80c0e5cb880f2285b15685c9e4584733955d45e4f35"),
     # certify without refinement and with four levels of it, so that the
     # scan's refine levels other than the default two are pinned
@@ -103,8 +103,8 @@ GOLDEN = [
     # its upper clause tight, the one-clause product-pair regime and a
     # seeded mean-chain run, so that each check's reduction is pinned
     (["verify", "sum-bounds", "--a", "1.3", "--format", "json"], 1, "d25a8b68622020f998a7377613ee660435406f4dc0e20ae6c8d6ce46f064e310"),
-    (["verify", "sum-bounds", "--a", "1.45", "--format", "csv"], 1, "f90be2b25dafd145b0681854d65681be7fd64e80deed0d12c2ded4c11f3535d7"),
-    (["verify", "weighted-sum", "--p", "0.3", "--format", "csv"], 0, "951a8c89c5033dc8fe4b568760e794a3401e895fce3347ea95aec00a438ea376"),
+    (["verify", "sum-bounds", "--a", "1.45", "--format", "csv"], 1, "1ed444551799142e05350a0a31dc8dba38e8e35dc90c1e83da63691410fd0bb4"),
+    (["verify", "weighted-sum", "--p", "0.3", "--format", "csv"], 0, "50f58ad4f13147d7f20d6690352ff3fc5e78e7f9dcfbdde5325f84c37b23cf02"),
     (["verify", "product-pair", "--p", "0.1", "--format", "csv"], 0, "256719d944776a30f2d213d78df70af9589dcef4df52261ba6c23eaa6786691a"),
     (["verify", "mean-chain", "--p", "1.2", "--seed", "7", "--format", "csv"], 0, "db5969e936b01535329d64b0914a5f639575812855b70d2fd8751aed4d37229f"),
     # eval of every parametrised function in csv and text, and an eval

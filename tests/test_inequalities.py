@@ -317,29 +317,36 @@ class TestGridAndReports:
         assert bad.verdict == "fail" and bad.witness_x is not None
 
 
+def _k_mirror(r):
+    """K(1 - r) at the exact mirror point, from the column kernel alone."""
+    return specfun.ellip_k_columns([r])[1][0]
+
+
 def _per_clause_margins(name, q):
     """Clause margins at r as functions of r alone, with one family.f,
-    family.h or ellip_k evaluation per use, as the checks computed them
-    before K was shared between clauses and checks."""
+    family.h, ellip_k or _k_mirror evaluation per use, as the checks
+    computed them before K was shared between clauses and checks.  The
+    mirror terms are f and h at the exact 1 - r: K(1 - r) / (a - log(r)/2)
+    and r^p K(1 - r)."""
     k_half = ellip_k(0.5)
     if name == "sum-bounds":
         lower = 4.0 * k_half / (2.0 * q + math.log(2.0))
         upper = 1.0 + PI / (2.0 * q)
-        total = lambda r: family.f(q, r) + family.f(q, 1.0 - r)
+        total = lambda r: family.f(q, r) + _k_mirror(r) / (q - 0.5 * math.log(r))
         return {"lower": lambda r: lower - total(r), "upper": lambda r: total(r) - upper}
     if name == "weighted-sum":
         mid = k_half / 2.0 ** (q - 1.0)
-        total = lambda r: family.h(q, r) + family.h(q, 1.0 - r)
+        total = lambda r: family.h(q, r) + r ** q * _k_mirror(r)
         if q >= family.P_CONVEX_HI:
             return {"lower": lambda r: mid - total(r), "upper": lambda r: total(r) - PI / 2}
         return {"lower": lambda r: PI / 2 - total(r), "upper": lambda r: total(r) - mid}
     if name == "product-pair":
         out = {"sum_lower": lambda r: (
             2.0 ** (1.0 + q) * k_half * (r - r * r) ** q
-            - (r ** q * ellip_k(r) + (1.0 - r) ** q * ellip_k(1.0 - r)))}
+            - (r ** q * ellip_k(r) + (1.0 - r) ** q * _k_mirror(r)))}
         if q >= family.P_LOGCONCAVE:
             out["geo_upper"] = lambda r: (
-                math.sqrt((r - r * r) ** q * ellip_k(r) * ellip_k(1.0 - r)) - k_half / 2.0 ** q)
+                math.sqrt((r - r * r) ** q * ellip_k(r) * _k_mirror(r)) - k_half / 2.0 ** q)
         return out
     assert name == "k-envelope" and q >= family.P_MONOTONE
     return {"lower": lambda r: (PI / 2) * (1.0 - r) ** q - ellip_k(r),
@@ -355,16 +362,23 @@ SHARED_GRID_CHECKS = [
 
 
 def _count_kernel(monkeypatch):
-    """Count ellip_k calls made through every module that reaches it."""
-    calls = [0]
-    real = specfun.ellip_k
+    """Count ellip_k calls made through every module that reaches it, as
+    calls["k"], and the length of each ellip_k_columns pass, as
+    calls["columns"]."""
+    calls = {"k": 0, "columns": []}
+    real_k, real_columns = specfun.ellip_k, specfun.ellip_k_columns
 
     def counted(x):
-        calls[0] += 1
-        return real(x)
+        calls["k"] += 1
+        return real_k(x)
+
+    def counted_columns(xs):
+        calls["columns"].append(len(xs))
+        return real_columns(xs)
 
     for module in (inequalities, family, specfun):
         monkeypatch.setattr(module, "ellip_k", counted)
+    monkeypatch.setattr(inequalities, "ellip_k_columns", counted_columns)
     return calls
 
 
@@ -388,24 +402,29 @@ class TestSharedColumns:
     def test_one_kernel_call_per_point_and_argument(self, monkeypatch):
         calls = _count_kernel(monkeypatch)
         cols = GridColumns(FAST)
-        check_k_envelope(0.5, cols)
         n = len(cols.xs)
-        assert calls[0] == n  # K(x) only: this check never pairs r with 1 - r
         check_sum_bounds(1.47, cols)
         check_weighted_sum(0.5, cols)
         check_product_pair(0.5, cols)
-        assert calls[0] == 2 * n + 3  # K(1 - x) once, K(1/2) once per check
+        # one column pass gives K(x) and K(1 - x); K(1/2) once per check
+        assert calls == {"k": 3, "columns": [n]}
+        check_k_envelope(0.5, cols)
+        assert calls == {"k": 3, "columns": [n]}  # K(x) from that same pass
+        # a command that never pairs r with 1 - r never computes K(1 - x)
+        check_k_envelope(0.5, GridColumns(FAST))
+        assert calls == {"k": 3 + n, "columns": [n]}
 
     def test_verify_all_kernel_budget(self, monkeypatch, capsys):
         n = len(inequality_grid(DEFAULT_SCAN))
         n_xp = len(inequality_grid(DEFAULT_SCAN._replace(hi=find_x_p(0.1))))
         calls = _count_kernel(monkeypatch)
         assert cli.main(["verify", "all"]) == 0
-        # K(x) and K(1 - x) on the shared grid, K(x) on the grid up to
-        # x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy) for the 1000 mean-chain
-        # pairs, K(r), K(1 - r) and K(sqrt(r - r^2)) on the 1001-point gamma
-        # grid, and K(1/2) or K(x_p) once per check
-        assert calls[0] == 2 * n + n_xp + 4 * 1000 + 3 * 1001 + 6
+        # one column pass for K(x) and K(1 - x) on the shared grid and one
+        # for K(r) and K(1 - r) on the 1001-point gamma grid; ellip_k for
+        # K(x) on the grid up to x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy)
+        # for the 1000 mean-chain pairs, K(sqrt(r - r^2)) on the gamma grid,
+        # and K(1/2) or K(x_p) once per check
+        assert calls == {"k": n_xp + 4 * 1000 + 1001 + 6, "columns": [n, 1001]}
 
 
 class TestNonFiniteMargins:
@@ -443,5 +462,18 @@ class TestNonFiniteMargins:
             return math.nan if calls[0] == nth else real(x)
 
         monkeypatch.setattr(inequalities, "ellip_k", k)
+        with pytest.raises(InconclusiveScanError):
+            check_gamma_constant_identities()
+
+    @pytest.mark.parametrize("column, nth", [(0, 0), (0, 500), (1, 0), (1, 1000)])
+    def test_one_nan_in_gamma_columns(self, monkeypatch, column, nth):
+        real = inequalities.ellip_k_columns
+
+        def columns(xs):
+            pair = real(xs)
+            pair[column][nth] = math.nan
+            return pair
+
+        monkeypatch.setattr(inequalities, "ellip_k_columns", columns)
         with pytest.raises(InconclusiveScanError):
             check_gamma_constant_identities()
