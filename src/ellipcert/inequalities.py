@@ -20,17 +20,34 @@ per clause, the first violation and the equality points.  A margin that
 is NaN or infinite is no evidence: the check raises
 InconclusiveScanError (exit 3) instead of giving a verdict.
 
+The pairing checks (sum-bounds, weighted-sum, product-pair and the
+chain clauses of gamma-constants) test each pair {r, 1 - r} once.
+Every clause there is unchanged when r is swapped with 1 - r, and the
+point r gives both halves of its pair, K(1 - r) at the exact mirror.
+So pair_runs keeps every grid point r <= 1/2 and, above 1/2, only the
+points whose mirror 1 - r (exact for r >= 1/2) lies below the grid's
+first point.  A point it drops has its mirror between the first point
+and 1/2, where the kept points lie at most a grid step apart.  On a
+grid with lo + hi = 1 that mirror is a kept point to within rounding,
+so a dropped point only repeats a pair; on other grids its pair falls
+between two scanned pairs, and every pair is still sampled at the grid
+step.  These reports count the points scanned in grid_n, take the
+witness as the first violation among them in point order, and cluster
+equality points only across neighbours in the whole grid.
+
 Reports are independent and deterministic; random-pair checks take an
 explicit seed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import islice
 
 from . import family
 from .certify import (
@@ -66,6 +83,8 @@ class InequalityReport(namedtuple("InequalityReport",
 
     clause_margins holds, per clause, the maximum of (lhs - rhs) over
     the grid for a claim lhs <= rhs, so a pass shows values <= ~0.
+    grid_n counts the points scanned, for a pairing check those that
+    hold a new pair {r, 1 - r} (pair_runs).
     equality_points lists grid locations (clustered) where a tight
     clause is an equality to within EQUALITY_TOL.  verdict is "fail"
     iff some clause exceeds VIOLATION_TOL, in which case the witness
@@ -125,18 +144,35 @@ def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
     return out
 
 
-class GridColumns:
-    """inequality_grid(cfg) with K(x) and K(1 - x), index-aligned.
+def pair_runs(xs: Sequence[float]) -> tuple[int, int]:
+    """(m, j) such that xs[:m] and xs[j:] are the points of the ascending
+    xs that hold a new pair {r, 1 - r}: every r <= 1/2, and each r above
+    1/2 whose mirror 1 - r lies below the first point xs[0].
 
-    The columns are computed on first use and kept by this object alone.
-    k_pair, which the checks that pair r with 1 - r read, gives both from
-    one ellip_k_columns pass; k, which a K-only check reads, is that
-    pass's K column where it has run, and ellip_k per point otherwise.
-    So the checks of one command that share it run the AGM once per point
-    as long as the pairing checks come first, as they do in cli's verify,
-    and a command that never pairs r with 1 - r never computes K(1 - x).
-    A grid check takes either a GridColumns or a plain ScanConfig, for
-    which it builds its own.
+    For r >= 1/2, 1 - r is exact (Sterbenz), so the test is exact too.
+    The points xs[m:j] have their mirrors between xs[0] and 1/2, where
+    the points of xs[:m] lie.
+    """
+    m = bisect.bisect_right(xs, 0.5)
+    first = xs[0]
+    return m, bisect.bisect_left(xs, True, m, key=lambda r: 1.0 - r < first)
+
+
+class GridColumns:
+    """inequality_grid(cfg), with K(x) and K(1 - x) at the pair points.
+
+    pair_xs holds the points xs[:m] and xs[j:] that hold a new pair
+    {r, 1 - r}, where (m, j) = runs (pair_runs): the pairing checks scan
+    these alone.  The columns are computed on first use and kept by this
+    object alone.  k_pair, which the pairing checks read, gives K(x) and
+    K(1 - x) at pair_xs from one ellip_k_columns pass; k, which a K-only
+    check reads over all of xs, takes K from that pass where it has run
+    and calls ellip_k for the other points only (for every point if it
+    has not).  So the checks of one command that share it run the AGM
+    once per point as long as the pairing checks come first, as they do
+    in cli's verify, and a command that never pairs r with 1 - r never
+    computes K(1 - x).  A grid check takes either a GridColumns or a
+    plain ScanConfig, for which it builds its own.
     """
 
     def __init__(self, cfg: ScanConfig = DEFAULT_SCAN):
@@ -147,14 +183,24 @@ class GridColumns:
         return inequality_grid(self.cfg)
 
     @cached_property
+    def runs(self) -> tuple[int, int]:
+        return pair_runs(self.xs)
+
+    @cached_property
+    def pair_xs(self) -> list[float]:
+        m, j = self.runs
+        return self.xs[:m] + self.xs[j:]
+
+    @cached_property
     def k_pair(self) -> tuple[list[float], list[float]]:
-        return ellip_k_columns(self.xs)
+        return ellip_k_columns(self.pair_xs)
 
     @cached_property
     def k(self) -> list[float]:
-        if "k_pair" in self.__dict__:
-            return self.k_pair[0]
-        return [ellip_k(x) for x in self.xs]
+        if "k_pair" not in self.__dict__:
+            return [ellip_k(x) for x in self.xs]
+        (m, j), k = self.runs, self.k_pair[0]
+        return [*islice(k, m), *map(ellip_k, islice(self.xs, m, j)), *islice(k, m, None)]
 
 
 def _columns(grid: ScanConfig | GridColumns) -> GridColumns:
@@ -167,22 +213,26 @@ def _report(name: str,
             xs: Sequence[float],
             columns: dict[str, list[float]],
             tight: Sequence[str] = (),
-            x_p: float | None = None) -> InequalityReport:
+            x_p: float | None = None,
+            runs: tuple[int, int] = (0, 0)) -> InequalityReport:
     """The report of margin columns: columns maps each clause, in order, to
     its margins at xs, index-aligned.
 
     Per clause: the maximum margin, the first index above VIOLATION_TOL
     and, for the tight clauses, the equality hits.  The witness is the
-    first violation in point order, ties going to clause order.  An
-    empty column, or one that holds a NaN or an infinity, is no evidence:
-    InconclusiveScanError.
+    first violation in point order, ties going to clause order.  runs =
+    (m, j) says that xs holds only grid[:m] and grid[j:] of its grid (a
+    pairing check, pair_runs), so that equality hits cluster only across
+    neighbours in the grid.  An empty column, or one that holds a NaN or
+    an infinity, is no evidence: InconclusiveScanError.
     """
     if not all(col and all(map(math.isfinite, col)) for col in columns.values()):
         raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
     margins = {cl: max(col) for cl, col in columns.items()}
     firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
               for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
-    hits = [(i, x, m) for cl, col in columns.items() if cl in tight
+    head, tail = runs
+    hits = [(i if i < head else i + tail - head, x, m) for cl, col in columns.items() if cl in tight
             for i, (x, m) in enumerate(zip(xs, col)) if abs(m) <= EQUALITY_TOL]
     i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
@@ -216,10 +266,10 @@ def check_sum_bounds(a: float,
     f_from_k = family.f_from_k
     # f(a, 1 - r) = K(1 - r) / (a - log(r)/2), at the exact mirror point
     total = [f_from_k(a, r, kr) + km / (a - 0.5 * math.log(r))
-             for r, kr, km in zip(cols.xs, *cols.k_pair)]
-    return _report("sum-bounds", a, cols.xs,
+             for r, kr, km in zip(cols.pair_xs, *cols.k_pair)]
+    return _report("sum-bounds", a, cols.pair_xs,
                    {"lower": [lower - t for t in total], "upper": [t - upper for t in total]},
-                   tight=("lower",))
+                   tight=("lower",), runs=cols.runs)
 
 
 def check_weighted_sum(p: float,
@@ -242,10 +292,10 @@ def check_weighted_sum(p: float,
     cols = _columns(grid)
     # h(p, r) + h(p, 1 - r), at the exact mirror point
     total = [(1.0 - r) ** p * kr + r ** p * km
-             for r, kr, km in zip(cols.xs, *cols.k_pair)]
-    return _report("weighted-sum", p, cols.xs,
+             for r, kr, km in zip(cols.pair_xs, *cols.k_pair)]
+    return _report("weighted-sum", p, cols.pair_xs,
                    {"lower": [below - t for t in total], "upper": [t - above for t in total]},
-                   tight=("lower",) if convex else ("upper",))
+                   tight=("lower",) if convex else ("upper",), runs=cols.runs)
 
 
 def check_product_pair(p: float,
@@ -262,14 +312,14 @@ def check_product_pair(p: float,
     sum_scale = 2.0 ** (1.0 + p) * k_half
     geo_bound = k_half / 2.0 ** p
     cols = _columns(grid)
-    xs, (k, k_mirror) = cols.xs, cols.k_pair
+    xs, (k, k_mirror) = cols.pair_xs, cols.k_pair
     w = [(r - r * r) ** p for r in xs]
     columns = {"sum_lower": [sum_scale * wr - (r ** p * kr + (1.0 - r) ** p * km)
                              for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
     if p >= family.P_LOGCONCAVE:
         columns["geo_upper"] = [math.sqrt(wr * kr * km) - geo_bound
                                 for wr, kr, km in zip(w, k, k_mirror)]
-    return _report("product-pair", p, xs, columns, tight=tuple(columns))
+    return _report("product-pair", p, xs, columns, tight=tuple(columns), runs=cols.runs)
 
 
 def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
@@ -370,7 +420,11 @@ def check_gamma_constant_identities() -> InequalityReport:
     product/sum chain against alpha = Gamma(1/4)^4 / (2^(2+2p) pi)
     on a grid led by r = 1/2, where the chain is an equality.  The
     identities do not depend on r: their columns are constant, so a
-    failed identity is reported at r = 1/2.
+    failed identity is reported at r = 1/2.  The grid is fixed, 1000
+    uniform points on [1e-6, 1 - 1e-6] after 1/2, whatever the command's
+    scan settings; each chain clause is unchanged when r is swapped with
+    1 - r, so the check scans 1/2 and the grid points that hold a new
+    pair (pair_runs).
     """
     k_half = ellip_k(0.5)
     closed = PI * math.sqrt(PI) / (2.0 * GAMMA_THREE_QUARTER ** 2)
@@ -379,7 +433,9 @@ def check_gamma_constant_identities() -> InequalityReport:
 
     p = 0.25
     alpha = GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
-    xs = [0.5, *_GAMMA_GRID.grid()]
+    grid = _GAMMA_GRID.grid()
+    m, j = pair_runs(grid)
+    xs = [0.5, *grid[:m], *grid[j:]]
     k, k_mirror = ellip_k_columns(xs)
     s = [(1.0 - r) ** p * kr + r ** p * km for r, kr, km in zip(xs, k, k_mirror)]
     g = [math.sqrt(r - r * r) for r in xs]
@@ -394,4 +450,6 @@ def check_gamma_constant_identities() -> InequalityReport:
         "chain_alpha_le_outer": [alpha - 4.0 * (1.0 - gr) ** (2.0 * p) * ellip_k(gr) ** 2
                                  for gr in g],
     }
-    return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN)
+    # xs holds [1/2, *grid][:m + 1] and [1/2, *grid][j + 1:]
+    return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN,
+                   runs=(m + 1, j + 1))

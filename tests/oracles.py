@@ -24,7 +24,9 @@ tests require every bit of the production values from them.
 
 The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
-package's stabilized factor forms.  They import mpmath when called, so
+package's stabilized factor forms; ``mp_factor`` alone evaluates the
+factors' closed forms in K, P and T2, at 50 digits, where rounding
+cannot flip their sign.  They import mpmath when called, so
 the scipy oracles keep working where mpmath is absent.
 """
 
@@ -290,6 +292,15 @@ def mp_x_p(p: float, dps: int = 50) -> float:
         return float(mpmath.findroot(l_fn, bracket, solver="anderson"))
 
 
+def _mp_kept(x):
+    """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) at the mpf x, at the caller's
+    mpmath precision."""
+    import mpmath
+
+    k, e = mpmath.ellipk(x), mpmath.ellipe(x)
+    return k, e, (k - e) / x, ((2 - x) * k - 2 * e) / (x * x)
+
+
 def mp_kept(x: float, dps: int = 50) -> tuple[float, float, float, float]:
     """(K, E, (K-E)/x, ((2-x)K-2E)/x^2) from mpmath K and E at dps digits.
 
@@ -299,10 +310,38 @@ def mp_kept(x: float, dps: int = 50) -> tuple[float, float, float, float]:
     import mpmath
 
     with mpmath.workdps(dps):
-        x = mpmath.mpf(x)
-        k, e = mpmath.ellipk(x), mpmath.ellipe(x)
-        return (float(k), float(e), float((k - e) / x),
-                float(((2 - x) * k - 2 * e) / (x * x)))
+        return tuple(float(v) for v in _mp_kept(mpmath.mpf(x)))
+
+
+def mp_factor(name: str, param: float, x: float, dps: int = 50) -> float:
+    """The family sign factor ``name`` at (param, x), evaluated at dps
+    digits on mp_kept's K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2.
+
+    g_factor is the f'' quadratic u z^2 - v z + s in z = a - log(1-x)/2,
+    not the product over its roots that the package forms; the others
+    are the package's closed forms in K, P and T2.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x, c = mpmath.mpf(x), mpmath.mpf(param)
+        k, _e, p, t2 = _mp_kept(x)
+        if name == "g_factor":
+            u = ((1 - x) * t2 + 2 * (k - p)) / mpmath.pi
+            v = 2 * (2 * k - p) / mpmath.pi
+            z = c - mpmath.log(1 - x) / 2
+            value = (u * z - v) * z + 2 * k / mpmath.pi
+        elif name == "recip_f_second_sign":
+            value = mpmath.log(1 - x) / 2 - 2 * k * p / (2 * p * p - k * k - k * t2) - c
+        elif name == "log_h_second_factor":
+            value = c + ((p * p + 2 * k * p - 2 * k * k) - k * t2) / (4 * k * k)
+        elif name == "j_factor":
+            value = x * x * (t2 + (4 * c * c - 8 * c + 3) * k + 4 * (c - 1) * p)
+        elif name == "l_factor":
+            value = x * ((1 - 2 * c) * k - p)
+        else:
+            raise KeyError(name)
+        return float(value)
 
 
 def mp_k_mirror(x: float) -> float:

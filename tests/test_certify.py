@@ -1,6 +1,7 @@
 """Certification-engine tests: scans, the sharp constant, root finding."""
 
 import functools
+import json
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from ellipcert.certify import (
 )
 from ellipcert.family import g_factor, l_factor, phi, u_aux, w_plus
 from ellipcert.specfun import ellip_e, ellip_k
+from test_golden import GOLDEN, GRID
 
 # Oracle-pinned (high-precision bisection on the quadrature-backed L):
 XP_EXPECTED = {
@@ -508,3 +510,51 @@ class TestSharpnessFlips:
         ok = certify_sign(lambda x: l_factor(0.25 + 1e-3, x), "nonpositive", FAST)
         bad = certify_sign(lambda x: l_factor(0.25 - 1e-3, x), "nonpositive", FAST)
         assert (ok.verdict, bad.verdict) == ("nonpositive", "mixed")
+
+
+# each theorem's sharp threshold (a_c as pinned above), and the signs of
+# the offsets from it at which the claim fails on the default grid:
+# thm1-concave fails on both sides of 4/3, and a thm3-logconvex witness at
+# p = +1e-3 or +1e-2 needs 1 - x below the smallest double (see the
+# xfail above)
+THRESHOLDS = {
+    "thm1-convex": (A_C_EXPECTED, (-1,)),
+    "thm1-concave": (4.0 / 3.0, (-1, 1)),
+    "thm2-convex": (family.A_RECIP_CONVEX, (1,)),
+    "thm2-concave": (family.A_RECIP_CONCAVE, (-1,)),
+    "thm3-logconcave": (family.P_LOGCONCAVE, (-1,)),
+    "thm3-logconvex": (0.0, ()),
+    "cor14-convex": (family.P_CONVEX_HI, (-1,)),
+    "cor14-concave": (family.P_CONCAVE_LO, (-1,)),
+    "cor15-monotone": (family.P_MONOTONE, (-1,)),
+}
+# (argv, whether its verdict is "mixed"): every certify golden case that
+# exits 1, on its 500-point grid, and each theorem at its threshold
+# +/- 1e-3 and +/- 1e-2 on the default grid
+WITNESS_CASES = (
+    [(argv + GRID, True) for argv, code, _ in GOLDEN if argv[0] == "certify" and code == 1]
+    + [(["certify", theorem, repr(value + sign * d)], sign in failing)
+       for theorem, (value, failing) in THRESHOLDS.items()
+       for sign in (-1, 1) for d in (1e-2, 1e-3)])
+
+
+class TestWitnessSigns:
+    """No published counterexample is a rounding artifact: the factor at
+    each "mixed" witness, re-evaluated at 50 digits, has the wrong sign
+    for the claim."""
+
+    @pytest.mark.parametrize("argv, mixed", WITNESS_CASES,
+                             ids=[" ".join(a[1:]) for a, _ in WITNESS_CASES])
+    def test_witness_sign_at_50_digits(self, capsys, argv, mixed):
+        pytest.importorskip("mpmath")
+        code = cli.main(argv + ["--format", "json"])
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        symbol, factor, claimed = cli._claim(argv[1])
+        assert (code, row["verdict"]) == ((1, "mixed") if mixed else (0, claimed))
+        if not mixed:
+            return
+        value = oracles.mp_factor(factor, row[symbol], row["witness_x"])
+        assert value < 0.0 if claimed == "nonnegative" else value > 0.0
+        # the printed value to 1e-9 relative (measured: at most 3.2e-10,
+        # g_factor just below a_c, where it is a difference of O(1) terms)
+        assert abs(row["witness_value"] - value) <= 1e-9 * abs(value)

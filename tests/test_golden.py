@@ -10,8 +10,10 @@ grids (whose tails and midpoint differ from the default) and both table spacings
 500-point grid; every output format: json and csv tables, constants and
 verify all (str and None cells), eval's json, eval of every function
 with parameters in csv and text, and the w_plus and J tables in json
-and text; and one csv table of every function `table` offers.  To re-pin after a deliberate output change, print
-hashlib.sha256(stdout.encode()).hexdigest() for each argv.
+and text; and one csv table of every function `table` offers.  An argv
+that sets its own --grid-n runs on that grid.  To re-pin after a
+deliberate output change, print hashlib.sha256(stdout.encode()).hexdigest()
+for each argv.
 """
 
 import hashlib
@@ -129,11 +131,22 @@ GOLDEN = [
     (["table", "J", "--param", "p=0.5", "--spacing", "geometric", "--format", "json"], 0, "06dbd1c3fbc8ce126569ba2853dd7b6065ef4c91d6a883471d58ade4aabe3648"),
     (["table", "J", "--param", "p=0.5", "--spacing", "uniform", "--format", "text"], 0, "a35e607ad4616c55d015519055c4513929dbacfb5bac749033478c048a06a837"),
     (["table", "J", "--param", "p=0.5", "--spacing", "geometric", "--format", "text"], 0, "c77fad3c0d83b887941cc4c54fff40c70d2943cc327f8c42f5876e47bb69eb12"),
+    # verify all on grids where the pairing checks keep points above 1/2
+    # (lo + hi != 1), on the smallest grid (its own --grid-n: tails and
+    # the midpoint only) and on a grid that ends at 0.3 and 0.7
+    (["verify", "all", "--lo", "0.3", "--hi", "0.9", "--format", "csv"], 0, "a1b37986507849187839bc3b2bc70a447c90de8f76beb91d8ada1795abe3471c"),
+    (["verify", "all", "--grid-n", "2", "--format", "csv"], 0, "31a0472ce82f3bd5bd64d4d2de2fc81f94d58b0545170c59f196791be5e0190c"),
+    # (re-pinned when the pairing checks came to scan each pair once: the
+    # last point 0.7 is dropped, since its mirror 0.30000000000000004 is
+    # not below the first point 0.3, so the sum-bounds and weighted-sum
+    # upper maxima come from the point 0.3 alone and move by 8.9e-16 and
+    # 2.2e-16; no verdict, witness or equality point moves)
+    (["verify", "all", "--offset", "0.3", "--format", "csv"], 0, "106cc4e49d652f28d14ea0db8346551114bdf9094fd36b87014d2f894b8667da"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_stdout_digest(capsys, argv, code, digest):
-    assert cli.main(argv + GRID) == code
+    assert cli.main(argv if "--grid-n" in argv else argv + GRID) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

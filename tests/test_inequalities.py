@@ -14,6 +14,7 @@ from ellipcert.certify import (
     find_x_p,
 )
 from ellipcert.inequalities import (
+    EQUALITY_TOL,
     VIOLATION_TOL,
     GridColumns,
     check_gamma_constant_identities,
@@ -310,6 +311,24 @@ class TestGridAndReports:
         step = (xs[-1] - xs[0]) / (FAST.n - 1)
         assert sum(1 for x in xs if x < step) >= 15
 
+    def test_equality_points_cluster_across_grid_neighbours_only(self):
+        # a pairing check skips the grid points between its two runs, so
+        # hits on either side of them are two equality points
+        xs, columns = [0.2, 0.5, 0.8], {"a": [0.0, 0.0, 1e-10]}
+        report = inequalities._report
+        # xs is grid[:2] + grid[5:] of a six-point grid
+        assert report("c", None, xs, columns, ("a",), runs=(2, 5)).equality_points == [0.2, 0.8]
+        assert report("c", None, xs, columns, ("a",)).equality_points == [0.2]
+
+    def test_pair_points_of_the_default_grid(self):
+        # every point up to 1/2, and the last, 1 - 1e-9, whose mirror
+        # rounds below the first point 1e-9
+        cols = GridColumns(DEFAULT_SCAN)
+        half = sum(1 for x in cols.xs if x <= 0.5)
+        assert cols.runs == (half, len(cols.xs) - 1)
+        assert cols.pair_xs == cols.xs[:half] + cols.xs[-1:]
+        assert 1.0 - cols.xs[-1] < cols.xs[0]
+
     def test_fail_iff_witness(self):
         good = check_sum_bounds(1.47, FAST)
         bad = check_sum_bounds(1.3, FAST)
@@ -325,21 +344,25 @@ def _k_mirror(r):
 def _per_clause_margins(name, q):
     """Clause margins at r as functions of r alone, with one family.f,
     family.h, ellip_k or _k_mirror evaluation per use, as the checks
-    computed them before K was shared between clauses and checks.  The
-    mirror terms are f and h at the exact 1 - r: K(1 - r) / (a - log(r)/2)
-    and r^p K(1 - r)."""
+    computed them before K was shared between clauses and checks, and
+    the clauses the check reports equality points of.  The mirror terms
+    are f and h at the exact 1 - r: K(1 - r) / (a - log(r)/2) and
+    r^p K(1 - r)."""
     k_half = ellip_k(0.5)
     if name == "sum-bounds":
         lower = 4.0 * k_half / (2.0 * q + math.log(2.0))
         upper = 1.0 + PI / (2.0 * q)
         total = lambda r: family.f(q, r) + _k_mirror(r) / (q - 0.5 * math.log(r))
-        return {"lower": lambda r: lower - total(r), "upper": lambda r: total(r) - upper}
+        return ({"lower": lambda r: lower - total(r), "upper": lambda r: total(r) - upper},
+                ("lower",))
     if name == "weighted-sum":
         mid = k_half / 2.0 ** (q - 1.0)
         total = lambda r: family.h(q, r) + r ** q * _k_mirror(r)
         if q >= family.P_CONVEX_HI:
-            return {"lower": lambda r: mid - total(r), "upper": lambda r: total(r) - PI / 2}
-        return {"lower": lambda r: PI / 2 - total(r), "upper": lambda r: total(r) - mid}
+            return ({"lower": lambda r: mid - total(r), "upper": lambda r: total(r) - PI / 2},
+                    ("lower",))
+        return ({"lower": lambda r: PI / 2 - total(r), "upper": lambda r: total(r) - mid},
+                ("upper",))
     if name == "product-pair":
         out = {"sum_lower": lambda r: (
             2.0 ** (1.0 + q) * k_half * (r - r * r) ** q
@@ -347,10 +370,10 @@ def _per_clause_margins(name, q):
         if q >= family.P_LOGCONCAVE:
             out["geo_upper"] = lambda r: (
                 math.sqrt((r - r * r) ** q * ellip_k(r) * _k_mirror(r)) - k_half / 2.0 ** q)
-        return out
+        return out, tuple(out)
     assert name == "k-envelope" and q >= family.P_MONOTONE
-    return {"lower": lambda r: (PI / 2) * (1.0 - r) ** q - ellip_k(r),
-            "upper": lambda r: ellip_k(r) - (PI / 2) / (1.0 - r) ** q}
+    return ({"lower": lambda r: (PI / 2) * (1.0 - r) ** q - ellip_k(r),
+             "upper": lambda r: ellip_k(r) - (PI / 2) / (1.0 - r) ** q}, ())
 
 
 SHARED_GRID_CHECKS = [
@@ -359,6 +382,23 @@ SHARED_GRID_CHECKS = [
     (check_product_pair, 0.1), (check_product_pair, 0.5),
     (check_k_envelope, 0.25), (check_k_envelope, 0.7),
 ]
+
+# The grids the reports are checked on against every point of their
+# inequality_grid: FAST, the default, one with lo + hi != 1 (the pairing
+# checks keep the points above 1/2 whose mirror lies below 0.3), the
+# smallest (its tails and the midpoint) and one that ends at 0.3 and
+# 0.7, whose mirror 0.30000000000000004 is not a grid point.
+FULL_GRIDS = {"fast": FAST, "default": DEFAULT_SCAN,
+              "asymmetric": ScanConfig(lo=0.3, hi=0.9, n=2000),
+              "two-point": ScanConfig(n=2), "offset-0.3": ScanConfig(n=500, endpoint_offset=0.3)}
+FULL_GRID_CASES = [(g, check, q) for g in FULL_GRIDS for check, q in SHARED_GRID_CHECKS]
+
+# A pairing check's clause maximum over the points that hold a new pair
+# is at most this many ulp(1) = 2^-52 from the maximum over every grid
+# point.  Measured: 4 on the offset-0.3 grid (sum-bounds upper at
+# a = 1.47, where the margins are differences of terms near 2, whose ulp
+# is 2^-51; weighted-sum upper there: 1), 0 on the other grids.
+PAIR_MAX_ULPS = 4
 
 
 def _count_kernel(monkeypatch):
@@ -388,43 +428,68 @@ class TestSharedColumns:
         for check, q in SHARED_GRID_CHECKS:
             assert check(q, cols) == check(q, FAST), (check.__name__, q)
 
-    @pytest.mark.parametrize("check, q", SHARED_GRID_CHECKS,
-                             ids=[f"{c.__name__}-{q:.4g}" for c, q in SHARED_GRID_CHECKS])
-    def test_bit_identical_to_per_clause_evaluation(self, check, q):
-        rep = check(q, FAST)
-        clauses = _per_clause_margins(rep.name, q)
-        xs = inequality_grid(FAST)
-        assert rep.clause_margins == {cl: max(map(fn, xs)) for cl, fn in clauses.items()}
-        first = next(((r, fn(r), cl) for r in xs for cl, fn in clauses.items()
-                      if fn(r) > VIOLATION_TOL), (None, None, None))
+    @pytest.mark.parametrize(
+        "grid, check, q", FULL_GRID_CASES,
+        ids=[f"{c.__name__}-{q:.4g}" if g == "fast" else f"{g}-{c.__name__}-{q:.4g}"
+             for g, c, q in FULL_GRID_CASES])
+    def test_bit_identical_to_per_clause_evaluation(self, grid, check, q):
+        # the pairing checks scan only the points that hold a new pair
+        # {r, 1 - r}; evaluated at every grid point, each clause gives the
+        # same verdict, witness and equality points, and its maximum
+        # within PAIR_MAX_ULPS (bit-identical for the K-only k-envelope)
+        cfg = FULL_GRIDS[grid]
+        rep = check(q, cfg)
+        clauses, tight = _per_clause_margins(rep.name, q)
+        xs = inequality_grid(cfg)
+        columns = {cl: [fn(r) for r in xs] for cl, fn in clauses.items()}
+        full = {cl: max(col) for cl, col in columns.items()}
+        assert rep.clause_margins.keys() == full.keys()
+        for cl, m in full.items():
+            ulps = 0 if rep.name == "k-envelope" else PAIR_MAX_ULPS
+            assert abs(rep.clause_margins[cl] - m) <= ulps * math.ulp(1.0), cl
+        first = next(((r, columns[cl][i], cl) for i, r in enumerate(xs) for cl in columns
+                      if columns[cl][i] > VIOLATION_TOL), (None, None, None))
         assert (rep.witness_x, rep.witness_value, rep.witness_clause) == first
+        assert rep.verdict == ("pass" if first[0] is None else "fail")
+        hits = [(i, r, m) for cl in tight for i, (r, m) in enumerate(zip(xs, columns[cl]))
+                if abs(m) <= EQUALITY_TOL]
+        assert rep.equality_points == inequalities._cluster(hits)
+        assert rep.grid_n == len(xs if rep.name == "k-envelope" else GridColumns(cfg).pair_xs)
 
     def test_one_kernel_call_per_point_and_argument(self, monkeypatch):
         calls = _count_kernel(monkeypatch)
         cols = GridColumns(FAST)
-        n = len(cols.xs)
+        n, n_pair = len(cols.xs), len(cols.pair_xs)
+        assert n_pair == 1022  # 1021 points up to 1/2 and the last, 1 - 1e-9
         check_sum_bounds(1.47, cols)
         check_weighted_sum(0.5, cols)
         check_product_pair(0.5, cols)
-        # one column pass gives K(x) and K(1 - x); K(1/2) once per check
-        assert calls == {"k": 3, "columns": [n]}
+        # one column pass gives K(x) and K(1 - x) at the pair points;
+        # K(1/2) once per check
+        assert calls == {"k": 3, "columns": [n_pair]}
         check_k_envelope(0.5, cols)
-        assert calls == {"k": 3, "columns": [n]}  # K(x) from that same pass
+        # K(x) from that same pass where it ran, ellip_k at the other points
+        assert calls == {"k": 3 + n - n_pair, "columns": [n_pair]}
         # a command that never pairs r with 1 - r never computes K(1 - x)
         check_k_envelope(0.5, GridColumns(FAST))
-        assert calls == {"k": 3 + n, "columns": [n]}
+        assert calls == {"k": 3 + 2 * n - n_pair, "columns": [n_pair]}
 
     def test_verify_all_kernel_budget(self, monkeypatch, capsys):
-        n = len(inequality_grid(DEFAULT_SCAN))
+        cols = GridColumns(DEFAULT_SCAN)
+        n, n_pair = len(cols.xs), len(cols.pair_xs)
         n_xp = len(inequality_grid(DEFAULT_SCAN._replace(hi=find_x_p(0.1))))
+        assert (n, n_pair) == (10041, 5022)
         calls = _count_kernel(monkeypatch)
         assert cli.main(["verify", "all"]) == 0
-        # one column pass for K(x) and K(1 - x) on the shared grid and one
-        # for K(r) and K(1 - r) on the 1001-point gamma grid; ellip_k for
-        # K(x) on the grid up to x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy)
-        # for the 1000 mean-chain pairs, K(sqrt(r - r^2)) on the gamma grid,
+        # one column pass for K(x) and K(1 - x) at the shared grid's pair
+        # points and one for K(r) and K(1 - r) at the 501 pair points of
+        # the gamma grid (1/2 and the 500 points below it); ellip_k for
+        # K(x) at the shared grid's other points (k-envelope at 1/4), on
+        # the grid up to x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy) for the
+        # 1000 mean-chain pairs, K(sqrt(r - r^2)) at the gamma pair points,
         # and K(1/2) or K(x_p) once per check
-        assert calls == {"k": n_xp + 4 * 1000 + 1001 + 6, "columns": [n, 1001]}
+        assert calls == {"k": n - n_pair + n_xp + 4 * 1000 + 501 + 6,
+                         "columns": [n_pair, 501]}
 
 
 class TestNonFiniteMargins:
@@ -465,7 +530,7 @@ class TestNonFiniteMargins:
         with pytest.raises(InconclusiveScanError):
             check_gamma_constant_identities()
 
-    @pytest.mark.parametrize("column, nth", [(0, 0), (0, 500), (1, 0), (1, 1000)])
+    @pytest.mark.parametrize("column, nth", [(0, 0), (0, 500), (1, 0), (1, 500)])
     def test_one_nan_in_gamma_columns(self, monkeypatch, column, nth):
         real = inequalities.ellip_k_columns
 

@@ -11,7 +11,8 @@ in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings (with the
 geometric table grid against the loop the table first used), and the
 inequality checks' column reducer against the per-point scan it replaced
-over any margin columns.  ``ellip_k``
+over any margin columns.  Every grid point the pairing checks drop has
+its mirror near a point they scan.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``specfun.ellip_kpt``; the
 two must give the same double at every x in [0, 1).  The factors' pass
 skips the E sum; E and every factor must give the same double as on
@@ -20,6 +21,7 @@ skips the E sum; E and every factor must give the same double as on
 the cap must raise the same error.
 """
 
+import bisect
 import contextlib
 import io
 import json
@@ -37,6 +39,7 @@ from ellipcert import cli, family, specfun  # noqa: E402
 from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
 from ellipcert.inequalities import (  # noqa: E402
     EQUALITY_TOL,
+    GridColumns,
     VIOLATION_TOL,
     _report,
     inequality_grid,
@@ -248,6 +251,55 @@ def test_inequality_grid_matches_reference(cfg):
     assert geometric == oracles.geometric_grid_reference(cfg)
     for xs in (cfg.grid(), geometric):
         assert (xs[0], xs[-1]) == cfg.ends and len(xs) == cfg.n
+
+
+@st.composite
+def pair_scan_configs(draw):
+    """scan_configs, half of them with hi = 1 - lo."""
+    cfg = draw(scan_configs())
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 0.375))
+        cfg = cfg._replace(lo=lo, hi=1.0 - lo)
+    return cfg
+
+
+# On a grid with lo + hi = 1, a dropped point's mirror lies at most this
+# many ulp(1) = 2^-52 from a scanned point; measured 1.31 over 3,000
+# seeded grids.
+MIRROR_ULPS = 2
+
+
+@settings(SETTINGS, max_examples=300)
+@given(cfg=pair_scan_configs())
+@_examples("cfg", [
+    DEFAULT_SCAN,
+    ScanConfig(n=2),
+    ScanConfig(lo=0.3, hi=0.9, n=500),
+    ScanConfig(n=500, endpoint_offset=0.3),
+    ScanConfig(lo=0.6, hi=0.9, n=50),  # every point above 1/2, all kept
+])
+def test_dropped_pair_points_have_a_scanned_mirror(cfg):
+    # the pairing checks scan the points that hold a new pair; every
+    # point they drop lies above 1/2 and has its mirror within one grid
+    # step of a scanned point, and within MIRROR_ULPS of one on a
+    # symmetric grid
+    cols = GridColumns(cfg)
+    (m, j), xs, scanned = cols.runs, cols.xs, cols.pair_xs
+    assert xs == inequality_grid(cfg) and scanned == xs[:m] + xs[j:] and m <= j
+    # every point up to 1/2, and above it only those whose pair no point
+    # up to 1/2 holds
+    assert [x for x in scanned if x <= 0.5] == [x for x in xs if x <= 0.5]
+    assert all(1.0 - x < xs[0] for x in scanned if x > 0.5)
+    lo, hi = cfg.ends
+    step = (hi - lo) / (cfg.n - 1)
+    for i in range(m, j):
+        mirror = 1.0 - xs[i]  # exact, since xs[i] > 1/2
+        assert xs[i] > 0.5 and lo <= mirror < 0.5
+        at = bisect.bisect_left(scanned, mirror)
+        gap = min(abs(mirror - s) for s in scanned[max(at - 1, 0):at + 1])
+        assert gap <= step
+        if cfg.lo + cfg.hi == 1.0:
+            assert gap <= MIRROR_ULPS * math.ulp(1.0)
 
 
 # the tolerances, either side of them, signed zeros, and the non-finite values
