@@ -257,6 +257,61 @@ class TestKEnvelope:
         assert check_k_envelope(0.1, GridColumns(FAST)) == check_k_envelope(0.1, FAST)
 
 
+def _ulp_below(v):
+    return math.nextafter(v, -math.inf)
+
+
+def _ulp_above(v):
+    return math.nextafter(v, math.inf)
+
+
+_GATE_GRID = ScanConfig(n=200)
+_GATE_CHECKS = {
+    "weighted-sum": lambda p: check_weighted_sum(p, _GATE_GRID),
+    "product-pair": lambda p: check_product_pair(p, _GATE_GRID),
+    "mean-chain": lambda p: check_mean_chain(p, 0.3, 0.4),
+    "k-envelope": lambda p: check_k_envelope(p, _GATE_GRID),
+}
+_ALL_CHAIN = ("geometric", "midpoint", "geo_argument")
+# (check, p, outcome): p is a claimed region end or one ulp outside it;
+# the outcome is (verdict, clauses, x_p) of the report, or the name of
+# the error the check raises
+_GATE_CASES = [
+    ("weighted-sum", family.P_CONCAVE_LO, ("pass", ("lower", "upper"), None)),
+    ("weighted-sum", 1.0, ("pass", ("lower", "upper"), None)),
+    ("weighted-sum", family.P_CONVEX_HI, ("pass", ("lower", "upper"), None)),
+    ("weighted-sum", _ulp_below(family.P_CONCAVE_LO), "DomainError"),
+    ("weighted-sum", _ulp_above(1.0), "DomainError"),
+    ("weighted-sum", _ulp_below(family.P_CONVEX_HI), "DomainError"),
+    ("product-pair", 7 / 32, ("pass", ("sum_lower", "geo_upper"), None)),
+    ("product-pair", _ulp_below(7 / 32), ("pass", ("sum_lower",), None)),
+    ("mean-chain", 7 / 32, ("pass", ("geometric",), None)),
+    ("mean-chain", _ulp_below(7 / 32), "DomainError"),
+    ("mean-chain", 0.25, ("pass", _ALL_CHAIN, None)),
+    ("mean-chain", _ulp_below(0.25), ("pass", ("geometric", "midpoint"), None)),
+    ("mean-chain", 1.0, ("pass", _ALL_CHAIN, None)),
+    ("mean-chain", _ulp_above(1.0), ("pass", ("geometric", "geo_argument"), None)),
+    ("k-envelope", 0.25, ("pass", ("lower", "upper"), None)),
+    # x_p lies below the first ladder point: the p < 1/4 form has no grid
+    ("k-envelope", _ulp_below(0.25), "InconclusiveScanError"),
+]
+
+
+class TestClaimGates:
+    """Each check's clause gate holds at the end of the claimed region it
+    rests on and shuts one ulp outside it."""
+
+    @pytest.mark.parametrize("check, p, outcome", _GATE_CASES,
+                             ids=[f"{c} {p!r}" for c, p, _ in _GATE_CASES])
+    def test_gate_to_the_ulp(self, check, p, outcome):
+        try:
+            rep = _GATE_CHECKS[check](p)
+        except (DomainError, InconclusiveScanError) as exc:
+            assert type(exc).__name__ == outcome
+            return
+        assert (rep.verdict, tuple(rep.clause_margins), rep.x_p) == outcome
+
+
 class TestGammaConstants:
     def test_pass(self):
         rep = check_gamma_constant_identities()
