@@ -18,6 +18,7 @@ fails there fails at once; every evaluation error names its point.
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
 error (an unwritable ``--out`` too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
+``certify`` reads its theorem ids, factors and claimed signs from ``family.CLAIMS``.
 """
 
 from __future__ import annotations
@@ -278,27 +279,13 @@ def _run_constants(cfg: ScanConfig, seed: int) -> tuple[dict[str, list], int]:
     return _columns(("name", "value", "provenance", "x_star", "tolerance"), rows), EXIT_OK
 
 
-# theorem id -> (param symbol, name of the family factor, claimed sign)
-_CERTIFY_TABLE = {
-    "thm1-convex": ("a", "g_factor", "nonnegative"),
-    "thm1-concave": ("a", "g_factor", "nonpositive"),
-    "thm2-convex": ("a", "recip_f_second_sign", "nonnegative"),
-    "thm2-concave": ("a", "recip_f_second_sign", "nonpositive"),
-    "thm3-logconcave": ("p", "log_h_second_factor", "nonnegative"),
-    "thm3-logconvex": ("p", "log_h_second_factor", "nonpositive"),
-    "cor14-convex": ("p", "j_factor", "nonnegative"),
-    "cor14-concave": ("p", "j_factor", "nonpositive"),
-    "cor15-monotone": ("p", "l_factor", "nonpositive"),
-}
-
-
 def _claim(theorem: str) -> tuple[str, str, str]:
     """(param symbol, name of the family factor, claimed sign) of a theorem id."""
-    if theorem not in _CERTIFY_TABLE:
+    if theorem not in family.CLAIMS:
         raise DomainError(
             f"unknown theorem id {theorem!r}; choose from "
-            f"{', '.join(sorted(_CERTIFY_TABLE))}")
-    return _CERTIFY_TABLE[theorem]
+            f"{', '.join(sorted(family.CLAIMS))}")
+    return family.CLAIMS[theorem][:3]
 
 
 def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
@@ -430,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", parents=[common],
                             help="sign-certify one convexity statement")
-    p_cert.add_argument("theorem", help=f"one of: {', '.join(_CERTIFY_TABLE)}")
+    p_cert.add_argument("theorem", help=f"one of: {', '.join(family.CLAIMS)}")
     p_cert.add_argument("value", help="parameter value (float or fraction like 7/32)")
 
     p_ver = sub.add_parser("verify", parents=[common],

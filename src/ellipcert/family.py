@@ -19,7 +19,8 @@ only as oracles in the test suite.
 
 Every function here is pure and takes x in the open interval (0, 1),
 where the paper states its results; the public ones raise DomainError at
-0 and 1, and their docstrings state the limits there.
+0 and 1, and their docstrings state the limits there.  CLAIMS is the
+one table of the paper's "iff" statements.
 """
 
 from __future__ import annotations
@@ -39,13 +40,34 @@ SQRT2 = math.sqrt(2.0)
 
 # Parameter thresholds of the zoo (all algebraic except a_c, which is
 # computed by certify.find_a_c and deliberately not hard-coded here).
-A_RECIP_CONVEX = LOG4            # 1/f convex  iff a <= log 4
-A_RECIP_CONCAVE = 8.0 / 5.0      # 1/f concave iff a >= 8/5
-P_LOGCONCAVE = 7.0 / 32.0        # h log-concave iff p >= 7/32
-P_MONOTONE = 0.25                # h decreasing iff p >= 1/4
-P_CONVEX_HI = 3.0 * (2.0 + SQRT2) / 8.0   # h convex iff p <= 0 or p >= this
-P_CONCAVE_LO = 3.0 * (2.0 - SQRT2) / 8.0  # h concave iff p in [this, 1]
+A_RECIP_CONVEX = LOG4
+A_RECIP_CONCAVE = 8.0 / 5.0
+P_LOGCONCAVE = 7.0 / 32.0
+P_MONOTONE = 0.25
+P_CONVEX_HI = 3.0 * (2.0 + SQRT2) / 8.0
+P_CONCAVE_LO = 3.0 * (2.0 - SQRT2) / 8.0
 ALPHA_LEMMA = (8.0 / 97.0) * (11.0 - 2.0 * math.sqrt(6.0))
+
+# theorem id -> (parameter symbol, name of the factor here, claimed sign,
+# region): the factor has the claimed sign on all of (0, 1) iff the
+# parameter lies in the region, a tuple of closed (lo, hi) intervals, or
+# None for thm1-convex (a >= a_c).  Named, so a patched factor is called.
+CLAIMS = {
+    "thm1-convex": ("a", "g_factor", "nonnegative", None),
+    "thm1-concave": ("a", "g_factor", "nonpositive", ((4.0 / 3.0, 4.0 / 3.0),)),
+    "thm2-convex": ("a", "recip_f_second_sign", "nonnegative", ((-math.inf, A_RECIP_CONVEX),)),
+    "thm2-concave": ("a", "recip_f_second_sign", "nonpositive", ((A_RECIP_CONCAVE, math.inf),)),
+    "thm3-logconcave": ("p", "log_h_second_factor", "nonnegative", ((P_LOGCONCAVE, math.inf),)),
+    "thm3-logconvex": ("p", "log_h_second_factor", "nonpositive", ((-math.inf, 0.0),)),
+    "cor14-convex": ("p", "j_factor", "nonnegative", ((-math.inf, 0.0), (P_CONVEX_HI, math.inf))),
+    "cor14-concave": ("p", "j_factor", "nonpositive", ((P_CONCAVE_LO, 1.0),)),
+    "cor15-monotone": ("p", "l_factor", "nonpositive", ((P_MONOTONE, math.inf),)),
+}
+
+
+def in_region(theorem: str, value: float) -> bool:
+    """Whether value lies in the claimed region of theorem; False for NaN."""
+    return any(lo <= value <= hi for lo, hi in CLAIMS[theorem][3])
 
 
 def f(a: float, x: float) -> float:

@@ -35,8 +35,10 @@ step.  These reports count the points scanned in grid_n, take the
 witness as the first violation among them in point order, and cluster
 equality points only across neighbours in the whole grid.
 
-Reports are independent and deterministic; random-pair checks take an
-explicit seed.
+Each clause applies on the region of the theorem it rests on, read from
+family.CLAIMS by family.in_region; weighted-sum's convex regime alone
+compares p with its threshold.  Reports are independent and
+deterministic; random-pair checks take an explicit seed.
 """
 
 from __future__ import annotations
@@ -279,11 +281,10 @@ def check_weighted_sum(p: float,
     For p in the concavity window [3(2-sqrt2)/8, 1] both bounds reverse.
     Midpoint equality at r = 1/2 in both regimes.
     """
-    if p >= family.P_CONVEX_HI:
-        convex = True
-    elif family.P_CONCAVE_LO <= p <= 1.0:
-        convex = False
-    else:
+    # the upper clause h(r) + h(1 - r) < pi/2 fails for p <= 0, where
+    # h(p, x) -> inf as x -> 1: this regime is cor14-convex's upper interval
+    convex = p >= family.P_CONVEX_HI
+    if not (convex or family.in_region("cor14-concave", p)):
         raise DomainError(
             f"weighted-sum bounds are claimed only for p >= {family.P_CONVEX_HI!r} "
             f"or p in [{family.P_CONCAVE_LO!r}, 1]; got p={p!r}")
@@ -316,7 +317,7 @@ def check_product_pair(p: float,
     w = [(r - r * r) ** p for r in xs]
     columns = {"sum_lower": [sum_scale * wr - (r ** p * kr + (1.0 - r) ** p * km)
                              for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
-    if p >= family.P_LOGCONCAVE:
+    if family.in_region("thm3-logconcave", p):
         columns["geo_upper"] = [math.sqrt(wr * kr * km) - geo_bound
                                 for wr, kr, km in zip(w, k, k_mirror)]
     return _report("product-pair", p, xs, columns, tight=tuple(columns), runs=cols.runs)
@@ -332,16 +333,16 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> Ineq
     wherever another clause does, and h is evaluated once at each of x,
     y and (x+y)/2, and at sqrt(xy) for geo_argument.
     """
-    if not p >= family.P_LOGCONCAVE:  # also NaN
+    if not family.in_region("thm3-logconcave", p):  # also NaN
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
     h = family.h
     hx = [h(p, x) for x in xs]
     hy = [h(p, y) for y in ys]
     hm = [h(p, 0.5 * (x + y)) for x, y in zip(xs, ys)]
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
-    if family.P_CONCAVE_LO <= p <= 1.0:
+    if family.in_region("cor14-concave", p):
         columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
-    if p >= family.P_MONOTONE:
+    if family.in_region("cor15-monotone", p):
         columns["geo_argument"] = [m - h(p, math.sqrt(x * y)) for x, y, m in zip(xs, ys, hm)]
     return _report("mean-chain", p, xs, columns, tight=tuple(columns) if tight else ())
 
@@ -378,7 +379,7 @@ def check_k_envelope(p: float,
     if not p > 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
     cols = _columns(grid)
-    if p >= family.P_MONOTONE:
+    if family.in_region("cor15-monotone", p):
         xs, k = cols.xs, cols.k
         # (1 - r)^p is smallest at the last grid point
         if (1.0 - xs[-1]) ** p == 0.0:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ellipcert
-from ellipcert import cli
+from ellipcert import cli, family
 
 PACKAGE = Path(ellipcert.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
@@ -36,13 +36,14 @@ def _used_names(path: Path) -> set[str]:
 
 def _reached() -> set[str]:
     """Names read by package code (the re-exports of __init__ do not
-    count), looked up by the cli tables, or used by the acceptance gate."""
+    count), looked up by name through family.CLAIMS or cli._EVAL_FNS, or
+    used by the acceptance gate."""
     reached = _used_names(ACCEPTANCE)
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             reached |= _used_names(path)
     # certify, eval and table look their functions up by name: getattr(family, name)
-    reached |= {factor for _, factor, _ in cli._CERTIFY_TABLE.values()}
+    reached |= {factor for _, factor, _, _ in family.CLAIMS.values()}
     reached |= {attr for _, _, attr in cli._EVAL_FNS.values()}
     return reached
 

@@ -270,7 +270,7 @@ _THRESHOLDS = {
 def _engine_cases():
     """(id, fn, claimed): every certify factor at its threshold and 1e-3
     to each side of it, and functions that stress the refine step."""
-    for theorem, (_, name, claimed) in cli._CERTIFY_TABLE.items():
+    for theorem, (_, name, claimed, _) in family.CLAIMS.items():
         for value in (_THRESHOLDS[theorem] - 1e-3, _THRESHOLDS[theorem],
                       _THRESHOLDS[theorem] + 1e-3):
             yield (f"{theorem} {value!r}",
@@ -422,6 +422,31 @@ class TestFindXP:
         assert l_factor(p, 1e-9) < 0.0
         with pytest.raises(BracketNotFoundError, match="x_p lies below"):
             find_x_p(p)
+
+
+_REGION_ENDS = [(theorem, side, end)
+                for theorem, (*_, region) in family.CLAIMS.items()
+                for interval in region or ()
+                for side, end in zip(("lo", "hi"), interval) if math.isfinite(end)]
+
+
+class TestClaimRegions:
+    """Every finite end of a claimed region lies on the claimed side: the
+    factor certifies the claimed sign there on the default scan."""
+
+    def test_finite_ends(self):
+        assert len(_REGION_ENDS) == 11
+        assert family.CLAIMS["thm1-convex"][3] is None  # a_c is computed
+
+    @pytest.mark.parametrize("theorem, side, end", _REGION_ENDS,
+                             ids=[f"{t} {s} {e!r}" for t, s, e in _REGION_ENDS])
+    def test_claimed_sign_at_end(self, theorem, side, end):
+        _, factor, claimed, _ = family.CLAIMS[theorem]
+        assert family.in_region(theorem, end)
+        assert not family.in_region(theorem, math.nan)
+        cert = certify_sign(functools.partial(getattr(family, factor), end), claimed,
+                            DEFAULT_SCAN)
+        assert cert.verdict == claimed
 
 
 class TestSharpnessFlips:

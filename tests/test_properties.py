@@ -114,7 +114,7 @@ def test_constants(fmt, scan):
 
 
 @SETTINGS
-@given(theorem=st.sampled_from(sorted(cli._CERTIFY_TABLE)), value=NUMBERS, fmt=FORMATS, scan=SCAN)
+@given(theorem=st.sampled_from(sorted(family.CLAIMS)), value=NUMBERS, fmt=FORMATS, scan=SCAN)
 def test_certify(theorem, value, fmt, scan):
     check(["certify", theorem, value], fmt, scan)
 
