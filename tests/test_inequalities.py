@@ -366,14 +366,11 @@ class TestGridAndReports:
         step = (xs[-1] - xs[0]) / (FAST.n - 1)
         assert sum(1 for x in xs if x < step) >= 15
 
-    def test_equality_points_cluster_across_grid_neighbours_only(self):
-        # a pairing check skips the grid points between its two runs, so
-        # hits on either side of them are two equality points
+    def test_equality_points_cluster_across_scanned_neighbours(self):
+        # hits at neighbouring scanned points are one equality point, the
+        # tightest of them, however far apart the points lie
         xs, columns = [0.2, 0.5, 0.8], {"a": [0.0, 0.0, 1e-10]}
-        report = inequalities._report
-        # xs is grid[:2] + grid[5:] of a six-point grid
-        assert report("c", None, xs, columns, ("a",), runs=(2, 5)).equality_points == [0.2, 0.8]
-        assert report("c", None, xs, columns, ("a",)).equality_points == [0.2]
+        assert inequalities._report("c", None, xs, columns, ("a",)).equality_points == [0.2]
 
     def test_pair_points_of_the_default_grid(self):
         # every point up to 1/2, and the last, 1 - 1e-9, whose mirror
@@ -441,18 +438,23 @@ SHARED_GRID_CHECKS = [
 # The grids the reports are checked on against every point of their
 # inequality_grid: FAST, the default, one with lo + hi != 1 (the pairing
 # checks keep the points above 1/2 whose mirror lies below 0.3), the
-# smallest (its tails and the midpoint) and one that ends at 0.3 and
-# 0.7, whose mirror 0.30000000000000004 is not a grid point.
+# smallest (its tails and the midpoint), one that ends at 0.3 and 0.7,
+# whose mirror 0.30000000000000004 is not a grid point, and one that
+# starts just below 1/2, where the equality band around 1/2 spans points
+# on both sides of the points the pairing checks skip: one equality
+# point, 1/2, as on the full grid.
 FULL_GRIDS = {"fast": FAST, "default": DEFAULT_SCAN,
               "asymmetric": ScanConfig(lo=0.3, hi=0.9, n=2000),
-              "two-point": ScanConfig(n=2), "offset-0.3": ScanConfig(n=500, endpoint_offset=0.3)}
+              "two-point": ScanConfig(n=2), "offset-0.3": ScanConfig(n=500, endpoint_offset=0.3),
+              "near-half": ScanConfig(lo=0.49999, hi=0.6, n=2000)}
 FULL_GRID_CASES = [(g, check, q) for g in FULL_GRIDS for check, q in SHARED_GRID_CHECKS]
 
 # A pairing check's clause maximum over the points that hold a new pair
 # is at most this many ulp(1) = 2^-52 from the maximum over every grid
 # point.  Measured: 4 on the offset-0.3 grid (sum-bounds upper at
 # a = 1.47, where the margins are differences of terms near 2, whose ulp
-# is 2^-51; weighted-sum upper there: 1), 0 on the other grids.
+# is 2^-51; weighted-sum upper there: 1), 0 on the other grids, the
+# near-half grid included.
 PAIR_MAX_ULPS = 4
 
 
