@@ -33,7 +33,8 @@ so a dropped point only repeats a pair; on other grids its pair falls
 between two scanned pairs, and every pair is still sampled at the grid
 step.  These reports count the points scanned in grid_n, take the
 witness as the first violation among them in point order, and cluster
-equality points only across neighbours in the whole grid.
+equality points across neighbours among them: a skipped point's margins
+are its mirror's, so an equality band around 1/2 is one point.
 
 Each clause applies on the region of the theorem it rests on, read from
 family.CLAIMS by family.in_region; weighted-sum's convex regime alone
@@ -215,26 +216,22 @@ def _report(name: str,
             xs: Sequence[float],
             columns: dict[str, list[float]],
             tight: Sequence[str] = (),
-            x_p: float | None = None,
-            runs: tuple[int, int] = (0, 0)) -> InequalityReport:
+            x_p: float | None = None) -> InequalityReport:
     """The report of margin columns: columns maps each clause, in order, to
     its margins at xs, index-aligned.
 
     Per clause: the maximum margin, the first index above VIOLATION_TOL
     and, for the tight clauses, the equality hits.  The witness is the
-    first violation in point order, ties going to clause order.  runs =
-    (m, j) says that xs holds only grid[:m] and grid[j:] of its grid (a
-    pairing check, pair_runs), so that equality hits cluster only across
-    neighbours in the grid.  An empty column, or one that holds a NaN or
-    an infinity, is no evidence: InconclusiveScanError.
+    first violation in point order, ties going to clause order.  Equality
+    hits cluster across neighbours in xs.  An empty column, or one that
+    holds a NaN or an infinity, is no evidence: InconclusiveScanError.
     """
     if not all(col and all(map(math.isfinite, col)) for col in columns.values()):
         raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
     margins = {cl: max(col) for cl, col in columns.items()}
     firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
               for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
-    head, tail = runs
-    hits = [(i if i < head else i + tail - head, x, m) for cl, col in columns.items() if cl in tight
+    hits = [(i, x, m) for cl, col in columns.items() if cl in tight
             for i, (x, m) in enumerate(zip(xs, col)) if abs(m) <= EQUALITY_TOL]
     i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
@@ -271,7 +268,7 @@ def check_sum_bounds(a: float,
              for r, kr, km in zip(cols.pair_xs, *cols.k_pair)]
     return _report("sum-bounds", a, cols.pair_xs,
                    {"lower": [lower - t for t in total], "upper": [t - upper for t in total]},
-                   tight=("lower",), runs=cols.runs)
+                   tight=("lower",))
 
 
 def check_weighted_sum(p: float,
@@ -296,7 +293,7 @@ def check_weighted_sum(p: float,
              for r, kr, km in zip(cols.pair_xs, *cols.k_pair)]
     return _report("weighted-sum", p, cols.pair_xs,
                    {"lower": [below - t for t in total], "upper": [t - above for t in total]},
-                   tight=("lower",) if convex else ("upper",), runs=cols.runs)
+                   tight=("lower",) if convex else ("upper",))
 
 
 def check_product_pair(p: float,
@@ -320,7 +317,7 @@ def check_product_pair(p: float,
     if family.in_region("thm3-logconcave", p):
         columns["geo_upper"] = [math.sqrt(wr * kr * km) - geo_bound
                                 for wr, kr, km in zip(w, k, k_mirror)]
-    return _report("product-pair", p, xs, columns, tight=tuple(columns), runs=cols.runs)
+    return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 
 def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
@@ -425,7 +422,7 @@ def check_gamma_constant_identities() -> InequalityReport:
     uniform points on [1e-6, 1 - 1e-6] after 1/2, whatever the command's
     scan settings; each chain clause is unchanged when r is swapped with
     1 - r, so the check scans 1/2 and the grid points that hold a new
-    pair (pair_runs).
+    pair (pair_runs), and its equality points cluster among those.
     """
     k_half = ellip_k(0.5)
     closed = PI * math.sqrt(PI) / (2.0 * GAMMA_THREE_QUARTER ** 2)
@@ -451,6 +448,4 @@ def check_gamma_constant_identities() -> InequalityReport:
         "chain_alpha_le_outer": [alpha - 4.0 * (1.0 - gr) ** (2.0 * p) * ellip_k(gr) ** 2
                                  for gr in g],
     }
-    # xs holds [1/2, *grid][:m + 1] and [1/2, *grid][j + 1:]
-    return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN,
-                   runs=(m + 1, j + 1))
+    return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN)

@@ -26,12 +26,14 @@ The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
 package's stabilized factor forms; ``mp_factor`` alone evaluates the
 factors' closed forms in K, P and T2, at 50 digits, where rounding
-cannot flip their sign.  They import mpmath when called, so
+cannot flip their sign, and ``mp_pair_margins`` the clause margins of
+verify's pairing checks.  They import mpmath when called, so
 the scipy oracles keep working where mpmath is absent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, Literal, Sequence
@@ -47,7 +49,7 @@ from ellipcert.certify import (
     SignCertificate,
     _require_finite,
 )
-from ellipcert.family import u_aux, v_aux
+from ellipcert.family import P_CONVEX_HI, P_LOGCONCAVE, u_aux, v_aux
 from ellipcert.inequalities import (
     _GEOMETRIC_POINTS,
     EQUALITY_TOL,
@@ -344,6 +346,14 @@ def mp_factor(name: str, param: float, x: float, dps: int = 50) -> float:
         return float(value)
 
 
+def _mp_k_mirror(x: float, dps: int):
+    """K(1 - x) at the exact mirror point, an mpf at dps - log10(x) digits."""
+    import mpmath
+
+    with mpmath.workdps(dps + max(0, math.ceil(-math.log10(x)))):
+        return mpmath.ellipk(1 - mpmath.mpf(x))
+
+
 def mp_k_mirror(x: float) -> float:
     """K(1 - x) at the exact mirror point, from mpmath.
 
@@ -351,10 +361,67 @@ def mp_k_mirror(x: float) -> float:
     precision is 40 - log10(x) digits: at a fixed 40 digits 1 - x rounds,
     and the reference is wrong below x ~ 1e-30.
     """
+    return float(_mp_k_mirror(x, 40))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_k_pair(r: float, dps: int):
+    """(K(r), K(1 - r)) as mpf: K(r) at dps digits, K(1 - r) at the exact
+    mirror point by mp_k_mirror's precision rule with dps in place of 40.
+    Memoized: the pairing checks of one grid share their points."""
     import mpmath
 
-    with mpmath.workdps(40 + max(0, math.ceil(-math.log10(x)))):
-        return float(mpmath.ellipk(1 - mpmath.mpf(x)))
+    with mpmath.workdps(dps):
+        k = mpmath.ellipk(mpmath.mpf(r))
+    return k, _mp_k_mirror(r, dps)
+
+
+def mp_pair_margins(name: str, q: float, xs: Sequence[float],
+                    dps: int = 50) -> tuple[dict[str, list[float]], tuple[str, ...]]:
+    """The clause margins of the pairing check ``name`` ("sum-bounds",
+    "weighted-sum" or "product-pair") at parameter q and at each r of xs,
+    computed at dps digits and rounded once to doubles, and the clauses
+    the check reports equality points of.
+
+    K(r), K(1 - r) at the exact mirror point and K(1/2) come from
+    mpmath.ellipk, and every bound is formed from them at dps digits, so
+    the margins carry none of the double-precision rounding of the check.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c, pi = mpmath.mpf(q), mpmath.pi
+        k_half = mpmath.ellipk(0.5)
+        cols: dict[str, list] = {}
+        for r in xs:
+            k, km = _mp_k_pair(r, dps)
+            x = mpmath.mpf(r)
+            s = 1 - x
+            if name == "sum-bounds":
+                total = k / (c - mpmath.log(s) / 2) + km / (c - mpmath.log(x) / 2)
+                row = {"lower": 4 * k_half / (2 * c + mpmath.log(2)) - total,
+                       "upper": total - (1 + pi / (2 * c))}
+            elif name == "weighted-sum":
+                total = s ** c * k + x ** c * km
+                mid = k_half / 2 ** (c - 1)
+                below, above = (mid, pi / 2) if q >= P_CONVEX_HI else (pi / 2, mid)
+                row = {"lower": below - total, "upper": total - above}
+            elif name == "product-pair":
+                w = (x * s) ** c
+                row = {"sum_lower": 2 ** (1 + c) * k_half * w - (x ** c * k + s ** c * km)}
+                if q >= P_LOGCONCAVE:
+                    row["geo_upper"] = mpmath.sqrt(w * k * km) - k_half / 2 ** c
+            else:
+                raise KeyError(name)
+            for cl, m in row.items():
+                cols.setdefault(cl, []).append(float(m))
+    if name == "sum-bounds":
+        tight = ("lower",)
+    elif name == "weighted-sum":
+        tight = ("lower",) if q >= P_CONVEX_HI else ("upper",)
+    else:
+        tight = tuple(cols)
+    return cols, tight
 
 
 def mp_phi(x: float, dps: int = 50) -> float:

@@ -142,6 +142,10 @@ GOLDEN = [
     # upper maxima come from the point 0.3 alone and move by 8.9e-16 and
     # 2.2e-16; no verdict, witness or equality point moves)
     (["verify", "all", "--offset", "0.3", "--format", "csv"], 0, "106cc4e49d652f28d14ea0db8346551114bdf9094fd36b87014d2f894b8667da"),
+    # verify all on a grid that starts just below 1/2: the pairing checks
+    # skip the points whose mirror lies among the scanned ones, and the
+    # equality band around 1/2 is still the one point 1/2
+    (["verify", "all", "--lo", "0.49999", "--hi", "0.6", "--format", "csv"], 0, "a94191511549a906a910a95592ab1b60a0c0d5ada2fcd472d58ada6b0aa3c473"),
 ]
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import oracles
 from ellipcert import cli, family, inequalities, specfun
 from ellipcert.certify import (
     DEFAULT_SCAN,
@@ -479,6 +480,24 @@ def _count_kernel(monkeypatch):
     return calls
 
 
+def _assert_full_grid_report(rep, xs, clauses, tight, max_ulps):
+    """rep against the clauses evaluated at every point of xs: the same
+    verdict, witness and equality points, and each clause maximum within
+    max_ulps ulp(1) of the maximum over xs."""
+    columns = {cl: [fn(r) for r in xs] for cl, fn in clauses.items()}
+    full = {cl: max(col) for cl, col in columns.items()}
+    assert rep.clause_margins.keys() == full.keys()
+    for cl, m in full.items():
+        assert abs(rep.clause_margins[cl] - m) <= max_ulps * math.ulp(1.0), cl
+    first = next(((r, columns[cl][i], cl) for i, r in enumerate(xs) for cl in columns
+                  if columns[cl][i] > VIOLATION_TOL), (None, None, None))
+    assert (rep.witness_x, rep.witness_value, rep.witness_clause) == first
+    assert rep.verdict == ("pass" if first[0] is None else "fail")
+    hits = [(i, r, m) for cl in tight for i, (r, m) in enumerate(zip(xs, columns[cl]))
+            if abs(m) <= EQUALITY_TOL]
+    assert rep.equality_points == inequalities._cluster(hits)
+
+
 class TestSharedColumns:
     def test_same_report_as_own_columns(self):
         cols = GridColumns(FAST)
@@ -498,20 +517,33 @@ class TestSharedColumns:
         rep = check(q, cfg)
         clauses, tight = _per_clause_margins(rep.name, q)
         xs = inequality_grid(cfg)
-        columns = {cl: [fn(r) for r in xs] for cl, fn in clauses.items()}
-        full = {cl: max(col) for cl, col in columns.items()}
-        assert rep.clause_margins.keys() == full.keys()
-        for cl, m in full.items():
-            ulps = 0 if rep.name == "k-envelope" else PAIR_MAX_ULPS
-            assert abs(rep.clause_margins[cl] - m) <= ulps * math.ulp(1.0), cl
-        first = next(((r, columns[cl][i], cl) for i, r in enumerate(xs) for cl in columns
-                      if columns[cl][i] > VIOLATION_TOL), (None, None, None))
-        assert (rep.witness_x, rep.witness_value, rep.witness_clause) == first
-        assert rep.verdict == ("pass" if first[0] is None else "fail")
-        hits = [(i, r, m) for cl in tight for i, (r, m) in enumerate(zip(xs, columns[cl]))
-                if abs(m) <= EQUALITY_TOL]
-        assert rep.equality_points == inequalities._cluster(hits)
+        _assert_full_grid_report(rep, xs, clauses, tight,
+                                 0 if rep.name == "k-envelope" else PAIR_MAX_ULPS)
         assert rep.grid_n == len(xs if rep.name == "k-envelope" else GridColumns(cfg).pair_xs)
+
+    def test_gamma_chain_against_every_grid_point(self):
+        # the chain clauses scan 1/2 and the points of _GAMMA_GRID that
+        # hold a new pair; at 1/2 and every grid point they give the same
+        # verdict, witness and equality points, and the same maxima to the
+        # bit (measured: 0 ulp, equality points [0.5])
+        rep = check_gamma_constant_identities()
+        p = 0.25
+        alpha = specfun.GAMMA_QUARTER ** 4 / (2.0 ** (2.0 + 2.0 * p) * PI)
+        s = lambda r: (1.0 - r) ** p * ellip_k(r) + r ** p * _k_mirror(r)
+        g = lambda r: math.sqrt(r - r * r)
+        chain = {
+            "chain_product_le_sum_sq": lambda r: (
+                4.0 * ellip_k(r) * _k_mirror(r) * (r - r * r) ** p - s(r) ** 2),
+            "chain_sum_sq_le_alpha": lambda r: s(r) ** 2 - alpha,
+            "chain_alpha_le_outer": lambda r: (
+                alpha - 4.0 * (1.0 - g(r)) ** (2.0 * p) * ellip_k(g(r)) ** 2),
+        }
+        # the identity columns are constant: their values as reported
+        clauses = {cl: (lambda r, m=m: m) for cl, m in rep.clause_margins.items()
+                   if cl not in chain} | chain
+        xs = [0.5, *inequalities._GAMMA_GRID.grid()]
+        _assert_full_grid_report(rep, xs, clauses, tuple(chain), 0)
+        assert rep.equality_points == [0.5]
 
     def test_one_kernel_call_per_point_and_argument(self, monkeypatch):
         calls = _count_kernel(monkeypatch)
@@ -547,6 +579,41 @@ class TestSharedColumns:
         # and K(1/2) or K(x_p) once per check
         assert calls == {"k": n - n_pair + n_xp + 4 * 1000 + 501 + 6,
                          "columns": [n_pair, 501]}
+
+
+# The pairing checks against mp_pair_margins: each clause at each scanned
+# point at 50 digits.  A reported maximum is at most this many ulp(1)
+# from the 50-digit maximum over the same points, and a witness value
+# from the 50-digit margin there.  Measured: 2.93 (sum-bounds lower at
+# a = 1.3 on the near-half grid, where the margins are differences of
+# terms near 2), at most 2.34 elsewhere.
+ORACLE_MAX_ULPS = 3
+ORACLE_GRIDS = {"n500": ScanConfig(n=500), "near-half": FULL_GRIDS["near-half"]}
+ORACLE_CHECKS = [(check_sum_bounds, 1.47), (check_sum_bounds, 1.3),
+                 (check_weighted_sum, family.P_CONVEX_HI), (check_weighted_sum, 0.5),
+                 (check_product_pair, 0.5)]
+ORACLE_CASES = [(g, check, q) for g in ORACLE_GRIDS for check, q in ORACLE_CHECKS]
+
+
+class TestFiftyDigitOracle:
+    @pytest.mark.parametrize("grid, check, q", ORACLE_CASES,
+                             ids=[f"{g}-{c.__name__}-{q:.4g}" for g, c, q in ORACLE_CASES])
+    def test_pairing_report_against_50_digits(self, grid, check, q):
+        cfg = ORACLE_GRIDS[grid]
+        rep = check(q, cfg)
+        xs = GridColumns(cfg).pair_xs
+        columns, tight = oracles.mp_pair_margins(rep.name, q, xs)
+        ref = oracles.inequality_scan_reference(
+            rep.name, q, xs, list(columns), lambda i, x: [columns[cl][i] for cl in columns], tight)
+        assert ((rep.verdict, rep.witness_x, rep.witness_clause, rep.equality_points)
+                == (ref.verdict, ref.witness_x, ref.witness_clause, ref.equality_points))
+        assert rep.equality_points == [0.5]
+        tol = ORACLE_MAX_ULPS * math.ulp(1.0)
+        assert rep.clause_margins.keys() == ref.clause_margins.keys()
+        for cl, m in ref.clause_margins.items():
+            assert abs(rep.clause_margins[cl] - m) <= tol, cl
+        if ref.witness_value is not None:
+            assert abs(rep.witness_value - ref.witness_value) <= tol
 
 
 class TestNonFiniteMargins:
