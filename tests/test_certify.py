@@ -7,9 +7,8 @@ import math
 import pytest
 
 import oracles
-from ellipcert import cli, family
+from ellipcert import certify, cli, family
 from ellipcert.certify import (
-    BracketNotFoundError,
     DEFAULT_SCAN,
     ExtremumResult,
     InconclusiveScanError,
@@ -22,7 +21,7 @@ from ellipcert.certify import (
     find_x_p,
 )
 from ellipcert.family import g_factor, l_factor, phi, u_aux, w_plus
-from ellipcert.specfun import ellip_e, ellip_k
+from ellipcert.specfun import DomainError, ellip_e, ellip_k
 from test_golden import GOLDEN, GRID
 
 # Oracle-pinned (high-precision bisection on the quadrature-backed L):
@@ -391,9 +390,9 @@ class TestFindXP:
         # p -> 0 from above drives the root to 1
         assert find_x_p(0.05) > find_x_p(0.1) > 0.99
 
-    @pytest.mark.parametrize("p", [-0.1, 0.0, 0.25, 0.3, 1.0])
-    def test_no_bracket_outside_window(self, p):
-        with pytest.raises(BracketNotFoundError):
+    @pytest.mark.parametrize("p", [-0.1, 0.0, 0.25, 0.3, 1.0, math.nan])
+    def test_no_turning_point_outside_window_is_domain_error(self, p):
+        with pytest.raises(DomainError, match=r"turning point exists only for p in \(0, 1/4\)"):
             find_x_p(p)
 
     @pytest.mark.parametrize("p", [0.03, 0.04])
@@ -413,15 +412,23 @@ class TestFindXP:
     def test_root_above_largest_double(self, p):
         # L(p, .) is still positive at the largest double below 1
         assert l_factor(p, math.nextafter(1.0, 0.0)) > 0.0
-        with pytest.raises(BracketNotFoundError, match="largest double below 1"):
+        with pytest.raises(InconclusiveScanError, match="largest double below 1"):
             find_x_p(p)
 
-    @pytest.mark.parametrize("p", [0.25 - 1e-11, 0.25 - 3e-11])
+    @pytest.mark.parametrize("p", [0.24999999999, 0.25 - 3e-11])
     def test_root_below_first_ladder_point(self, p):
         # x_p ~ 8(1 - 4p) < 1e-9: L(p, .) is already negative at 1e-9
         assert l_factor(p, 1e-9) < 0.0
-        with pytest.raises(BracketNotFoundError, match="x_p lies below"):
+        with pytest.raises(InconclusiveScanError, match="x_p lies below"):
             find_x_p(p)
+
+    def test_several_sign_changes_are_inconclusive(self, monkeypatch):
+        # + -> - between 0.01 and 0.1 and again between 0.8 and 0.9
+        monkeypatch.setattr(certify, "l_factor",
+                            lambda p, x: 1.0 if x < 0.1 or 0.5 <= x < 0.9 else -1.0)
+        with pytest.raises(InconclusiveScanError,
+                           match=r"^multiple sign changes for p=0\.1; scan inconsistent$"):
+            find_x_p(0.1)
 
 
 _REGION_ENDS = [(theorem, side, end)

@@ -8,7 +8,6 @@ import oracles
 from ellipcert import cli, family, inequalities, specfun
 from ellipcert.certify import (
     DEFAULT_SCAN,
-    BracketNotFoundError,
     InconclusiveScanError,
     ScanConfig,
     certify_monotone,
@@ -228,7 +227,7 @@ class TestKEnvelope:
     def test_no_double_holds_x_p_is_inconclusive(self, p):
         # x_p lies above the largest double below 1 (0.02) or below the
         # first ladder point 1e-9: a valid p whose grid cannot be built
-        with pytest.raises(BracketNotFoundError) as found:
+        with pytest.raises(InconclusiveScanError) as found:
             find_x_p(p)
         with pytest.raises(InconclusiveScanError) as raised:
             check_k_envelope(p, FAST)
@@ -355,6 +354,19 @@ class TestGammaConstants:
                                   rel=1e-12)
         assert k * k == pytest.approx(GAMMA_QUARTER ** 4 / (16 * PI), rel=1e-12)
 
+    def test_identities_held_to_violation_tol(self, monkeypatch):
+        # K(1/2) 1.5e-12 relative above its Gamma closed form: the residual
+        # itself is the margin, held to VIOLATION_TOL like every clause
+        from ellipcert.specfun import GAMMA_THREE_QUARTER
+        closed = PI * math.sqrt(PI) / (2.0 * GAMMA_THREE_QUARTER ** 2)
+        real = inequalities.ellip_k
+        monkeypatch.setattr(inequalities, "ellip_k",
+                            lambda x: closed * (1.0 + 1.5e-12) if x == 0.5 else real(x))
+        rep = check_gamma_constant_identities()
+        assert rep.clause_margins["k_half_closed_form"] > VIOLATION_TOL
+        assert (rep.verdict, rep.witness_x, rep.witness_clause) == (
+            "fail", 0.5, "k_half_closed_form")
+
 
 class TestGridAndReports:
     def test_grid_contains_midpoint_and_tails(self):
@@ -372,6 +384,13 @@ class TestGridAndReports:
         # tightest of them, however far apart the points lie
         xs, columns = [0.2, 0.5, 0.8], {"a": [0.0, 0.0, 1e-10]}
         assert inequalities._report("c", None, xs, columns, ("a",)).equality_points == [0.2]
+
+    def test_hits_apart_in_scan_order_are_two_points(self):
+        # hits at scanned indices 0 and 2, 1e-7 apart: index 1 is no hit,
+        # so they are two equality points however close they lie
+        xs, columns = [0.3, 0.3 + 5e-8, 0.3 + 1e-7], {"a": [0.0, -1e-3, 0.0]}
+        assert inequalities._report("c", None, xs, columns, ("a",)).equality_points == [
+            0.3, 0.3 + 1e-7]
 
     def test_pair_points_of_the_default_grid(self):
         # every point up to 1/2, and the last, 1 - 1e-9, whose mirror
