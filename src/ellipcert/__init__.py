@@ -31,7 +31,6 @@ from .certify import (
     SignCertificate,
     ExtremumResult,
     InconclusiveScanError,
-    BracketNotFoundError,
     certify_sign,
     certify_monotone,
     find_a_c,
@@ -54,7 +53,7 @@ __all__ = [
     "w_plus", "w_minus", "g_factor", "phi", "recip_f_second_sign",
     "h", "g_aux", "log_h_second_factor", "j_factor", "l_factor",
     "ScanConfig", "SignCertificate", "ExtremumResult",
-    "InconclusiveScanError", "BracketNotFoundError",
+    "InconclusiveScanError",
     "certify_sign", "certify_monotone", "find_a_c", "find_x_p",
     *_INEQUALITIES,
 ]

@@ -19,7 +19,8 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .family import l_factor, w_plus
+from .family import P_MONOTONE, l_factor, w_plus
+from .specfun import DomainError
 
 # Sign violations are only counted beyond this tolerance: floating point
 # cannot certify strictness at an equality point itself.
@@ -38,10 +39,6 @@ SPACINGS = ("uniform", "geometric")  # of ScanConfig.grid
 class InconclusiveScanError(RuntimeError):
     """A scan could not reach a verdict: its answer sits on the interval
     boundary, or a sample it would rest on is NaN or infinite."""
-
-
-class BracketNotFoundError(RuntimeError):
-    """No sign change was found where a root was requested."""
 
 
 class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth",
@@ -295,9 +292,11 @@ def find_x_p(p: float) -> float:
     A geometric ladder locates the single + -> - sign change, bisection
     shrinks it to float resolution, and the endpoint with the smaller
     |L| wins.  Outside (0, 1/4) the factor has constant sign and
-    BracketNotFoundError is raised; so it is for p below about 0.0253,
+    DomainError is raised.  Inside it, InconclusiveScanError is raised
+    where the ladder's range holds no x_p: for p below about 0.0253,
     where L is still positive at the largest double below 1, and for p
-    above about 1/4 - 3e-11, where x_p ~ 8(1 - 4p) lies below 1e-9.
+    above about 1/4 - 3e-11, where x_p ~ 8(1 - 4p) lies below 1e-9; and
+    where the ladder sees several sign changes.
 
     For roots very close to 1 (small p) the steepness of L makes the
     residual quantization-limited: no double between the bracketing
@@ -307,19 +306,19 @@ def find_x_p(p: float) -> float:
     changes = [i for i in range(len(signs) - 1)
                if signs[i][1] > 0.0 >= signs[i + 1][1]]
     if not changes or signs[0][1] <= 0.0:
-        if 0.0 < p < 0.25 and signs[0][1] <= 0.0:
-            raise BracketNotFoundError(
+        if 0.0 < p < P_MONOTONE and signs[0][1] <= 0.0:
+            raise InconclusiveScanError(
                 f"l_factor(p={p!r}, .) is already non-positive at {_XP_LADDER[0]!r}: "
                 "x_p lies below it")
-        if 0.0 < p < 0.25 and signs[-1][1] > 0.0:
-            raise BracketNotFoundError(
+        if 0.0 < p < P_MONOTONE and signs[-1][1] > 0.0:
+            raise InconclusiveScanError(
                 f"l_factor(p={p!r}, .) is positive up to the largest double below 1: "
                 "x_p lies above it")
-        raise BracketNotFoundError(
+        raise DomainError(
             f"l_factor has no + -> - sign change for p={p!r}; "
             "a turning point exists only for p in (0, 1/4)")
     if len(changes) > 1:
-        raise BracketNotFoundError(
+        raise InconclusiveScanError(
             f"multiple sign changes for p={p!r}; scan inconsistent")
     lo, flo = signs[changes[0]]
     hi, fhi = signs[changes[0] + 1]

@@ -36,7 +36,6 @@ from . import family, specfun
 from .certify import (
     DEFAULT_SCAN,
     SPACINGS,
-    BracketNotFoundError,
     InconclusiveScanError,
     ScanConfig,
     certify_sign,
@@ -451,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _COMMANDS[args.command][0](args)  # before the scan, for its error
         text, code = _run(RunManifest(args.command, params, _scan_from_args(args),
                                       args.format, args.seed))
-    except (DomainError, ConvergenceError, BracketNotFoundError, ValueError) as exc:
+    except (DomainError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # a power too large for a double

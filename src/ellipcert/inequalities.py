@@ -55,7 +55,6 @@ from itertools import islice
 from . import family
 from .certify import (
     DEFAULT_SCAN,
-    BracketNotFoundError,
     InconclusiveScanError,
     ScanConfig,
     find_x_p,
@@ -70,10 +69,9 @@ from .specfun import (
 )
 
 # A clause is violated only beyond this; |margin| <= EQUALITY_TOL marks
-# an equality point.  Nearby equality points cluster within CLUSTER_TOL.
+# an equality point, and hits at neighbouring scanned points are one.
 VIOLATION_TOL = 1e-12
 EQUALITY_TOL = 1e-9
-CLUSTER_TOL = 1e-6
 
 _GEOMETRIC_POINTS = 20
 
@@ -126,17 +124,15 @@ def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
     """One representative per contiguous run of equality hits.
 
     Near a tight point the margin is quadratically flat, so a whole band
-    of grid points can sit inside EQUALITY_TOL; a run of consecutive
-    grid indices (or points within CLUSTER_TOL) collapses to its
-    tightest member.
+    of scanned points can sit inside EQUALITY_TOL; a run of consecutive
+    indices among the scanned points collapses to its tightest member,
+    and hits with a non-hit between them stay apart, however close.
     """
     out: list[float] = []
     best: tuple[float, float] | None = None
     prev_i: int | None = None
     for i, x, m in sorted(points):
-        contiguous = (prev_i is not None
-                      and (i - prev_i <= 1 or (best is not None and x - best[0] <= CLUSTER_TOL)))
-        if best is not None and not contiguous:
+        if best is not None and i - prev_i > 1:
             out.append(best[0])
             best = None
         if best is None or abs(m) < abs(best[1]):
@@ -386,10 +382,7 @@ def check_k_envelope(p: float,
         return _report("k-envelope", p, xs,
                        {"lower": [(PI / 2) * wr - kr for wr, kr in zip(w, k)],
                         "upper": [kr - (PI / 2) / wr for wr, kr in zip(w, k)]})
-    try:
-        x_p = find_x_p(p)
-    except BracketNotFoundError as exc:
-        raise InconclusiveScanError(str(exc)) from exc
+    x_p = find_x_p(p)
     if cols.cfg.hi > x_p:  # the scan ends at min(hi, x_p)
         try:
             cols = GridColumns(cols.cfg._replace(hi=x_p))

@@ -308,7 +308,7 @@ for _tol in (VIOLATION_TOL, EQUALITY_TOL):
     MARGIN_VALUES += [_tol, -_tol, math.nextafter(_tol, 1.0), math.nextafter(-_tol, -1.0),
                       math.nextafter(_tol, 0.0), math.nextafter(-_tol, 0.0)]
 NONFINITE = [math.nan, math.inf, -math.inf]
-# steps between points: repeats, steps inside CLUSTER_TOL, and back steps
+# steps between points: repeats, steps of 1e-7 to 2e-6, and back steps
 X_STEPS = st.sampled_from([0.0, 1e-7, 5e-7, 1e-6, 2e-6, 1e-3, 0.2, -0.3])
 
 
