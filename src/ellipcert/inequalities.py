@@ -53,6 +53,7 @@ from functools import cached_property
 from itertools import islice
 
 from . import family
+from .family import l_factor
 from .certify import (
     DEFAULT_SCAN,
     InconclusiveScanError,
@@ -354,17 +355,36 @@ def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
     return _mean_chain(p, draws[::2], draws[1::2], tight=False)
 
 
+def _turning_cap(p: float) -> tuple[float, float]:
+    """(x_p, cap) for 0 < p < 1/4: the turning point of h(p, .), the zero
+    of l_factor, and the maximum cap = h(p, x_p) = (1-x_p)^p K(x_p).
+
+    Where l_factor(p, .) is still positive at the largest double below 1
+    (p below about 0.0253), x_p lies above every double below 1 and is
+    reported as 1.0, its rounded value.  The cap then comes from
+    K = log 4 + theta, theta = -log(1-x)/2 (DLMF 19.12): h peaks at
+    theta* = 1/(2p) - log 4, with value 16^p/(2pe).  The omitted term is
+    positive, so this cap lies below the true maximum, by about (1-x*)/4
+    relative, 1 - x* = 16 e^(-1/p): 1.7e-17 at p = 0.025.
+    """
+    if l_factor(p, math.nextafter(1.0, 0.0)) > 0.0:
+        return 1.0, 16.0 ** p / (2.0 * p * math.e)
+    x_p = find_x_p(p)
+    return x_p, (1.0 - x_p) ** p * ellip_k(x_p)
+
+
 def check_k_envelope(p: float,
                      grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """Power-law envelopes of K.
 
     p >= 1/4:    (pi/2)(1-r)^p < K(r) < (pi/2)/(1-r)^p on (0,1).
     0 < p < 1/4: (pi/2)/(1-r)^p < K(r) < (1-x_p)^p K(x_p)/(1-r)^p on
-                 (0, x_p), with x_p located by certify.find_x_p.  For p
-                 below about 0.0253, x_p lies above the largest double
-                 below 1, and for p above about 1/4 - 3e-11 below the
-                 first ladder point; no grid can be built there and the
-                 check raises InconclusiveScanError.
+                 (0, x_p), with x_p and the cap from _turning_cap.  For
+                 p below about 0.0253, x_p lies above every double below
+                 1, so the check scans grid as given, under the closed-
+                 form cap; for p above about 1/4 - 3e-11, x_p lies below
+                 certify.find_x_p's first ladder point 1e-9, and its
+                 InconclusiveScanError goes through unchanged.
     For p < 1/4 the grid's scan ends at min(hi, x_p): where hi <= x_p it
     is grid itself, and where lo and the offsets leave no point below x_p
     the check raises InconclusiveScanError, naming x_p.
@@ -382,14 +402,13 @@ def check_k_envelope(p: float,
         return _report("k-envelope", p, xs,
                        {"lower": [(PI / 2) * wr - kr for wr, kr in zip(w, k)],
                         "upper": [kr - (PI / 2) / wr for wr, kr in zip(w, k)]})
-    x_p = find_x_p(p)
+    x_p, cap = _turning_cap(p)
     if cols.cfg.hi > x_p:  # the scan ends at min(hi, x_p)
         try:
             cols = GridColumns(cols.cfg._replace(hi=x_p))
         except ValueError as exc:
             raise InconclusiveScanError(
                 f"k-envelope: for p={p!r} no scan point lies below x_p={x_p!r}") from exc
-    cap = (1.0 - x_p) ** p * ellip_k(x_p)
     xs, k = cols.xs, cols.k
     w = [(1.0 - r) ** p for r in xs]
     return _report("k-envelope", p, xs,

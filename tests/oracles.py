@@ -26,8 +26,9 @@ The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
 package's stabilized factor forms; ``mp_factor`` alone evaluates the
 factors' closed forms in K, P and T2, at 50 digits, where rounding
-cannot flip their sign, and ``mp_pair_margins`` the clause margins of
-verify's pairing checks.  They import mpmath when called, so
+cannot flip their sign, and ``mp_pair_margins`` and
+``mp_k_envelope_margins`` the clause margins of verify's pairing checks
+and of its K-envelope.  They import mpmath when called, so
 the scipy oracles keep working where mpmath is absent.
 """
 
@@ -49,7 +50,7 @@ from ellipcert.certify import (
     SignCertificate,
     _require_finite,
 )
-from ellipcert.family import P_CONVEX_HI, P_LOGCONCAVE, u_aux, v_aux
+from ellipcert.family import P_CONVEX_HI, P_LOGCONCAVE, P_MONOTONE, u_aux, v_aux
 from ellipcert.inequalities import (
     _GEOMETRIC_POINTS,
     EQUALITY_TOL,
@@ -422,6 +423,66 @@ def mp_pair_margins(name: str, q: float, xs: Sequence[float],
     else:
         tight = tuple(cols)
     return cols, tight
+
+
+def _mp_h_max(p: float, dps: int):
+    """(max of h(p, .), 1 - x*) as mpf, for 0 < p < 1/4, where x* is the
+    zero of L = E + ((1-2p)x - 1)K.  Solved in u = -log(1 - x) from the
+    DLMF 19.12 estimate u = 1/p - log 16, with 1/(p log 10) digits beyond
+    dps, so that 1 - x* is resolved wherever it lies below the doubles'
+    resolution at 1."""
+    import mpmath
+
+    u0 = 1.0 / p - math.log(16.0)
+    with mpmath.workdps(dps + max(0, math.ceil(u0 / math.log(10.0)))):
+        c = mpmath.mpf(p)
+
+        def l_fn(u):
+            x = 1 - mpmath.exp(-u)
+            return mpmath.ellipe(x) + ((1 - 2 * c) * x - 1) * mpmath.ellipk(x)
+
+        t = mpmath.exp(-mpmath.findroot(l_fn, mpmath.mpf(u0), verify=False))
+        return t ** c * mpmath.ellipk(1 - t), t
+
+
+def mp_h_max(p: float, dps: int = 50) -> tuple[float, float]:
+    """The maximum of h(p, .) = (1-x)^p K(x) over (0, 1), for 0 < p < 1/4,
+    and 1 - x* at the turning point x* where h takes it, at dps digits."""
+    top, t = _mp_h_max(p, dps)
+    return float(top), float(t)
+
+
+def mp_k_envelope_margins(p: float, cfg: ScanConfig, dps: int = 50
+                          ) -> tuple[list[float], dict[str, list[float]], float | None]:
+    """The points check_k_envelope(p, cfg) scans, its two clause margins
+    at each of them, computed at dps digits and rounded once to doubles,
+    and the x_p it reports (None for p >= 1/4).
+
+    K(r) comes from mpmath.ellipk.  Below 1/4, x_p is mp_x_p(p) rounded,
+    the grid (inequality_grid_reference) ends at min(hi, x_p), and the
+    cap is h(p, x_p) at dps digits at that double; where x_p rounds to
+    1.0, no double below 1 holds it, and the cap is the dps-digit
+    maximum of h (mp_h_max).
+    """
+    import mpmath
+
+    x_p = None if p >= P_MONOTONE else mp_x_p(p, dps)
+    xs = inequality_grid_reference(cfg if x_p is None or x_p >= cfg.hi
+                                   else cfg._replace(hi=x_p))
+    with mpmath.workdps(dps):
+        c, half_pi = mpmath.mpf(p), mpmath.pi / 2
+        if x_p == 1.0:
+            cap = _mp_h_max(p, dps)[0]
+        elif x_p is not None:
+            cap = (1 - mpmath.mpf(x_p)) ** c * mpmath.ellipk(mpmath.mpf(x_p))
+        cols: dict[str, list[float]] = {"lower": [], "upper": []}
+        for r in xs:
+            k, w = mpmath.ellipk(mpmath.mpf(r)), (1 - mpmath.mpf(r)) ** c
+            lower, upper = (half_pi * w - k, k - half_pi / w) if x_p is None else (
+                half_pi / w - k, k - cap / w)
+            cols["lower"].append(float(lower))
+            cols["upper"].append(float(upper))
+    return xs, cols, x_p
 
 
 def mp_phi(x: float, dps: int = 50) -> float:

@@ -285,7 +285,7 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("p", ["0.03", "0.04"])
+    @pytest.mark.parametrize("p", ["0.02", "0.03", "0.04"])
     def test_k_envelope_small_p(self, capsys, p):
         code, out, err = run(capsys, ["verify", "k-envelope", "--p", p,
                                       "--format", "json"] + FAST)
@@ -293,14 +293,12 @@ class TestFloatRange:
         rows = json.loads(out)["results"]
         assert rows[0]["clause"] == "x_p" and rows[0]["witness_x"] > 1.0 - 1e-9
 
-    @pytest.mark.parametrize("p", ["0.02", "0.24999999999"])
-    def test_k_envelope_without_x_p_is_inconclusive(self, capsys, p):
-        # a valid p whose turning point no double in the ladder's range holds
-        code, out, err = run(capsys, ["verify", "k-envelope", "--p", p] + FAST)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("inconclusive: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+    def test_k_envelope_without_x_p_is_inconclusive(self, capsys):
+        # a valid p whose turning point lies below the ladder's first point
+        code, out, err = run(capsys, ["verify", "k-envelope", "--p", "0.24999999999"] + FAST)
+        assert (code, out) == (3, "")
+        assert err == ("inconclusive: l_factor(p=0.24999999999, .) is already non-positive "
+                       "at 1e-09: x_p lies below it\n")
 
     @pytest.mark.parametrize("argv", [["k-envelope", "--p", "0.1"], ["all"]], ids=" ".join)
     def test_k_envelope_without_scan_point_below_x_p_is_inconclusive(self, capsys, argv):

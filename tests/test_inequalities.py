@@ -223,15 +223,34 @@ class TestKEnvelope:
         with pytest.raises(DomainError, match="needs p > 0"):
             check_k_envelope(math.nan, FAST)
 
-    @pytest.mark.parametrize("p", [0.02, 0.24999999999])
-    def test_no_double_holds_x_p_is_inconclusive(self, p):
-        # x_p lies above the largest double below 1 (0.02) or below the
-        # first ladder point 1e-9: a valid p whose grid cannot be built
+    def test_no_double_holds_x_p_is_inconclusive(self):
+        # x_p lies below the first ladder point 1e-9: a valid p whose grid
+        # cannot be built, with find_x_p's error and message
+        p = 0.24999999999
         with pytest.raises(InconclusiveScanError) as found:
             find_x_p(p)
         with pytest.raises(InconclusiveScanError) as raised:
             check_k_envelope(p, FAST)
         assert str(raised.value) == str(found.value)
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.02, 0.025])
+    def test_x_p_above_every_double_passes(self, p):
+        # L(p, .) > 0 at the largest double below 1: x_p is reported as
+        # 1.0, its rounded value, and the grid is scanned as given
+        assert family.l_factor(p, math.nextafter(1.0, 0.0)) > 0.0
+        cols = GridColumns(FAST)
+        rep = check_k_envelope(p, cols)
+        assert (rep.verdict, rep.x_p, rep.grid_n) == ("pass", 1.0, len(cols.xs))
+        assert max(rep.clause_margins.values()) < 0.0
+
+    def test_closed_form_cap_against_50_digit_maximum(self):
+        # 16^p/(2pe) lies at most rounding above the maximum of h(0.02, .),
+        # and below it by at most (1 - x*)/4 relative plus 4 ulp
+        top, one_minus_x = oracles.mp_h_max(0.02)
+        x_p, cap = inequalities._turning_cap(0.02)
+        assert x_p == 1.0 and cap == 9.721380151746338
+        assert cap <= top
+        assert top - cap <= top * one_minus_x / 4.0 + 4.0 * math.ulp(top)
 
     def test_scan_ends_at_hi_below_x_p(self):
         # hi = 0.5 < x_p(0.1): the check scans the grid it was given, up to
@@ -614,6 +633,15 @@ ORACLE_CHECKS = [(check_sum_bounds, 1.47), (check_sum_bounds, 1.3),
 ORACLE_CASES = [(g, check, q) for g in ORACLE_GRIDS for check, q in ORACLE_CHECKS]
 
 
+# check_k_envelope against mp_k_envelope_margins on a 500-point grid, at
+# p above and at 1/4, on the grid that ends at x_p (0.1) and where x_p
+# lies above every double below 1 (0.02).  Measured: 10.0 ulp(1) (the
+# upper clause at 0.02, whose maximum lies at r = 1 - 1e-9, where K(r)
+# and cap / (1 - r)^p are near 12 and 15), at most 1.13 elsewhere.
+K_ENVELOPE_MAX_ULPS = 10
+K_ENVELOPE_ORACLE_PS = [0.5, 0.25, 0.1, 0.02]
+
+
 class TestFiftyDigitOracle:
     @pytest.mark.parametrize("grid, check, q", ORACLE_CASES,
                              ids=[f"{g}-{c.__name__}-{q:.4g}" for g, c, q in ORACLE_CASES])
@@ -633,6 +661,22 @@ class TestFiftyDigitOracle:
             assert abs(rep.clause_margins[cl] - m) <= tol, cl
         if ref.witness_value is not None:
             assert abs(rep.witness_value - ref.witness_value) <= tol
+
+
+    @pytest.mark.parametrize("p", K_ENVELOPE_ORACLE_PS)
+    def test_k_envelope_against_50_digits(self, p):
+        cfg = ScanConfig(n=500)
+        rep = check_k_envelope(p, cfg)
+        xs, columns, x_p = oracles.mp_k_envelope_margins(p, cfg)
+        ref = oracles.inequality_scan_reference(
+            rep.name, p, xs, list(columns), lambda i, x: [columns[cl][i] for cl in columns],
+            x_p=x_p)
+        assert ((rep.verdict, rep.witness_x, rep.witness_clause, rep.x_p, rep.grid_n)
+                == (ref.verdict, ref.witness_x, ref.witness_clause, ref.x_p, ref.grid_n))
+        tol = K_ENVELOPE_MAX_ULPS * math.ulp(1.0)
+        assert rep.clause_margins.keys() == ref.clause_margins.keys()
+        for cl, m in ref.clause_margins.items():
+            assert abs(rep.clause_margins[cl] - m) <= tol, cl
 
 
 class TestNonFiniteMargins:
