@@ -9,6 +9,7 @@ import time
 import pytest
 
 import oracles
+import ellipcert
 from ellipcert import cli, family, specfun
 from ellipcert.certify import ScanConfig
 from ellipcert.specfun import DomainError
@@ -559,3 +560,29 @@ class TestOutputContracts:
         value = out.strip().splitlines()[-1].split(",")[1]
         assert value == format(float(value), ".17g")
         assert float(value) == pytest.approx(1.4453630644126653, rel=1e-15)
+
+
+# every exception class the package exports, plus the builtins that a
+# run step raises for a bad number or a power too large for a double
+EXPORTED_ERRORS = [cls for cls in (getattr(ellipcert, name) for name in ellipcert.__all__)
+                   if isinstance(cls, type) and issubclass(cls, BaseException)]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("error", [*EXPORTED_ERRORS, ValueError, OverflowError],
+                             ids=lambda cls: cls.__name__)
+    def test_each_error_has_its_exit_code(self, monkeypatch, capsys, error):
+        # an error from a run step ends in exit 3 (inconclusive) or 2, with
+        # one line on stderr and none on stdout; an exported error without
+        # a handler escapes main and fails here
+        def run_step(cfg, seed):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "constants", (lambda args: {}, run_step))
+        code, out, err = run(capsys, ["constants"])
+        inconclusive = error is ellipcert.InconclusiveScanError
+        assert code == (cli.EXIT_INCONCLUSIVE if inconclusive else cli.EXIT_USAGE)
+        assert out == ""
+        assert err.startswith("inconclusive: " if inconclusive else "error: ")
+        assert err.count("\n") == 1 and err.endswith("boom\n")
+        assert "Traceback" not in err
