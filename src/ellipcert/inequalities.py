@@ -53,7 +53,6 @@ from functools import cached_property
 from itertools import islice
 
 from . import family
-from .family import l_factor
 from .certify import (
     DEFAULT_SCAN,
     InconclusiveScanError,
@@ -367,7 +366,7 @@ def _turning_cap(p: float) -> tuple[float, float]:
     positive, so this cap lies below the true maximum, by about (1-x*)/4
     relative, 1 - x* = 16 e^(-1/p): 1.7e-17 at p = 0.025.
     """
-    if l_factor(p, math.nextafter(1.0, 0.0)) > 0.0:
+    if family.l_factor(p, math.nextafter(1.0, 0.0)) > 0.0:
         return 1.0, 16.0 ** p / (2.0 * p * math.e)
     x_p = find_x_p(p)
     return x_p, (1.0 - x_p) ** p * ellip_k(x_p)
@@ -383,8 +382,8 @@ def check_k_envelope(p: float,
                  p below about 0.0253, x_p lies above every double below
                  1, so the check scans grid as given, under the closed-
                  form cap; for p above about 1/4 - 3e-11, x_p lies below
-                 certify.find_x_p's first ladder point 1e-9, and its
-                 InconclusiveScanError goes through unchanged.
+                 certify.find_x_p's first ladder point 1e-9, and the
+                 check raises find_x_p's InconclusiveScanError.
     For p < 1/4 the grid's scan ends at min(hi, x_p): where hi <= x_p it
     is grid itself, and where lo and the offsets leave no point below x_p
     the check raises InconclusiveScanError, naming x_p.

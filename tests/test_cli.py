@@ -562,8 +562,8 @@ class TestOutputContracts:
         assert float(value) == pytest.approx(1.4453630644126653, rel=1e-15)
 
 
-# every exception class the package exports, plus the builtins that a
-# run step raises for a bad number or a power too large for a double
+# every exception class the package exports; the contract test adds the
+# builtins a run step raises for a bad number or a power too large for a double
 EXPORTED_ERRORS = [cls for cls in (getattr(ellipcert, name) for name in ellipcert.__all__)
                    if isinstance(cls, type) and issubclass(cls, BaseException)]
 

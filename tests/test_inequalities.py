@@ -662,7 +662,6 @@ class TestFiftyDigitOracle:
         if ref.witness_value is not None:
             assert abs(rep.witness_value - ref.witness_value) <= tol
 
-
     @pytest.mark.parametrize("p", K_ENVELOPE_ORACLE_PS)
     def test_k_envelope_against_50_digits(self, p):
         cfg = ScanConfig(n=500)
