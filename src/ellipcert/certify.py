@@ -4,13 +4,18 @@ constant a_c, and the turning-point root x_p.
 Certificates here are numerical evidence, not proofs: grids plus local
 refinement around near-zero values.  Endpoint offsets keep the scans on
 the open interval, where the certified statements live and where several
-factors genuinely vanish.  Grid evaluation is strictly sequential and
-deterministic; a witness always re-evaluates to its reported value.
+factors genuinely vanish.  A scanned function takes a list of points and
+returns its values there; evaluation goes in deterministic batches, fixed
+by the grid alone.  The witness is the first violation in grid order and
+always re-evaluates to its reported value.
 
-Sign and monotonicity scans share one engine, which stops at the first
-violation; each refine level samples and splices in only the new points
-of the intervals it flags.  ScanConfig.grid builds every grid on
-ScanConfig.ends; the records are named tuples, validated however built.
+Sign and monotonicity scans share one engine, which stops at the end of
+the batch that holds the first violation; no sample past the witness is
+evidence.  A batch is read item by item only where its min or max shows
+a violation or a sample is not finite; each refine level samples the new
+points of the intervals it flags together.  ScanConfig.grid builds every
+grid on ScanConfig.ends; the records are named tuples, validated however
+built.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from operator import sub
 
-from .family import P_MONOTONE, l_factor, w_plus
+from .family import COLUMN_FORMS, P_MONOTONE, l_factor, w_plus
 from .specfun import DomainError
 
 # Sign violations are only counted beyond this tolerance: floating point
@@ -31,6 +37,9 @@ SIGN_TOLERANCE = 1e-12
 # flagged set deterministic (smallest |value| first, then leftmost).
 _MAX_FLAGGED = 256
 _SUBDIVISIONS = 8
+# Grid batches double from _FIRST_BATCH points, so that a scan failing at
+# once costs few samples, up to _MAX_BATCH, which bounds a batch's lists.
+_FIRST_BATCH, _MAX_BATCH = 16, 1024
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPACINGS = ("uniform", "geometric")  # of ScanConfig.grid
@@ -132,94 +141,122 @@ def _require_finite(values) -> None:
         raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
 
 
-def _refine_scan(fn: Callable[[float], float],
+def in_batches(fn: Callable[[list[float]], list[float]], xs: list[float]) -> list[float]:
+    """fn's values over xs, from calls on at most _MAX_BATCH points each."""
+    return [v for i in range(0, len(xs), _MAX_BATCH) for v in fn(xs[i:i + _MAX_BATCH])]
+
+
+def _refine_scan(fn: Callable[[list[float]], list[float]],
                  claimed: str,
                  cfg: ScanConfig,
                  pairs: bool) -> SignCertificate:
     """The scan-and-refine engine behind certify_sign and certify_monotone.
 
-    The checked items are the samples fn(x) or, with pairs, the
-    differences fn(x_k) - fn(x_{k-1}) of consecutive samples.  Points are
-    sampled left to right and the scan stops at the first item on the
-    wrong side of the claim beyond SIGN_TOLERANCE; the margin is the
-    smallest |item| checked before it.  Each of the cfg.refine_depth
-    levels flags the items with |item| <= 10 * margin (at most
-    _MAX_FLAGGED, smallest first, then leftmost), splits the intervals
-    next to them into _SUBDIVISIONS + 1 parts and samples and splices in
-    only the new points; the next level flags on the merged sequence.
-    A verdict needs every sample taken before it to be finite.
+    The checked items are the samples or, with pairs, the differences of
+    consecutive samples.  The grid is sampled left to right in batches of
+    _FIRST_BATCH points, doubling up to _MAX_BATCH, and the scan stops at
+    the first item on the wrong side of the claim beyond SIGN_TOLERANCE,
+    with at most the rest of its batch sampled past it; the margin is the
+    smallest |item| checked before it.  Each of the cfg.refine_depth levels
+    flags the items with |item| <= 10 * margin (at most _MAX_FLAGGED,
+    smallest first, then leftmost), splits the intervals next to them into
+    _SUBDIVISIONS + 1 parts, samples the new points together (in_batches)
+    and splices them in; the next level flags on the merged sequence.  A
+    verdict needs every sample up to its item to be finite.
     """
     sgn = 1.0 if claimed == "nonnegative" else -1.0
     xs = cfg.grid()
-    vs: list[float | None] = [None] * len(xs)
-    if pairs:
-        vs[0] = fn(xs[0])
-    # indices k, ascending, whose item (vs[k], or vs[k] - vs[k-1]) is unchecked
-    todo: Sequence[int] = range(pairs, len(xs))
+    vs: list[float] = []
     margin = math.inf
-    for level in range(cfg.refine_depth + 1):
-        if level:
-            mags = [abs(b - a) for a, b in zip(vs, vs[1:])] if pairs else list(map(abs, vs))
-            threshold = 10.0 * margin
-            # near-monotone mags: linear-time sort (heapq.nsmallest is not)
-            flagged = sorted((i for i, m in enumerate(mags) if m <= threshold),
-                             key=mags.__getitem__)[:_MAX_FLAGGED]
-            # the intervals on both sides of a sample, or the one a difference spans
-            spans = sorted({j for i in flagged
-                            for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1))})
-            head_xs, head_vs, todo, done = [], [], [], 0
-            for j in spans:
-                a, b = xs[j], xs[j + 1]
-                step = (b - a) / (_SUBDIVISIONS + 1)
-                # rounding is monotone, so the new points lie strictly between a and b
-                new = sorted({a + k * step for k in range(1, _SUBDIVISIONS + 1)} - {a, b})
-                if new:
-                    head_xs += xs[done:j + 1] + new
-                    head_vs += vs[done:j + 1] + [None] * len(new)
-                    todo += range(len(head_xs) - len(new), len(head_xs) + pairs)
-                    done = j + 1
-            if not todo:
-                break
-            xs, vs = head_xs + xs[done:], head_vs + vs[done:]
-        for k in todo:
-            v = vs[k]
-            if v is None:
-                v = vs[k] = fn(xs[k])
-            item = v - vs[k - 1] if pairs else v
+
+    def check(new: list[float], ks: Sequence[int]) -> SignCertificate | None:
+        """The "mixed" certificate at the first wrong item of those at
+        indices ks, or None.  new holds the batch's samples: where all are
+        finite and the items' min or max shows no violation, C-level min and
+        sum decide; else the items are read in order, and a non-finite
+        sample raises at its item."""
+        nonlocal margin
+        items = [vs[k] - vs[k - 1] for k in ks] if pairs else new
+        worst = sgn * (min(items) if sgn > 0.0 else max(items))  # the least sgn * item
+        if worst >= -SIGN_TOLERANCE and math.isfinite(sum(new)):
+            # no violation; where worst >= 0, the smallest |item| is |worst|
+            margin = min(margin, abs(worst) if worst >= 0.0 else min(map(abs, items)))
+            return None
+        for k, item in zip(ks, items):
+            if not math.isfinite(item):
+                _require_finite(vs[k - 1:k + 1] if pairs else (item,))
             if sgn * item < -SIGN_TOLERANCE:
-                _require_finite(u for u in vs if u is not None)
                 x = xs[k - 1] if pairs else xs[k]
                 return SignCertificate("mixed", x, item,
                                        margin if margin < math.inf else abs(item),
                                        xs[k] - x if pairs else None)
             if abs(item) < margin:
                 margin = abs(item)
-        _require_finite([vs[k] for k in todo] if level else vs)  # this level's samples
+        return None
+
+    start, size = 0, _FIRST_BATCH
+    while start < len(xs):
+        new = fn(xs[start:start + size])
+        vs += new
+        if cert := check(new, range(max(start, pairs), len(vs))):
+            return cert
+        start, size = len(vs), min(2 * size, _MAX_BATCH)
+    for _level in range(cfg.refine_depth):
+        mags = list(map(abs, map(sub, vs[1:], vs) if pairs else vs))
+        threshold = 10.0 * margin
+        flagged = [i for i, m in enumerate(mags) if m <= threshold]
+        if len(flagged) > _MAX_FLAGGED:  # the smallest, then leftmost, in index order
+            flagged = sorted(sorted(flagged, key=mags.__getitem__)[:_MAX_FLAGGED])
+        # the intervals on both sides of a sample, or the one a difference
+        # spans: flagged ascends, so they come in order, repeats adjacent
+        runs = []
+        for j in dict.fromkeys(j for i in flagged
+                               for j in range(max(i - 1 + pairs, 0), min(i + 1, len(xs) - 1))):
+            a, b = xs[j], xs[j + 1]
+            step = (b - a) / (_SUBDIVISIONS + 1)
+            pts = [a + k * step for k in range(1, _SUBDIVISIONS + 1)]
+            # rounding is monotone: keep the last of equal points, none at a or b
+            if pts := [x for x, y in zip(pts, pts[1:] + [b]) if a < x < y]:
+                runs.append((j, pts))
+        if not runs:
+            break
+        new = in_batches(fn, [x for _, pts in runs for x in pts])
+        head_xs, head_vs, ks, done, pos = [], [], [], 0, 0
+        for j, pts in runs:
+            head_xs += xs[done:j + 1] + pts
+            head_vs += vs[done:j + 1] + new[pos:pos + len(pts)]
+            ks += range(len(head_xs) - len(pts), len(head_xs) + pairs)
+            done, pos = j + 1, pos + len(pts)
+        xs, vs = head_xs + xs[done:], head_vs + vs[done:]
+        if cert := check(new, ks):
+            return cert
     return SignCertificate(claimed, None, None, margin)
 
 
-def certify_sign(fn: Callable[[float], float],
+def certify_sign(fn: Callable[[list[float]], list[float]],
                  claimed: str,
                  cfg: ScanConfig = DEFAULT_SCAN) -> SignCertificate:
     """Scan fn on the grid for the claimed sign, refining near zeros.
 
+    fn maps a list of points to the list of its values there, in order.
     Returns "mixed" with the first (leftmost) strict violation beyond
     SIGN_TOLERANCE; otherwise refines refine_depth times around values
     with |value| <= 10 * min_abs_margin and returns the claimed verdict
-    with the final margin.  Either verdict needs every sample taken
-    before it to be finite; otherwise InconclusiveScanError.
+    with the final margin.  Either verdict needs every sample up to it in
+    grid order to be finite; otherwise InconclusiveScanError.
     """
     if claimed not in ("nonnegative", "nonpositive"):
         raise ValueError(f"claimed must be 'nonnegative' or 'nonpositive'; got {claimed!r}")
     return _refine_scan(fn, claimed, cfg, pairs=False)
 
 
-def certify_monotone(fn: Callable[[float], float],
+def certify_monotone(fn: Callable[[list[float]], list[float]],
                      direction: str,
                      cfg: ScanConfig = DEFAULT_SCAN) -> SignCertificate:
     """Certify strict monotonicity via consecutive grid differences.
 
-    The difference sequence fn(x_{i+1}) - fn(x_i) is sign-checked with
+    fn maps a list of points to the list of its values there, as for
+    certify_sign.  The difference sequence of its samples is sign-checked with
     the same tolerance, refinement and witness contract as certify_sign
     ("nonnegative" for increasing); a non-finite sample makes the scan
     inconclusive.
@@ -241,12 +278,9 @@ def find_a_c(cfg: ScanConfig = DEFAULT_SCAN) -> ExtremumResult:
     any sane configuration.
     """
     pts = cfg.grid()
-    best_i = 0
-    best_v = -math.inf
-    for i, x in enumerate(pts):
-        v = w_plus(x)
-        if v > best_v:
-            best_i, best_v = i, v
+    vals = in_batches(COLUMN_FORMS["w_plus"], pts)
+    best_v = max(vals)
+    best_i = vals.index(best_v)  # the leftmost
     if best_i in (0, len(pts) - 1):
         raise InconclusiveScanError(
             f"maximum at scan boundary x={pts[best_i]!r}; widen the interval")

@@ -40,6 +40,7 @@ from .certify import (
     ScanConfig,
     certify_sign,
     find_a_c,
+    in_batches,
 )
 from .specfun import ConvergenceError, DomainError
 
@@ -291,8 +292,8 @@ def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
                  **params: float) -> tuple[dict[str, list], int]:
     symbol, factor, claimed = _claim(theorem)
     value = params[symbol]
-    # looked up per command, so that a patched family attribute is called
-    cert = certify_sign(functools.partial(getattr(family, factor), value), claimed, cfg)
+    # looked up per command, so that a patched column form is called
+    cert = certify_sign(functools.partial(family.COLUMN_FORMS[factor], value), claimed, cfg)
     keys = ("theorem", symbol, "claimed", "verdict", "min_abs_margin",
             "witness_x", "witness_value")
     row = (theorem, value, claimed, cert.verdict, cert.min_abs_margin,
@@ -349,7 +350,15 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
 
 def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
                **params: float) -> tuple[dict[str, list], int]:
-    return _run_eval(cfg, seed, fn, cfg.grid(spacing), **params)
+    xs = cfg.grid(spacing)
+    _resolve_fn(fn, params)
+    required, module, attr = _EVAL_FNS[fn]
+    # a column form reads the grid in batches: it raises nothing on (0, 1)
+    column = family.COLUMN_FORMS.get(attr) if module is family else None
+    if column is None:
+        return _run_eval(cfg, seed, fn, xs, **params)
+    return {"x": xs, "value": in_batches(functools.partial(
+        column, *(params[k] for k in required)), xs)}, EXIT_OK
 
 
 # command -> (parse step: namespace -> manifest parameters, run step)
@@ -450,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _COMMANDS[args.command][0](args)  # before the scan, for its error
         text, code = _run(RunManifest(args.command, params, _scan_from_args(args),
                                       args.format, args.seed))
-    except (DomainError, ConvergenceError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # a power too large for a double

@@ -9,13 +9,16 @@ Sign factors are evaluated through exact rearrangements in terms of
 K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
 sign-trustworthy at both interval ends where the textbook expressions
 are 0/0-ill-conditioned.  All three come from one AGM pass without the
-E sum (specfun.ellip_kpt), so each factor costs one kernel call and has
-no series branch.  Each factor a certify scan calls is one frame over
-the kernel (the quadratic's coefficients and roots share one helper;
-phi and G are those factors at a = 0 and p = -0.0) and tests 0 < x < 1
-inline, calling require_unit_interval only to raise.  Raw
-numerical differentiation is never used here; finite differences exist
-only as oracles in the test suite.
+E sum (specfun.ellip_kpt), which runs over a list of points, so there is
+no series branch.  Each formula is written once, as a column form: a
+comprehension over the kernel's columns for a list of points of (0, 1),
+with no domain check (the quadratic's coefficients and roots share one;
+phi and G are those factors at a = 0 and p = -0.0).  COLUMN_FORMS names
+them; certify scans, tables and find_a_c read them, one kernel pass per
+batch.  The scalar names are one-point calls of the same forms after an
+inline 0 < x < 1 test, which calls require_unit_interval only to raise.
+Raw numerical differentiation is never used here; finite differences
+exist only as oracles in the test suite.
 
 Every function here is pure and takes x in the open interval (0, 1),
 where the paper states its results; the public ones raise DomainError at
@@ -85,9 +88,9 @@ def f_from_k(a: float, x: float, k: float) -> float:
     return k / den
 
 
-def _quadratic(x: float) -> tuple[float, float, float, float, float]:
-    """(u, v, Delta, w_plus, w_minus) of the f'' quadratic u z^2 - v z + s
-    in z = a - log(1-x)/2, after the caller's check of 0 < x < 1.
+def _quadratic(xs: list[float]) -> tuple[list[float], ...]:
+    """The columns (u, v, Delta, w_plus, w_minus) of the f'' quadratic
+    u z^2 - v z + s in z = a - log(1-x)/2 over xs in (0, 1).
 
     With s = 2F1(1/2,1/2;1;x) = (2/pi) K and the closed forms
         2F1(1/2,1/2;2;x)  = (4/pi)(K - P)
@@ -95,37 +98,67 @@ def _quadratic(x: float) -> tuple[float, float, float, float, float]:
     u = ((1-x) T2 + 2(K-P)) / pi, v = 2(2K - P) / pi, Delta = v^2 - 4 u s,
     and w_plus, w_minus are its roots as values of a.
     """
-    k, p, t2, _tail = ellip_kpt(x)
-    s = (2.0 / PI) * k
-    u = ((1.0 - x) * t2 + 2.0 * (k - p)) / PI
-    v = 2.0 * (2.0 * k - p) / PI
-    d = v * v - 4.0 * u * s
-    sq = math.sqrt(d) if d > 0.0 else 0.0
-    lw = 0.5 * math.log1p(-x)
+    ks, ps, t2s, _tails = ellip_kpt(xs)
+    ss = [(2.0 / PI) * k for k in ks]
+    us = [((1.0 - x) * t2 + 2.0 * (k - p)) / PI for x, k, p, t2 in zip(xs, ks, ps, t2s)]
+    vs = [2.0 * (2.0 * k - p) / PI for k, p in zip(ks, ps)]
+    ds = [v * v - 4.0 * u * s for u, v, s in zip(us, vs, ss)]
+    sqs = [math.sqrt(d) if d > 0.0 else 0.0 for d in ds]
+    lws = [0.5 * math.log1p(-x) for x in xs]
     # w_minus via the conjugate form 2s/(v + sqrt(Delta)): the direct
     # (v - sqrt(Delta)) difference cancels catastrophically near x = 0.
-    return u, v, d, lw + (v + sq) / (2.0 * u), lw + 2.0 * s / (v + sq)
+    return (us, vs, ds, [lw + (v + sq) / (2.0 * u) for lw, u, v, sq in zip(lws, us, vs, sqs)],
+            [lw + 2.0 * s / (v + sq) for lw, s, v, sq in zip(lws, ss, vs, sqs)])
+
+
+def _g_factor(a: float, xs: list[float]) -> list[float]:
+    us, _vs, _ds, wps, wms = _quadratic(xs)
+    return [u * (a - wp) * (a - wm) for u, wp, wm in zip(us, wps, wms)]
+
+
+def _phi_minus(a: float, xs: list[float]) -> list[float]:
+    ks, ps, t2s, _tails = ellip_kpt(xs)
+    return [0.5 * math.log1p(-x) - 2.0 * k * p / (2.0 * p * p - k * k - k * t2) - a
+            for x, k, p, t2 in zip(xs, ks, ps, t2s)]
+
+
+def _p_plus_g(p: float, xs: list[float]) -> list[float]:
+    ks, prs, t2s, _tails = ellip_kpt(xs)
+    return [p + ((pr * pr + 2.0 * k * pr - 2.0 * k * k) - k * t2) / (4.0 * k * k)
+            for k, pr, t2 in zip(ks, prs, t2s)]
+
+
+def _j(p: float, xs: list[float]) -> list[float]:
+    ks, prs, t2s, _tails = ellip_kpt(xs)
+    ck, cp = 4.0 * p * p - 8.0 * p + 3.0, 4.0 * (p - 1.0)
+    return [x * x * (t2 + ck * k + cp * pr) for x, k, pr, t2 in zip(xs, ks, prs, t2s)]
+
+
+def _l(p: float, xs: list[float]) -> list[float]:
+    ks, prs, _t2s, _tails = ellip_kpt(xs)
+    ck = 1.0 - 2.0 * p
+    return [x * (ck * k - pr) for x, k, pr in zip(xs, ks, prs)]
 
 
 def u_aux(x: float) -> float:
     """Leading quadratic coefficient; increasing from 9/16 toward 2/pi."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "u_aux")
-    return _quadratic(x)[0]
+    return _quadratic([x])[0][0]
 
 
 def v_aux(x: float) -> float:
     """Middle quadratic coefficient; positive on [0, 1)."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "v_aux")
-    return _quadratic(x)[1]
+    return _quadratic([x])[1][0]
 
 
 def delta_aux(x: float) -> float:
     """Discriminant v^2 - 4 u s; increasing from 0, slope 3/16 at 0."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "delta_aux")
-    return _quadratic(x)[2]
+    return _quadratic([x])[2][0]
 
 
 def w_plus(x: float) -> float:
@@ -137,22 +170,21 @@ def w_plus(x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "w_plus")
-    return _quadratic(x)[3]
+    return _quadratic([x])[3][0]
 
 
 def w_minus(x: float) -> float:
     """Lower root (in a) of the f'' quadratic; 4/3 at 0+, -inf at 1-."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "w_minus")
-    return _quadratic(x)[4]
+    return _quadratic([x])[4][0]
 
 
 def g_factor(a: float, x: float) -> float:
     """u(x) (a - w_plus(x)) (a - w_minus(x)); same sign as f''(a, .) at x."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "g_factor")
-    u, _v, _d, wp, wm = _quadratic(x)
-    return u * (a - wp) * (a - wm)
+    return _g_factor(a, [x])[0]
 
 
 def phi(x: float) -> float:
@@ -166,15 +198,10 @@ def phi(x: float) -> float:
 
 
 def recip_f_second_sign(a: float, x: float) -> float:
-    """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x.
-
-    phi's formula lives here, so that a certify scan makes one call.
-    """
+    """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "phi")
-    k, p, t2, _tail = ellip_kpt(x)
-    b = 2.0 * p * p - k * k - k * t2
-    return 0.5 * math.log1p(-x) - 2.0 * k * p / b - a
+    return _phi_minus(a, [x])[0]
 
 
 def h(p: float, x: float) -> float:
@@ -194,14 +221,10 @@ def g_aux(x: float) -> float:
 
 
 def log_h_second_factor(p: float, x: float) -> float:
-    """p + G(x); its sign is opposite to the sign of (log h(p, .))'' at x.
-
-    G's formula lives here, so that a certify scan makes one call.
-    """
+    """p + G(x); its sign is opposite to the sign of (log h(p, .))'' at x."""
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "g_aux")
-    k, pr, t2, _tail = ellip_kpt(x)
-    return p + ((pr * pr + 2.0 * k * pr - 2.0 * k * k) - k * t2) / (4.0 * k * k)
+    return _p_plus_g(p, [x])[0]
 
 
 def j_factor(p: float, x: float) -> float:
@@ -212,8 +235,7 @@ def j_factor(p: float, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "j_factor")
-    k, pr, t2, _tail = ellip_kpt(x)
-    return x * x * (t2 + (4.0 * p * p - 8.0 * p + 3.0) * k + 4.0 * (p - 1.0) * pr)
+    return _j(p, [x])[0]
 
 
 def l_factor(p: float, x: float) -> float:
@@ -224,5 +246,17 @@ def l_factor(p: float, x: float) -> float:
     """
     if not 0.0 < x < 1.0:
         require_unit_interval(x, "l_factor")
-    k, pr, _t2, _tail = ellip_kpt(x)
-    return x * ((1.0 - 2.0 * p) * k - pr)
+    return _l(p, [x])[0]
+
+
+# each function of x above with a column form -> that form: the same
+# parameters, then a list of points of (0, 1) in place of x, and no domain
+# check.  A grid reads these; the scalar names are one-point calls of them.
+COLUMN_FORMS = {
+    "u_aux": lambda xs: _quadratic(xs)[0], "v_aux": lambda xs: _quadratic(xs)[1],
+    "delta_aux": lambda xs: _quadratic(xs)[2], "w_plus": lambda xs: _quadratic(xs)[3],
+    "w_minus": lambda xs: _quadratic(xs)[4], "g_factor": _g_factor,
+    "phi": lambda xs: _phi_minus(0.0, xs), "recip_f_second_sign": _phi_minus,
+    "g_aux": lambda xs: _p_plus_g(-0.0, xs), "log_h_second_factor": _p_plus_g,
+    "j_factor": _j, "l_factor": _l,
+}

@@ -356,20 +356,23 @@ def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
 
 def _turning_cap(p: float) -> tuple[float, float]:
     """(x_p, cap) for 0 < p < 1/4: the turning point of h(p, .), the zero
-    of l_factor, and the maximum cap = h(p, x_p) = (1-x_p)^p K(x_p).
+    of l_factor, and the maximum cap of h(p, .) = (1-x)^p K(x).
 
-    Where l_factor(p, .) is still positive at the largest double below 1
-    (p below about 0.0253), x_p lies above every double below 1 and is
-    reported as 1.0, its rounded value.  The cap then comes from
-    K = log 4 + theta, theta = -log(1-x)/2 (DLMF 19.12): h peaks at
-    theta* = 1/(2p) - log 4, with value 16^p/(2pe).  The omitted term is
-    positive, so this cap lies below the true maximum, by about (1-x*)/4
-    relative, 1 - x* = 16 e^(-1/p): 1.7e-17 at p = 0.025.
+    Both h(p, x_p) and 16^p/(2pe) lie below the maximum; the cap is the
+    larger.  K > log 4 + theta, theta = -log(1-x)/2, on (0, 1) (Anderson,
+    Vamanamurthy & Vuorinen 1997, ch. 3), and (1-x)^p (log 4 + theta)
+    peaks at theta* = 1/(2p) - log 4 with value 16^p/(2pe), by about
+    (1-x*)/4 relative below h, 1 - x* = 16 e^(-1/p).  It wins just above
+    p = 0.0253, where x_p is a few ulps below 1 and h(p, x_p) up to 6e-6
+    low.  Where l_factor(p, .) is still positive at the largest double
+    below 1, x_p is reported as 1.0, its rounded value, and 16^p/(2pe)
+    alone is the cap.
     """
+    closed = 16.0 ** p / (2.0 * p * math.e)
     if family.l_factor(p, math.nextafter(1.0, 0.0)) > 0.0:
-        return 1.0, 16.0 ** p / (2.0 * p * math.e)
+        return 1.0, closed
     x_p = find_x_p(p)
-    return x_p, (1.0 - x_p) ** p * ellip_k(x_p)
+    return x_p, max((1.0 - x_p) ** p * ellip_k(x_p), closed)
 
 
 def check_k_envelope(p: float,

@@ -12,15 +12,17 @@ The production path is one pass of the arithmetic-geometric mean, which
 converges quadratically (about five doublings to machine precision) and
 yields K and the ratios P = (K-E)/x and T2 = ((2-x)K-2E)/x^2 together,
 the ratios from a sum of positive terms with no series cut.  The sign
-factors read only K, P and T2, through ``ellip_kpt``, so the pass skips
-the E sum; ``_e_from`` forms E from the same pass only for ``ellip_e``
-and ``legendre_residual``.  The inequality grids call ``ellip_k``, which
-runs the same recurrence in its own loop without the P and T2 sums, and,
-where a bound pairs r with 1 - r, ``ellip_k_columns``, which runs it
-inline once per point and reads K(1 - x) off the nome of the last Landen
-step.  Change the three loops of ``ellip_kpt``, ``ellip_k`` and
-``ellip_k_columns`` together: tests guard that ``ellip_k`` returns
-``ellip_kpt(x)[0]``, and ``ellip_k_columns`` ``ellip_k``'s values, bit for bit.
+factors read only K, P and T2, through ``ellip_kpt``, which runs the pass
+inline over a list of points and returns their columns, so a batch of a
+scan is one call; the pass skips the E sum, and ``_e_from`` forms E from
+it only for ``ellip_e`` and ``legendre_residual`` (one and two points).
+The inequality grids call ``ellip_k``, which runs the same recurrence in
+its own loop without the P and T2 sums, and, where a bound pairs r with
+1 - r, ``ellip_k_columns``, which runs it inline once per point and reads
+K(1 - x) off the nome of the last Landen step.  Change the three loops
+of ``ellip_kpt``, ``ellip_k`` and ``ellip_k_columns`` together: tests
+guard that ``ellip_k`` returns ``ellip_kpt``'s K, and ``ellip_k_columns``
+``ellip_k``'s values, bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -61,11 +63,11 @@ def require_unit_interval(x: float, what: str = "x") -> None:
         raise DomainError(f"{what} must lie in the open interval (0, 1); got {x!r}")
 
 
-def ellip_kpt(x: float) -> tuple[float, float, float, float]:
-    """(K, P, T2, tail) at 0 <= x < 1 in one AGM pass, P = (K-E)/x and
-    T2 = ((2-x)K - 2E)/x^2; tail is the part of the T2 sum that E needs.
-    The sign factors' kernel entry: no domain check, for callers that
-    have checked 0 < x < 1 themselves.
+def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The columns K, P, T2 and tail over xs, 0 <= x < 1, from one AGM pass
+    per point, P = (K-E)/x and T2 = ((2-x)K - 2E)/x^2; tail is the part of
+    the T2 sum that E needs.  The sign factors' kernel entry: no domain
+    check, for callers that have checked 0 < x < 1 themselves.
 
     With a_0 = 1, b_0 = sqrt(1-x), c_{n+1} = (a_n - b_n)/2 = c_n^2/(4 a_{n+1})
     (Borwein & Borwein, *Pi and the AGM*, ch. 1), t_n = c_n/x and the
@@ -81,35 +83,43 @@ def ellip_kpt(x: float) -> tuple[float, float, float, float]:
     q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
-    kept, and a, b within 3e-14 of each other.  ``ellip_k`` and
+    kept, and a, b within 3e-14 of each other.  The loop runs inline once
+    per point, so a batch of points costs one call.  ``ellip_k`` and
     ``ellip_k_columns`` run the a, b, q, t recurrence alone: change the
     three loops together.
     """
-    y = math.sqrt(1.0 - x)                    # b_0
-    t = 0.5 / (1.0 + y)                       # t_1
-    a, b = 0.5 * (1.0 + y), math.sqrt(y)      # a_1, b_1
-    d = a - b
-    a, b = 0.5 * (a + b), math.sqrt(a * b)    # a_2, b_2
-    q = x * t / a                             # c_1 / a_2
-    head = 2.0 * t * t
-    t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-    head += 4.0 * t * t
-    pw = 4.0
-    tail = 0.0                                # sum_{n>=3} 2^n t_n^2
-    while q > 1e-3:                           # False for NaN: no hang
+    ks, ps, t2s, tails = [], [], [], []
+    sqrt = math.sqrt                              # a local name: called ~5 times a point
+    for x in xs:
+        y = sqrt(1.0 - x)                         # b_0
+        t = 0.5 / (1.0 + y)                       # t_1
+        a, b = 0.5 * (1.0 + y), sqrt(y)           # a_1, b_1
         d = a - b
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        q = x * t / a
+        a, b = 0.5 * (a + b), sqrt(a * b)         # a_2, b_2
+        q = x * t / a                             # c_1 / a_2
+        head = 2.0 * t * t
         t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-        pw += pw
-        tail += pw * t * t
-    s = head + tail
-    k = PI / (a + b)
-    return k, 0.5 * k * (1.0 + x * s), k * s, tail
+        head += 4.0 * t * t
+        pw = 4.0
+        tail = 0.0                                # sum_{n>=3} 2^n t_n^2
+        while q > 1e-3:                           # False for NaN: no hang
+            d = a - b
+            a, b = 0.5 * (a + b), sqrt(a * b)
+            q = x * t / a
+            t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
+            tail += pw * t * t
+        s = head + tail
+        k = PI / (a + b)
+        ks.append(k)
+        ps.append(0.5 * k * (1.0 + x * s))
+        t2s.append(k * s)
+        tails.append(tail)
+    return ks, ps, t2s, tails
 
 
 def _e_from(x: float, k: float, tail: float) -> float:
-    """E from K and tail of ellip_kpt(x): its first step, same operations in
+    """E from K and tail of ellip_kpt at x: its first step, same operations in
     the same order, gives b_2^2 + c_1^2/2, so E keeps every bit."""
     y = math.sqrt(1.0 - x)
     t = 0.5 / (1.0 + y)
@@ -124,7 +134,7 @@ def ellip_k(x: float) -> float:
     Strictly increasing, diverging like -log(1-x)/2 as x -> 1.
     Relative error is a few ulp across the domain.  The loop is the a, b,
     q, t recurrence of ``ellip_kpt`` without its P, T2 and tail sums, which
-    never feed a, b, q or t, so the result is ``ellip_kpt(x)[0]`` to the bit.
+    never feed a, b, q or t, so the result is ``ellip_kpt([x])[0][0]`` to the bit.
     Change the three loops together (see ``ellip_kpt``).
     """
     if not 0.0 <= x < 1.0:
@@ -203,8 +213,8 @@ def ellip_e(x: float) -> float:
         raise DomainError(f"ellip_e requires 0 <= x <= 1; got {x!r}")
     if x == 1.0:
         return 1.0
-    k, _p, _t2, tail = ellip_kpt(x)
-    return _e_from(x, k, tail)
+    ks, _ps, _t2s, tails = ellip_kpt([x])
+    return _e_from(x, ks[0], tails[0])
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *,
@@ -286,7 +296,6 @@ def legendre_residual(x: float) -> float:
     if xc == 1.0:
         raise DomainError(f"legendre_residual needs 1 - x < 1 in floating point, "
                           f"since K(1) is infinite; got x={x!r}")
-    kx, _p, _t2, tx = ellip_kpt(x)
-    kc, _p, _t2, tc = ellip_kpt(xc)
+    (kx, kc), _ps, _t2s, (tx, tc) = ellip_kpt([x, xc])
     ex, ec = _e_from(x, kx, tx), _e_from(xc, kc, tc)
     return ex * kc + ec * kx - kx * kc - 0.5 * PI

@@ -13,7 +13,8 @@ the unfactored f'' quadratic, the derivatives of K and E, the multiplier
 of (1/f)'') and the asymptotic expansion of K at 1.  ``ellip_kept`` is
 (K, E, P, T2) from the kernel pass ``specfun.ellip_kpt`` and its E step
 ``specfun._e_from``, and ``ke_ratio`` and ``ke_ratio2`` name its two
-ratios.  The ``*_reference``
+ratios.  ``columns`` hands a function of one point to the scan engine,
+which calls its function on a list of points.  The ``*_reference``
 functions are earlier, simpler forms of production code that a faster
 form replaced; the tests require the same output from both.
 
@@ -180,7 +181,7 @@ def ellip_kept(x: float) -> tuple[float, float, float, float]:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_kept requires 0 <= x < 1; got {x!r}")
-    k, p, t2, tail = ellip_kpt(x)
+    (k,), (p,), (t2,), (tail,) = ellip_kpt([x])
     return k, _e_from(x, k, tail), p, t2
 
 
@@ -562,6 +563,12 @@ def render_reference(rows, manifest, fmt: str) -> str:
         for t in table:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(t, widths)))
     return "\n".join(lines) + "\n"
+
+
+def columns(fn: Callable[[float], float]) -> Callable[[list[float]], list[float]]:
+    """fn of one point as the scan engine calls it: on a list of points,
+    returning the list of fn's values there, in order."""
+    return lambda xs: list(map(fn, xs))
 
 
 def refine_scan_reference(fn: Callable[[float], float],

@@ -150,12 +150,15 @@ class TestCriterion3:
     def test_ratio_family_sharpness(self, a_c_result):
         t0 = time.perf_counter()
         ac = a_c_result.value
-        above = certify_sign(lambda x: g_factor(ac + 1e-3, x), "nonnegative", GRID)
-        below = certify_sign(lambda x: g_factor(ac - 1e-3, x), "nonnegative", GRID)
-        at_43 = certify_sign(lambda x: g_factor(4.0 / 3.0, x), "nonpositive", GRID)
-        up_43 = certify_sign(lambda x: g_factor(4.0 / 3.0 + 1e-2, x),
+        above = certify_sign(oracles.columns(lambda x: g_factor(ac + 1e-3, x)),
+                             "nonnegative", GRID)
+        below = certify_sign(oracles.columns(lambda x: g_factor(ac - 1e-3, x)),
+                             "nonnegative", GRID)
+        at_43 = certify_sign(oracles.columns(lambda x: g_factor(4.0 / 3.0, x)),
                              "nonpositive", GRID)
-        dn_43 = certify_sign(lambda x: g_factor(4.0 / 3.0 - 1e-2, x),
+        up_43 = certify_sign(oracles.columns(lambda x: g_factor(4.0 / 3.0 + 1e-2, x)),
+                             "nonpositive", GRID)
+        dn_43 = certify_sign(oracles.columns(lambda x: g_factor(4.0 / 3.0 - 1e-2, x)),
                              "nonpositive", GRID)
         elapsed = time.perf_counter() - t0
 
@@ -173,13 +176,13 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_reciprocal_family_sharpness(self):
-        lo_ok = certify_sign(lambda x: phi(x) - (LOG4 - 1e-3),
+        lo_ok = certify_sign(oracles.columns(lambda x: phi(x) - (LOG4 - 1e-3)),
                              "nonnegative", GRID).verdict == "nonnegative"
-        lo_flip = certify_sign(lambda x: phi(x) - (LOG4 + 1e-3),
+        lo_flip = certify_sign(oracles.columns(lambda x: phi(x) - (LOG4 + 1e-3)),
                                "nonnegative", GRID).verdict == "mixed"
-        hi_ok = certify_sign(lambda x: phi(x) - (1.6 + 1e-3),
+        hi_ok = certify_sign(oracles.columns(lambda x: phi(x) - (1.6 + 1e-3)),
                              "nonpositive", GRID).verdict == "nonpositive"
-        hi_flip = certify_sign(lambda x: phi(x) - (1.6 - 1e-3),
+        hi_flip = certify_sign(oracles.columns(lambda x: phi(x) - (1.6 - 1e-3)),
                                "nonpositive", GRID).verdict == "mixed"
         end0 = abs(phi(1e-9) - 1.6)
         end1 = abs(phi(1.0 - 1e-9) - LOG4)
@@ -192,17 +195,17 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_log_concavity_suite(self):
-        up = certify_sign(lambda x: log_h_second_factor(7 / 32 + 1e-3, x),
+        up = certify_sign(oracles.columns(lambda x: log_h_second_factor(7 / 32 + 1e-3, x)),
                           "nonnegative", GRID).verdict == "nonnegative"
-        dn = certify_sign(lambda x: log_h_second_factor(7 / 32 - 1e-3, x),
+        dn = certify_sign(oracles.columns(lambda x: log_h_second_factor(7 / 32 - 1e-3, x)),
                           "nonnegative", GRID).verdict == "mixed"
         # flip across p = 0: the counterexample region for p = +eps is
         # G(x) > -eps, i.e. 1-x < exp(-1/eps) roughly; the smallest
         # offsets with a representable witness are ~0.05 (|G| = 0.0407
         # at the 1e-9 grid edge), so the flip is demonstrated there
-        cvx = certify_sign(lambda x: log_h_second_factor(-0.05, x),
+        cvx = certify_sign(oracles.columns(lambda x: log_h_second_factor(-0.05, x)),
                            "nonpositive", GRID).verdict == "nonpositive"
-        cvx_flip = certify_sign(lambda x: log_h_second_factor(0.05, x),
+        cvx_flip = certify_sign(oracles.columns(lambda x: log_h_second_factor(0.05, x)),
                                 "nonpositive", GRID).verdict == "mixed"
         g0 = abs(g_aux(1e-9) + 7.0 / 32.0)
         g0_ok = g0 <= 1e-7
@@ -239,15 +242,15 @@ class TestCriterion5:
 class TestCriterion6:
     def test_power_family_suite(self, a_c_result):
         p0, p1 = P_CONVEX_HI, P_CONCAVE_LO
-        f0a = certify_sign(lambda x: j_factor(p0 + 1e-3, x),
+        f0a = certify_sign(oracles.columns(lambda x: j_factor(p0 + 1e-3, x)),
                            "nonnegative", GRID).verdict == "nonnegative"
-        f0b = certify_sign(lambda x: j_factor(p0 - 1e-3, x),
+        f0b = certify_sign(oracles.columns(lambda x: j_factor(p0 - 1e-3, x)),
                            "nonnegative", GRID).verdict == "mixed"
-        f1a = certify_sign(lambda x: j_factor(p1 + 1e-3, x),
+        f1a = certify_sign(oracles.columns(lambda x: j_factor(p1 + 1e-3, x)),
                            "nonpositive", GRID).verdict == "nonpositive"
-        f1b = certify_sign(lambda x: j_factor(p1 - 1e-3, x),
+        f1b = certify_sign(oracles.columns(lambda x: j_factor(p1 - 1e-3, x)),
                            "nonpositive", GRID).verdict == "mixed"
-        fe_in = certify_sign(lambda x: j_factor(1.0 - 1e-3, x),
+        fe_in = certify_sign(oracles.columns(lambda x: j_factor(1.0 - 1e-3, x)),
                              "nonpositive", GRID).verdict == "nonpositive"
         # The flip across p = 1 at +1e-3 has no representable witness:
         # J(1.001, x) > 0 needs 4p(p-1)K > 2(2p-1), i.e. K > ~500, i.e.
@@ -266,9 +269,9 @@ class TestCriterion6:
                           + 2 * (2 * p - 1))
                 fe_law = max(fe_law, dev / ((1.0 - x) * kk * kk + 1e-12 * kk))
         fe_law_ok = fe_law <= 1.0
-        fe_in_05 = certify_sign(lambda x: j_factor(0.95, x),
+        fe_in_05 = certify_sign(oracles.columns(lambda x: j_factor(0.95, x)),
                                 "nonpositive", GRID).verdict == "nonpositive"
-        fe_out_05 = certify_sign(lambda x: j_factor(1.05, x),
+        fe_out_05 = certify_sign(oracles.columns(lambda x: j_factor(1.05, x)),
                                  "nonpositive", GRID).verdict == "mixed"
 
         # limit toward 1 (exact at p = 1/2, where the -2(2p-1)E/K term
@@ -326,7 +329,7 @@ class TestCriterion7:
         checks: list[tuple[str, bool]] = []
 
         def scan(name, fn, direction):
-            cert = certify_monotone(fn, direction, GRID)
+            cert = certify_monotone(oracles.columns(fn), direction, GRID)
             checks.append((name, cert.verdict != "mixed"))
 
         # strictly monotone scans on 1e4-point grids

@@ -379,14 +379,21 @@ class TestTable:
     ])
     def test_function_looked_up_per_command(self, monkeypatch, capsys, module, attr, argv):
         # a module attribute patched after import (as the benchmark's tracer
-        # does) is the one that eval and table call
-        calls = []
+        # does) is the one that eval calls, and table where the function has
+        # no column form; table J calls J's column form, also looked up per
+        # command, once on the whole grid
+        calls, grids = [], []
         original = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args: calls.append(args) or original(*args))
+        column = family.COLUMN_FORMS["j_factor"]
+        monkeypatch.setitem(family.COLUMN_FORMS, "j_factor",
+                            lambda p, xs: grids.append(xs) or column(p, xs))
         code, _, _ = run(capsys, argv + ["--grid-n", "50"])
-        assert code == 0 and len(calls) == 50
+        has_column = attr in family.COLUMN_FORMS
+        assert code == 0 and len(calls) == (0 if has_column else 50)
+        assert list(map(len, grids)) == ([50] if has_column else [])
         code, _, _ = run(capsys, ["eval", *argv[1:], "0.5"])
-        assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == 51
+        assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == (1 if has_column else 51)
 
     def test_failing_last_point_is_evaluated_first(self, monkeypatch, capsys):
         # the point nearest 1 is evaluated first, so a function that fails

@@ -455,38 +455,41 @@ DOMAIN_NAMES = {
 
 
 class TestHotPath:
-    """A sign factor is one kernel call, and its inline 0 < x < 1 test
-    calls require_unit_interval only to raise."""
+    """A certify scan calls its factor's column form once per batch, each
+    call is one kernel pass over the batch's points, and no domain check
+    runs on the scan path; a scalar name calls require_unit_interval only
+    to raise."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"kernel": 0, "domain": 0}
+        counts = {"kernel": [], "domain": 0}
+        kernel, domain = family.ellip_kpt, family.require_unit_interval
 
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
+        def counted_kernel(xs):
+            counts["kernel"].append(len(xs))
+            return kernel(xs)
 
-        monkeypatch.setattr(family, "ellip_kpt", counted("kernel", family.ellip_kpt))
-        monkeypatch.setattr(family, "require_unit_interval",
-                            counted("domain", family.require_unit_interval))
+        def counted_domain(*args):
+            counts["domain"] += 1
+            return domain(*args)
+
+        monkeypatch.setattr(family, "ellip_kpt", counted_kernel)
+        monkeypatch.setattr(family, "require_unit_interval", counted_domain)
         return counts
 
     @pytest.mark.parametrize("theorem", sorted(family.CLAIMS))
-    def test_one_kernel_call_per_evaluation(self, theorem, counts):
+    def test_one_kernel_pass_per_batch(self, theorem, counts):
         symbol, factor, claimed, _ = family.CLAIMS[theorem]
-        evals = 0
+        batches = []
         for value in ((1.3, 1.5) if symbol == "a" else (0.1, 0.3)):
-            fn = functools.partial(getattr(family, factor), value)
+            fn = functools.partial(family.COLUMN_FORMS[factor], value)
 
-            def counted(x, fn=fn):
-                nonlocal evals
-                evals += 1
-                return fn(x)
+            def counted(xs, fn=fn):
+                batches.append(len(xs))
+                return fn(xs)
             certify_sign(counted, claimed, ScanConfig(n=200, refine_depth=2))
-        assert evals > 0
-        assert counts == {"kernel": evals, "domain": 0}
+        assert batches
+        assert counts == {"kernel": batches, "domain": 0}
 
     @pytest.mark.parametrize("name", sorted(DOMAIN_NAMES))
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.2, math.nan, math.inf, -math.inf])
@@ -497,4 +500,4 @@ class TestHotPath:
         with pytest.raises(DomainError) as info:
             getattr(family, name)(*args)
         assert str(info.value) == expected
-        assert counts == {"kernel": 0, "domain": 1}
+        assert counts == {"kernel": [], "domain": 1}

@@ -93,9 +93,9 @@ class TestSumBounds:
     def test_two_sided_monotonicity(self):
         a = 1.47
         total = lambda r: family.f(a, r) + family.f(a, 1 - r)
-        left = certify_monotone(total, "decreasing",
+        left = certify_monotone(oracles.columns(total), "decreasing",
                                 ScanConfig(lo=0.0, hi=0.5, n=1500))
-        right = certify_monotone(total, "increasing",
+        right = certify_monotone(oracles.columns(total), "increasing",
                                  ScanConfig(lo=0.5, hi=1.0, n=1500))
         assert left.verdict == "nonpositive"
         assert right.verdict == "nonnegative"
@@ -640,6 +640,8 @@ ORACLE_CASES = [(g, check, q) for g in ORACLE_GRIDS for check, q in ORACLE_CHECK
 # and cap / (1 - r)^p are near 12 and 15), at most 1.13 elsewhere.
 K_ENVELOPE_MAX_ULPS = 10
 K_ENVELOPE_ORACLE_PS = [0.5, 0.25, 0.1, 0.02]
+# p where x_p lies a few ulps below 1 (0.0254) to where it lies far from it
+TURNING_CAP_ORACLE_PS = [0.0254, 0.026, 0.03, 0.032, 0.035, 0.04, 0.05, 0.1]
 
 
 class TestFiftyDigitOracle:
@@ -676,6 +678,17 @@ class TestFiftyDigitOracle:
         assert rep.clause_margins.keys() == ref.clause_margins.keys()
         for cl, m in ref.clause_margins.items():
             assert abs(rep.clause_margins[cl] - m) <= tol, cl
+
+
+    @pytest.mark.parametrize("p", TURNING_CAP_ORACLE_PS)
+    def test_turning_cap_against_50_digits(self, p):
+        # the cap is the larger of h(p, x_p) and 16^p/(2pe), both below the
+        # maximum of h(p, .): it lies at most 1 ulp above the 50-digit
+        # maximum, and below it by at most 2e-13 relative (1.0e-13 at 0.032)
+        top = oracles.mp_h_max(p)[0]
+        cap = inequalities._turning_cap(p)[1]
+        assert cap <= top + math.ulp(top)
+        assert (top - cap) / top <= 2e-13
 
 
 class TestNonFiniteMargins:

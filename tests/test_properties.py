@@ -16,7 +16,8 @@ its mirror near a point they scan.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``specfun.ellip_kpt``; the
 two must give the same double at every x in [0, 1).  The factors' pass
 skips the E sum; E and every factor must give the same double as on
-``oracles.agm_reference``, which sums it, at every x in (0, 1).  Where
+``oracles.agm_reference``, which sums it, at every x in (0, 1), and so
+must every factor's column form at every point of any list.  Where
 ``hyp2f1`` raises at once that its term cap cannot be met, summing to
 the cap must raise the same error.
 """
@@ -196,6 +197,20 @@ def test_e_free_kernel_matches_reference(x, param):
     for name, (takes_param, reference) in oracles.FACTOR_REFERENCES.items():
         args = (param, x) if takes_param else (x,)
         assert _outcome(getattr(family, name), *args) == _outcome(reference, param, x), name
+
+
+@settings(SETTINGS, max_examples=300)
+@given(xs=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=30),
+       param=st.floats(-2.0, 3.0))
+@example(xs=[1e-300, 0.5, math.nextafter(1.0, 0.0)], param=1.47)
+@example(xs=[], param=0.5)
+def test_column_forms_match_references(xs, param):
+    # a grid reads the column forms: at every point of any list they keep
+    # every bit of the per-factor references on oracles.agm_reference
+    for name, (takes_param, reference) in oracles.FACTOR_REFERENCES.items():
+        form = family.COLUMN_FORMS[name]
+        got = form(param, xs) if takes_param else form(xs)
+        assert repr(got) == repr([reference(param, x) for x in xs]), name
 
 
 HYP_PARAMS = st.one_of(st.floats(1e-3, 4.0), st.floats(1e3, 1e12))
