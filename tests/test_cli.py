@@ -412,6 +412,15 @@ class TestTable:
         assert (code, out, calls) == (2, "", [last])
         assert err == f"error: at x={last!r}: no value at x={last!r}\n"
 
+    def test_geometric_grid_rounded_up_to_1(self, capsys):
+        # near 1 the geometric ratio's rounding lifts a point to 1.0,
+        # above hi; table K names it, as eval does
+        argv = ["table", "K", "--spacing", "geometric", "--lo", "0.9999999999999994",
+                "--hi", "1", "--offset", "1.2e-16", "--grid-n", "4"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: at x=1.0: ellip_k requires 0 <= x < 1; got 1.0\n"
+
     @pytest.mark.parametrize("fn, params, message", [
         ("2F1", ["a=0.5", "b=0.5", "c=1"],  # diverges at 1: fails at the last point
          "at x=0.999999999: 2F1(0.5, 0.5; 1.0; 0.999999999) did not converge within "

@@ -182,6 +182,16 @@ class TestMeanChain:
         with pytest.raises(DomainError):
             _clauses_at(0.1)
 
+    @pytest.mark.parametrize("x, y, bad", [
+        (0.0, 0.4, 0.0), (0.3, 1.0, 1.0), (math.nan, 0.4, math.nan),
+        (1e-200, 1e-200, 0.0),  # sqrt(xy) underflows to 0 for geo_argument
+    ])
+    def test_point_outside_unit_interval(self, x, y, bad):
+        # family.h's DomainError, for the first point outside (0, 1)
+        with pytest.raises(DomainError) as exc:
+            check_mean_chain(0.5, x, y)
+        assert str(exc.value) == f"h must lie in the open interval (0, 1); got {bad!r}"
+
     def test_no_pairs_is_inconclusive(self):
         with pytest.raises(InconclusiveScanError):
             check_mean_chain_pairs(0.5, n_pairs=0, cfg=FAST)
