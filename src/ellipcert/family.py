@@ -76,16 +76,11 @@ def in_region(theorem: str, value: float) -> bool:
 def f(a: float, x: float) -> float:
     """K(x) / (a - log(1-x)/2); tends to pi/(2a) at 0+ (a > 0) and to 1 at 1-."""
     require_unit_interval(x, "f")
-    return f_from_k(a, x, ellip_k(x))
-
-
-def f_from_k(a: float, x: float, k: float) -> float:
-    """f(a, x) from k = K(x): k / (a - log(1-x)/2), for callers that hold K."""
     den = a - 0.5 * math.log1p(-x)
     if den <= 0.0:
         raise DomainError(
             f"f denominator a - log(1-x)/2 = {den!r} is not positive at x={x!r}")
-    return k / den
+    return ellip_k(x) / den
 
 
 def _quadratic(xs: list[float]) -> tuple[list[float], ...]:

@@ -10,10 +10,12 @@ are confirmed only away from the recorded equality points.
 
 Each check builds one margin column per clause, a list index-aligned
 with its points, from columns of K: K(x) and, for the bounds that pair
-r with 1 - r, K(1 - x).  The mirror point is the exact 1 - r, never its
-rounding: specfun.ellip_k_columns takes K(1 - x) from the nome of the
-AGM pass that gives K(x), so both columns cost one pass per point.  A
-command that runs several checks on one grid shares a GridColumns, so
+r with 1 - r, K(1 - x).  Each column comes from one kernel call over a
+list of points: specfun.ellip_k_column where a check reads K alone, and
+specfun.ellip_k_columns for the pairs.  The mirror point is the exact
+1 - r, never its rounding: ellip_k_columns takes K(1 - x) from the nome
+of the AGM pass that gives K(x), so both columns cost one pass per point.
+A command that runs several checks on one grid shares a GridColumns, so
 that pass runs once per grid point for the whole command.  One
 reducer, _report, turns the margin columns into the report: the maximum
 per clause, the first violation and the equality points.  A margin that
@@ -50,7 +52,6 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import islice
 
 from . import family
 from .certify import (
@@ -65,7 +66,9 @@ from .specfun import (
     PI,
     DomainError,
     ellip_k,
+    ellip_k_column,
     ellip_k_columns,
+    require_unit_interval,
 )
 
 # A clause is violated only beyond this; |margin| <= EQUALITY_TOL marks
@@ -74,6 +77,7 @@ VIOLATION_TOL = 1e-12
 EQUALITY_TOL = 1e-9
 
 _GEOMETRIC_POINTS = 20
+_HIT_CHUNK = 128
 
 
 class InequalityReport(namedtuple("InequalityReport",
@@ -166,11 +170,11 @@ class GridColumns:
     object alone.  k_pair, which the pairing checks read, gives K(x) and
     K(1 - x) at pair_xs from one ellip_k_columns pass; k, which a K-only
     check reads over all of xs, takes K from that pass where it has run
-    and calls ellip_k for the other points only (for every point if it
-    has not).  So the checks of one command that share it run the AGM
-    once per point as long as the pairing checks come first, as they do
-    in cli's verify, and a command that never pairs r with 1 - r never
-    computes K(1 - x).  A grid check takes either a GridColumns or a
+    and one ellip_k_column pass over the other points only (over every
+    point if it has not).  So the checks of one command that share it run
+    the AGM once per point as long as the pairing checks come first, as
+    they do in cli's verify, and a command that never pairs r with 1 - r
+    never computes K(1 - x).  A grid check takes either a GridColumns or a
     plain ScanConfig, for which it builds its own.
     """
 
@@ -197,9 +201,9 @@ class GridColumns:
     @cached_property
     def k(self) -> list[float]:
         if "k_pair" not in self.__dict__:
-            return [ellip_k(x) for x in self.xs]
+            return ellip_k_column(self.xs)
         (m, j), k = self.runs, self.k_pair[0]
-        return [*islice(k, m), *map(ellip_k, islice(self.xs, m, j)), *islice(k, m, None)]
+        return k[:m] + ellip_k_column(self.xs[m:j]) + k[m:]
 
 
 def _columns(grid: ScanConfig | GridColumns) -> GridColumns:
@@ -227,8 +231,11 @@ def _report(name: str,
     margins = {cl: max(col) for cl, col in columns.items()}
     firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
               for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
-    hits = [(i, x, m) for cl, col in columns.items() if cl in tight
-            for i, (x, m) in enumerate(zip(xs, col)) if abs(m) <= EQUALITY_TOL]
+    # a chunk is read item by item only where its C-level minimum is a hit
+    hits = [(i, xs[i], col[i]) for cl, col in columns.items() if cl in tight
+            for c in range(0, len(col), _HIT_CHUNK)
+            if min(map(abs, col[c:c + _HIT_CHUNK])) <= EQUALITY_TOL
+            for i in range(c, min(c + _HIT_CHUNK, len(col))) if abs(col[i]) <= EQUALITY_TOL]
     i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
         name=name,
@@ -258,9 +265,9 @@ def check_sum_bounds(a: float,
     lower = 4.0 * ellip_k(0.5) / (2.0 * a + math.log(2.0))
     upper = 1.0 + PI / (2.0 * a)
     cols = _columns(grid)
-    f_from_k = family.f_from_k
-    # f(a, 1 - r) = K(1 - r) / (a - log(r)/2), at the exact mirror point
-    total = [f_from_k(a, r, kr) + km / (a - 0.5 * math.log(r))
+    # f(a, r) + f(a, 1 - r), at the exact mirror point; both denominators
+    # are at least a > 0
+    total = [kr / (a - 0.5 * math.log1p(-r)) + km / (a - 0.5 * math.log(r))
              for r, kr, km in zip(cols.pair_xs, *cols.k_pair)]
     return _report("sum-bounds", a, cols.pair_xs,
                    {"lower": [lower - t for t in total], "upper": [t - upper for t in total]},
@@ -316,6 +323,15 @@ def check_product_pair(p: float,
     return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 
+def _h_column(p: float, xs: list[float]) -> list[float]:
+    """family.h(p, x) over xs, from one K column, and its DomainError for
+    the first x outside (0, 1)."""
+    if not (all(map((0.0).__lt__, xs)) and all(map((1.0).__gt__, xs))):
+        for x in xs:
+            require_unit_interval(x, "h")
+    return [(1.0 - x) ** p * k for x, k in zip(xs, ellip_k_column(xs))]
+
+
 def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> InequalityReport:
     """The mean-chain clauses that apply at p, over the pairs (xs[i], ys[i]).
 
@@ -328,15 +344,14 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool) -> Ineq
     """
     if not family.in_region("thm3-logconcave", p):  # also NaN
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
-    h = family.h
-    hx = [h(p, x) for x in xs]
-    hy = [h(p, y) for y in ys]
-    hm = [h(p, 0.5 * (x + y)) for x, y in zip(xs, ys)]
+    hx, hy = _h_column(p, xs), _h_column(p, ys)
+    hm = _h_column(p, [0.5 * (x + y) for x, y in zip(xs, ys)])
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
     if family.in_region("cor14-concave", p):
         columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
     if family.in_region("cor15-monotone", p):
-        columns["geo_argument"] = [m - h(p, math.sqrt(x * y)) for x, y, m in zip(xs, ys, hm)]
+        hg = _h_column(p, [math.sqrt(x * y) for x, y in zip(xs, ys)])
+        columns["geo_argument"] = [m - g for m, g in zip(hm, hg)]
     return _report("mean-chain", p, xs, columns, tight=tuple(columns) if tight else ())
 
 
@@ -460,7 +475,7 @@ def check_gamma_constant_identities() -> InequalityReport:
         "chain_product_le_sum_sq": [4.0 * kr * km * (r - r * r) ** p - sr * sr
                                     for r, kr, km, sr in zip(xs, k, k_mirror, s)],
         "chain_sum_sq_le_alpha": [sr * sr - alpha for sr in s],
-        "chain_alpha_le_outer": [alpha - 4.0 * (1.0 - gr) ** (2.0 * p) * ellip_k(gr) ** 2
-                                 for gr in g],
+        "chain_alpha_le_outer": [alpha - 4.0 * (1.0 - gr) ** (2.0 * p) * kg ** 2
+                                 for gr, kg in zip(g, ellip_k_column(g))],
     }
     return _report("gamma-constants", None, xs, columns, tight=_GAMMA_CHAIN)

@@ -16,13 +16,13 @@ factors read only K, P and T2, through ``ellip_kpt``, which runs the pass
 inline over a list of points and returns their columns, so a batch of a
 scan is one call; the pass skips the E sum, and ``_e_from`` forms E from
 it only for ``ellip_e`` and ``legendre_residual`` (one and two points).
-The inequality grids call ``ellip_k``, which runs the same recurrence in
-its own loop without the P and T2 sums, and, where a bound pairs r with
-1 - r, ``ellip_k_columns``, which runs it inline once per point and reads
-K(1 - x) off the nome of the last Landen step.  Change the three loops
-of ``ellip_kpt``, ``ellip_k`` and ``ellip_k_columns`` together: tests
-guard that ``ellip_k`` returns ``ellip_kpt``'s K, and ``ellip_k_columns``
-``ellip_k``'s values, bit for bit.
+The inequality grids read the K column of ``ellip_k_column``, which runs
+the same recurrence inline over a list of points without the P and T2
+sums, and, where a bound pairs r with 1 - r, ``ellip_k_columns``, which
+also reads K(1 - x) off the nome of the last Landen step; ``ellip_k`` is a
+one-point call of ``ellip_k_column``.  Change the three loops of
+``ellip_kpt``, ``ellip_k_column`` and ``ellip_k_columns`` together: tests
+guard that the K columns of all three agree bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -84,7 +84,7 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
     kept, and a, b within 3e-14 of each other.  The loop runs inline once
-    per point, so a batch of points costs one call.  ``ellip_k`` and
+    per point, so a batch of points costs one call.  ``ellip_k_column`` and
     ``ellip_k_columns`` run the a, b, q, t recurrence alone: change the
     three loops together.
     """
@@ -128,37 +128,47 @@ def _e_from(x: float, k: float, tail: float) -> float:
     return k * (e - 0.5 * x * x * tail)
 
 
+def ellip_k_column(xs: Iterable[float]) -> list[float]:
+    """K over xs, 0 <= x < 1, from one AGM pass per point, with no domain
+    check.  The loop is the a, b, q, t recurrence of ``ellip_kpt`` without
+    its P, T2 and tail sums, which never feed a, b, q or t, so each value
+    is ``ellip_kpt``'s K to the bit; change the three loops together."""
+    ks = []
+    sqrt = math.sqrt
+    for x in xs:
+        y = sqrt(1.0 - x)
+        t = 0.5 / (1.0 + y)
+        a, b = 0.5 * (1.0 + y), sqrt(y)
+        d = a - b
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        q = x * t / a
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        while q > 1e-3:
+            d = a - b
+            a, b = 0.5 * (a + b), sqrt(a * b)
+            q = x * t / a
+            t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        ks.append(PI / (a + b))
+    return ks
+
+
 def ellip_k(x: float) -> float:
     """Complete integral of the first kind at parameter x, 0 <= x < 1.
 
     Strictly increasing, diverging like -log(1-x)/2 as x -> 1.
-    Relative error is a few ulp across the domain.  The loop is the a, b,
-    q, t recurrence of ``ellip_kpt`` without its P, T2 and tail sums, which
-    never feed a, b, q or t, so the result is ``ellip_kpt([x])[0][0]`` to the bit.
-    Change the three loops together (see ``ellip_kpt``).
+    Relative error is a few ulp across the domain.  A one-point call of
+    ``ellip_k_column``.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
-    y = math.sqrt(1.0 - x)
-    t = 0.5 / (1.0 + y)
-    a, b = 0.5 * (1.0 + y), math.sqrt(y)
-    d = a - b
-    a, b = 0.5 * (a + b), math.sqrt(a * b)
-    q = x * t / a
-    t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-    while q > 1e-3:
-        d = a - b
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        q = x * t / a
-        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-    return PI / (a + b)
+    return ellip_k_column((x,))[0]
 
 
 def ellip_k_columns(xs: Iterable[float]) -> tuple[list[float], list[float]]:
     """(K(x), K(1 - x)) for each x of xs, 0 < x < 1, from one AGM pass per
     point: the columns of the bounds that pair r with the exact 1 - r.
 
-    The loop is ``ellip_k``'s, so the first list is ``ellip_k``'s values to
+    The loop is ``ellip_k_column``'s, so the first list is its column to
     the bit; change the three loops together.  After it, a = a_M, t = t_M
     and pw = 2^M, so k_M = x t/a = c_M/a_M is the modulus of the last
     Landen step.  Each step squares the nome, exp(-pi K(1 - x)/K(x)) at

@@ -379,21 +379,24 @@ class TestTable:
     ])
     def test_function_looked_up_per_command(self, monkeypatch, capsys, module, attr, argv):
         # a module attribute patched after import (as the benchmark's tracer
-        # does) is the one that eval calls, and table where the function has
-        # no column form; table J calls J's column form, also looked up per
+        # does) is the one that eval calls; table calls the function's
+        # column form (specfun.ellip_k_column for K), also looked up per
         # command, once on the whole grid
         calls, grids = [], []
         original = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *args: calls.append(args) or original(*args))
-        column = family.COLUMN_FORMS["j_factor"]
-        monkeypatch.setitem(family.COLUMN_FORMS, "j_factor",
-                            lambda p, xs: grids.append(xs) or column(p, xs))
+        if module is specfun:
+            column = specfun.ellip_k_column
+            monkeypatch.setattr(specfun, "ellip_k_column",
+                                lambda xs: grids.append(xs) or column(xs))
+        else:
+            column = family.COLUMN_FORMS[attr]
+            monkeypatch.setitem(family.COLUMN_FORMS, attr,
+                                lambda p, xs: grids.append(xs) or column(p, xs))
         code, _, _ = run(capsys, argv + ["--grid-n", "50"])
-        has_column = attr in family.COLUMN_FORMS
-        assert code == 0 and len(calls) == (0 if has_column else 50)
-        assert list(map(len, grids)) == ([50] if has_column else [])
+        assert code == 0 and calls == [] and list(map(len, grids)) == [50]
         code, _, _ = run(capsys, ["eval", *argv[1:], "0.5"])
-        assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == (1 if has_column else 51)
+        assert code == 0 and calls[-1][-1] == 0.5 and len(calls) == 1
 
     def test_failing_last_point_is_evaluated_first(self, monkeypatch, capsys):
         # the point nearest 1 is evaluated first, so a function that fails
@@ -407,19 +410,21 @@ class TestTable:
                 raise specfun.ConvergenceError(f"no value at x={x!r}")
             return 0.0
 
-        monkeypatch.setattr(specfun, "ellip_k", stub)
-        code, out, err = run(capsys, ["table", "K", "--grid-n", "50"])
+        monkeypatch.setattr(specfun, "ellip_e", stub)
+        code, out, err = run(capsys, ["table", "E", "--grid-n", "50"])
         assert (code, out, calls) == (2, "", [last])
         assert err == f"error: at x={last!r}: no value at x={last!r}\n"
 
-    def test_geometric_grid_rounded_up_to_1(self, capsys):
+    @pytest.mark.parametrize("fn, message", [
+        ("K", "ellip_k requires 0 <= x < 1; got 1.0"),
+        ("w_plus", "w_plus must lie in the open interval (0, 1); got 1.0"),
+    ])
+    def test_geometric_grid_rounded_up_to_1(self, capsys, fn, message):
         # near 1 the geometric ratio's rounding lifts a point to 1.0,
-        # above hi; table K names it, as eval does
-        argv = ["table", "K", "--spacing", "geometric", "--lo", "0.9999999999999994",
+        # above hi; a table with a column form names it, as eval does
+        argv = ["table", fn, "--spacing", "geometric", "--lo", "0.9999999999999994",
                 "--hi", "1", "--offset", "1.2e-16", "--grid-n", "4"]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == "error: at x=1.0: ellip_k requires 0 <= x < 1; got 1.0\n"
+        assert run(capsys, argv) == (2, "", f"error: at x=1.0: {message}\n")
 
     @pytest.mark.parametrize("fn, params, message", [
         ("2F1", ["a=0.5", "b=0.5", "c=1"],  # diverges at 1: fails at the last point

@@ -509,14 +509,20 @@ PAIR_MAX_ULPS = 4
 
 def _count_kernel(monkeypatch):
     """Count ellip_k calls made through every module that reaches it, as
-    calls["k"], and the length of each ellip_k_columns pass, as
-    calls["columns"]."""
-    calls = {"k": 0, "columns": []}
-    real_k, real_columns = specfun.ellip_k, specfun.ellip_k_columns
+    calls["k"], and the length of each pass of the checks' K column and of
+    ellip_k_columns, as calls["column"] and calls["columns"]."""
+    calls = {"k": 0, "column": [], "columns": []}
+    real_k, real_column, real_columns = (
+        specfun.ellip_k, specfun.ellip_k_column, specfun.ellip_k_columns)
 
     def counted(x):
         calls["k"] += 1
         return real_k(x)
+
+    def counted_column(xs):
+        xs = list(xs)
+        calls["column"].append(len(xs))
+        return real_column(xs)
 
     def counted_columns(xs):
         calls["columns"].append(len(xs))
@@ -524,6 +530,7 @@ def _count_kernel(monkeypatch):
 
     for module in (inequalities, family, specfun):
         monkeypatch.setattr(module, "ellip_k", counted)
+    monkeypatch.setattr(inequalities, "ellip_k_column", counted_column)
     monkeypatch.setattr(inequalities, "ellip_k_columns", counted_columns)
     return calls
 
@@ -603,13 +610,14 @@ class TestSharedColumns:
         check_product_pair(0.5, cols)
         # one column pass gives K(x) and K(1 - x) at the pair points;
         # K(1/2) once per check
-        assert calls == {"k": 3, "columns": [n_pair]}
+        assert calls == {"k": 3, "column": [], "columns": [n_pair]}
         check_k_envelope(0.5, cols)
-        # K(x) from that same pass where it ran, ellip_k at the other points
-        assert calls == {"k": 3 + n - n_pair, "columns": [n_pair]}
+        # K(x) from that same pass where it ran, one K column over the
+        # other points
+        assert calls == {"k": 3, "column": [n - n_pair], "columns": [n_pair]}
         # a command that never pairs r with 1 - r never computes K(1 - x)
         check_k_envelope(0.5, GridColumns(FAST))
-        assert calls == {"k": 3 + 2 * n - n_pair, "columns": [n_pair]}
+        assert calls == {"k": 3, "column": [n - n_pair, n], "columns": [n_pair]}
 
     def test_verify_all_kernel_budget(self, monkeypatch, capsys):
         cols = GridColumns(DEFAULT_SCAN)
@@ -620,12 +628,12 @@ class TestSharedColumns:
         assert cli.main(["verify", "all"]) == 0
         # one column pass for K(x) and K(1 - x) at the shared grid's pair
         # points and one for K(r) and K(1 - r) at the 501 pair points of
-        # the gamma grid (1/2 and the 500 points below it); ellip_k for
-        # K(x) at the shared grid's other points (k-envelope at 1/4), on
-        # the grid up to x_p(0.1), h at x, y, (x+y)/2 and sqrt(xy) for the
-        # 1000 mean-chain pairs, K(sqrt(r - r^2)) at the gamma pair points,
-        # and K(1/2) or K(x_p) once per check
-        assert calls == {"k": n - n_pair + n_xp + 4 * 1000 + 501 + 6,
+        # the gamma grid (1/2 and the 500 points below it); one K column
+        # each for h at x, y, (x+y)/2 and sqrt(xy) of the 1000 mean-chain
+        # pairs, for the shared grid's other points (k-envelope at 1/4),
+        # for the grid up to x_p(0.1) and for K(sqrt(r - r^2)) at the gamma
+        # pair points; and ellip_k for K(1/2) or K(x_p) once per check
+        assert calls == {"k": 6, "column": [1000] * 4 + [n - n_pair, n_xp, 501],
                          "columns": [n_pair, 501]}
 
 
@@ -701,6 +709,28 @@ class TestFiftyDigitOracle:
         assert (top - cap) / top <= 2e-13
 
 
+def _nan_at_nth_k(monkeypatch, nth):
+    """Make the nth value of K that the checks read NaN, counting the
+    calls of ellip_k and the points of each K column in order; calls[0]
+    counts the values read."""
+    real_k, real_column, calls = inequalities.ellip_k, inequalities.ellip_k_column, [0]
+
+    def k(x):
+        calls[0] += 1
+        return math.nan if calls[0] == nth else real_k(x)
+
+    def column(xs):
+        ks = real_column(xs)
+        start, calls[0] = calls[0], calls[0] + len(ks)
+        if start < nth <= calls[0]:
+            ks[nth - start - 1] = math.nan
+        return ks
+
+    monkeypatch.setattr(inequalities, "ellip_k", k)
+    monkeypatch.setattr(inequalities, "ellip_k_column", column)
+    return calls
+
+
 class TestNonFiniteMargins:
     def test_nan_margins_are_inconclusive(self):
         # every margin is NaN, and NaN never raises a maximum
@@ -714,13 +744,7 @@ class TestNonFiniteMargins:
 
     @pytest.mark.parametrize("nth", [2, 7, 30])
     def test_one_nan_in_mean_chain(self, monkeypatch, nth):
-        real, calls = family.h, [0]
-
-        def h(p, x):
-            calls[0] += 1
-            return math.nan if calls[0] == nth else real(p, x)
-
-        monkeypatch.setattr(family, "h", h)
+        calls = _nan_at_nth_k(monkeypatch, nth)
         with pytest.raises(InconclusiveScanError):
             check_mean_chain_pairs(0.5, n_pairs=10, cfg=FAST)
         calls[0] = nth - 2
@@ -729,13 +753,7 @@ class TestNonFiniteMargins:
 
     @pytest.mark.parametrize("nth", [1, 500])
     def test_one_nan_in_gamma_check(self, monkeypatch, nth):
-        real, calls = inequalities.ellip_k, [0]
-
-        def k(x):
-            calls[0] += 1
-            return math.nan if calls[0] == nth else real(x)
-
-        monkeypatch.setattr(inequalities, "ellip_k", k)
+        _nan_at_nth_k(monkeypatch, nth)
         with pytest.raises(InconclusiveScanError):
             check_gamma_constant_identities()
 

@@ -359,12 +359,45 @@ class TestOnePassKernel:
 
     @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
     def test_k_only_pass_on_table_grids(self, spacing):
-        # ellip_k runs the K-only AGM loop, ellip_kept the full one: every
-        # value of a 20k-point `table K` is ellip_kept's K to the bit
+        # `table K` reads ellip_k_column, the K-only AGM loop, ellip_kept
+        # the full one: every value of a 20k-point table is ellip_kept's K
+        # to the bit
         cols = cli._run_table(ScanConfig(n=20000), 0, "K", spacing)[0]
         assert len(cols["x"]) == 20000
         bad = [x for x, v in zip(cols["x"], cols["value"]) if v != ellip_kept(x)[0]]
         assert not bad, bad[:5]
+
+
+class TestKColumn:
+    """ellip_k_column: the K-only AGM loop over a list of points."""
+
+    @staticmethod
+    def _agree(xs):
+        # K to the bit from all three loops and from ellip_k, which is a
+        # one-point call of the column; ellip_k_columns takes 0 < x only
+        k = specfun.ellip_k_column(xs)
+        assert k == specfun.ellip_kpt(xs)[0] == [ellip_k(x) for x in xs]
+        pos = [i for i, x in enumerate(xs) if x > 0.0]
+        assert [k[i] for i in pos] == specfun.ellip_k_columns([xs[i] for i in pos])[0]
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_table_grids(self, spacing):
+        self._agree(ScanConfig(n=20000).grid(spacing))
+
+    def test_lists(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hyp.example([0.0, 1e-300, 0.5, math.nextafter(1.0, 0.0)])
+        @hyp.given(st.lists(unit, min_size=1, max_size=20))
+        def check(xs):
+            self._agree(xs)
+        check()
+
+    def test_empty(self):
+        assert specfun.ellip_k_column([]) == []
 
 
 # the smallest normal double (the smallest endpoint_offset), the point
