@@ -426,7 +426,7 @@ class TestMirrorColumn:
         return wrap
 
     def test_k_column_is_ellip_k(self):
-        # the column kernel runs ellip_k's loop inline: K to the bit
+        # the mirror kernel runs ellip_k_column's loop inline: K to the bit
         @self._unit_lists(MIRROR_EDGES)
         def check(xs):
             assert specfun.ellip_k_columns(xs)[0] == [ellip_k(x) for x in xs]
