@@ -6,9 +6,11 @@ them at run time so a drifting oracle or kernel is caught either way.
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import random
+import struct
 import time
 
 import pytest
@@ -450,6 +452,40 @@ class TestMirrorColumn:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             specfun.ellip_k_columns([0.5, bad])
+
+
+def _digest(column):
+    """sha256 of a column's doubles, packed little-endian."""
+    return hashlib.sha256(struct.pack(f"<{len(column)}d", *column)).hexdigest()
+
+
+class TestColumnDigests:
+    """The K columns bit for bit, as pinned before the mirror column became
+    an option of the K-only loop: golden outputs show 17-digit margins, not
+    every K."""
+
+    @pytest.mark.parametrize("xs, k, k_mirror", [
+        pytest.param(
+            inequality_grid(DEFAULT_SCAN),
+            "efdb25570e1eae276201b48b0473406e91d4571150df8a5fd31709763486b1a2",
+            "c5bd34d1794b94fa1ffdd6348644430a34a60084345894f191c2b91cd1b3a76f",
+            id="default-grid"),
+        pytest.param(
+            MIRROR_EDGES,
+            "031fb75ca070ebeaa9d236274b43a9a75634fcc5f112386390ec79dedc637660",
+            "3e78d4e80ccfe1837987ef7e2046ccd7e3f6c6e0ba51509008c88fed8be78579",
+            id="mirror-edges"),
+    ])
+    def test_mirror_columns(self, xs, k, k_mirror):
+        ks, kms = specfun.ellip_k_columns(xs)
+        assert (_digest(ks), _digest(kms)) == (k, k_mirror)
+
+    @pytest.mark.parametrize("spacing, k", [
+        ("uniform", "35d14ebc6f5c422716093d3ab52cf24ebad2f7dfe400d10fe9c213544ccb3b89"),
+        ("geometric", "bdf018e6af4195db15a219507a59099f342be90fe27f7499e50bd2809e77738f"),
+    ])
+    def test_table_grid_columns(self, spacing, k):
+        assert _digest(specfun.ellip_k_column(ScanConfig(n=20000).grid(spacing))) == k
 
 
 class TestTextRoundTrip:
