@@ -11,10 +11,10 @@ are confirmed only away from the recorded equality points.
 Each check builds one margin column per clause, a list index-aligned
 with its points, from columns of K: K(x) and, for the bounds that pair
 r with 1 - r, K(1 - x).  Each column comes from one kernel call over a
-list of points: specfun.ellip_k_column where a check reads K alone, and
-specfun.ellip_k_columns for the pairs.  The mirror point is the exact
-1 - r, never its rounding: ellip_k_columns takes K(1 - x) from the nome
-of the AGM pass that gives K(x), so both columns cost one pass per point.
+list of points, specfun.ellip_k_column: K alone, or for the pairs, with
+mirror=True, K and K(1 - x).  The mirror point is the exact 1 - r, never
+its rounding: the mirror pass takes K(1 - x) from the nome of the AGM
+pass that gives K(x), so both columns cost one pass per point.
 A command that runs several checks on one grid shares a GridColumns, so
 that pass runs once per grid point for the whole command.  One
 reducer, _report, turns the margin columns into the report: the maximum
@@ -67,7 +67,6 @@ from .specfun import (
     DomainError,
     ellip_k,
     ellip_k_column,
-    ellip_k_columns,
     require_unit_interval,
 )
 
@@ -168,10 +167,10 @@ class GridColumns:
     {r, 1 - r}, where (m, j) = runs (pair_runs): the pairing checks scan
     these alone.  The columns are computed on first use and kept by this
     object alone.  k_pair, which the pairing checks read, gives K(x) and
-    K(1 - x) at pair_xs from one ellip_k_columns pass; k, which a K-only
-    check reads over all of xs, takes K from that pass where it has run
-    and one ellip_k_column pass over the other points only (over every
-    point if it has not).  So the checks of one command that share it run
+    K(1 - x) at pair_xs from one mirror pass of ellip_k_column; k, which a
+    K-only check reads over all of xs, takes K from that pass where it has
+    run and one K-only pass over the other points only (over every point
+    if it has not).  So the checks of one command that share it run
     the AGM once per point as long as the pairing checks come first, as
     they do in cli's verify, and a command that never pairs r with 1 - r
     never computes K(1 - x).  A grid check takes either a GridColumns or a
@@ -196,7 +195,7 @@ class GridColumns:
 
     @cached_property
     def k_pair(self) -> tuple[list[float], list[float]]:
-        return ellip_k_columns(self.pair_xs)
+        return ellip_k_column(self.pair_xs, mirror=True)
 
     @cached_property
     def k(self) -> list[float]:
@@ -464,7 +463,7 @@ def check_gamma_constant_identities() -> InequalityReport:
     grid = _GAMMA_GRID.grid()
     m, j = pair_runs(grid)
     xs = [0.5, *grid[:m], *grid[j:]]
-    k, k_mirror = ellip_k_columns(xs)
+    k, k_mirror = ellip_k_column(xs, mirror=True)
     s = [(1.0 - r) ** p * kr + r ** p * km for r, kr, km in zip(xs, k, k_mirror)]
     g = [math.sqrt(r - r * r) for r in xs]
     n = len(xs)

@@ -18,11 +18,11 @@ scan is one call; the pass skips the E sum, and ``_e_from`` forms E from
 it only for ``ellip_e`` and ``legendre_residual`` (one and two points).
 The inequality grids read the K column of ``ellip_k_column``, which runs
 the same recurrence inline over a list of points without the P and T2
-sums, and, where a bound pairs r with 1 - r, ``ellip_k_columns``, which
-also reads K(1 - x) off the nome of the last Landen step; ``ellip_k`` is a
-one-point call of ``ellip_k_column``.  Change the three loops of
-``ellip_kpt``, ``ellip_k_column`` and ``ellip_k_columns`` together: tests
-guard that the K columns of all three agree bit for bit.
+sums, and, with mirror=True where a bound pairs r with 1 - r, also reads
+K(1 - x) off the nome of the last Landen step; ``ellip_k`` is a one-point
+call of ``ellip_k_column``.  Change the two loops of ``ellip_kpt`` and
+``ellip_k_column`` together: tests guard that their K columns agree bit
+for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -84,9 +84,8 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
     would double its relative error each step.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
     kept, and a, b within 3e-14 of each other.  The loop runs inline once
-    per point, so a batch of points costs one call.  ``ellip_k_column`` and
-    ``ellip_k_columns`` run the a, b, q, t recurrence alone: change the
-    three loops together.
+    per point, so a batch of points costs one call.  ``ellip_k_column`` runs
+    the a, b, q, t recurrence alone: change the two loops together.
     """
     ks, ps, t2s, tails = [], [], [], []
     sqrt = math.sqrt                              # a local name: called ~5 times a point
@@ -128,14 +127,38 @@ def _e_from(x: float, k: float, tail: float) -> float:
     return k * (e - 0.5 * x * x * tail)
 
 
-def ellip_k_column(xs: Iterable[float]) -> list[float]:
+def ellip_k_column(xs: Iterable[float], mirror: bool = False
+                   ) -> list[float] | tuple[list[float], list[float]]:
     """K over xs, 0 <= x < 1, from one AGM pass per point, with no domain
-    check.  The loop is the a, b, q, t recurrence of ``ellip_kpt`` without
-    its P, T2 and tail sums, which never feed a, b, q or t, so each value
-    is ``ellip_kpt``'s K to the bit; change the three loops together."""
-    ks = []
-    sqrt = math.sqrt
+    check; with mirror=True, the columns (K(x), K(1 - x)) over xs,
+    0 < x < 1, for the bounds that pair r with the exact 1 - r.
+
+    The loop is the a, b, q, t recurrence of ``ellip_kpt`` without its P,
+    T2 and tail sums, which never feed a, b, q or t, so each K is
+    ``ellip_kpt``'s K to the bit; change the two loops together.  After
+    it, a = a_M, t = t_M and pw = 2^M, so k_M = x t/a = c_M/a_M is the
+    modulus of the last Landen step.  Each step squares the nome,
+    exp(-pi K(1 - x)/K(x)) at modulus sqrt(x) (Borwein & Borwein, *Pi and
+    the AGM*, ch. 1-2; DLMF 19.5, 22.2.1), and the nome of modulus k is
+    k^2/16 + k^4/32 + O(k^6), whose -log is log 16 - 2 log k - k^2/2 +
+    O(k^4), so
+
+        K(1 - x) = K(x) (log 16 - 2 log k_M - k_M^2/2) / (pi 2^M),
+
+    where k_M < 3e-7 leaves the omitted terms below 1e-26.  For x < 1e-150,
+    k_M ~ x^2/64 would leave the normal range; there the nome is x/16 to
+    the last bit and K(1 - x) = K(x) (log 16 - log x)/pi.  K(x)/pi is
+    taken as 1/(a_M + b_M), and 2^M scales it exactly.  1 - x is never
+    rounded, so K(1 - x) keeps a relative error below 3 * 2^-52 at the
+    exact mirror for every double x in (0, 1); the mirror pass raises
+    DomainError for any other x.
+    """
+    ks: list[float] = []
+    kms: list[float] = []
+    sqrt, log = math.sqrt, math.log
     for x in xs:
+        if mirror and not 0.0 < x < 1.0:
+            raise DomainError(f"ellip_k_column(mirror=True) requires 0 < x < 1; got {x!r}")
         y = sqrt(1.0 - x)
         t = 0.5 / (1.0 + y)
         a, b = 0.5 * (1.0 + y), sqrt(y)
@@ -143,13 +166,22 @@ def ellip_k_column(xs: Iterable[float]) -> list[float]:
         a, b = 0.5 * (a + b), sqrt(a * b)
         q = x * t / a
         t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        pw = 4.0
         while q > 1e-3:
             d = a - b
             a, b = 0.5 * (a + b), sqrt(a * b)
             q = x * t / a
             t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
         ks.append(PI / (a + b))
-    return ks
+        if not mirror:
+            continue
+        if x < 1e-150:
+            kms.append((_LOG16 - log(x)) / (a + b))
+        else:
+            km = x * t / a
+            kms.append((_LOG16 - 2.0 * log(km) - 0.5 * km * km) / (pw * (a + b)))
+    return (ks, kms) if mirror else ks
 
 
 def ellip_k(x: float) -> float:
@@ -162,56 +194,6 @@ def ellip_k(x: float) -> float:
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_k requires 0 <= x < 1; got {x!r}")
     return ellip_k_column((x,))[0]
-
-
-def ellip_k_columns(xs: Iterable[float]) -> tuple[list[float], list[float]]:
-    """(K(x), K(1 - x)) for each x of xs, 0 < x < 1, from one AGM pass per
-    point: the columns of the bounds that pair r with the exact 1 - r.
-
-    The loop is ``ellip_k_column``'s, so the first list is its column to
-    the bit; change the three loops together.  After it, a = a_M, t = t_M
-    and pw = 2^M, so k_M = x t/a = c_M/a_M is the modulus of the last
-    Landen step.  Each step squares the nome, exp(-pi K(1 - x)/K(x)) at
-    modulus sqrt(x) (Borwein & Borwein, *Pi and the AGM*, ch. 1-2; DLMF
-    19.5, 22.2.1), and the nome of modulus k is k^2/16 + k^4/32 + O(k^6),
-    whose -log is log 16 - 2 log k - k^2/2 + O(k^4), so
-
-        K(1 - x) = K(x) (log 16 - 2 log k_M - k_M^2/2) / (pi 2^M),
-
-    where k_M < 3e-7 leaves the omitted terms below 1e-26.  For x < 1e-150,
-    k_M ~ x^2/64 would leave the normal range; there the nome is x/16 to
-    the last bit and K(1 - x) = K(x) (log 16 - log x)/pi.  K(x)/pi is
-    taken as 1/(a_M + b_M), and 2^M scales it exactly.  1 - x is never
-    rounded, so K(1 - x) keeps a relative error below 3 * 2^-52 at the
-    exact mirror for every double x in (0, 1).
-    """
-    ks: list[float] = []
-    kms: list[float] = []
-    for x in xs:
-        if not 0.0 < x < 1.0:
-            raise DomainError(f"ellip_k_columns requires 0 < x < 1; got {x!r}")
-        y = math.sqrt(1.0 - x)
-        t = 0.5 / (1.0 + y)
-        a, b = 0.5 * (1.0 + y), math.sqrt(y)
-        d = a - b
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        q = x * t / a
-        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-        pw = 4.0
-        while q > 1e-3:
-            d = a - b
-            a, b = 0.5 * (a + b), math.sqrt(a * b)
-            q = x * t / a
-            t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
-            pw += pw
-        k = PI / (a + b)
-        ks.append(k)
-        if x < 1e-150:
-            kms.append((_LOG16 - math.log(x)) / (a + b))
-        else:
-            km = x * t / a
-            kms.append((_LOG16 - 2.0 * math.log(km) - 0.5 * km * km) / (pw * (a + b)))
-    return ks, kms
 
 
 def ellip_e(x: float) -> float:

@@ -439,7 +439,7 @@ class TestGridAndReports:
 
 def _k_mirror(r):
     """K(1 - r) at the exact mirror point, from the column kernel alone."""
-    return specfun.ellip_k_columns([r])[1][0]
+    return specfun.ellip_k_column([r], mirror=True)[1][0]
 
 
 def _per_clause_margins(name, q):
@@ -509,28 +509,22 @@ PAIR_MAX_ULPS = 4
 
 def _count_kernel(monkeypatch):
     """Count ellip_k calls made through every module that reaches it, as
-    calls["k"], and the length of each pass of the checks' K column and of
-    ellip_k_columns, as calls["column"] and calls["columns"]."""
+    calls["k"], and the length of each pass of the checks' K column, as
+    calls["column"] for K alone and calls["columns"] with the mirror."""
     calls = {"k": 0, "column": [], "columns": []}
-    real_k, real_column, real_columns = (
-        specfun.ellip_k, specfun.ellip_k_column, specfun.ellip_k_columns)
+    real_k, real_column = specfun.ellip_k, specfun.ellip_k_column
 
     def counted(x):
         calls["k"] += 1
         return real_k(x)
 
-    def counted_column(xs):
-        calls["column"].append(len(xs))
-        return real_column(xs)
-
-    def counted_columns(xs):
-        calls["columns"].append(len(xs))
-        return real_columns(xs)
+    def counted_column(xs, mirror=False):
+        calls["columns" if mirror else "column"].append(len(xs))
+        return real_column(xs, mirror)
 
     for module in (inequalities, family, specfun):
         monkeypatch.setattr(module, "ellip_k", counted)
     monkeypatch.setattr(inequalities, "ellip_k_column", counted_column)
-    monkeypatch.setattr(inequalities, "ellip_k_columns", counted_columns)
     return calls
 
 
@@ -710,15 +704,17 @@ class TestFiftyDigitOracle:
 
 def _nan_at_nth_k(monkeypatch, nth):
     """Make the nth value of K that the checks read NaN, counting the
-    calls of ellip_k and the points of each K column in order; calls[0]
-    counts the values read."""
+    calls of ellip_k and the points of each K-only column in order;
+    calls[0] counts the values read."""
     real_k, real_column, calls = inequalities.ellip_k, inequalities.ellip_k_column, [0]
 
     def k(x):
         calls[0] += 1
         return math.nan if calls[0] == nth else real_k(x)
 
-    def column(xs):
+    def column(xs, mirror=False):
+        if mirror:
+            return real_column(xs, mirror)
         ks = real_column(xs)
         start, calls[0] = calls[0], calls[0] + len(ks)
         if start < nth <= calls[0]:
@@ -758,13 +754,14 @@ class TestNonFiniteMargins:
 
     @pytest.mark.parametrize("column, nth", [(0, 0), (0, 500), (1, 0), (1, 500)])
     def test_one_nan_in_gamma_columns(self, monkeypatch, column, nth):
-        real = inequalities.ellip_k_columns
+        real = inequalities.ellip_k_column
 
-        def columns(xs):
-            pair = real(xs)
-            pair[column][nth] = math.nan
-            return pair
+        def columns(xs, mirror=False):
+            out = real(xs, mirror)
+            if mirror:
+                out[column][nth] = math.nan
+            return out
 
-        monkeypatch.setattr(inequalities, "ellip_k_columns", columns)
+        monkeypatch.setattr(inequalities, "ellip_k_column", columns)
         with pytest.raises(InconclusiveScanError):
             check_gamma_constant_identities()

@@ -370,38 +370,6 @@ class TestOnePassKernel:
         assert not bad, bad[:5]
 
 
-class TestKColumn:
-    """ellip_k_column: the K-only AGM loop over a list of points."""
-
-    @staticmethod
-    def _agree(xs):
-        # K to the bit from all three loops and from ellip_k, which is a
-        # one-point call of the column; ellip_k_columns takes 0 < x only
-        k = specfun.ellip_k_column(xs)
-        assert k == specfun.ellip_kpt(xs)[0] == [ellip_k(x) for x in xs]
-        pos = [i for i, x in enumerate(xs) if x > 0.0]
-        assert [k[i] for i in pos] == specfun.ellip_k_columns([xs[i] for i in pos])[0]
-
-    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
-    def test_table_grids(self, spacing):
-        self._agree(ScanConfig(n=20000).grid(spacing))
-
-    def test_lists(self):
-        hyp = pytest.importorskip("hypothesis")
-        st = hyp.strategies
-        unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-
-        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        @hyp.example([0.0, 1e-300, 0.5, math.nextafter(1.0, 0.0)])
-        @hyp.given(st.lists(unit, min_size=1, max_size=20))
-        def check(xs):
-            self._agree(xs)
-        check()
-
-    def test_empty(self):
-        assert specfun.ellip_k_column([]) == []
-
-
 # the smallest normal double (the smallest endpoint_offset), the point
 # 1e-150 where the mirror column changes branch and its two neighbours,
 # the midpoint and the largest double below 1
@@ -409,30 +377,48 @@ MIRROR_EDGES = [2.2250738585072014e-308, math.nextafter(1e-150, 0.0), 1e-150,
                 math.nextafter(1e-150, 1.0), 0.5, math.nextafter(1.0, 0.0)]
 
 
-class TestMirrorColumn:
-    """ellip_k_columns: K(x) and K(1 - x) at the exact mirror, one AGM pass."""
+class TestKColumn:
+    """ellip_k_column: the K-only AGM loop over a list of points, and with
+    mirror=True K(x) and K(1 - x) at the exact mirror from the same pass."""
 
     @staticmethod
-    def _unit_lists(*examples):
-        """Run a test on hypothesis lists of doubles in (0, 1) and on examples."""
+    def _agree(xs):
+        # K to the bit from both loops, from the mirror pass and from
+        # ellip_k, which is a one-point call of the column; the mirror pass
+        # takes 0 < x only
+        k = specfun.ellip_k_column(xs)
+        assert k == specfun.ellip_kpt(xs)[0] == [ellip_k(x) for x in xs]
+        pos = [i for i, x in enumerate(xs) if x > 0.0]
+        assert [k[i] for i in pos] == specfun.ellip_k_column([xs[i] for i in pos],
+                                                             mirror=True)[0]
+
+    @pytest.mark.parametrize("spacing", ["uniform", "geometric"])
+    def test_table_grids(self, spacing):
+        self._agree(ScanConfig(n=20000).grid(spacing))
+
+    @staticmethod
+    def _lists(*examples, exclude_min=False, max_examples=300):
+        """Run a test on hypothesis lists of doubles in [0, 1), or in (0, 1)
+        with exclude_min, and on examples."""
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=exclude_min,
+                         exclude_max=True)
 
         def wrap(check):
             check = hyp.given(st.lists(unit, min_size=1, max_size=20))(check)
             for xs in examples:
                 check = hyp.example(xs)(check)
-            return hyp.settings(max_examples=200, deadline=None, derandomize=True,
-                                database=None)(check)
+            return hyp.settings(max_examples=max_examples, deadline=None,
+                                derandomize=True, database=None)(check)
         return wrap
 
-    def test_k_column_is_ellip_k(self):
-        # the mirror kernel runs ellip_k_column's loop inline: K to the bit
-        @self._unit_lists(MIRROR_EDGES)
-        def check(xs):
-            assert specfun.ellip_k_columns(xs)[0] == [ellip_k(x) for x in xs]
-        check()
+    def test_lists(self):
+        self._lists([0.0, 1e-300, 0.5, math.nextafter(1.0, 0.0)], MIRROR_EDGES)(self._agree)()
+
+    def test_empty(self):
+        assert specfun.ellip_k_column([]) == []
+        assert specfun.ellip_k_column([], mirror=True) == ([], [])
 
     def test_mirror_column_against_mpmath(self):
         # within 4 ulp of 1, relative (4 * 2**-52 * K(1 - x)), of the exact
@@ -441,9 +427,10 @@ class TestMirrorColumn:
         # is up to 1e-9 off on the first points of the default grid.
         pytest.importorskip("mpmath")
 
-        @self._unit_lists(MIRROR_EDGES, inequality_grid(DEFAULT_SCAN)[:200])
+        @self._lists(MIRROR_EDGES, inequality_grid(DEFAULT_SCAN)[:200],
+                     exclude_min=True, max_examples=200)
         def check(xs):
-            for x, km in zip(xs, specfun.ellip_k_columns(xs)[1]):
+            for x, km in zip(xs, specfun.ellip_k_column(xs, mirror=True)[1]):
                 ref = oracles.mp_k_mirror(x)
                 assert abs(km - ref) <= 4 * 2.0 ** -52 * ref, (x, km, ref)
         check()
@@ -451,7 +438,7 @@ class TestMirrorColumn:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
-            specfun.ellip_k_columns([0.5, bad])
+            specfun.ellip_k_column([0.5, bad], mirror=True)
 
 
 def _digest(column):
@@ -477,7 +464,7 @@ class TestColumnDigests:
             id="mirror-edges"),
     ])
     def test_mirror_columns(self, xs, k, k_mirror):
-        ks, kms = specfun.ellip_k_columns(xs)
+        ks, kms = specfun.ellip_k_column(xs, mirror=True)
         assert (_digest(ks), _digest(kms)) == (k, k_mirror)
 
     @pytest.mark.parametrize("spacing, k", [
