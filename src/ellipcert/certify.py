@@ -56,9 +56,10 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
 
     The scan covers ends = [lo + endpoint_offset, hi - endpoint_offset];
     grid puts n points on it in equal steps or, for spacing "geometric",
-    equal ratios.  refine_depth levels of local refinement are applied
-    around near-zero values.  endpoint_offset is a normal double, so that
-    no step or ratio built from it overflows; hi - endpoint_offset < 1.
+    equal ratios, each point inside ends.  refine_depth levels of local
+    refinement are applied around near-zero values.  endpoint_offset is a
+    normal double, so that no step or ratio built from it overflows;
+    hi - endpoint_offset < 1.
     """
 
     __slots__ = ()
@@ -96,7 +97,8 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
             pts = [lo + i * step for i in range(self.n)]
         elif spacing == "geometric":
             ratio = (hi / lo) ** (1.0 / (self.n - 1))
-            pts = [lo * ratio ** i for i in range(self.n)]
+            # the rounding of ratio can carry points near 1 above hi
+            pts = [x if (x := lo * ratio ** i) < hi else hi for i in range(self.n)]
         else:
             raise ValueError(f"spacing must be one of {', '.join(SPACINGS)}; got {spacing!r}")
         pts[-1] = hi

@@ -353,11 +353,10 @@ def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
     xs = cfg.grid(spacing)
     _resolve_fn(fn, params)
     required, module, attr = _EVAL_FNS[fn]
-    # a column form reads the grid in batches: it raises nothing on (0, 1).
-    # A geometric grid can round a point up to 1.0; the per-point step names it
+    # a column form reads the grid in batches: it raises nothing on (0, 1)
     column = (family.COLUMN_FORMS.get(attr) if module is family
               else specfun.ellip_k_column if attr == "ellip_k" else None)
-    if column is None or not max(xs) < 1.0:
+    if column is None:
         return _run_eval(cfg, seed, fn, xs, **params)
     return {"x": xs, "value": in_batches(functools.partial(
         column, *(params[k] for k in required)), xs)}, EXIT_OK

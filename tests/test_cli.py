@@ -415,16 +415,20 @@ class TestTable:
         assert (code, out, calls) == (2, "", [last])
         assert err == f"error: at x={last!r}: no value at x={last!r}\n"
 
-    @pytest.mark.parametrize("fn, message", [
-        ("K", "ellip_k requires 0 <= x < 1; got 1.0"),
-        ("w_plus", "w_plus must lie in the open interval (0, 1); got 1.0"),
-    ])
-    def test_geometric_grid_rounded_up_to_1(self, capsys, fn, message):
-        # near 1 the geometric ratio's rounding lifts a point to 1.0,
-        # above hi; a table with a column form names it, as eval does
+    @pytest.mark.parametrize("fn", ["K", "w_plus"])
+    def test_geometric_grid_rounded_up_to_1(self, capsys, fn):
+        # near 1 the rounding of the geometric ratio would lift the third
+        # point to 1.0, above hi: the grid holds it at hi, so every point
+        # lies in the scanned interval and the table has a value at each
         argv = ["table", fn, "--spacing", "geometric", "--lo", "0.9999999999999994",
-                "--hi", "1", "--offset", "1.2e-16", "--grid-n", "4"]
-        assert run(capsys, argv) == (2, "", f"error: at x=1.0: {message}\n")
+                "--hi", "1", "--offset", "1.2e-16", "--grid-n", "4", "--format", "csv"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[2:]]
+        lo, hi = ScanConfig(lo=0.9999999999999994, endpoint_offset=1.2e-16).ends
+        xs = [x for x, _ in rows]
+        assert xs == [0.9999999999999996, 0.9999999999999998, hi, hi] and lo <= xs[0]
+        assert all(math.isfinite(v) for _, v in rows)
 
     @pytest.mark.parametrize("fn, params, message", [
         ("2F1", ["a=0.5", "b=0.5", "c=1"],  # diverges at 1: fails at the last point

@@ -257,15 +257,20 @@ def scan_configs(draw):
     # span <= 1: no tails
     ScanConfig(n=5000, endpoint_offset=0.1),
     ScanConfig(n=9, endpoint_offset=0.1),  # span exactly 1
+    # the rounding of the geometric ratio lifts a point to 1.0, above hi
+    ScanConfig(lo=0.9999999999999994, n=4, endpoint_offset=1.2e-16),
 ])
 def test_inequality_grid_matches_reference(cfg):
     assert inequality_grid(cfg) == oracles.inequality_grid_reference(cfg)
     # the table grids too: geometric bit for bit as the table built it,
-    # and both spacings exactly on the ends of the scan
+    # held at hi where a point would pass it, and both spacings exactly on
+    # the ends of the scan, non-decreasing and inside them
+    lo, hi = cfg.ends
     geometric = cfg.grid("geometric")
-    assert geometric == oracles.geometric_grid_reference(cfg)
+    assert geometric == [min(x, hi) for x in oracles.geometric_grid_reference(cfg)]
     for xs in (cfg.grid(), geometric):
         assert (xs[0], xs[-1]) == cfg.ends and len(xs) == cfg.n
+        assert all(lo <= x <= y <= hi for x, y in zip(xs, xs[1:]))
 
 
 @st.composite
