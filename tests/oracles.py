@@ -522,7 +522,8 @@ def inequality_grid_reference(cfg: ScanConfig) -> list[float]:
 def geometric_grid_reference(cfg: ScanConfig) -> list[float]:
     """The geometric table grid as cli._run_table first built it: n points
     in equal ratios over [lo + offset, hi - offset], the last one exact.
-    ScanConfig.grid("geometric") must return the same list."""
+    ScanConfig.grid("geometric") must return the same list, with each
+    point that the rounding of the ratio carries above hi held at hi."""
     lo = cfg.lo + cfg.endpoint_offset
     hi = cfg.hi - cfg.endpoint_offset
     ratio = (hi / lo) ** (1.0 / (cfg.n - 1))

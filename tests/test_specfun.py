@@ -447,9 +447,8 @@ def _digest(column):
 
 
 class TestColumnDigests:
-    """The K columns bit for bit, as pinned before the mirror column became
-    an option of the K-only loop: golden outputs show 17-digit margins, not
-    every K."""
+    """The K columns bit for bit, by the sha256 of their doubles: golden
+    outputs show margins to 17 digits, not every K."""
 
     @pytest.mark.parametrize("xs, k, k_mirror", [
         pytest.param(
