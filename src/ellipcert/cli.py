@@ -11,10 +11,11 @@ each table body with one format call, with no string per row.  Every run
 embeds its manifest (command, parameters, scan configuration, output
 format, seed) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
-a replay byte-reproduces the output.  ``eval`` and ``table`` take
-exactly the ``--param`` keys their function needs; any other key is a
-usage error.  Both evaluate their last point first, so a function that
-fails there fails at once; every evaluation error names its point.
+a replay byte-reproduces the output.  A command takes only the options it reads,
+and a setting it has no option for keeps its default; ``eval`` and ``table`` take
+exactly the ``--param`` keys their function needs: any other option or key is a
+usage error.  Both evaluate their last point first, so a function that fails
+there fails at once; every evaluation error names its point.
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
 error (an unwritable ``--out`` too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
@@ -186,6 +187,8 @@ def _parse_number(text: str, what: str) -> float:
 
 
 def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
+    if args.command == "eval":  # which takes no scan option
+        return DEFAULT_SCAN
     return ScanConfig(lo=_parse_number(args.lo, "--lo"),
                       hi=_parse_number(args.hi, "--hi"),
                       n=args.grid_n,
@@ -395,20 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellipcert",
         description="Elliptic-integral convexity toolkit: evaluation, "
                     "sharp constants, sign certification, inequality grids.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
-                        help="grid size (default %(default)s)")
-    common.add_argument("--lo", default="0", help="scan interval start")
-    common.add_argument("--hi", default="1", help="scan interval end")
-    common.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
-                        help="distance kept from the interval ends")
-    common.add_argument("--refine", type=int, default=DEFAULT_SCAN.refine_depth,
-                        help="local refinement depth around near-zero values")
-    common.add_argument("--format", choices=_FORMATS, default="text",
+    parser.set_defaults(refine=DEFAULT_SCAN.refine_depth, seed=0)  # where no option sets them
+    output = argparse.ArgumentParser(add_help=False)  # every command
+    output.add_argument("--format", choices=_FORMATS, default="text",
                         help="output format (default %(default)s)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for random-pair checks (default %(default)s)")
-    common.add_argument("--out", default=None, help="write output to this path")
+    output.add_argument("--out", default=None, help="write output to this path")
+    grid = argparse.ArgumentParser(add_help=False)  # every command but eval
+    grid.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
+                      help="grid size (default %(default)s)")
+    grid.add_argument("--lo", default=repr(DEFAULT_SCAN.lo), help="scan interval start")
+    grid.add_argument("--hi", default=repr(DEFAULT_SCAN.hi), help="scan interval end")
+    grid.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
+                      help="distance kept from the interval ends")
 
     zoo = argparse.ArgumentParser(add_help=False)  # eval and table: fn before their own
     zoo.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
@@ -417,25 +418,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common, zoo],
+    p_eval = sub.add_parser("eval", parents=[output, zoo],
                             help="evaluate a zoo function at given points")
     p_eval.add_argument("x", nargs="+", help="evaluation points (float or fraction)")
 
-    sub.add_parser("constants", parents=[common],
+    sub.add_parser("constants", parents=[output, grid],
                    help="print the sharp constants with provenance")
 
-    p_cert = sub.add_parser("certify", parents=[common],
+    p_cert = sub.add_parser("certify", parents=[output, grid],
                             help="sign-certify one convexity statement")
     p_cert.add_argument("theorem", help=f"one of: {', '.join(family.CLAIMS)}")
     p_cert.add_argument("value", help="parameter value (float or fraction like 7/32)")
+    p_cert.add_argument("--refine", type=int, default=parser.get_default("refine"),
+                        help="local refinement depth around near-zero values")
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[output, grid],
                            help="run inequality grid checks")
     p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_SELECTORS)}")
     p_ver.add_argument("--a", default="1.47", help="log-shift parameter")
     p_ver.add_argument("--p", default=None, help="power parameter")
+    p_ver.add_argument("--seed", type=int, default=parser.get_default("seed"),
+                       help="seed of mean-chain's random pairs (default %(default)s)")
 
-    p_tab = sub.add_parser("table", parents=[common, zoo],
+    p_tab = sub.add_parser("table", parents=[output, grid, zoo],
                            help="emit an x,value table for external plotting")
     p_tab.add_argument("--spacing", choices=SPACINGS, default="uniform")
 

@@ -2,6 +2,7 @@
 manifest embedding and byte reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -16,6 +17,16 @@ from ellipcert.specfun import DomainError
 
 FAST = ["--grid-n", "2000"]
 
+# command -> the run-setting options it takes: those that its run step reads
+OPTIONS = {
+    "eval": ("--format", "--out"),
+    "constants": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset"),
+    "certify": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset", "--refine"),
+    "verify": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset", "--seed"),
+    "table": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset"),
+}
+SETTING_OPTIONS = sorted(set().union(*OPTIONS.values()))
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -23,11 +34,87 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def fast(argv):
+    """argv on the FAST grid, where its command takes --grid-n."""
+    return argv + FAST if "--grid-n" in OPTIONS[argv[0]] else argv
+
+
 def manifest_of(out, fmt):
     """The manifest dict that a run's output embeds."""
     if fmt == "json":
         return json.loads(out)["manifest"]
     return json.loads(out.splitlines()[0].partition("manifest: ")[2])
+
+
+# a valid argv of each command, and for each run-setting option but --out
+# a value other than its default with the manifest key and value that record it
+BASE = {"eval": ["eval", "K", "0.5"], "constants": ["constants"],
+        "certify": ["certify", "thm1-convex", "1.5"], "verify": ["verify", "sum-bounds"],
+        "table": ["table", "K"]}
+VALUES = {"--grid-n": ("7", "n", 7), "--lo": ("1/4", "lo", 0.25),
+          "--hi": ("0.75", "hi", 0.75), "--offset": ("1e-6", "endpoint_offset", 1e-6),
+          "--refine": ("3", "refine_depth", 3), "--seed": ("5", "seed", 5),
+          "--format": ("csv", "output_format", "csv")}
+
+
+class TestOptionContract:
+    """Each command takes only the run-setting options of OPTIONS; every
+    other one is argparse's usage error, and a setting a command has no
+    option for keeps its default in the manifest."""
+
+    @pytest.mark.parametrize("argv", [
+        *(BASE[command] + [option, VALUES[option][0]] for command in OPTIONS
+          for option in SETTING_OPTIONS if option not in OPTIONS[command]),
+        # each of these once ran, exit 0, and recorded the ignored value
+        ["eval", "K", "0.5", "--grid-n", "7", "--lo", "0.3"],
+        ["table", "K", "--grid-n", "5", "--refine", "4"],
+        ["certify", "thm1-convex", "1.5", "--grid-n", "200", "--seed", "9"],
+        ["verify", "sum-bounds", "--refine", "0"],
+        ["constants", "--refine", "7", "--seed", "3"],
+    ], ids=" ".join)
+    def test_option_the_command_does_not_take(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        rejected = [f"{opt} {value}" for opt, value in zip(argv, argv[1:])
+                    if opt in SETTING_OPTIONS and opt not in OPTIONS[argv[0]]]
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(rejected)}\n")
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_every_option_reaches_the_manifest(self, capsys, tmp_path, command):
+        target = tmp_path / "out.txt"  # --out writes the whole output there
+        argv = BASE[command] + ["--out", str(target)]
+        expected = {"command": command, "seed": 0, "scan": cli.DEFAULT_SCAN._asdict()}
+        for option in OPTIONS[command]:
+            if option != "--out":
+                text, key, value = VALUES[option]
+                argv += [option, text]
+                (expected["scan"] if key in expected["scan"] else expected)[key] = value
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, "", "")
+        manifest = manifest_of(target.read_text(), "csv")
+        assert {k: manifest[k] for k in expected} == expected
+
+    # text outputs of the first three once-ignored argvs above, from when every command
+    # took all eight options and recorded the ones it ignored: the manifest
+    # line as written, and the sha256 of the whole output
+    @pytest.mark.parametrize("manifest, digest", [
+        ('{"command":"eval","output_format":"text","parameters":{"fn":"K","x":[0.5]},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.3,"n":7,"refine_depth":2},"seed":0}',
+         "2e32ffa697a20f6442e096099af958fb088a80a9b177f9806fbc6b0772faf105"),
+        ('{"command":"table","output_format":"text","parameters":{"fn":"K","spacing":"uniform"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":5,"refine_depth":4},"seed":0}',
+         "191d8c3e62144ac514aa9d65cebde34250b220ba8a84af50630f91c177c7a4c0"),
+        ('{"command":"certify","output_format":"text",'
+         '"parameters":{"a":1.5,"theorem":"thm1-convex"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":200,"refine_depth":2},"seed":9}',
+         "f7f584a865cd74d36756122f1beb4132584a625b8309853c5198a8a5fcaed3e7"),
+    ], ids=["eval", "table", "certify"])
+    def test_manifest_with_a_setting_no_option_sets_replays(self, manifest, digest):
+        out = cli.run_from_manifest(json.loads(manifest))
+        assert out.startswith(f"manifest: {manifest}\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEval:
@@ -77,7 +164,7 @@ class TestEval:
         (["eval", "K", "--param", "p", "0.5"], "--param expects key=value; got 'p'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_param_the_function_does_not_take(self, capsys, argv, message):
-        code, out, err = run(capsys, argv + FAST)
+        code, out, err = run(capsys, fast(argv))
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
@@ -191,7 +278,7 @@ class TestNonFiniteInput:
         ["table", "K", "--hi", "nan"],
     ], ids=" ".join)
     def test_usage_error_not_verdict(self, capsys, argv):
-        code, out, err = run(capsys, argv + FAST)
+        code, out, err = run(capsys, fast(argv))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
@@ -224,7 +311,7 @@ class TestFractions:
         (["verify", "k-envelope", "--p", "1/2/3"], "--p"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_number_names_its_source(self, capsys, argv, what):
-        code, out, err = run(capsys, argv + FAST)
+        code, out, err = run(capsys, fast(argv))
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {what} ") and err.count("\n") == 1
@@ -240,7 +327,7 @@ class TestNegativeValues:
         (["verify", "sum-bounds", "--a", "-1e-3"], 2, "sum bounds need a > 0"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_reaches_handler(self, capsys, argv, code, message):
-        got, _, err = run(capsys, argv + FAST)
+        got, _, err = run(capsys, fast(argv))
         assert got == code
         assert message in err
 
@@ -318,7 +405,6 @@ class TestFloatRange:
         # 1 - offset rounds to 1, outside (0, 1)
         ["certify", "thm1-convex", "1.5", "--offset", "1e-17"],
         ["verify", "sum-bounds", "--offset", "1e-300"],
-        ["eval", "K", "0.5", "--offset", "1e-17"],
     ], ids=" ".join)
     def test_offset_outside_unit_interval_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -517,7 +603,7 @@ class TestOutputContracts:
         ["constants"],
     ], ids=" ".join)
     def test_manifest_replay(self, capsys, argv, fmt):
-        code, out, err = run(capsys, argv + ["--format", fmt, *FAST])
+        code, out, err = run(capsys, fast(argv + ["--format", fmt]))
         assert code in (0, 1), err
         assert cli.run_from_manifest(manifest_of(out, fmt)) == out
 

@@ -5,7 +5,8 @@ number, must end with an exit code in {0, 1, 2, 3}, never with a
 traceback, and its JSON output must be strict JSON (no NaN or Infinity
 tokens).  Every output replays: ``cli.run_from_manifest`` on the
 manifest it embeds returns the same text.  Grids are kept at 50 points
-so that each example is fast.
+so that each example is fast; scan options go only to the commands that
+take them, so that argparse rejects no argv and each reaches its run step.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings (with the
@@ -69,14 +70,17 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-def check(argv, fmt, scan):
-    argv = argv[:1] + ["--grid-n", "50", "--format", fmt] + [f"{k}={v}" for k, v in scan] + argv[1:]
+def check(argv, fmt, scan=None):
+    """Run argv in fmt; with scan, a list of scan options, on a 50-point
+    grid too (None for eval, which takes no scan option)."""
+    grid = [] if scan is None else ["--grid-n", "50"]
+    argv = argv[:1] + grid + ["--format", fmt] + [f"{k}={v}" for k, v in scan or ()] + argv[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+        except SystemExit as exc:
+            pytest.fail(f"argparse rejects {argv}: exit {exc.code}, {err.getvalue()!r}")
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 1):
@@ -96,9 +100,9 @@ def _params(fn, values):
 
 @SETTINGS
 @given(fn=st.sampled_from(sorted(cli._EVAL_FNS)), values=st.lists(NUMBERS, min_size=3, max_size=3),
-       xs=st.lists(st.one_of(FLOATS, UNIT), min_size=1, max_size=3), fmt=FORMATS, scan=SCAN)
-def test_eval(fn, values, xs, fmt, scan):
-    check(["eval", fn] + _params(fn, values) + xs, fmt, scan)
+       xs=st.lists(st.one_of(FLOATS, UNIT), min_size=1, max_size=3), fmt=FORMATS)
+def test_eval(fn, values, xs, fmt):
+    check(["eval", fn] + _params(fn, values) + xs, fmt)
 
 
 @SETTINGS
