@@ -12,10 +12,11 @@ embeds its manifest (command, parameters, scan configuration, output
 format, seed) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
 a replay byte-reproduces the output.  A command takes only the options it reads,
-and a setting it has no option for keeps its default; ``eval`` and ``table`` take
-exactly the ``--param`` keys their function needs: any other option or key is a
-usage error.  Both evaluate their last point first, so a function that fails
-there fails at once; every evaluation error names its point.
+each by its full name only (a prefix is a usage error), and a setting it has no
+option for keeps its default; ``eval`` and ``table`` take exactly the ``--param``
+keys their function needs, each once: any other option or key is a usage error.
+Both evaluate their last point first, so a function that fails there fails at
+once; every evaluation error names its point.
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
 error (an unwritable ``--out`` too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
@@ -242,6 +243,8 @@ def _collect_params(args: argparse.Namespace) -> dict[str, object]:
         if not sep:
             raise DomainError(f"--param expects key=value; got {item!r}")
         key = key.strip()
+        if key in params:
+            raise DomainError(f"--param {key} is given more than once")
         params[key] = _parse_number(val, f"--param {key}")
     _resolve_fn(args.fn, params)
     return {"fn": args.fn, **params}
@@ -382,8 +385,12 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every number _parse_number accepts (-1e-05, -inf, -1/20) as a
+    """Takes an option by its full name only, here and in every subparser,
+    and reads every number _parse_number accepts (-1e-05, -inf, -1/20) as a
     value; argparse alone takes only -5, -.5 and -0.5 for one, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def _parse_optional(self, arg_string):
         try:

@@ -15,8 +15,8 @@ comprehension over the kernel's columns for a list of points of (0, 1),
 with no domain check (the quadratic's coefficients and roots share one;
 phi and G are those factors at a = 0 and p = -0.0).  COLUMN_FORMS names
 them; certify scans, tables and find_a_c read them, one kernel pass per
-batch.  The scalar names are one-point calls of the same forms after an
-inline 0 < x < 1 test, which calls require_unit_interval only to raise.
+batch.  The scalar names are one-point calls of the same forms after
+one domain test, require_unit_interval.
 Raw numerical differentiation is never used here; finite differences
 exist only as oracles in the test suite.
 
@@ -137,22 +137,19 @@ def _l(p: float, xs: list[float]) -> list[float]:
 
 def u_aux(x: float) -> float:
     """Leading quadratic coefficient; increasing from 9/16 toward 2/pi."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "u_aux")
+    require_unit_interval(x, "u_aux")
     return _quadratic([x])[0][0]
 
 
 def v_aux(x: float) -> float:
     """Middle quadratic coefficient; positive on [0, 1)."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "v_aux")
+    require_unit_interval(x, "v_aux")
     return _quadratic([x])[1][0]
 
 
 def delta_aux(x: float) -> float:
     """Discriminant v^2 - 4 u s; increasing from 0, slope 3/16 at 0."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "delta_aux")
+    require_unit_interval(x, "delta_aux")
     return _quadratic([x])[2][0]
 
 
@@ -163,22 +160,19 @@ def w_plus(x: float) -> float:
     Carries a sqrt(3x/16) cusp at 0, so it sits ~1.2e-5 above 4/3
     already at x = 1e-9.
     """
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "w_plus")
+    require_unit_interval(x, "w_plus")
     return _quadratic([x])[3][0]
 
 
 def w_minus(x: float) -> float:
     """Lower root (in a) of the f'' quadratic; 4/3 at 0+, -inf at 1-."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "w_minus")
+    require_unit_interval(x, "w_minus")
     return _quadratic([x])[4][0]
 
 
 def g_factor(a: float, x: float) -> float:
     """u(x) (a - w_plus(x)) (a - w_minus(x)); same sign as f''(a, .) at x."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "g_factor")
+    require_unit_interval(x, "g_factor")
     return _g_factor(a, [x])[0]
 
 
@@ -194,8 +188,7 @@ def phi(x: float) -> float:
 
 def recip_f_second_sign(a: float, x: float) -> float:
     """phi(x) - a: positive iff 1/f(a, .) is locally strictly convex at x."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "phi")
+    require_unit_interval(x, "phi")
     return _phi_minus(a, [x])[0]
 
 
@@ -217,8 +210,7 @@ def g_aux(x: float) -> float:
 
 def log_h_second_factor(p: float, x: float) -> float:
     """p + G(x); its sign is opposite to the sign of (log h(p, .))'' at x."""
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "g_aux")
+    require_unit_interval(x, "g_aux")
     return _p_plus_g(p, [x])[0]
 
 
@@ -228,8 +220,7 @@ def j_factor(p: float, x: float) -> float:
     Stabilized form J = x^2 (T2 + (4p^2-8p+3)K + 4(p-1)P); near 0 this
     gives J/x^2 -> (pi/16)(32p^2 - 48p + 9) without cancellation.
     """
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "j_factor")
+    require_unit_interval(x, "j_factor")
     return _j(p, [x])[0]
 
 
@@ -239,8 +230,7 @@ def l_factor(p: float, x: float) -> float:
     Slope (pi/4)(1 - 4p) at 0; for p in (0, 1/4) it has exactly one sign
     change (the turning point of h).
     """
-    if not 0.0 < x < 1.0:
-        require_unit_interval(x, "l_factor")
+    require_unit_interval(x, "l_factor")
     return _l(p, [x])[0]
 
 

@@ -57,7 +57,7 @@ class ConvergenceError(RuntimeError):
     """A series failed to converge within its term cap."""
 
 
-def require_unit_interval(x: float, what: str = "x") -> None:
+def require_unit_interval(x: float, what: str) -> None:
     """Reject arguments outside the open interval (0, 1)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"{what} must lie in the open interval (0, 1); got {x!r}")
@@ -209,14 +209,17 @@ def ellip_e(x: float) -> float:
     return _e_from(x, ks[0], tails[0])
 
 
-def hyp2f1(a: float, b: float, c: float, x: float, *,
-           rel_tol: float = 1e-17, max_terms: int = 1_000_000) -> float:
+_REL_TOL = 1e-17
+_MAX_TERMS = 1_000_000
+
+
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric series 2F1(a, b; c; x) for |x| < 1.
 
     Sums the defining series with the term recurrence
     t_{n+1} = t_n (a+n)(b+n) x / ((c+n)(1+n)), stopping once
-    |t_n| < rel_tol * |partial sum|.  The term cap guards against the
-    logarithmic divergence of parameter combinations like
+    |t_n| < _REL_TOL * |partial sum|.  The cap of _MAX_TERMS terms guards
+    against the logarithmic divergence of parameter combinations like
     (1/2, 1/2; 1) turning into a hang near x = 1; where the cap provably
     cannot be met (``_cap_unreachable``) that ConvergenceError comes
     before any term is summed.  A partial sum that overflows or turns
@@ -229,24 +232,23 @@ def hyp2f1(a: float, b: float, c: float, x: float, *,
     term = 1.0
     total = 1.0
     # where the cap provably cannot be met, go straight to its error
-    n = max_terms if _cap_unreachable(a, b, c, x, rel_tol, max_terms) else 0
-    while n < max_terms:
+    n = _MAX_TERMS if _cap_unreachable(a, b, c, x) else 0
+    while n < _MAX_TERMS:
         term *= (a + n) * (b + n) * x / ((c + n) * (1.0 + n))
         total += term
         n += 1
         if not math.isfinite(total):
             raise ConvergenceError(
                 f"2F1({a}, {b}; {c}; {x}): non-finite partial sum {total} after {n} terms")
-        if abs(term) < rel_tol * abs(total):
+        if abs(term) < _REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"2F1({a}, {b}; {c}; {x}) did not converge within {max_terms} terms")
+        f"2F1({a}, {b}; {c}; {x}) did not converge within {_MAX_TERMS} terms")
 
 
-def _cap_unreachable(a: float, b: float, c: float, x: float,
-                     rel_tol: float, max_terms: int) -> bool:
+def _cap_unreachable(a: float, b: float, c: float, x: float) -> bool:
     """True only where hyp2f1's stop test provably fails at every one of
-    its max_terms terms, and its partial sums stay finite.
+    its _MAX_TERMS terms, and its partial sums stay finite.
 
     For a, b, c > 0, c <= a + b and 0 < x < 1 every term t_n is positive
     and t_{n+1} >= t_n x n/(n+1), since (a+n)(b+n) - (c+n)n =
@@ -254,25 +256,24 @@ def _cap_unreachable(a: float, b: float, c: float, x: float,
     t_j <= t_n (n/j) x^(j-n), whence the partial sum
     S_n <= 1 + t_n n x^(1-n) (1 + ln n) and
     t_n/S_n >= 1/(n x^(1-n) (1/t_1 + 1 + ln n)), a bound that falls
-    with n.  Where it stays above 2 rel_tol at n = max_terms, no term
-    passes the stop test t_n < rel_tol S_n; the factor 2 covers the
-    rounding of up to 10^12 computed terms.  xab <= c and
-    x(a+b) <= c+1 keep every term ratio at most 1, so the sums stay
-    finite and no other error comes first.  They are tested before the
-    exact sum c - a - b, so that an a + b that overflows gives False,
-    never fsum's OverflowError.
+    with n.  Where it stays above 2 _REL_TOL at n = _MAX_TERMS, no term
+    passes the stop test t_n < _REL_TOL S_n; the factor 2 covers the
+    rounding of up to 10^12 computed terms, far above _MAX_TERMS.
+    xab <= c and x(a+b) <= c+1 keep every term ratio at most 1, so the
+    sums stay finite and no other error comes first.  They are tested
+    before the exact sum c - a - b, so that an a + b that overflows gives
+    False, never fsum's OverflowError.
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0 and 0.0 < x < 1.0
             and x * a * b <= c and x * (a + b) <= c + 1.0
-            and math.fsum((c, -a, -b)) <= 0.0        # c <= a + b, exactly
-            and rel_tol > 0.0 and 1 <= max_terms <= 10**12):
+            and math.fsum((c, -a, -b)) <= 0.0):      # c <= a + b, exactly
         return False
     t1 = a * b * x / c
     if not t1 > 0.0:
         return False
-    n = max_terms
+    n = _MAX_TERMS
     log_bound = math.log(n) - (n - 1) * math.log(x) + math.log(1.0 / t1 + 1.0 + math.log(n))
-    return log_bound < -math.log(2.0 * rel_tol)
+    return log_bound < -math.log(2.0 * _REL_TOL)
 
 
 def legendre_residual(x: float) -> float:

@@ -3,9 +3,12 @@ manifest embedding and byte reproducibility."""
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,18 @@ VALUES = {"--grid-n": ("7", "n", 7), "--lo": ("1/4", "lo", 0.25),
           "--hi": ("0.75", "hi", 0.75), "--offset": ("1e-6", "endpoint_offset", 1e-6),
           "--refine": ("3", "refine_depth", 3), "--seed": ("5", "seed", 5),
           "--format": ("csv", "output_format", "csv")}
+
+# command -> every long option it declares, --help aside, and a value each takes
+DECLARED = {command: options + {"eval": ("--param",), "verify": ("--a", "--p"),
+                                "table": ("--param", "--spacing")}.get(command, ())
+            for command, options in OPTIONS.items()}
+OPTION_VALUES = {**{option: text for option, (text, _, _) in VALUES.items()},
+                 "--out": "out.txt", "--param": "p=1", "--a": "1.5", "--p": "0.5",
+                 "--spacing": "geometric"}
+# (command, prefix) -> an option it begins, for each proper prefix of a
+# declared option from "--" and one letter on; none is an option itself
+PREFIXES = {(command, option[:k]): option for command, options in DECLARED.items()
+            for option in options for k in range(3, len(option))}
 
 
 class TestOptionContract:
@@ -117,6 +132,61 @@ class TestOptionContract:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestFullOptionNames:
+    """Each command takes its options by their full names only, with the value
+    as the next argument or after "="; any prefix is argparse's usage error,
+    so the 33 declared names are the only spellings."""
+
+    @pytest.mark.parametrize("command", DECLARED)
+    def test_declared_options_are_the_parsers(self, command):
+        subparsers = cli.build_parser()._subparsers._group_actions[0]
+        declared = {name for action in subparsers.choices[command]._actions
+                    for name in action.option_strings if name.startswith("--")}
+        assert declared - {"--help"} == set(DECLARED[command])
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in DECLARED.items() for option in options])
+    def test_full_name_is_accepted(self, command, option):
+        parser, value = cli.build_parser(), OPTION_VALUES[option]
+        args = parser.parse_args(BASE[command] + [option, value])
+        assert args == parser.parse_args(BASE[command] + [f"{option}={value}"])
+        assert args != parser.parse_args(BASE[command])
+
+    @pytest.mark.parametrize("argv", [
+        *(BASE[command] + [prefix, OPTION_VALUES[option]]
+          for (command, prefix), option in PREFIXES.items()),
+        *(BASE[command] + [f"{prefix}={OPTION_VALUES[option]}"]
+          for (command, prefix), option in PREFIXES.items()),
+        # each of these once ran, exit 0: the first wrote x.txt
+        ["eval", "K", "0.5", "--o", "x.txt"],
+        ["verify", "sum-bounds", "--se", "3"],
+        ["table", "K", "--p=1"],
+    ], ids=" ".join)
+    def test_prefix_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "error: unrecognized arguments: " in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_bench_argv_parses(self, monkeypatch):
+        # an argv the parser refused would fail its benchmark case
+        path = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
+        spec = importlib.util.spec_from_file_location("bench_cases", path)
+        cases = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, cases)  # for its dataclass
+        spec.loader.exec_module(cases)
+        parser = cli.build_parser()
+        for workload in ("certify", "verify", "table"):
+            for seed in range(1, 6):
+                argvs = [list(case.argv) for case in cases.build(workload, seed)]
+                assert argvs
+                for argv in argvs:
+                    assert parser.parse_args(argv).command == argv[0]
+
+
 class TestEval:
     def test_k_half(self, capsys):
         code, out, _ = run(capsys, ["eval", "K", "0.5", "--format", "csv"])
@@ -162,6 +232,13 @@ class TestEval:
         (["eval", "h", "--param", "p=1/2", "--param", "x=9", "0.5"],
          "function 'h' takes no --param x"),
         (["eval", "K", "--param", "p", "0.5"], "--param expects key=value; got 'p'"),
+        # the first of these once printed h at p = 2
+        (["eval", "h", "--param", "p=1", "--param", "p=2", "0.5"],
+         "--param p is given more than once"),
+        (["eval", "2F1", "--param", "a=0.5", "--param", "b=0.5", "--param", "c=1",
+          "--param", "b =0.25", "0.5"], "--param b is given more than once"),
+        (["table", "J", "--param", "p=1/2", "--param", "p=1/2"],
+         "--param p is given more than once"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_param_the_function_does_not_take(self, capsys, argv, message):
         code, out, err = run(capsys, fast(argv))

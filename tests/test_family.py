@@ -457,8 +457,9 @@ DOMAIN_NAMES = {
 class TestHotPath:
     """A certify scan calls its factor's column form once per batch, each
     call is one kernel pass over the batch's points, and no domain check
-    runs on the scan path; a scalar name calls require_unit_interval only
-    to raise."""
+    runs on the scan path; a scalar name calls require_unit_interval once
+    on every call, its one domain test, then makes one one-point kernel
+    pass if x passes it."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -501,3 +502,9 @@ class TestHotPath:
             getattr(family, name)(*args)
         assert str(info.value) == expected
         assert counts == {"kernel": [], "domain": 1}
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_NAMES))
+    def test_valid_call_counts_one_domain_test(self, name, counts):
+        takes_param = oracles.FACTOR_REFERENCES[name][0]
+        getattr(family, name)(*((0.3, 0.5) if takes_param else (0.5,)))
+        assert counts == {"kernel": [1], "domain": 1}
