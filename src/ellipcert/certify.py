@@ -37,6 +37,10 @@ SIGN_TOLERANCE = 1e-12
 # flagged set deterministic (smallest |value| first, then leftmost).
 _MAX_FLAGGED = 256
 _SUBDIVISIONS = 8
+# Levels of local refinement in every scan: on the default grid, at the
+# nine thresholds and +-10^-k (k = 1..12) from them, no refinement loses
+# 3 of the 225 verdicts and four levels change none.
+_REFINE_DEPTH = 2
 # Grid batches double from _FIRST_BATCH points, so that a scan failing at
 # once costs few samples, up to _MAX_BATCH, which bounds a batch's lists.
 _FIRST_BATCH, _MAX_BATCH = 16, 1024
@@ -50,15 +54,14 @@ class InconclusiveScanError(RuntimeError):
     boundary, or a sample it would rest on is NaN or infinite."""
 
 
-class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth",
-                            defaults=(0.0, 1.0, 10_000, 1e-9, 2))):
+class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset",
+                            defaults=(0.0, 1.0, 10_000, 1e-9))):
     """Grid specification for all certification runs.
 
     The scan covers ends = [lo + endpoint_offset, hi - endpoint_offset];
     grid puts n points on it in equal steps or, for spacing "geometric",
-    equal ratios, each point inside ends.  refine_depth levels of local
-    refinement are applied around near-zero values.  endpoint_offset is a
-    normal double, so that no step or ratio built from it overflows;
+    equal ratios, each point inside ends.  endpoint_offset is a normal
+    double, so that no step or ratio built from it overflows;
     hi - endpoint_offset < 1.
     """
 
@@ -73,8 +76,6 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset refine_depth"
         if not self.endpoint_offset >= 2.2250738585072014e-308:  # also NaN
             raise ValueError("endpoint_offset must be at least the smallest normal double "
                              f"2.2250738585072014e-308; got {self.endpoint_offset}")
-        if self.refine_depth < 0:
-            raise ValueError(f"refine_depth must be >= 0; got {self.refine_depth}")
         lo, hi = self.ends
         if lo >= hi:
             raise ValueError("offsets leave an empty scan interval")
@@ -159,7 +160,7 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
     _FIRST_BATCH points, doubling up to _MAX_BATCH, and the scan stops at
     the first item on the wrong side of the claim beyond SIGN_TOLERANCE,
     with at most the rest of its batch sampled past it; the margin is the
-    smallest |item| checked before it.  Each of the cfg.refine_depth levels
+    smallest |item| checked before it.  Each of the _REFINE_DEPTH levels
     flags the items with |item| <= 10 * margin (at most _MAX_FLAGGED,
     smallest first, then leftmost), splits the intervals next to them into
     _SUBDIVISIONS + 1 parts, samples the new points together (in_batches)
@@ -203,7 +204,7 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
         if cert := check(new, range(max(start, pairs), len(vs))):
             return cert
         start, size = len(vs), min(2 * size, _MAX_BATCH)
-    for _level in range(cfg.refine_depth):
+    for _level in range(_REFINE_DEPTH):
         mags = list(map(abs, map(sub, vs[1:], vs) if pairs else vs))
         threshold = 10.0 * margin
         flagged = [i for i, m in enumerate(mags) if m <= threshold]
@@ -242,7 +243,7 @@ def certify_sign(fn: Callable[[list[float]], list[float]],
 
     fn maps a list of points to the list of its values there, in order.
     Returns "mixed" with the first (leftmost) strict violation beyond
-    SIGN_TOLERANCE; otherwise refines refine_depth times around values
+    SIGN_TOLERANCE; otherwise refines _REFINE_DEPTH times around values
     with |value| <= 10 * min_abs_margin and returns the claimed verdict
     with the final margin.  Either verdict needs every sample up to it in
     grid order to be finite; otherwise InconclusiveScanError.

@@ -4,16 +4,16 @@ and emit plot-ready tables.
 
 Each command is two steps in ``_COMMANDS``: a parse step from the argparse
 namespace to the manifest's parameters, and a run step
-``run(cfg, seed, **parameters) -> (columns, exit code)``, whose columns are
+``run(cfg, **parameters) -> (columns, exit code)``, whose columns are
 a dict of equal-length lists with its keys in output order; ``_render``
 formats them as they are, so no step builds a dict per row, and writes
 each table body with one format call, with no string per row.  Every run
 embeds its manifest (command, parameters, scan configuration, output
-format, seed) in its output; ``main`` runs the manifest it records through
+format) in its output; ``main`` runs the manifest it records through
 ``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
 a replay byte-reproduces the output.  A command takes only the options it reads,
-each by its full name only (a prefix is a usage error), and a setting it has no
-option for keeps its default; ``eval`` and ``table`` take exactly the ``--param``
+each by its full name only (a prefix is a usage error) and, ``--param`` aside,
+once, and a setting it has no option for keeps its default; ``eval`` and ``table`` take exactly the ``--param``
 keys their function needs, each once: any other option or key is a usage error.
 Both evaluate their last point first, so a function that fails there fails at
 once; every evaluation error names its point.
@@ -53,7 +53,7 @@ EXIT_INCONCLUSIVE = 3
 _FORMATS = ("json", "csv", "text")
 
 
-class RunManifest(namedtuple("RunManifest", "command parameters scan output_format seed")):
+class RunManifest(namedtuple("RunManifest", "command parameters scan output_format")):
     """Everything needed to reproduce a run byte-for-byte, checked however built."""
 
     __slots__ = ()
@@ -193,8 +193,7 @@ def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
     return ScanConfig(lo=_parse_number(args.lo, "--lo"),
                       hi=_parse_number(args.hi, "--hi"),
                       n=args.grid_n,
-                      endpoint_offset=_parse_number(args.offset, "--offset"),
-                      refine_depth=args.refine)
+                      endpoint_offset=_parse_number(args.offset, "--offset"))
 
 
 # fn name -> (required param names, module, function name); the function
@@ -255,7 +254,7 @@ def _columns(keys: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
     return dict(zip(keys, map(list, zip(*rows))))
 
 
-def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
+def _run_eval(cfg: ScanConfig, fn: str, x: list[float],
               **params: float) -> tuple[dict[str, list], int]:
     f = _resolve_fn(fn, params)
     values: list[float] = []
@@ -269,7 +268,7 @@ def _run_eval(cfg: ScanConfig, seed: int, fn: str, x: list[float],
     return {"x": x, "value": values[1:] + values[:1]}, EXIT_OK
 
 
-def _run_constants(cfg: ScanConfig, seed: int) -> tuple[dict[str, list], int]:
+def _run_constants(cfg: ScanConfig) -> tuple[dict[str, list], int]:
     res = find_a_c(cfg)
     if not family.A_RECIP_CONVEX < res.value < family.A_RECIP_CONCAVE:
         raise ValueError(f"a_c={res.value!r} must lie in (log 4, 8/5)")
@@ -294,8 +293,7 @@ def _claim(theorem: str) -> tuple[str, str, str]:
     return family.CLAIMS[theorem][:3]
 
 
-def _run_certify(cfg: ScanConfig, seed: int, theorem: str,
-                 **params: float) -> tuple[dict[str, list], int]:
+def _run_certify(cfg: ScanConfig, theorem: str, **params: float) -> tuple[dict[str, list], int]:
     symbol, factor, claimed = _claim(theorem)
     value = params[symbol]
     # looked up per command, so that a patched column form is called
@@ -311,8 +309,8 @@ _VERIFY_SELECTORS = ("sum-bounds", "weighted-sum", "product-pair",
                      "mean-chain", "k-envelope", "gamma-constants", "all")
 
 
-def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
-                p: float | None) -> tuple[dict[str, list], int]:
+def _run_verify(cfg: ScanConfig, selector: str, a: float, p: float | None,
+                seed: int) -> tuple[dict[str, list], int]:
     if selector not in _VERIFY_SELECTORS:
         raise DomainError(
             f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
@@ -354,7 +352,7 @@ def _run_verify(cfg: ScanConfig, seed: int, selector: str, a: float,
             EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_COUNTEREXAMPLE)
 
 
-def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
+def _run_table(cfg: ScanConfig, fn: str, spacing: str,
                **params: float) -> tuple[dict[str, list], int]:
     xs = cfg.grid(spacing)
     _resolve_fn(fn, params)
@@ -363,7 +361,7 @@ def _run_table(cfg: ScanConfig, seed: int, fn: str, spacing: str,
     column = (family.COLUMN_FORMS.get(attr) if module is family
               else specfun.ellip_k_column if attr == "ellip_k" else None)
     if column is None:
-        return _run_eval(cfg, seed, fn, xs, **params)
+        return _run_eval(cfg, fn, xs, **params)
     return {"x": xs, "value": in_batches(functools.partial(
         column, *(params[k] for k in required)), xs)}, EXIT_OK
 
@@ -378,19 +376,38 @@ _COMMANDS = {
                               _claim(args.theorem)[0]: _parse_number(args.value, "certify value")},
                 _run_certify),
     "verify": (lambda args: {"selector": args.selector, "a": _parse_number(args.a, "--a"),
-                             "p": None if args.p is None else _parse_number(args.p, "--p")},
+                             "p": None if args.p is None else _parse_number(args.p, "--p"),
+                             "seed": args.seed},
                _run_verify),
     "table": (lambda args: {**_collect_params(args), "spacing": args.spacing}, _run_table),
 }
 
 
+class _Once(argparse.Action):
+    """Stores the value of an argument that may be given once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Takes an option by its full name only, here and in every subparser,
-    and reads every number _parse_number accepts (-1e-05, -inf, -1/20) as a
-    value; argparse alone takes only -5, -.5 and -0.5 for one, not an option."""
+    """Takes an option by its full name only and, --param aside, at most
+    once, here and in every subparser, and reads every number _parse_number
+    accepts (-1e-05, -inf, -1/20) as a value; argparse alone takes only -5,
+    -.5 and -0.5 for one, not an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.register("action", None, _Once)  # the default action
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        vars(namespace).pop("_given", None)
+        return namespace, extras
 
     def _parse_optional(self, arg_string):
         try:
@@ -405,12 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellipcert",
         description="Elliptic-integral convexity toolkit: evaluation, "
                     "sharp constants, sign certification, inequality grids.")
-    parser.set_defaults(refine=DEFAULT_SCAN.refine_depth, seed=0)  # where no option sets them
-    output = argparse.ArgumentParser(add_help=False)  # every command
+    output = _Parser(add_help=False)  # every command
     output.add_argument("--format", choices=_FORMATS, default="text",
                         help="output format (default %(default)s)")
     output.add_argument("--out", default=None, help="write output to this path")
-    grid = argparse.ArgumentParser(add_help=False)  # every command but eval
+    grid = _Parser(add_help=False)  # every command but eval
     grid.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
                       help="grid size (default %(default)s)")
     grid.add_argument("--lo", default=repr(DEFAULT_SCAN.lo), help="scan interval start")
@@ -418,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
                       help="distance kept from the interval ends")
 
-    zoo = argparse.ArgumentParser(add_help=False)  # eval and table: fn before their own
+    zoo = _Parser(add_help=False)  # eval and table: fn before their own
     zoo.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
     zoo.add_argument("--param", action="append", metavar="k=v",
                      help="function parameter, e.g. a=1.47 or p=7/32")
@@ -436,15 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sign-certify one convexity statement")
     p_cert.add_argument("theorem", help=f"one of: {', '.join(family.CLAIMS)}")
     p_cert.add_argument("value", help="parameter value (float or fraction like 7/32)")
-    p_cert.add_argument("--refine", type=int, default=parser.get_default("refine"),
-                        help="local refinement depth around near-zero values")
 
     p_ver = sub.add_parser("verify", parents=[output, grid],
                            help="run inequality grid checks")
     p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_SELECTORS)}")
     p_ver.add_argument("--a", default="1.47", help="log-shift parameter")
     p_ver.add_argument("--p", default=None, help="power parameter")
-    p_ver.add_argument("--seed", type=int, default=parser.get_default("seed"),
+    p_ver.add_argument("--seed", type=int, default=0,
                        help="seed of mean-chain's random pairs (default %(default)s)")
 
     p_tab = sub.add_parser("table", parents=[output, grid, zoo],
@@ -456,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(m: RunManifest) -> tuple[str, int]:
     """The output text and exit code of manifest m: its run step, rendered."""
-    columns, code = _COMMANDS[m.command][1](m.scan, m.seed, **m.parameters)
+    columns, code = _COMMANDS[m.command][1](m.scan, **m.parameters)
     return _render(columns, m, m.output_format), code
 
 
@@ -471,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _COMMANDS[args.command][0](args)  # before the scan, for its error
         text, code = _run(RunManifest(args.command, params, _scan_from_args(args),
-                                      args.format, args.seed))
+                                      args.format))
     except (ConvergenceError, ValueError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

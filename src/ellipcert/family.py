@@ -54,7 +54,8 @@ ALPHA_LEMMA = (8.0 / 97.0) * (11.0 - 2.0 * math.sqrt(6.0))
 # theorem id -> (parameter symbol, name of the factor here, claimed sign,
 # region): the factor has the claimed sign on all of (0, 1) iff the
 # parameter lies in the region, a tuple of closed (lo, hi) intervals, or
-# None for thm1-convex (a >= a_c).  Named, so a patched factor is called.
+# None for thm1-convex (a >= a_c).  The factor is named, and the CLI looks
+# up its column form in COLUMN_FORMS per command.
 CLAIMS = {
     "thm1-convex": ("a", "g_factor", "nonnegative", None),
     "thm1-concave": ("a", "g_factor", "nonpositive", ((4.0 / 3.0, 4.0 / 3.0),)),
@@ -69,8 +70,15 @@ CLAIMS = {
 
 
 def in_region(theorem: str, value: float) -> bool:
-    """Whether value lies in the claimed region of theorem; False for NaN."""
-    return any(lo <= value <= hi for lo, hi in CLAIMS[theorem][3])
+    """Whether value lies in the claimed region of theorem; False for NaN.
+
+    ValueError for thm1-convex, whose region is computed, not tabled.
+    """
+    region = CLAIMS[theorem][3]
+    if region is None:
+        raise ValueError(f"the region of {theorem}, a >= a_c, is computed by "
+                         "certify.find_a_c")
+    return any(lo <= value <= hi for lo, hi in region)
 
 
 def f(a: float, x: float) -> float:

@@ -575,7 +575,8 @@ def columns(fn: Callable[[float], float]) -> Callable[[list[float]], list[float]
 def refine_scan_reference(fn: Callable[[float], float],
                           claimed: Literal["nonnegative", "nonpositive"],
                           cfg: ScanConfig,
-                          pairs: bool) -> SignCertificate:
+                          pairs: bool,
+                          depth: int) -> SignCertificate:
     """certify._refine_scan as it was first written: every refine level
     merges the new points into the whole sequence with a dict, a global
     sort and a scan of every index for unchecked items.  The production
@@ -585,12 +586,12 @@ def refine_scan_reference(fn: Callable[[float], float],
     differences fn(x_k) - fn(x_{k-1}) of consecutive samples.  Points are
     sampled left to right and the scan stops at the first item on the
     wrong side of the claim beyond SIGN_TOLERANCE; the margin is the
-    smallest |item| checked before it.  Each of the cfg.refine_depth
-    levels flags the items with |item| <= 10 * margin (at most
-    _MAX_FLAGGED, smallest first, then leftmost), splits the intervals
-    next to them into _SUBDIVISIONS + 1 parts and samples the new points;
-    the next level flags on the merged sequence.  A verdict needs every
-    sample taken before it to be finite.
+    smallest |item| checked before it.  Each of the depth levels flags
+    the items with |item| <= 10 * margin (at most _MAX_FLAGGED, smallest
+    first, then leftmost), splits the intervals next to them into
+    _SUBDIVISIONS + 1 parts and samples the new points; the next level
+    flags on the merged sequence.  A verdict needs every sample taken
+    before it to be finite.
     """
     sgn = 1.0 if claimed == "nonnegative" else -1.0
     xs = cfg.grid()
@@ -600,7 +601,7 @@ def refine_scan_reference(fn: Callable[[float], float],
     # indices k, ascending, whose item (vs[k], or vs[k] - vs[k-1]) is unchecked
     todo: Sequence[int] = range(pairs, len(xs))
     margin = math.inf
-    for level in range(cfg.refine_depth + 1):
+    for level in range(depth + 1):
         if level:
             items = [b - a for a, b in zip(vs, vs[1:])] if pairs else vs
             threshold = 10.0 * margin

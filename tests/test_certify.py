@@ -43,6 +43,12 @@ X_STAR_EXPECTED = 0.4334104493924327
 FAST = ScanConfig(n=2000)
 
 
+@pytest.fixture
+def refine_depth(monkeypatch):
+    """Sets the refine depth of every scan, certify._REFINE_DEPTH."""
+    return lambda depth: monkeypatch.setattr(certify, "_REFINE_DEPTH", depth)
+
+
 class TestScanConfig:
     def test_grid_shape(self):
         cfg = ScanConfig(n=100, endpoint_offset=1e-6)
@@ -58,7 +64,6 @@ class TestScanConfig:
         dict(hi=1.2),
         dict(n=1),
         dict(endpoint_offset=0.0),
-        dict(refine_depth=-1),
         dict(lo=0.4, hi=0.4000000001, endpoint_offset=1e-3),
         # below the smallest normal double; hi - offset rounding to 1
         dict(hi=0.5, endpoint_offset=math.nextafter(2.2250738585072014e-308, 0.0)),
@@ -140,15 +145,16 @@ class TestCertifySign:
         with pytest.raises(ValueError):
             certify_sign(oracles.columns(lambda x: x), "positive", FAST)
 
-    def test_refinement_tightens_margin(self):
+    def test_refinement_tightens_margin(self, refine_depth):
         # a function dipping to ~0 between grid points: refinement must
         # probe closer to the dip than the coarse grid does
         dip = 0.123456789
         fn = lambda x: (x - dip) ** 2 + 1e-14
-        coarse = ScanConfig(n=500, refine_depth=0)
-        refined = ScanConfig(n=500, refine_depth=2)
-        m0 = certify_sign(oracles.columns(fn), "nonnegative", coarse).min_abs_margin
-        m2 = certify_sign(oracles.columns(fn), "nonnegative", refined).min_abs_margin
+        cfg = ScanConfig(n=500)
+        refine_depth(0)
+        m0 = certify_sign(oracles.columns(fn), "nonnegative", cfg).min_abs_margin
+        refine_depth(2)
+        m2 = certify_sign(oracles.columns(fn), "nonnegative", cfg).min_abs_margin
         assert m2 < m0
 
 
@@ -199,17 +205,18 @@ class TestCertifyMonotone:
         with pytest.raises(ValueError):
             certify_monotone(oracles.columns(ellip_k), "up", FAST)
 
-    def test_refinement_never_resamples(self):
+    def test_refinement_never_resamples(self, refine_depth):
         xs = []
+        refine_depth(2)
         certify_monotone(oracles.columns(lambda x: xs.append(x) or phi(x)), "decreasing",
-                         ScanConfig(n=2000, refine_depth=2))
+                         FAST)
         assert len(xs) == len(set(xs))
 
-    def test_each_level_refines_the_merged_sequence(self):
-        m1 = certify_monotone(oracles.columns(phi),
-                              "decreasing", ScanConfig(n=2000, refine_depth=1))
-        m2 = certify_monotone(oracles.columns(phi),
-                              "decreasing", ScanConfig(n=2000, refine_depth=2))
+    def test_each_level_refines_the_merged_sequence(self, refine_depth):
+        refine_depth(1)
+        m1 = certify_monotone(oracles.columns(phi), "decreasing", FAST)
+        refine_depth(2)
+        m2 = certify_monotone(oracles.columns(phi), "decreasing", FAST)
         assert m2.min_abs_margin < m1.min_abs_margin
 
     def test_mixed_scan_stops_at_witness(self):
@@ -247,15 +254,16 @@ class TestSampleCounts:
         certify_sign(oracles.columns(counted), claimed)
         assert len(xs) == expected
 
-    def test_monotone(self):
+    def test_monotone(self, refine_depth):
         counted, xs = _counted(phi)
-        certify_monotone(oracles.columns(counted),
-                         "decreasing", ScanConfig(n=2000, refine_depth=2))
+        refine_depth(2)
+        certify_monotone(oracles.columns(counted), "decreasing", FAST)
         assert len(xs) == 6096
 
-    def test_flag_cap(self):
+    def test_flag_cap(self, refine_depth):
         counted, xs = _counted(lambda x: 0.0)
-        certify_sign(oracles.columns(counted), "nonnegative", ScanConfig(n=1000, refine_depth=3))
+        refine_depth(3)
+        certify_sign(oracles.columns(counted), "nonnegative", ScanConfig(n=1000))
         assert len(xs) == 7144
 
 
@@ -295,9 +303,9 @@ def _engine_cases():
 _ENGINE_CASES = list(_engine_cases())
 
 
-def _outcome(engine, fn, claimed, cfg, pairs):
+def _outcome(engine, *args):
     try:
-        return repr(engine(fn, claimed, cfg, pairs))
+        return repr(engine(*args))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -307,25 +315,27 @@ class TestEngineAgainstReference:
     rebuilds the whole sequence at every refine level, returns, or raises
     what it raises."""
 
-    @pytest.mark.parametrize("cfg", [
-        ScanConfig(),
-        ScanConfig(n=37, refine_depth=4),
+    @pytest.mark.parametrize("cfg, depth", [
+        (ScanConfig(), 2),
+        (ScanConfig(n=37), 4),
         # grid steps of 3 or 4 ulp: most subdivision points round onto each
         # other or onto the ends of their intervals
-        ScanConfig(lo=0.3, hi=0.30000000000001, n=50, endpoint_offset=1e-16, refine_depth=3),
+        (ScanConfig(lo=0.3, hi=0.30000000000001, n=50, endpoint_offset=1e-16), 3),
         # grids that end just after, at and just before a batch boundary
-        ScanConfig(n=17, refine_depth=3),
-        ScanConfig(n=48, refine_depth=3),
-        ScanConfig(n=49, refine_depth=3),
+        (ScanConfig(n=17), 3),
+        (ScanConfig(n=48), 3),
+        (ScanConfig(n=49), 3),
     ], ids=["default", "n37-depth4", "ulp-interval", "n17-depth3", "n48-depth3", "n49-depth3"])
     @pytest.mark.parametrize("pairs", [False, True], ids=["sign", "pairs"])
     @pytest.mark.parametrize("fn, claimed", [c[1:] for c in _ENGINE_CASES],
                              ids=[c[0] for c in _ENGINE_CASES])
-    def test_same_outcome(self, fn, claimed, pairs, cfg):
+    def test_same_outcome(self, refine_depth, fn, claimed, pairs, cfg, depth):
         fn = functools.cache(fn)  # both engines sample the same points
         ours, theirs = _counted(fn), _counted(fn)
+        refine_depth(depth)
         outcome = _outcome(_refine_scan, oracles.columns(ours[0]), claimed, cfg, pairs)
-        assert outcome == _outcome(oracles.refine_scan_reference, theirs[0], claimed, cfg, pairs)
+        assert outcome == _outcome(oracles.refine_scan_reference, theirs[0], claimed, cfg,
+                                   pairs, depth)
         # a verdict for the claim rests on the same samples, and a mixed
         # scan may sample past its witness to the end of its batch (an
         # inconclusive one raises at its first non-finite sample)
@@ -468,6 +478,12 @@ class TestClaimRegions:
     def test_finite_ends(self):
         assert len(_REGION_ENDS) == 11
         assert family.CLAIMS["thm1-convex"][3] is None  # a_c is computed
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, math.nan])
+    def test_computed_region_has_no_test(self, value):
+        with pytest.raises(ValueError, match=r"^the region of thm1-convex, a >= a_c, "
+                                             r"is computed by certify\.find_a_c$"):
+            family.in_region("thm1-convex", value)
 
     @pytest.mark.parametrize("theorem, side, end", _REGION_ENDS,
                              ids=[f"{t} {s} {e!r}" for t, s, e in _REGION_ENDS])

@@ -24,7 +24,7 @@ FAST = ["--grid-n", "2000"]
 OPTIONS = {
     "eval": ("--format", "--out"),
     "constants": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset"),
-    "certify": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset", "--refine"),
+    "certify": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset"),
     "verify": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset", "--seed"),
     "table": ("--format", "--out", "--grid-n", "--lo", "--hi", "--offset"),
 }
@@ -50,13 +50,14 @@ def manifest_of(out, fmt):
 
 
 # a valid argv of each command, and for each run-setting option but --out
-# a value other than its default with the manifest key and value that record it
+# a value other than its default with the key and value that record it in the
+# manifest, its scan or its parameters
 BASE = {"eval": ["eval", "K", "0.5"], "constants": ["constants"],
         "certify": ["certify", "thm1-convex", "1.5"], "verify": ["verify", "sum-bounds"],
         "table": ["table", "K"]}
 VALUES = {"--grid-n": ("7", "n", 7), "--lo": ("1/4", "lo", 0.25),
           "--hi": ("0.75", "hi", 0.75), "--offset": ("1e-6", "endpoint_offset", 1e-6),
-          "--refine": ("3", "refine_depth", 3), "--seed": ("5", "seed", 5),
+          "--seed": ("5", "seed", 5),
           "--format": ("csv", "output_format", "csv")}
 
 # command -> every long option it declares, --help aside, and a value each takes
@@ -72,6 +73,10 @@ PREFIXES = {(command, option[:k]): option for command, options in DECLARED.items
             for option in options for k in range(3, len(option))}
 
 
+# options that no command takes any more, with a value each once took
+REMOVED = {"--refine": "3"}
+
+
 class TestOptionContract:
     """Each command takes only the run-setting options of OPTIONS; every
     other one is argparse's usage error, and a setting a command has no
@@ -80,6 +85,8 @@ class TestOptionContract:
     @pytest.mark.parametrize("argv", [
         *(BASE[command] + [option, VALUES[option][0]] for command in OPTIONS
           for option in SETTING_OPTIONS if option not in OPTIONS[command]),
+        *(BASE[command] + [option, value] for command in OPTIONS
+          for option, value in REMOVED.items()),
         # each of these once ran, exit 0, and recorded the ignored value
         ["eval", "K", "0.5", "--grid-n", "7", "--lo", "0.3"],
         ["table", "K", "--grid-n", "5", "--refine", "4"],
@@ -93,49 +100,73 @@ class TestOptionContract:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         rejected = [f"{opt} {value}" for opt, value in zip(argv, argv[1:])
-                    if opt in SETTING_OPTIONS and opt not in OPTIONS[argv[0]]]
+                    if opt in REMOVED or opt in SETTING_OPTIONS and opt not in OPTIONS[argv[0]]]
         assert err.endswith(f"error: unrecognized arguments: {' '.join(rejected)}\n")
 
     @pytest.mark.parametrize("command", OPTIONS)
     def test_every_option_reaches_the_manifest(self, capsys, tmp_path, command):
         target = tmp_path / "out.txt"  # --out writes the whole output there
         argv = BASE[command] + ["--out", str(target)]
-        expected = {"command": command, "seed": 0, "scan": cli.DEFAULT_SCAN._asdict()}
+        expected = {"command": command, **cli.DEFAULT_SCAN._asdict()}
         for option in OPTIONS[command]:
             if option != "--out":
                 text, key, value = VALUES[option]
                 argv += [option, text]
-                (expected["scan"] if key in expected["scan"] else expected)[key] = value
+                expected[key] = value
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, "", "")
         manifest = manifest_of(target.read_text(), "csv")
-        assert {k: manifest[k] for k in expected} == expected
+        settings = {**manifest, **manifest["scan"], **manifest["parameters"]}
+        assert {k: settings[k] for k in expected} == expected
 
     # text outputs of the first three once-ignored argvs above, from when every command
     # took all eight options and recorded the ones it ignored: the manifest
-    # line as written, and the sha256 of the whole output
+    # line as written, in the layout of the manifest now, and the sha256 of
+    # the whole output
     @pytest.mark.parametrize("manifest, digest", [
         ('{"command":"eval","output_format":"text","parameters":{"fn":"K","x":[0.5]},'
-         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.3,"n":7,"refine_depth":2},"seed":0}',
-         "2e32ffa697a20f6442e096099af958fb088a80a9b177f9806fbc6b0772faf105"),
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.3,"n":7}}',
+         "0912f9c9b3937454af40d75e1b4d1eb24ad06d5b74b7f2acff9597a80939cacc"),
         ('{"command":"table","output_format":"text","parameters":{"fn":"K","spacing":"uniform"},'
-         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":5,"refine_depth":4},"seed":0}',
-         "191d8c3e62144ac514aa9d65cebde34250b220ba8a84af50630f91c177c7a4c0"),
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":5}}',
+         "a4cafc38de53a5e58a0e6d345aae475ebd2d5347cb401756eda22199a9feece5"),
         ('{"command":"certify","output_format":"text",'
          '"parameters":{"a":1.5,"theorem":"thm1-convex"},'
-         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":200,"refine_depth":2},"seed":9}',
-         "f7f584a865cd74d36756122f1beb4132584a625b8309853c5198a8a5fcaed3e7"),
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":200}}',
+         "df12daa8fb7ba4077ed4cf7541b0c5b2d2f0b1b12ac7d66b8564c82c6e20a23a"),
     ], ids=["eval", "table", "certify"])
     def test_manifest_with_a_setting_no_option_sets_replays(self, manifest, digest):
         out = cli.run_from_manifest(json.loads(manifest))
         assert out.startswith(f"manifest: {manifest}\n")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # manifests as written before the refine depth became a constant and the
+    # seed a parameter of verify alone: a scan with refine_depth, a top-level seed
+    @pytest.mark.parametrize("manifest, key", [
+        ('{"command":"certify","output_format":"text",'
+         '"parameters":{"a":1.5,"theorem":"thm1-convex"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":200,"refine_depth":2},"seed":9}',
+         "refine_depth"),
+        ('{"command":"verify","output_format":"csv",'
+         '"parameters":{"a":1.47,"p":null,"selector":"sum-bounds"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":50,"refine_depth":2},"seed":0}',
+         "refine_depth"),
+        # with the refine depth alone taken out
+        ('{"command":"constants","output_format":"json","parameters":{},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":50},"seed":0}', "seed"),
+        ('{"command":"verify","output_format":"csv",'
+         '"parameters":{"a":1.47,"p":null,"selector":"sum-bounds"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":50},"seed":0}', "seed"),
+    ], ids=["certify", "verify", "constants-seed", "verify-seed"])
+    def test_manifest_in_the_old_layout_is_rejected(self, manifest, key):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'$"):
+            cli.run_from_manifest(json.loads(manifest))
+
 
 class TestFullOptionNames:
     """Each command takes its options by their full names only, with the value
     as the next argument or after "="; any prefix is argparse's usage error,
-    so the 33 declared names are the only spellings."""
+    so the 32 declared names are the only spellings."""
 
     @pytest.mark.parametrize("command", DECLARED)
     def test_declared_options_are_the_parsers(self, command):
@@ -185,6 +216,38 @@ class TestFullOptionNames:
                 assert argvs
                 for argv in argvs:
                     assert parser.parse_args(argv).command == argv[0]
+
+
+class TestRepeatedOption:
+    """Each option but --param is taken once: a second one, with the same
+    value or another, is argparse's usage error, which names it."""
+
+    CASES = [
+        *((BASE[command] + [option, OPTION_VALUES[option], f"{option}={OPTION_VALUES[option]}"],
+           option) for command, options in DECLARED.items() for option in options
+          if option != "--param"),
+        # each of these once ran, exit 0, on the last value
+        (["table", "K", "--grid-n", "5", "--grid-n", "3", "--format", "csv"], "--grid-n"),
+        (["verify", "mean-chain", "--seed", "1", "--p", "0.5", "--seed", "2"], "--seed"),
+        (["eval", "K", "0.5", "--out", "a.txt", "--out", "b.txt"], "--out"),
+    ]
+
+    @pytest.mark.parametrize("argv, option", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_second_value_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: given more than once\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_param_repeats_with_its_keys_once(self, capsys):
+        code, out, _ = run(capsys, ["eval", "2F1", "--param", "a=0.5", "--param", "b=0.5",
+                                    "--param", "c=1", "0.5", "--format", "json"])
+        assert code == 0
+        assert manifest_of(out, "json")["parameters"] == {
+            "fn": "2F1", "a": 0.5, "b": 0.5, "c": 1.0, "x": [0.5]}
 
 
 class TestEval:
@@ -515,7 +578,7 @@ class TestFloatRange:
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_nan_manifest_parameter_is_null(self, fmt):
         manifest = cli.RunManifest("eval", {"fn": "f", "a": math.nan, "x": [0.5]},
-                                   cli.DEFAULT_SCAN, fmt, 0)
+                                   cli.DEFAULT_SCAN, fmt)
         text, code = cli._run(manifest)
         assert code == 0
         strict = dict(parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
@@ -528,7 +591,7 @@ class TestFloatRange:
         assert embedded["parameters"] == {"fn": "f", "a": None, "x": [0.5]}
 
     def test_json_writes_nonfinite_as_null(self):
-        manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json", 0)
+        manifest = cli.RunManifest("eval", {"x": [0.5]}, cli.DEFAULT_SCAN, "json")
         columns = {"x": [0.5, 0.6, 0.7], "value": [math.inf, math.nan, 1.0]}
         doc = json.loads(cli._render(columns, manifest, "json"),
                          parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
@@ -654,8 +717,20 @@ class TestOutputContracts:
         doc = json.loads(out)
         assert set(doc) == {"manifest", "results"}
         assert doc["manifest"]["command"] == "eval"
-        assert doc["manifest"]["seed"] == 0
         assert doc["manifest"]["scan"]["n"] == 10000
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_manifest_fields(self, capsys, command):
+        # only the settings some run reads: no refine depth, and a seed
+        # among verify's parameters alone
+        code, out, _ = run(capsys, fast(BASE[command] + ["--format", "json"]))
+        assert code == 0
+        manifest = manifest_of(out, "json")
+        assert list(manifest) == ["command", "parameters", "scan", "output_format"]
+        assert list(manifest["scan"]) == ["lo", "hi", "n", "endpoint_offset"]
+        assert ("seed" in manifest["parameters"]) == (command == "verify")
+        if command == "verify":
+            assert list(manifest["parameters"]) == ["selector", "a", "p", "seed"]
 
     def test_csv_lf_endings(self, capsys):
         _, out, _ = run(capsys, ["eval", "K", "0.5", "0.9", "--format", "csv"])
@@ -721,7 +796,7 @@ class TestOutputContracts:
         columns = {'x%s "1%"': xs, kind: cells}
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         manifest = cli.RunManifest("table", {"fn": "K%s", "spacing": "uniform"},
-                                   cli.DEFAULT_SCAN, fmt, 0)
+                                   cli.DEFAULT_SCAN, fmt)
         assert cli._render(columns, manifest, fmt) == oracles.render_reference(
             rows, manifest, fmt)
 
@@ -763,7 +838,7 @@ class TestExitCodeContract:
         # an error from a run step ends in exit 3 (inconclusive) or 2, with
         # one line on stderr and none on stdout; an exported error without
         # a handler escapes main and fails here
-        def run_step(cfg, seed):
+        def run_step(cfg):
             raise error("boom")
 
         monkeypatch.setitem(cli._COMMANDS, "constants", (lambda args: {}, run_step))

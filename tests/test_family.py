@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import ellip_kept
-from ellipcert import cli, family
+from ellipcert import certify, cli, family
 from ellipcert.certify import ExtremumResult, ScanConfig, certify_sign
 from ellipcert.family import (
     ALPHA_LEMMA,
@@ -479,8 +479,9 @@ class TestHotPath:
         return counts
 
     @pytest.mark.parametrize("theorem", sorted(family.CLAIMS))
-    def test_one_kernel_pass_per_batch(self, theorem, counts):
+    def test_one_kernel_pass_per_batch(self, monkeypatch, theorem, counts):
         symbol, factor, claimed, _ = family.CLAIMS[theorem]
+        monkeypatch.setattr(certify, "_REFINE_DEPTH", 2)
         batches = []
         for value in ((1.3, 1.5) if symbol == "a" else (0.1, 0.3)):
             fn = functools.partial(family.COLUMN_FORMS[factor], value)
@@ -488,7 +489,7 @@ class TestHotPath:
             def counted(xs, fn=fn):
                 batches.append(len(xs))
                 return fn(xs)
-            certify_sign(counted, claimed, ScanConfig(n=200, refine_depth=2))
+            certify_sign(counted, claimed, ScanConfig(n=200))
         assert batches
         assert counts == {"kernel": batches, "domain": 0}
 

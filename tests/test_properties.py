@@ -6,7 +6,8 @@ traceback, and its JSON output must be strict JSON (no NaN or Infinity
 tokens).  Every output replays: ``cli.run_from_manifest`` on the
 manifest it embeds returns the same text.  Grids are kept at 50 points
 so that each example is fast; scan options go only to the commands that
-take them, so that argparse rejects no argv and each reaches its run step.
+take them, each once, so that argparse rejects no argv and each reaches
+its run step.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings (with the
@@ -63,7 +64,8 @@ NUMBERS = st.one_of(
 UNIT = st.floats(min_value=0.0, max_value=1.0).map(repr)
 FORMATS = st.sampled_from(["json", "csv", "text"])
 SCAN = st.lists(st.tuples(st.sampled_from(["--lo", "--hi", "--offset"]),
-                          st.one_of(FLOATS, UNIT, NUMBERS)), max_size=2)
+                          st.one_of(FLOATS, UNIT, NUMBERS)),
+                max_size=2, unique_by=lambda option: option[0])
 
 
 def _reject_constant(token):
@@ -160,7 +162,7 @@ def tables(draw):
 @example(rows=[])
 def test_render_matches_reference(fmt, rows):
     manifest = cli.RunManifest("table", {"fn": "K", "spacing": "uniform"},
-                               cli.DEFAULT_SCAN, fmt, 0)
+                               cli.DEFAULT_SCAN, fmt)
     columns = {k: [row[k] for row in rows] for k in rows[0]} if rows else {}
     assert cli._render(columns, manifest, fmt) == oracles.render_reference(rows, manifest, fmt)
 

@@ -367,7 +367,7 @@ class TestOnePassKernel:
         # `table K` reads ellip_k_column, the K-only AGM loop, ellip_kept
         # the full one: every value of a 20k-point table is ellip_kept's K
         # to the bit
-        cols = cli._run_table(ScanConfig(n=20000), 0, "K", spacing)[0]
+        cols = cli._run_table(ScanConfig(n=20000), "K", spacing)[0]
         assert len(cols["x"]) == 20000
         bad = [x for x, v in zip(cols["x"], cols["value"]) if v != ellip_kept(x)[0]]
         assert not bad, bad[:5]
