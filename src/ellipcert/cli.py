@@ -3,22 +3,23 @@ constants, run sign certifications, verify the inequality corollaries,
 and emit plot-ready tables.
 
 Each command is two steps in ``_COMMANDS``: a parse step from the argparse
-namespace to the manifest's parameters, and a run step
-``run(cfg, **parameters) -> (columns, exit code)``, whose columns are
-a dict of equal-length lists with its keys in output order; ``_render``
-formats them as they are, so no step builds a dict per row, and writes
-each table body with one format call, with no string per row.  Every run
-embeds its manifest (command, parameters, scan configuration, output
-format) in its output; ``main`` runs the manifest it records through
-``_run``, and ``run_from_manifest`` runs a parsed one through it too, so
-a replay byte-reproduces the output.  A command takes only the options it reads,
-each by its full name only (a prefix is a usage error) and, ``--param`` aside,
-once, and a setting it has no option for keeps its default; ``eval`` and ``table`` take exactly the ``--param``
-keys their function needs, each once: any other option or key is a usage error.
+namespace to the manifest's parameters, and a run step ``run(cfg,
+**parameters) -> (columns, exit code)``, whose columns are a dict of
+equal-length lists with its keys in output order; ``_render`` formats them
+as they are, so no step builds a dict per row, and writes each table body
+with one format call, with no string per row.  Every run embeds its manifest
+(command, parameters, scan configuration, output format) in its output;
+``main`` runs the manifest it records through ``_run``, and
+``run_from_manifest`` runs a parsed one through it too, so a replay
+byte-reproduces the output.  A command, and each ``verify`` selector, takes
+only the options it reads (``_VERIFY_OPTIONS``), each by its full name only
+and, ``--param`` aside, once, and a setting it has no option for keeps its
+default; ``eval`` and ``table`` take exactly the ``--param`` keys their
+function needs, each once: any other option, prefix or key is a usage error.
 Both evaluate their last point first, so a function that fails there fails at
 once; every evaluation error names its point.
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
-error (an unwritable ``--out`` too), 3 inconclusive.
+error (an unwritable ``--out`` or a grid too large for memory too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
 ``certify`` reads its theorem ids, factors and claimed signs from ``family.CLAIMS``.
 """
@@ -305,15 +306,29 @@ def _run_certify(cfg: ScanConfig, theorem: str, **params: float) -> tuple[dict[s
     return _columns(keys, [row]), EXIT_OK if cert.verdict == claimed else EXIT_COUNTEREXAMPLE
 
 
-_VERIFY_SELECTORS = ("sum-bounds", "weighted-sum", "product-pair",
-                     "mean-chain", "k-envelope", "gamma-constants", "all")
+_SCAN_OPTIONS = ("--grid-n", "--lo", "--hi", "--offset")
+_VERIFY_OPTIONS = {  # verify selector -> the options its checks read, beside --format and --out
+    "sum-bounds": (*_SCAN_OPTIONS, "--a"), "weighted-sum": (*_SCAN_OPTIONS, "--p"),
+    "product-pair": (*_SCAN_OPTIONS, "--p"),
+    "mean-chain": (*_SCAN_OPTIONS[1:], "--p", "--seed"),  # its interval's ends alone
+    "k-envelope": (*_SCAN_OPTIONS, "--p"), "gamma-constants": (),  # a fixed grid
+    "all": (*_SCAN_OPTIONS, "--a", "--p", "--seed")}
+
+
+def _verify_params(args: argparse.Namespace) -> dict[str, object]:
+    reads = _VERIFY_OPTIONS.get(args.selector, _VERIFY_OPTIONS["all"])  # unknown: see _run_verify
+    for option in _VERIFY_OPTIONS["all"]:
+        if option not in reads and option[2:].replace("-", "_") in args._given:
+            raise DomainError(f"selector {args.selector!r} takes no {option}")
+    return {"selector": args.selector, "a": _parse_number(args.a, "--a"),
+            "p": None if args.p is None else _parse_number(args.p, "--p"), "seed": args.seed}
 
 
 def _run_verify(cfg: ScanConfig, selector: str, a: float, p: float | None,
                 seed: int) -> tuple[dict[str, list], int]:
-    if selector not in _VERIFY_SELECTORS:
+    if selector not in _VERIFY_OPTIONS:
         raise DomainError(
-            f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_SELECTORS)}")
+            f"unknown selector {selector!r}; choose from {', '.join(_VERIFY_OPTIONS)}")
     from . import inequalities  # only verify pays for loading the checks
 
     # one grid with K(x) and K(1-x) for every grid check of this command;
@@ -375,16 +390,13 @@ _COMMANDS = {
     "certify": (lambda args: {"theorem": args.theorem,
                               _claim(args.theorem)[0]: _parse_number(args.value, "certify value")},
                 _run_certify),
-    "verify": (lambda args: {"selector": args.selector, "a": _parse_number(args.a, "--a"),
-                             "p": None if args.p is None else _parse_number(args.p, "--p"),
-                             "seed": args.seed},
-               _run_verify),
+    "verify": (_verify_params, _run_verify),
     "table": (lambda args: {**_collect_params(args), "spacing": args.spacing}, _run_table),
 }
 
 
 class _Once(argparse.Action):
-    """Stores the value of an argument that may be given once."""
+    """Stores an argument that may be given once, its dest in namespace._given."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         given = vars(namespace).setdefault("_given", set())
@@ -404,11 +416,6 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self.register("action", None, _Once)  # the default action
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        vars(namespace).pop("_given", None)
-        return namespace, extras
-
     def _parse_optional(self, arg_string):
         try:
             list(map(float, arg_string.split("/", 1)))
@@ -418,6 +425,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def read_by(option):  # the verify selectors that read option, for its help
+        return ", ".join(s for s, options in _VERIFY_OPTIONS.items() if option in options)
     parser = _Parser(
         prog="ellipcert",
         description="Elliptic-integral convexity toolkit: evaluation, "
@@ -428,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, help="write output to this path")
     grid = _Parser(add_help=False)  # every command but eval
     grid.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
-                      help="grid size (default %(default)s)")
+                      help=f"grid size (default %(default)s; verify: {read_by('--grid-n')})")
     grid.add_argument("--lo", default=repr(DEFAULT_SCAN.lo), help="scan interval start")
     grid.add_argument("--hi", default=repr(DEFAULT_SCAN.hi), help="scan interval end")
     grid.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
@@ -455,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[output, grid],
                            help="run inequality grid checks")
-    p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_SELECTORS)}")
-    p_ver.add_argument("--a", default="1.47", help="log-shift parameter")
-    p_ver.add_argument("--p", default=None, help="power parameter")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed of mean-chain's random pairs (default %(default)s)")
+    p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_OPTIONS)}")
+    p_ver.add_argument("--a", default="1.47", help=f"log-shift parameter of {read_by('--a')}")
+    p_ver.add_argument("--p", default=None, help=f"power parameter of {read_by('--p')}")
+    p_ver.add_argument("--seed", type=int, default=0, help="seed of the random pairs of "
+                       f"{read_by('--seed')} (default %(default)s)")
 
     p_tab = sub.add_parser("table", parents=[output, grid, zoo],
                            help="emit an x,value table for external plotting")
@@ -489,8 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, ValueError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:  # a power too large for a double
-        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # a power too large for a double, a huge grid
+        what = "memory" if isinstance(exc, MemoryError) else f"floating-point range: {exc}"
+        print(f"error: out of {what}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveScanError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -38,8 +38,9 @@ def run(capsys, argv):
 
 
 def fast(argv):
-    """argv on the FAST grid, where its command takes --grid-n."""
-    return argv + FAST if "--grid-n" in OPTIONS[argv[0]] else argv
+    """argv on the FAST grid, where its command, or its verify selector, reads --grid-n."""
+    reads = cli._VERIFY_OPTIONS[argv[1]] if argv[0] == "verify" else OPTIONS[argv[0]]
+    return argv + FAST if "--grid-n" in reads else argv
 
 
 def manifest_of(out, fmt):
@@ -49,15 +50,16 @@ def manifest_of(out, fmt):
     return json.loads(out.splitlines()[0].partition("manifest: ")[2])
 
 
-# a valid argv of each command, and for each run-setting option but --out
+# a valid argv of each command, verify with the selector that reads every
+# option, and for each option of a run setting or verify parameter but --out
 # a value other than its default with the key and value that record it in the
 # manifest, its scan or its parameters
 BASE = {"eval": ["eval", "K", "0.5"], "constants": ["constants"],
-        "certify": ["certify", "thm1-convex", "1.5"], "verify": ["verify", "sum-bounds"],
+        "certify": ["certify", "thm1-convex", "1.5"], "verify": ["verify", "all"],
         "table": ["table", "K"]}
 VALUES = {"--grid-n": ("7", "n", 7), "--lo": ("1/4", "lo", 0.25),
           "--hi": ("0.75", "hi", 0.75), "--offset": ("1e-6", "endpoint_offset", 1e-6),
-          "--seed": ("5", "seed", 5),
+          "--seed": ("5", "seed", 5), "--a": ("1.5", "a", 1.5), "--p": ("0.5", "p", 0.5),
           "--format": ("csv", "output_format", "csv")}
 
 # command -> every long option it declares, --help aside, and a value each takes
@@ -65,13 +67,17 @@ DECLARED = {command: options + {"eval": ("--param",), "verify": ("--a", "--p"),
                                 "table": ("--param", "--spacing")}.get(command, ())
             for command, options in OPTIONS.items()}
 OPTION_VALUES = {**{option: text for option, (text, _, _) in VALUES.items()},
-                 "--out": "out.txt", "--param": "p=1", "--a": "1.5", "--p": "0.5",
-                 "--spacing": "geometric"}
+                 "--out": "out.txt", "--param": "p=1", "--spacing": "geometric"}
 # (command, prefix) -> an option it begins, for each proper prefix of a
 # declared option from "--" and one letter on; none is an option itself
 PREFIXES = {(command, option[:k]): option for command, options in DECLARED.items()
             for option in options for k in range(3, len(option))}
 
+
+# (verify selector, option) for every option verify takes: the selector takes
+# the option where its checks read it, and --format and --out always
+VERIFY_PAIRS = [(selector, option) for selector in cli._VERIFY_OPTIONS
+                for option in (*OPTIONS["verify"], "--a", "--p")]
 
 # options that no command takes any more, with a value each once took
 REMOVED = {"--refine": "3"}
@@ -80,7 +86,9 @@ REMOVED = {"--refine": "3"}
 class TestOptionContract:
     """Each command takes only the run-setting options of OPTIONS; every
     other one is argparse's usage error, and a setting a command has no
-    option for keeps its default in the manifest."""
+    option for keeps its default in the manifest.  A verify selector takes
+    only the options of cli._VERIFY_OPTIONS beside --format and --out; verify's
+    parse step refuses any other, and the manifest keeps its default."""
 
     @pytest.mark.parametrize("argv", [
         *(BASE[command] + [option, VALUES[option][0]] for command in OPTIONS
@@ -119,10 +127,54 @@ class TestOptionContract:
         settings = {**manifest, **manifest["scan"], **manifest["parameters"]}
         assert {k: settings[k] for k in expected} == expected
 
-    # text outputs of the first three once-ignored argvs above, from when every command
-    # took all eight options and recorded the ones it ignored: the manifest
-    # line as written, in the layout of the manifest now, and the sha256 of
-    # the whole output
+    def test_verify_selectors_take_46_of_63_pairs(self):
+        taken = [(selector, option) for selector, option in VERIFY_PAIRS
+                 if option in (*cli._VERIFY_OPTIONS[selector], "--format", "--out")]
+        assert (len(taken), len(VERIFY_PAIRS)) == (46, 63)
+
+    @pytest.mark.parametrize("selector, option", VERIFY_PAIRS,
+                             ids=[" ".join(pair) for pair in VERIFY_PAIRS])
+    def test_verify_selector_takes_the_options_it_reads(self, capsys, tmp_path, selector,
+                                                          option):
+        target = tmp_path / "out.txt"  # --out writes the whole output there
+        text = str(target) if option == "--out" else VALUES[option][0]
+        code, out, err = run(capsys, ["verify", selector, option, text])
+        if option not in (*cli._VERIFY_OPTIONS[selector], "--format", "--out"):
+            assert (code, out) == (2, "")
+            assert err == f"error: selector {selector!r} takes no {option}\n"
+            return
+        assert (code, err) == (0, "")
+        # the given value, and every other setting at its default
+        expected = {"command": "verify", "output_format": "text", **cli.DEFAULT_SCAN._asdict(),
+                    "selector": selector, "a": 1.47, "p": None, "seed": 0}
+        if option != "--out":
+            _, key, value = VALUES[option]
+            expected[key] = value
+        written = target.read_text() if option == "--out" else out
+        manifest = manifest_of(written, expected["output_format"])
+        settings = {**manifest, **manifest["scan"], **manifest["parameters"]}
+        assert {k: settings[k] for k in expected} == expected
+        assert cli.run_from_manifest(manifest) == written
+
+    @pytest.mark.parametrize("argv, option", [
+        # each of these once ran, exit 0, and recorded the option it ignored
+        (["verify", "mean-chain", "--grid-n", "3"], "--grid-n"),
+        (["verify", "gamma-constants", "--a", "9", "--p", "7"], "--a"),
+        (["verify", "gamma-constants", "--lo", "0.9", "--grid-n", "2"], "--grid-n"),
+        (["verify", "sum-bounds", "--p", "0.3", "--seed", "4"], "--p"),
+        (["verify", "mean-chain", "--grid-n", "3", "--p", "0.5"], "--grid-n"),
+        # refused before any value is read
+        (["verify", "gamma-constants", "--p", "x", "--offset", "1e-300"], "--offset"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_verify_option_the_selector_does_not_read(self, capsys, argv, option):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: selector {argv[1]!r} takes no {option}\n"
+
+    # text outputs of once-ignored argvs, from when every command took all
+    # eight options (and every verify selector all nine) and recorded the ones
+    # it ignored: the manifest line as written, in the layout of the manifest
+    # now, and the sha256 of the whole output
     @pytest.mark.parametrize("manifest, digest", [
         ('{"command":"eval","output_format":"text","parameters":{"fn":"K","x":[0.5]},'
          '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.3,"n":7}}',
@@ -134,7 +186,23 @@ class TestOptionContract:
          '"parameters":{"a":1.5,"theorem":"thm1-convex"},'
          '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":200}}',
          "df12daa8fb7ba4077ed4cf7541b0c5b2d2f0b1b12ac7d66b8564c82c6e20a23a"),
-    ], ids=["eval", "table", "certify"])
+        # verify gamma-constants --lo 0.9 --grid-n 2
+        ('{"command":"verify","output_format":"text",'
+         '"parameters":{"a":1.47,"p":null,"seed":0,"selector":"gamma-constants"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.9,"n":2}}',
+         "056c005db7bf251ee81425384083e2d9efe339d690cf2a20b407277e26b1595b"),
+        # verify sum-bounds --p 0.3 --seed 4 --grid-n 50
+        ('{"command":"verify","output_format":"text",'
+         '"parameters":{"a":1.47,"p":0.3,"seed":4,"selector":"sum-bounds"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":50}}',
+         "eef010257b549e1d68d6aa570144804eecd05c1bc9c181e28753a997f603bc07"),
+        # verify mean-chain --grid-n 3
+        ('{"command":"verify","output_format":"text",'
+         '"parameters":{"a":1.47,"p":null,"seed":0,"selector":"mean-chain"},'
+         '"scan":{"endpoint_offset":1e-09,"hi":1.0,"lo":0.0,"n":3}}',
+         "d3f12e23caab23c759d7df440672a5e64254ea966b72c48ac538f678352e8e5f"),
+    ], ids=["eval", "table", "certify", "verify-gamma-constants", "verify-sum-bounds",
+            "verify-mean-chain"])
     def test_manifest_with_a_setting_no_option_sets_replays(self, manifest, digest):
         out = cli.run_from_manifest(json.loads(manifest))
         assert out.startswith(f"manifest: {manifest}\n")
@@ -203,7 +271,8 @@ class TestFullOptionNames:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_bench_argv_parses(self, monkeypatch):
-        # an argv the parser refused would fail its benchmark case
+        # an argv the parser or its command's parse step refused would fail
+        # its benchmark case
         path = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
         spec = importlib.util.spec_from_file_location("bench_cases", path)
         cases = importlib.util.module_from_spec(spec)
@@ -215,7 +284,9 @@ class TestFullOptionNames:
                 argvs = [list(case.argv) for case in cases.build(workload, seed)]
                 assert argvs
                 for argv in argvs:
-                    assert parser.parse_args(argv).command == argv[0]
+                    args = parser.parse_args(argv)
+                    assert args.command == argv[0]
+                    cli._COMMANDS[argv[0]][0](args)  # and its parse step takes it
 
 
 class TestRepeatedOption:
@@ -672,6 +743,16 @@ class TestTable:
         if fn == "2F1":  # it summed 9,999 points before it failed, about 1 s
             assert time.perf_counter() - start < 0.2
 
+    def test_grid_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
+        # a grid that does not fit in memory ends in exit 2, not a traceback;
+        # the grid's MemoryError is raised here without building it
+        def grid(self, spacing="uniform"):
+            raise MemoryError
+
+        monkeypatch.setattr(ScanConfig, "grid", grid)
+        code, out, err = run(capsys, ["table", "K", "--grid-n", "100000000", "--format", "csv"])
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
     def test_w_plus_table(self, capsys):
         code, out, _ = run(capsys, ["table", "w_plus", "--grid-n", "1000",
                                     "--format", "csv"])
@@ -738,8 +819,7 @@ class TestOutputContracts:
         assert out.endswith("\n")
 
     def test_byte_reproducibility(self, capsys):
-        argv = ["verify", "mean-chain", "--p", "0.5", "--seed", "3",
-                "--format", "json", *FAST]
+        argv = ["verify", "mean-chain", "--p", "0.5", "--seed", "3", "--format", "json"]
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2

@@ -5,9 +5,10 @@ number, must end with an exit code in {0, 1, 2, 3}, never with a
 traceback, and its JSON output must be strict JSON (no NaN or Infinity
 tokens).  Every output replays: ``cli.run_from_manifest`` on the
 manifest it embeds returns the same text.  Grids are kept at 50 points
-so that each example is fast; scan options go only to the commands that
-take them, each once, so that argparse rejects no argv and each reaches
-its run step.
+so that each example is fast; scan options go only to the commands, and
+verify selectors, that read them, each once, so that no argv is refused
+and each reaches its run step; one option a verify selector does not read
+is a usage error whatever else is given.
 The renderer is checked byte for byte against the row-by-row reference
 in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings (with the
@@ -74,7 +75,8 @@ def _reject_constant(token):
 
 def check(argv, fmt, scan=None):
     """Run argv in fmt; with scan, a list of scan options, on a 50-point
-    grid too (None for eval, which takes no scan option)."""
+    grid too (None for eval, which takes no scan option, and for verify,
+    whose argv holds the options its selector reads)."""
     grid = [] if scan is None else ["--grid-n", "50"]
     argv = argv[:1] + grid + ["--format", fmt] + [f"{k}={v}" for k, v in scan or ()] + argv[1:]
     out, err = io.StringIO(), io.StringIO()
@@ -126,13 +128,40 @@ def test_certify(theorem, value, fmt, scan):
     check(["certify", theorem, value], fmt, scan)
 
 
+def _verify_options(selector, a, p, seed, scan):
+    """The drawn options that selector reads, on a 50-point grid where it reads one."""
+    drawn = {"--grid-n": "50", **dict(scan), "--a": a, "--p": p, "--seed": seed}
+    return [f"{k}={v}" for k, v in drawn.items()
+            if k in cli._VERIFY_OPTIONS[selector] and v is not None]
+
+
+VERIFY_DRAWS = dict(a=st.one_of(st.none(), NUMBERS), p=st.one_of(st.none(), NUMBERS),
+                    seed=st.one_of(st.none(), st.integers(0, 2**32)), fmt=FORMATS, scan=SCAN)
+
+
 @SETTINGS
-@given(selector=st.sampled_from(cli._VERIFY_SELECTORS), a=st.one_of(st.none(), NUMBERS),
-       p=st.one_of(st.none(), NUMBERS), seed=st.integers(0, 2**32), fmt=FORMATS, scan=SCAN)
+@given(selector=st.sampled_from(list(cli._VERIFY_OPTIONS)), **VERIFY_DRAWS)
 def test_verify(selector, a, p, seed, fmt, scan):
-    argv = ["verify", selector, f"--seed={seed}"]
-    argv += ["--a", a] * (a is not None) + ["--p", p] * (p is not None)
-    check(argv, fmt, scan)
+    check(["verify", selector, *_verify_options(selector, a, p, seed, scan)], fmt)
+
+
+UNREAD = [(selector, option) for selector, reads in cli._VERIFY_OPTIONS.items()
+          for option in cli._VERIFY_OPTIONS["all"] if option not in reads]
+
+
+@SETTINGS
+@given(unread=st.sampled_from(UNREAD), data=st.data(), **VERIFY_DRAWS)
+def test_verify_unread_option(unread, data, a, p, seed, fmt, scan):
+    # refused before any option's value is read; --grid-n and --seed take an int
+    selector, option = unread
+    value = data.draw(st.integers().map(str) if option in ("--grid-n", "--seed") else NUMBERS)
+    argv = ["verify", selector, f"--format={fmt}", f"{option}={value}",
+            *_verify_options(selector, a, p, seed, scan)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, ""), argv
+    assert err.getvalue() == f"error: selector {selector!r} takes no {option}\n"
 
 
 FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(
