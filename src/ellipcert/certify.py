@@ -12,10 +12,11 @@ always re-evaluates to its reported value.
 Sign and monotonicity scans share one engine, which stops at the end of
 the batch that holds the first violation; no sample past the witness is
 evidence.  A batch is read item by item only where its min or max shows
-a violation or a sample is not finite; each refine level samples the new
-points of the intervals it flags together.  ScanConfig.grid builds every
-grid on ScanConfig.ends; the records are named tuples, validated however
-built.
+a violation or a sample is not finite; a refine level reads a chunk of
+items item by item only where its least |item| could be flagged, and
+samples the new points of the intervals it flags together.
+ScanConfig.grid builds every grid on ScanConfig.ends; the records are
+named tuples, validated however built.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ _SUBDIVISIONS = 8
 # nine thresholds and +-10^-k (k = 1..12) from them, no refinement loses
 # 3 of the 225 verdicts and four levels change none.
 _REFINE_DEPTH = 2
+_CHUNK = 128  # items per chunk of a refine level's search for its flagged items
 # Grid batches double from _FIRST_BATCH points, so that a scan failing at
 # once costs few samples, up to _MAX_BATCH, which bounds a batch's lists.
 _FIRST_BATCH, _MAX_BATCH = 16, 1024
@@ -165,12 +167,21 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
     smallest first, then leftmost), splits the intervals next to them into
     _SUBDIVISIONS + 1 parts, samples the new points together (in_batches)
     and splices them in; the next level flags on the merged sequence.  A
-    verdict needs every sample up to its item to be finite.
+    level reads chunks of _CHUNK items item by item in order of their least
+    |item| and start, until that low exceeds 10 * margin or, with
+    _MAX_FLAGGED items held, the pair passes the largest (|item|, index)
+    held, so it flags what a pass over every item would.
+    A verdict needs every sample up to its item to be finite.
     """
     sgn = 1.0 if claimed == "nonnegative" else -1.0
     xs = cfg.grid()
     vs: list[float] = []
     margin = math.inf
+
+    def least(items: list[float]) -> tuple[float, float]:
+        """(least sgn * item, least |item|): the first gives both where it is >= 0."""
+        worst = sgn * (min(items) if sgn > 0.0 else max(items))
+        return worst, abs(worst) if worst >= 0.0 else min(map(abs, items))
 
     def check(new: list[float], ks: Sequence[int]) -> SignCertificate | None:
         """The "mixed" certificate at the first wrong item of those at
@@ -180,10 +191,9 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
         sample raises at its item."""
         nonlocal margin
         items = [vs[k] - vs[k - 1] for k in ks] if pairs else new
-        worst = sgn * (min(items) if sgn > 0.0 else max(items))  # the least sgn * item
-        if worst >= -SIGN_TOLERANCE and math.isfinite(sum(new)):
-            # no violation; where worst >= 0, the smallest |item| is |worst|
-            margin = min(margin, abs(worst) if worst >= 0.0 else min(map(abs, items)))
+        worst, low = least(items)
+        if worst >= -SIGN_TOLERANCE and math.isfinite(sum(new)):  # no violation
+            margin = min(margin, low)
             return None
         for k, item in zip(ks, items):
             if not math.isfinite(item):
@@ -205,11 +215,19 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
             return cert
         start, size = len(vs), min(2 * size, _MAX_BATCH)
     for _level in range(_REFINE_DEPTH):
-        mags = list(map(abs, map(sub, vs[1:], vs) if pairs else vs))
+        items = list(map(sub, vs[1:], vs)) if pairs else vs
         threshold = 10.0 * margin
-        flagged = [i for i, m in enumerate(mags) if m <= threshold]
-        if len(flagged) > _MAX_FLAGGED:  # the smallest, then leftmost, in index order
-            flagged = sorted(sorted(flagged, key=mags.__getitem__)[:_MAX_FLAGGED])
+        held = []  # (|item|, index) of the chunks read: the smallest, then leftmost
+        for low, s in sorted((least(items[s:s + _CHUNK])[1], s)
+                             for s in range(0, len(items), _CHUNK)):
+            if low > threshold or len(held) == _MAX_FLAGGED and (low, s) > held[-1]:
+                break  # each item of this chunk and the rest is (|item|, index) >= (low, s)
+            held += [(m, i) for i, m in enumerate(map(abs, items[s:s + _CHUNK]), s)
+                     if m <= threshold]
+            if len(held) >= _MAX_FLAGGED:
+                held.sort()
+                del held[_MAX_FLAGGED:]
+        flagged = sorted(i for _, i in held)
         # the intervals on both sides of a sample, or the one a difference
         # spans: flagged ascends, so they come in order, repeats adjacent
         runs = []

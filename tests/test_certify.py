@@ -1,5 +1,6 @@
 """Certification-engine tests: scans, the sharp constant, root finding."""
 
+import collections
 import functools
 import json
 import math
@@ -280,6 +281,11 @@ _THRESHOLDS = {
 }
 
 
+def _small_at_the_end(x):
+    """Small only in the short last chunk of the grids of n = 129 and 1000."""
+    return 1e-3 if x >= 0.995 else 1.0
+
+
 def _engine_cases():
     """(id, fn, claimed): every certify factor at its threshold and 1e-3
     to each side of it, and functions that stress the refine step."""
@@ -298,6 +304,23 @@ def _engine_cases():
     # a witness at the first point (1e-9 on the grids of offset 1e-9),
     # in one batch with the NaN samples after it
     yield "-1 first, nan after", lambda x: -1.0 if x <= 1e-9 else math.nan, "nonnegative"
+    # cases for the chunks of the flag search (certify._CHUNK = 128 items):
+    # about 300 items at the least |item| on the default grid, in chunks
+    # whose lows come from a signed min (left) and from |item| (right)
+    yield ("ties over two chunks, leftmost win",
+           lambda x: 1e-13 if 0.2 <= x <= 0.215 else -1e-13 if 0.6 <= x <= 0.615 else 1.0,
+           "nonnegative")
+    # the same ties at 1e-3, and one point at 5e-4 among the right ones: the
+    # chunk that holds it is read first, and the left ties still win
+    yield ("ties behind a lower chunk, leftmost win",
+           lambda x: (5e-4 if 0.6071 <= x <= 0.6072 else 1e-3)
+           if 0.2 <= x <= 0.215 or 0.6 <= x <= 0.615 else 1.0, "nonnegative")
+    # its least |item| is wrong-signed, and its min is -9e-13: no signed min
+    # or max gives that chunk's low
+    yield ("one chunk wrong-signed within tolerance",
+           lambda x: -1e-14 if 0.3 <= x <= 0.3002 else -9e-13 if 0.3003 <= x <= 0.3005
+           else 1.0, "nonnegative")
+    yield "small only in the last chunk", _small_at_the_end, "nonnegative"
 
 
 _ENGINE_CASES = list(_engine_cases())
@@ -343,6 +366,70 @@ class TestEngineAgainstReference:
             assert sorted(ours[1]) == sorted(theirs[1])
         elif outcome.startswith("SignCertificate(verdict='mixed'"):
             assert set(theirs[1]) <= set(ours[1])
+
+
+class TestFlagChunks:
+    """The flag search of a refine level reads chunks of certify._CHUNK
+    items, least |item| first: what it flags, and so samples, does not
+    depend on the chunk size, and matches oracles.refine_scan_reference."""
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["sign", "pairs"])
+    @pytest.mark.parametrize("fn, claimed", [c[1:] for c in _ENGINE_CASES],
+                             ids=[c[0] for c in _ENGINE_CASES])
+    def test_chunk_size_changes_nothing(self, monkeypatch, fn, claimed, pairs):
+        fn, cfg, runs = functools.cache(fn), ScanConfig(n=1000), []
+        for chunk in (128, 1, 7, 10 ** 6):  # 10**6: one chunk, the whole sequence
+            monkeypatch.setattr(certify, "_CHUNK", chunk)
+            counted, xs = _counted(fn)
+            runs.append((_outcome(_refine_scan, oracles.columns(counted), claimed, cfg, pairs),
+                         xs))
+        assert runs[1:] == runs[:1] * 3
+
+    @pytest.mark.parametrize("n", [129, 1000])
+    def test_short_last_chunk(self, n):
+        cfg, last = ScanConfig(n=n), (n - 1) // certify._CHUNK * certify._CHUNK
+        assert [_small_at_the_end(x) < 1.0 for x in cfg.grid()].index(True) >= last
+        fn = functools.cache(_small_at_the_end)
+        ours, theirs = _counted(fn), _counted(fn)
+        cert = _refine_scan(oracles.columns(ours[0]), "nonnegative", cfg, False)
+        assert cert == oracles.refine_scan_reference(theirs[0], "nonnegative", cfg, False,
+                                                     certify._REFINE_DEPTH)
+        assert cert.min_abs_margin == 1e-3
+        assert sorted(ours[1]) == sorted(theirs[1])
+
+    def test_bench_certify_scans(self, bench_cases):
+        # every scan of the certify workload at bench seed 1, on its factor's
+        # column form: the engine and the reference give the same certificate
+        # from the same points, but that a mixed scan may sample past its
+        # witness to the end of its batch
+        parser = cli.build_parser()
+        argvs = [c.argv for c in bench_cases.build("certify", 1) if c.argv[0] == "certify"]
+        assert len(argvs) == 27
+        for argv in argvs:
+            args = parser.parse_args(argv)
+            params, cfg = cli._COMMANDS["certify"][0](args), cli._scan_from_args(args)
+            symbol, factor, claimed = cli._claim(args.theorem)
+            column = functools.partial(family.COLUMN_FORMS[factor], params[symbol])
+            values, ours, theirs = {}, [], []
+
+            def sampled(xs):
+                ours.extend(xs)
+                vs = column(xs)
+                values.update(zip(xs, vs))
+                return vs
+
+            def reference(x):
+                theirs.append(x)
+                return values[x] if x in values else column([x])[0]
+
+            cert = _refine_scan(sampled, claimed, cfg, False)
+            assert cert == oracles.refine_scan_reference(reference, claimed, cfg, False,
+                                                         certify._REFINE_DEPTH), argv
+            got, want = collections.Counter(ours), collections.Counter(theirs)
+            if cert.verdict == claimed:
+                assert got == want, argv
+            else:
+                assert want <= got and all(x > cert.witness_x for x in got - want), argv
 
 
 class TestFindAC:

@@ -3,12 +3,9 @@ manifest embedding and byte reproducibility."""
 
 import csv
 import hashlib
-import importlib.util
 import json
 import math
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -270,18 +267,13 @@ class TestFullOptionNames:
         assert "error: unrecognized arguments: " in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_every_bench_argv_parses(self, monkeypatch):
+    def test_every_bench_argv_parses(self, bench_cases):
         # an argv the parser or its command's parse step refused would fail
         # its benchmark case
-        path = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
-        spec = importlib.util.spec_from_file_location("bench_cases", path)
-        cases = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, cases)  # for its dataclass
-        spec.loader.exec_module(cases)
         parser = cli.build_parser()
         for workload in ("certify", "verify", "table"):
             for seed in range(1, 6):
-                argvs = [list(case.argv) for case in cases.build(workload, seed)]
+                argvs = [list(case.argv) for case in bench_cases.build(workload, seed)]
                 assert argvs
                 for argv in argvs:
                     args = parser.parse_args(argv)
