@@ -10,8 +10,8 @@ K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
 sign-trustworthy at both interval ends where the textbook expressions
 are 0/0-ill-conditioned.  All three come from one AGM pass without the
 E sum (specfun.ellip_kpt), which runs over a list of points, so there is
-no series branch.  Each formula is written once, as a column form: a
-comprehension over the kernel's columns for a list of points of (0, 1),
+no series branch.  Each formula is written once, as a column form: one
+pass over the kernel's columns for a list of points of (0, 1),
 with no domain check (the quadratic's coefficients and roots share one;
 phi and G are those factors at a = 0 and p = -0.0).  COLUMN_FORMS names
 them; certify scans, tables and find_a_c read them, one kernel pass per
@@ -99,19 +99,27 @@ def _quadratic(xs: list[float]) -> tuple[list[float], ...]:
         2F1(1/2,1/2;2;x)  = (4/pi)(K - P)
         2F1(3/2,3/2;3;x)  = (16/pi) T2
     u = ((1-x) T2 + 2(K-P)) / pi, v = 2(2K - P) / pi, Delta = v^2 - 4 u s,
-    and w_plus, w_minus are its roots as values of a.
+    and w_plus, w_minus are its roots as values of a.  One pass over the
+    points forms all five columns, after one kernel pass.
     """
     ks, ps, t2s, _tails = ellip_kpt(xs)
-    ss = [(2.0 / PI) * k for k in ks]
-    us = [((1.0 - x) * t2 + 2.0 * (k - p)) / PI for x, k, p, t2 in zip(xs, ks, ps, t2s)]
-    vs = [2.0 * (2.0 * k - p) / PI for k, p in zip(ks, ps)]
-    ds = [v * v - 4.0 * u * s for u, v, s in zip(us, vs, ss)]
-    sqs = [math.sqrt(d) if d > 0.0 else 0.0 for d in ds]
-    lws = [0.5 * math.log1p(-x) for x in xs]
-    # w_minus via the conjugate form 2s/(v + sqrt(Delta)): the direct
-    # (v - sqrt(Delta)) difference cancels catastrophically near x = 0.
-    return (us, vs, ds, [lw + (v + sq) / (2.0 * u) for lw, u, v, sq in zip(lws, us, vs, sqs)],
-            [lw + 2.0 * s / (v + sq) for lw, s, v, sq in zip(lws, ss, vs, sqs)])
+    us, vs, ds, wps, wms = [], [], [], [], []
+    sqrt, log1p = math.sqrt, math.log1p
+    for x, k, p, t2 in zip(xs, ks, ps, t2s):
+        s = (2.0 / PI) * k
+        u = ((1.0 - x) * t2 + 2.0 * (k - p)) / PI
+        v = 2.0 * (2.0 * k - p) / PI
+        d = v * v - 4.0 * u * s
+        sq = sqrt(d) if d > 0.0 else 0.0
+        lw = 0.5 * log1p(-x)
+        us.append(u)
+        vs.append(v)
+        ds.append(d)
+        wps.append(lw + (v + sq) / (2.0 * u))
+        # w_minus via the conjugate form 2s/(v + sqrt(Delta)): the direct
+        # (v - sqrt(Delta)) difference cancels catastrophically near x = 0.
+        wms.append(lw + 2.0 * s / (v + sq))
+    return us, vs, ds, wps, wms
 
 
 def _g_factor(a: float, xs: list[float]) -> list[float]:

@@ -20,9 +20,13 @@ The inequality grids read the K column of ``ellip_k_column``, which runs
 the same recurrence inline over a list of points without the P and T2
 sums, and, with mirror=True where a bound pairs r with 1 - r, also reads
 K(1 - x) off the nome of the last Landen step; ``ellip_k`` is a one-point
-call of ``ellip_k_column``.  Change the two loops of ``ellip_kpt`` and
-``ellip_k_column`` together: tests guard that their K columns agree bit
-for bit.
+call of ``ellip_k_column``.  Each of the two loops runs in two phases.
+While the ratio q_n = c_n/a_{n+1} exceeds 1/2, the next c comes from the
+difference (a_n - b_n)/2.  After, it comes from the recurrence
+c_{n+1} = c_n^2/(4 a_{n+1}) with no test: q_{n+1} = q_n^2 a_{n+1}/(4 a_{n+2})
+<= q_n^2/2, as a_{n+1} <= 2 a_{n+2}, so every later q is at most 1/8.
+Change the two loops of ``ellip_kpt`` and ``ellip_k_column`` together:
+tests guard that their K columns agree bit for bit.
 The hypergeometric series is kept as a second, independent route; the two
 are required to agree to 1e-12 relative on (1e-6, 0.95).
 
@@ -79,9 +83,13 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
     where b_2^2 + c_1^2/2 = a_1^2 - 2 c_2^2 replaces the one step of the E
     sum that cancels badly as x -> 1.  The sign factors read only K, P and
     T2, so E is not formed here: ``_e_from`` forms it from K and tail for
-    ``ellip_e`` and ``legendre_residual``.  t_{n+1} is (a_n - b_n)/(2x) while
-    q > 1/2 (a_n, b_n far apart), and the recurrence after, which alone
-    would double its relative error each step.  Stopping at
+    ``ellip_e`` and ``legendre_residual``.  With q = q_n = c_n/a_{n+1}, the
+    loop runs in two phases.  While q > 1/2 (a_n, b_n far apart), t_{n+1}
+    is (a_n - b_n)/(2x), since the recurrence t_{n+1} = q t_n/4 alone would
+    double its relative error each step.  Once q <= 1/2 it stays below 1/8,
+    since q_{n+1} = q_n^2 a_{n+1}/(4 a_{n+2}) <= q_n^2/2, so the second
+    phase takes the recurrence with no test and forms no difference; each
+    step is the one-phase loop's step to the bit.  Stopping at
     c_n <= 1e-3 a_{n+1} leaves omitted terms below 1e-14 of the last one
     kept, and a, b within 3e-14 of each other.  The loop runs inline once
     per point, so a batch of points costs one call.  ``ellip_k_column`` runs
@@ -91,8 +99,9 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
     sqrt = math.sqrt                              # a local name: called ~5 times a point
     for x in xs:
         y = sqrt(1.0 - x)                         # b_0
-        t = 0.5 / (1.0 + y)                       # t_1
-        a, b = 0.5 * (1.0 + y), sqrt(y)           # a_1, b_1
+        u = 1.0 + y
+        t = 0.5 / u                               # t_1
+        a, b = 0.5 * u, sqrt(y)                   # a_1, b_1
         d = a - b
         a, b = 0.5 * (a + b), sqrt(a * b)         # a_2, b_2
         q = x * t / a                             # c_1 / a_2
@@ -101,11 +110,17 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
         head += 4.0 * t * t
         pw = 4.0
         tail = 0.0                                # sum_{n>=3} 2^n t_n^2
-        while q > 1e-3:                           # False for NaN: no hang
+        while q > 0.5:                            # False for NaN: no hang
             d = a - b
             a, b = 0.5 * (a + b), sqrt(a * b)
             q = x * t / a
             t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
+            tail += pw * t * t
+        while q > 1e-3:                           # q <= 1/2, so each next q <= 1/8
+            a, b = 0.5 * (a + b), sqrt(a * b)
+            q = x * t / a
+            t = 0.25 * q * t
             pw += pw
             tail += pw * t * t
         s = head + tail
@@ -135,7 +150,9 @@ def ellip_k_column(xs: Iterable[float], mirror: bool = False
 
     The loop is the a, b, q, t recurrence of ``ellip_kpt`` without its P,
     T2 and tail sums, which never feed a, b, q or t, so each K is
-    ``ellip_kpt``'s K to the bit; change the two loops together.  After
+    ``ellip_kpt``'s K to the bit; change the two loops together.  It runs
+    in the same two phases: t_{n+1} = (a_n - b_n)/(2x) while q > 1/2, then
+    t_{n+1} = q t_n/4 with no test, as q_{n+1} <= q_n^2/2 <= 1/8.  After
     it, a = a_M, t = t_M and pw = 2^M, so k_M = x t/a = c_M/a_M is the
     modulus of the last Landen step.  Each step squares the nome,
     exp(-pi K(1 - x)/K(x)) at modulus sqrt(x) (Borwein & Borwein, *Pi and
@@ -160,18 +177,24 @@ def ellip_k_column(xs: Iterable[float], mirror: bool = False
         if mirror and not 0.0 < x < 1.0:
             raise DomainError(f"ellip_k_column(mirror=True) requires 0 < x < 1; got {x!r}")
         y = sqrt(1.0 - x)
-        t = 0.5 / (1.0 + y)
-        a, b = 0.5 * (1.0 + y), sqrt(y)
+        u = 1.0 + y
+        t = 0.5 / u
+        a, b = 0.5 * u, sqrt(y)
         d = a - b
         a, b = 0.5 * (a + b), sqrt(a * b)
         q = x * t / a
         t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
         pw = 4.0
-        while q > 1e-3:
+        while q > 0.5:
             d = a - b
             a, b = 0.5 * (a + b), sqrt(a * b)
             q = x * t / a
             t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
+        while q > 1e-3:
+            a, b = 0.5 * (a + b), sqrt(a * b)
+            q = x * t / a
+            t = 0.25 * q * t
             pw += pw
         ks.append(PI / (a + b))
         if not mirror:

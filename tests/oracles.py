@@ -22,6 +22,10 @@ form replaced; the tests require the same output from both.
 and T2 before the factors' pass dropped the E sum, and
 ``FACTOR_REFERENCES`` the sign factors as they were built on it; the
 tests require every bit of the production values from them.
+``agm_columns_reference`` is the AGM loop of ``specfun.ellip_kpt`` and
+``specfun.ellip_k_column`` as one loop that tests q > 1/2 at every step,
+before each was split in two phases; every column of both, the mirror
+column too, must match it bit for bit.
 
 The ``mp_*`` oracles work in mpmath at 40-50 digits, straight from the
 defining derivatives of K and from mpmath's own K and E, without the
@@ -69,6 +73,7 @@ from ellipcert.specfun import (
 )
 
 PI = math.pi
+LOG16 = math.log(16.0)
 
 _QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-14, limit=400)
 
@@ -718,6 +723,43 @@ def agm_reference(x: float) -> tuple[float, float, float, float]:
     s = head + tail
     k = PI / (a + b)
     return k, k * (e - 0.5 * x * x * tail), 0.5 * k * (1.0 + x * s), k * s
+
+
+def agm_columns_reference(xs: Sequence[float]) -> tuple[list[float], ...]:
+    """The columns K, P, T2 and tail of specfun.ellip_kpt and the mirror
+    column K(1 - x) of specfun.ellip_k_column over xs, 0 <= x < 1, from one
+    loop that tests q > 1/2 at every step; the mirror is NaN at x = 0."""
+    ks, ps, t2s, tails, kms = [], [], [], [], []
+    for x in xs:
+        y = math.sqrt(1.0 - x)                    # b_0
+        t = 0.5 / (1.0 + y)                       # t_1
+        a, b = 0.5 * (1.0 + y), math.sqrt(y)      # a_1, b_1
+        d = a - b
+        a, b = 0.5 * (a + b), math.sqrt(a * b)    # a_2, b_2
+        q = x * t / a                             # c_1 / a_2
+        head = 2.0 * t * t
+        t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+        head += 4.0 * t * t
+        pw = 4.0
+        tail = 0.0                                # sum_{n>=3} 2^n t_n^2
+        while q > 1e-3:
+            d = a - b
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            q = x * t / a
+            t = 0.5 * d / x if q > 0.5 else 0.25 * q * t
+            pw += pw
+            tail += pw * t * t
+        s = head + tail
+        k = PI / (a + b)
+        ks.append(k)
+        ps.append(0.5 * k * (1.0 + x * s))
+        t2s.append(k * s)
+        tails.append(tail)
+        km = x * t / a
+        kms.append(math.nan if x == 0.0 else
+                   (LOG16 - math.log(x)) / (a + b) if x < 1e-150 else
+                   (LOG16 - 2.0 * math.log(km) - 0.5 * km * km) / (pw * (a + b)))
+    return ks, ps, t2s, tails, kms
 
 
 def legendre_residual_reference(x: float) -> float:

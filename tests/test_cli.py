@@ -904,6 +904,16 @@ EXPORTED_ERRORS = [cls for cls in (getattr(ellipcert, name) for name in ellipcer
 
 
 class TestExitCodeContract:
+    def test_mean_chain_underflow_is_usage_error(self, capsys):
+        # h = (1 - x)^p K underflows to 0 at every point for p = 1e300; at
+        # p = 35 the power at the upper end is a subnormal and the run passes
+        code, out, err = run(capsys, ["verify", "mean-chain", "--p", "1e300"])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: mean-chain: (1 - r)^p underflows to 0 at r=0.999999999 for p=1e+300\n"
+        code, out, _ = run(capsys, ["verify", "mean-chain", "--p", "35"])
+        assert code == cli.EXIT_OK
+        assert out.count(" pass ") == 2
+
     @pytest.mark.parametrize("error", [*EXPORTED_ERRORS, ValueError, OverflowError],
                              ids=lambda cls: cls.__name__)
     def test_each_error_has_its_exit_code(self, monkeypatch, capsys, error):

@@ -196,6 +196,28 @@ class TestMeanChain:
         with pytest.raises(InconclusiveScanError):
             check_mean_chain_pairs(0.5, n_pairs=0, cfg=FAST)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_underflowed_power_is_domain_error(self, seed):
+        # (1 - r)^1e300 is 0.0 at every drawn point, which made every margin
+        # exactly 0; the test is at the interval's upper end, for any seed
+        with pytest.raises(DomainError) as exc:
+            check_mean_chain_pairs(1e300, n_pairs=10, seed=seed)
+        assert str(exc.value) == ("mean-chain: (1 - r)^p underflows to 0 at "
+                                  f"r={DEFAULT_SCAN.ends[1]!r} for p=1e+300")
+
+    def test_underflowed_power_at_one_pair(self):
+        # the larger point of the pair carries the smallest power
+        with pytest.raises(DomainError, match=r"underflows to 0 at r=0\.4 for p=1e\+300"):
+            check_mean_chain(1e300, 0.3, 0.4)
+
+    def test_large_power_short_of_underflow_runs(self):
+        # (1 - r)^35 at the default upper end 1 - 1e-9 is about 1e-315, a
+        # subnormal, not 0
+        rep = check_mean_chain_pairs(35.0, n_pairs=1000, seed=0)
+        assert rep.verdict == "pass"
+        assert set(rep.clause_margins) == {"geometric", "geo_argument"}
+        assert all(m < 0.0 for m in rep.clause_margins.values())
+
     def test_determinism(self):
         a = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)
         b = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)

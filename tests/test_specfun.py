@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from oracles import ellip_kept
-from ellipcert import cli, specfun
+from ellipcert import cli, family, specfun
 from ellipcert.certify import DEFAULT_SCAN, ScanConfig
 from ellipcert.inequalities import inequality_grid
 from ellipcert.specfun import (
@@ -444,6 +444,34 @@ class TestKColumn:
             specfun.ellip_k_column([0.5, bad], mirror=True)
 
 
+class TestTwoPhaseLoops:
+    """Both AGM loops against the one-loop reference they replaced, which
+    tests q > 1/2 at every step: every column to the bit.  Above about
+    x = 0.87 the first steps have q > 1/2 and run in the first phase: the
+    NEAR_ONE points, and about 200 of the points drawn."""
+
+    NEAR_ONE = [0.9, 0.999999, 1 - 1e-9, 1 - 1e-15, math.nextafter(1.0, 0.0)]
+
+    @staticmethod
+    def _agree(xs):
+        *kpt, kms = oracles.agm_columns_reference(xs)
+        assert list(specfun.ellip_kpt(xs)) == kpt
+        assert specfun.ellip_k_column(xs) == kpt[0]
+        pos = [i for i, x in enumerate(xs) if x > 0.0]
+        assert specfun.ellip_k_column([xs[i] for i in pos], mirror=True) == (
+            [kpt[0][i] for i in pos], [kms[i] for i in pos])
+
+    def test_lists(self):
+        TestKColumn._lists(self.NEAR_ONE, MIRROR_EDGES, [0.0, 5e-324, 1e-300, 0.5])(
+            self._agree)()
+
+    def test_nan_ends_both_loops(self):
+        # both while tests are False for NaN, so each loop stops at once
+        ks, ps, t2s, _tails = specfun.ellip_kpt([math.nan])
+        assert all(math.isnan(c[0]) for c in (ks, ps, t2s))
+        assert math.isnan(specfun.ellip_k_column([math.nan])[0])
+
+
 def _digest(column):
     """sha256 of a column's doubles, packed little-endian."""
     return hashlib.sha256(struct.pack(f"<{len(column)}d", *column)).hexdigest()
@@ -475,6 +503,67 @@ class TestColumnDigests:
     ])
     def test_table_grid_columns(self, spacing, k):
         assert _digest(specfun.ellip_k_column(ScanConfig(n=20000).grid(spacing))) == k
+
+    # the columns (K, P, T2, tail) of ellip_kpt and (u, v, Delta, w_plus,
+    # w_minus) of the f'' quadratic, pinned before each loop was split in two
+    # phases: on the default scan grid with its geometric tails, on both
+    # table grids, and at zero, the smallest subnormal, 1e-300, both
+    # neighbours of 1e-150, the midpoint and two points next to 1
+    KPT_QUADRATIC_GRIDS = {
+        "default-grid": lambda: inequality_grid(DEFAULT_SCAN),
+        "uniform": lambda: ScanConfig(n=20000).grid("uniform"),
+        "geometric": lambda: ScanConfig(n=20000).grid("geometric"),
+        "points": lambda: [0.0, 5e-324, 1e-300, math.nextafter(1e-150, 0.0),
+                           math.nextafter(1e-150, 1.0), 0.5, 1 - 1e-15,
+                           math.nextafter(1.0, 0.0)],
+    }
+
+    @pytest.mark.parametrize("xs, kpt, quadratic", [
+        ("default-grid",
+         ("efdb25570e1eae276201b48b0473406e91d4571150df8a5fd31709763486b1a2",
+          "7e96addb1ac8ad73a9fcc49748825b9ad0cdddb551c22f1c12a4aff5187e4b2c",
+          "234fcca3b1b2e21595bfb0ba3e12c73b5e8db300a4ac5e59e3d8a6847157afdb",
+          "396072ef13131bf10caa2b53b45d5d4cad12df4a289ad59a0ee309c701555c6c"),
+         ("1d6e709493c43bf09e929e370c2eaac33f2b4c90b6ad2ed0b19a9f7b47ed7742",
+          "33ab36647370ded5f75db3e6ebf2ecdd33176a5459cdcd135fcf3ad00ec0447f",
+          "d91b31fbbe32e4facb42b5b7c3385fb91cb8c788aee6430848ff8cf9443beb41",
+          "0cba68f6473e7d9df63b4b4ce136c7a9ef02d9cc67568eef7173cabeed34ff45",
+          "9d26aceb6f8d481fb584bb7602e9a0b5ea42ac4b32525e4bf3bb9e5914291968")),
+        ("uniform",
+         ("35d14ebc6f5c422716093d3ab52cf24ebad2f7dfe400d10fe9c213544ccb3b89",
+          "484823c0f455488130ce148d699260099b95e9118f6bda48fd31ccf776bc1b44",
+          "443ef2010b5ac3f1a975159ccfc8f28d9a68ba17a3bcac4df77651c63adf0837",
+          "4eb5fb0348597f62cc2caa82de39448849e8e8cbfad3d4c6d2876775a75d7b84"),
+         ("b4df002902102686a062dcb791a073f33dd3d2c9468ef9dc59794cc0a5381bf0",
+          "614de9030fc3231ac473a88abf2715437d5f3d583f70924193db94c487d3bf47",
+          "f9b42ed3e435afc20d42a361a9e387e1fd062792558a699c467d1aea67c82eda",
+          "4c73dc3491812da2664fe26fecb739c08694eee0ac954c39e3500ee597a714a3",
+          "40e7c12b0c4f03be14de644b383d0a12756de21ab79743ba7f07c4ce845d7f23")),
+        ("geometric",
+         ("bdf018e6af4195db15a219507a59099f342be90fe27f7499e50bd2809e77738f",
+          "01f73a22fd28ef99a7566ea34ed80fee8f0a6576ca25c921e079575a35b2fbe1",
+          "8cda3a5129ecf4ff46ed907e5d9a2f171132d3f68574ec39dc3fb4cab28418e1",
+          "f101872b5fada82bf987ef6d05cc7c85db57fed15bb57326cdb1326166a26b41"),
+         ("f4e33cbd682aee93d2583500bef27441c574c088f310172175b83ca9b30e6a58",
+          "8eb5f1d540ba6e99c1f5d5297d6b738b37b640b2d6d5cdc886320e29d8234d6a",
+          "d5161135c6385b47409127d168938fc3cd38c941e95046c039f513dafd8bcf4a",
+          "1a03fbd87403466f6ae7f28b84035b3b36bfc91d2e976c7888e98124592f865c",
+          "b2267bddb2e9ac5573fc1f9c7d12f1f865e9bf6788abaa1a991c15476510b6ac")),
+        ("points",
+         ("ab7423dd408abf4b511bd31519c26cd698ab6656027f8c7c12e67c3ed7cb88a8",
+          "c227404a5d2ca7ec2fc38dace96fe1249f43bafb2463a5ad65c0d6af5d3537ec",
+          "02b1c290c1b23734515da165a1b0e2cadc7dd8846564b2be9bbbd00cb6924409",
+          "27993aab1473d3811d359861a66dd353429885d8e0205b386d3a2c437e1328f5"),
+         ("8267bf3ca6e6db23a837417e4ba50bbd70e6b29cf28e0e4b358b8dd8b769f616",
+          "c1448522b90bf48ca896feefc91d46cb0e14a21b48776a13dae3a75c6eec6805",
+          "2483c431d248be151072502c525b23a6725b97ad5ba33cfd397ed5a574376b36",
+          "5123ca705a570329a9fdb8b1e998549ed6d0df6772f83ee29c28be4f9ed3b1ea",
+          "91c1ccf617b5ff5741d3bcd5b1f97c4f887411543f3061da1a9d12d7ecab46ba")),
+    ], ids=list(KPT_QUADRATIC_GRIDS))
+    def test_kpt_and_quadratic_columns(self, xs, kpt, quadratic):
+        xs = self.KPT_QUADRATIC_GRIDS[xs]()
+        assert tuple(map(_digest, specfun.ellip_kpt(xs))) == kpt
+        assert tuple(map(_digest, family._quadratic(xs))) == quadratic
 
 
 class TestTextRoundTrip:
