@@ -140,6 +140,13 @@ class ExtremumResult(namedtuple("ExtremumResult", "x_star value tolerance")):
     __slots__ = ()
 
 
+def _all_finite(col: Sequence[float]) -> bool:
+    """all(map(math.isfinite, col)), from one C-level sum where it is finite:
+    a NaN or infinity makes the sum non-finite, but so can the overflow of
+    finite items, which the item by item test then clears."""
+    return math.isfinite(sum(col)) or all(map(math.isfinite, col))
+
+
 def _require_finite(values) -> None:
     """A NaN or infinite sample is never evidence: the scan is inconclusive."""
     if not all(map(math.isfinite, values)):
@@ -147,8 +154,12 @@ def _require_finite(values) -> None:
 
 
 def in_batches(fn: Callable[[list[float]], list[float]], xs: list[float]) -> list[float]:
-    """fn's values over xs, from calls on at most _MAX_BATCH points each."""
-    return [v for i in range(0, len(xs), _MAX_BATCH) for v in fn(xs[i:i + _MAX_BATCH])]
+    """fn's values over xs, from calls on at most _MAX_BATCH points each,
+    joined by list +=, in C."""
+    out: list[float] = []
+    for i in range(0, len(xs), _MAX_BATCH):
+        out += fn(xs[i:i + _MAX_BATCH])
+    return out
 
 
 def _refine_scan(fn: Callable[[list[float]], list[float]],

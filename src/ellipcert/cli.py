@@ -33,7 +33,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-from itertools import chain
 
 from . import family, specfun
 from .certify import (
@@ -41,6 +40,7 @@ from .certify import (
     SPACINGS,
     InconclusiveScanError,
     ScanConfig,
+    _all_finite,
     certify_sign,
     find_a_c,
     in_batches,
@@ -107,31 +107,41 @@ def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
     byte what json.dumps(indent=2), csv.writer or ljust write row by row.
 
     A table is one % call, with no string built per row: a row template,
-    repeated once per row, applied to the cells in row order.  json and
-    text put their head, its own % signs escaped, in front of it, which
-    keeps one large string fewer alive than joining head and body.  json
-    takes a column of finite floats as floats through %r, which is what
-    json writes for them, and any other column as its json cells through
-    %s.  csv takes a table of float columns through %.17g and leaves a
-    table with any other column to csv.writer, whose quoting of a cell
-    depends on its row (a lone empty field is written "").  Text pads its
-    %.12g and fmt_human cells to the column widths, keys as the first row."""
+    repeated once per row, applied to the cells in row order, which slice
+    assignment interleaves from the columns in C.  json and text put their
+    head, its own % signs escaped, in front of it, which keeps one large
+    string fewer alive than joining head and body.  json takes a column of
+    finite floats (certify._all_finite, one C-level sum) as floats through
+    %r, which is what json writes for them, and any other column as its
+    json cells through %s.  csv takes a table of float columns through
+    %.17g and leaves a table with any other column to csv.writer, whose
+    quoting of a cell depends on its row (a lone empty field is written
+    "").  Text pads its %.12g and fmt_human cells to the column widths,
+    keys as the first row."""
     keys, cols = list(columns), list(columns.values())
     n_rows = len(cols[0]) if cols else 0
     floats = [set(map(type, col)) == {float} for col in cols]
+
+    def row_order(cols: list[list]) -> tuple:
+        """The cells of n_rows-long columns, row by row."""
+        cells = [None] * (n_rows * len(cols))
+        for i, col in enumerate(cols):
+            cells[i::len(cols)] = col
+        return tuple(cells)
+
     if fmt == "json":
         head = _json({"manifest": manifest._asdict(), "results": []}, indent=2)
         if not n_rows:
             return head + "\n"
         cell = json.JSONEncoder(allow_nan=False).encode
-        specs, cols = zip(*[("%r", col) if is_float and all(map(math.isfinite, col))
+        specs, cols = zip(*[("%r", col) if is_float and _all_finite(col)
                             else ("%s", list(map(cell, map(_null_nonfinite, col))))
                             for col, is_float in zip(cols, floats)])
         row = "    {\n" + ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: {spec}"
                                       for k, spec in zip(keys, specs)) + "\n    }"
         doc = "".join([head[:-4].replace("%", "%%"), "[\n",  # head ends '[]\n}'
                        ",\n".join([row] * n_rows), "\n  ]\n}\n"])
-        return doc % tuple(chain.from_iterable(zip(*cols)))
+        return doc % row_order(cols)
     mjson = _json(manifest._asdict(), separators=(",", ":"), sort_keys=True)
     if fmt == "csv":
         import csv
@@ -142,7 +152,7 @@ def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
         writer.writerow(keys)
         if all(floats):  # a float's %.17g never needs csv quoting
             row = ",".join(["%.17g"] * len(cols)) + "\n"
-            buf.write(row * n_rows % tuple(chain.from_iterable(zip(*cols))))
+            buf.write(row * n_rows % row_order(cols))
         else:
             writer.writerows(zip(*(map(fmt_full, col) for col in cols)))
         return buf.getvalue()
@@ -155,7 +165,7 @@ def _render(columns: dict[str, list], manifest: RunManifest, fmt: str) -> str:
     widths = [max(len(k), max(map(len, c))) for k, c in zip(keys, cells)]
     row = "  ".join(f"%-{w}s" for w in widths) + "\n"  # the keys are its first row
     return ((text.replace("%", "%%") + row * (n_rows + 1))
-            % (*keys, *chain.from_iterable(zip(*cells))))
+            % (*keys, *row_order(cells)))
 
 
 def _emit(text: str, out: str | None) -> None:

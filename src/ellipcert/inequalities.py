@@ -52,12 +52,15 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import islice
+from operator import eq
 
 from . import family
 from .certify import (
     DEFAULT_SCAN,
     InconclusiveScanError,
     ScanConfig,
+    _all_finite,
     find_x_p,
 )
 from .specfun import (
@@ -104,7 +107,9 @@ def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
 
     cfg.grid() is already ascending and the 2 * _GEOMETRIC_POINTS + 1
     extra points are appended, so the sort has little to reorder and
-    runs in about linear time; equal points end up adjacent.
+    runs in about linear time; equal points end up adjacent, and the
+    list is rebuilt without repeats only where a C-level pass over
+    adjacent pairs finds one.
     """
     pts = cfg.grid()
     lo_v, hi_v = cfg.ends
@@ -120,7 +125,9 @@ def inequality_grid(cfg: ScanConfig = DEFAULT_SCAN) -> list[float]:
     if lo_v < 0.5 < hi_v:
         pts.append(0.5)
     pts.sort()
-    return [x for prev, x in zip([None, *pts], pts) if x != prev]
+    if any(map(eq, pts, islice(pts, 1, None))):  # a C-level search for a repeat
+        pts = [x for prev, x in zip([None, *pts], pts) if x != prev]
+    return pts
 
 
 def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
@@ -224,17 +231,20 @@ def _report(name: str,
     first violation in point order, ties going to clause order.  Equality
     hits cluster across neighbours in xs.  An empty column, or one that
     holds a NaN or an infinity, is no evidence: InconclusiveScanError.
+    A column's finiteness is the C-level test of certify._all_finite, one
+    sum.  The hits are searched in chunks of _HIT_CHUNK items: a chunk is
+    read item by item only where its C-level min and max leave room for a
+    hit, min <= EQUALITY_TOL and max >= -EQUALITY_TOL.
     """
-    if not all(col and all(map(math.isfinite, col)) for col in columns.values()):
+    if not all(col and _all_finite(col) for col in columns.values()):
         raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
     margins = {cl: max(col) for cl, col in columns.items()}
     firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
               for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
-    # a chunk is read item by item only where its C-level minimum is a hit
     hits = [(i, xs[i], col[i]) for cl, col in columns.items() if cl in tight
             for c in range(0, len(col), _HIT_CHUNK)
-            if min(map(abs, col[c:c + _HIT_CHUNK])) <= EQUALITY_TOL
-            for i in range(c, min(c + _HIT_CHUNK, len(col))) if abs(col[i]) <= EQUALITY_TOL]
+            if min(chunk := col[c:c + _HIT_CHUNK]) <= EQUALITY_TOL and max(chunk) >= -EQUALITY_TOL
+            for i in range(c, c + len(chunk)) if abs(col[i]) <= EQUALITY_TOL]
     i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
         name=name,

@@ -23,6 +23,12 @@ Every digest with output was last re-pinned when the manifest lost its
 refine depth and moved the seed into verify's parameters: no other byte
 moved.  The mean-chain digest was re-pinned when its selector stopped
 taking --grid-n: only the manifest's n moved, from 500 to the default 10000.
+
+BENCH_SEED_1 pins the sha256 of the exit code, stdout and stderr of every
+benchmark argv of seed 1 (bench/cases.py), run in-process as the
+benchmark runs it: 68 commands of certify, verify and table at their full
+grid sizes, which a change that claims the benchmark's outputs unchanged
+must leave as they are.
 """
 
 import hashlib
@@ -172,3 +178,93 @@ def test_stdout_digest(capsys, argv, code, digest):
         manifest = (json.loads(out)["manifest"] if fmt == "json"
                     else json.loads(out.splitlines()[0].partition("manifest: ")[2]))
         assert cli.run_from_manifest(manifest) == out
+
+
+# workload -> sha256 of repr((exit code, stdout, stderr)) of each argv of
+# bench seed 1, in the order bench/cases.py builds them
+BENCH_SEED_1 = {
+    "certify": (
+        "e58de38485f29d88f7ba75c3a56e28cf4ae9b69e628be391f633252965984e2a",
+        "2e278cb0e4ed088604bc67f7f212dbcf23752aec917731095b3935ba8699afbf",
+        "7fbe25975007774fdac93cb6c646021c60a939cd8705f5d8a186830d3810b054",
+        "1834258d0a98f79b9d709f943d140c3081c40b54cc789f80b715121c71184f8e",
+        "03f08013f663a5a373f2e65fc8ffcbcd0c994e66db686d83589dda092c140991",
+        "0c7db413c4da6db83995ca98611b8cb22499970a8afd67bcb7e9f5fb2733911b",
+        "618cd6f3ade7af5e688657c90767b9e5791656ecbd0a94323505c5be46a7edbe",
+        "4cdfd8ec8e719940c59c05d6ba4b2124a14b70969664ce26e1c30db636c88464",
+        "a283790c15358c73ad927db583a3dd8a22d98478b893ccd59bac13b9ec4cba28",
+        "5ae57fbd89f3b4e54810e19b31d54e4c2b791249c61e7fe826af0f4d35439289",
+        "e4de45d135e75339df7c95a1c55ddcb21f2bc83eb5ab08a9e5b6c70a6f2a5fbd",
+        "ae7211d1084bd3df0d974319641468cd274026d4ef86a5d9bf4e42982a3021b2",
+        "b0901eb1c1492af9ccbf72672cf2733d36b5639b038840aba51c15557d2d354b",
+        "2e9df7e214b5dfc0e7036382d8891eff3a257190490a439095fba07e1c46af59",
+        "214a071cd5fba39d86bf5e691a351f53c8aa1892f0bb390282d6a753156be1f2",
+        "7bf257b148ab38bc3ee90768c554d35b591c0596fd4369b2319ec10381e7af51",
+        "c70064910c1cb84a8e0b8e9adf9295d7f5626306c60e2692f094484721e091cd",
+        "9aa5db32bbc7d2165cff5c6b84f0437a1c4d7d3668173f700e35a33bcc5bdc6f",
+        "b6700ab5ccf7bd17c461621f7f27e64a4e6052429f507acb8b15232a4e15e144",
+        "022f2c3a4fcf11d1bebdad50b03f73c467a51c5bd3af27c0739471caa50c5c01",
+        "ee54f4ba38a6906326eadb63a4aa61d24d0f891002fb9ab0e1f9082dc0666941",
+        "29f78d8fb92d7d1a7242399fc77ddb2adf89b7145032a932da3d5bbdf8a4261f",
+        "985c2013f474175795b79b738ae033b3a468563e716bb34a398fdfa523c16e99",
+        "8875516b91b53c983536beda6139e4c316344c48fe0bab581d1fe50323b44ca1",
+        "58a13e514dca0f90e3e04ba600667e5c8518b349c14a800f301aab81cbee0d5b",
+        "c79eb2401c46630cec27f64cab98a8c5d371ab680ecfcda8ab9e853ba91f727d",
+        "3c6f8ff3e9bd34e4aa099588b500ad93929c7425a30a0f76a9e8f949deeb4352",
+        "948d1fb73deef2c858c9bd120838aacc8a0ce4a406339174a5a4da478bfbb526",
+    ),
+    "verify": (
+        "7bf4e1360796e6603863b4cb4bca0a5827baab1a4edb89e16b158846e173fa20",
+        "783fb05c312341cda45ef8649da9a4a4955eafb5cc5d98fca6de2de15ef4fdd0",
+        "836d3319142382abcdc39d7118c1fc667bf61ae996e90f8d73227a1daa45495f",
+        "e94f247803034c91f1628b8f7ae7bcd98a7f4c8b78292cbbd3c221df8bae3d89",
+        "557c9d258689f637197296519f54f3e929afdf95159b1071c62c03b5120d97da",
+        "64f7ca5da952a1e433fde5df09b9dc87edb89ff2fdbc5973175c213882c8b8e8",
+        "4f095107541d92d3da62ebd9df71b018e3406b753ac5111d58af033387971bd0",
+        "754547d0b7312e41ff5ad65de0141d1cc9334f503ef3f2108dc9e7688a2a5d60",
+        "e9fc3de71e2fc95d6bdb35691a79d320ce59d73101e002c0a0bb4d90b688b66f",
+        "eac82a5e45acf61c131a768aa129b9b27951cdf7b494c206d5b607f65eadbe03",
+        "bff7987abb6be0eac5958908b1efcca3371d62574a75f9e87f3eb6eee941c553",
+        "9b1ac8dec32cf97188de8b19ea0bb063c7094101674fec58a6db073dd0e728cc",
+        "8b515371cda00ed280a1eaeba87a530abe95af2a861d6925221fcedfed5c1170",
+        "fc24279969397bb397fd427eff34ce20b22e0610663bda6be7ccbc81f324b625",
+        "3139ae1cf26aad65eab300900c8f09eadd2922c24bbbbfe4054985c5b73ee103",
+        "1fe1bdc3a9a1224c1c9b4765eebd13234b6938467c1490ab0189e258043dc88b",
+    ),
+    "table": (
+        "8807f965dbc6ebe27273716fedc49dfc5fdf35ddc48d9001ce8c1611643291de",
+        "7e6b8fa0d2d1f3612b170b7743134cdc0e3ff0c1ae001c5c8981e4f36643b84d",
+        "20f1bb7469384734b2963ca517e66bacfcacd50c8754db0d4f0ca7446b44773a",
+        "faca2a9b97da8a0ebf540e22ada7974f60176742795bb8e838a9ff948d3aee8a",
+        "f349263e4ff0bf85bacdbce89a28ebd5b43230f3b450efd9965ffd78a61e8717",
+        "47d4ae85fa252ed73641ccb70bebe148b315b0aa843d17c820fba4fa415364dd",
+        "aadcc0c737756d306cc6bf1bed82c3492a0c844acccf8fa7c6fe432eb60dfc5f",
+        "798fa66e362a058579eec4284f2043eafd8c2ce7e081ba1a7024e609f9dc9522",
+        "00d872742932a806d62c0e4e5837328397ff11dabaa0eba70c434c1e355ec6a0",
+        "23c9d3bf832b1ec33bc3090c944e4de82c0c3b09f22834a6f690b14cc8aa537b",
+        "d70aceed05c2e7f0242033360d45aeb4fb5cd3dc4bc6ac8b128ddad7a62d6233",
+        "1bfcb65ece681585115a1a7bcfeeda690e00b54389026ce7b72706f4f57f8a0f",
+        "d1379449da2ad0c6c4c11a9fb2e9ded3fb96ef983ec029eecd80ca679bf33827",
+        "e240eead8116ddb9631168f9c851e710b3c61e5b4d7ab775403c30224491fbeb",
+        "4e0133404234d9d6d5662c86c3b59d89dd30b36ccd8f2bc103e7d2c129f88f35",
+        "eb7957976a2e0f7d145c4c27c43ee4b2e44ac55eeeacbbdcb4f2e8564a9964d8",
+        "058c678d676c0bf5408225a7c8497181ce911b0da5c42247570760c3cf5e7f63",
+        "d3b56838028e821acfc274c72e82dc1f58ba5c2162b8a361b619d9f3b40e43ee",
+        "1b1d7b477208d920ede2d0aa508693337263d5e27e5b119ed3698b947317c643",
+        "4f042a832865ec307cbf815b570abd83a92d3775da7f5eee11b48b44a7a898b0",
+        "fa875abc802fca24d77b5fc39d66b4ffa22cf4b625dffdcd60d88026de44010a",
+        "e1d2da42d76725a535089e6bc2976608edb478c2f5598982d0c9b40d46b1a9bf",
+        "c24e27cf651522196ab108935b26a4cdc429b40319bb2918578d457e56f8bb37",
+        "ae582e12b8abb8937c4a660e2bcef86867fe2cd77b5209bd5ef6180b9b693e95",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", BENCH_SEED_1)
+def test_bench_seed_1_digests(capsys, bench_cases, workload):
+    digests = []
+    for case in bench_cases.build(workload, 1):
+        code = cli.main(list(case.argv))
+        out, err = capsys.readouterr()
+        digests.append(hashlib.sha256(repr((code, out, err)).encode()).hexdigest())
+    assert tuple(digests) == BENCH_SEED_1[workload]

@@ -14,7 +14,8 @@ in ``oracles``, over any cells a row can hold, and the inequality grid
 against its set-based reference over any valid scan settings (with the
 geometric table grid against the loop the table first used), and the
 inequality checks' column reducer against the per-point scan it replaced
-over any margin columns.  Every grid point the pairing checks drop has
+over any margin columns, and the one-sum finiteness test of a column
+against the test of each item.  Every grid point the pairing checks drop has
 its mirror near a point they scan.  ``ellip_k``
 runs a K-only AGM loop beside the full one of ``specfun.ellip_kpt``; the
 two must give the same double at every x in [0, 1).  The factors' pass
@@ -40,7 +41,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from oracles import ellip_kept  # noqa: E402
 from ellipcert import cli, family, specfun  # noqa: E402
-from ellipcert.certify import DEFAULT_SCAN, ScanConfig  # noqa: E402
+from ellipcert.certify import DEFAULT_SCAN, ScanConfig, _all_finite  # noqa: E402
 from ellipcert.inequalities import (  # noqa: E402
     EQUALITY_TOL,
     GridColumns,
@@ -189,6 +190,8 @@ def tables(draw):
 @settings(SETTINGS, max_examples=300)
 @given(rows=tables())
 @example(rows=[])
+# a finite float column whose sum overflows, and one whose sum is NaN
+@example(rows=[{"x": 1e308, "v": math.inf}, {"x": 1e308, "v": -math.inf}])
 def test_render_matches_reference(fmt, rows):
     manifest = cli.RunManifest("table", {"fn": "K", "spacing": "uniform"},
                                cli.DEFAULT_SCAN, fmt)
@@ -400,6 +403,17 @@ def margin_columns(draw):
     return xs, columns, tight
 
 
+def _chunked(hits: dict[int, float], fill: float | None = None
+             ) -> tuple[list[float], dict[str, list[float]], list[str]]:
+    """300 points, past two chunks of _report's hit search, with one tight
+    clause of margins fill, or alternating +-1 without it, but for the
+    values of hits at their indices."""
+    col = [(-1.0) ** i if fill is None else fill for i in range(300)]
+    for i, m in hits.items():
+        col[i] = m
+    return [i / 300 for i in range(300)], {"lower": col}, ["lower"]
+
+
 def _outcome(fn, *args, **kwargs):
     """repr of the result, which tells -0.0 from 0.0, or the exception raised;
     a TypeError, a wrong call rather than an outcome, propagates."""
@@ -420,6 +434,21 @@ def _outcome(fn, *args, **kwargs):
                ["a", "b"]), x_p=0.9)
 @example(data=([0.1, 0.2], {"a": [0.0, math.nan]}, ["a"]), x_p=None)
 @example(data=([0.1, 0.2], {"a": [-math.inf, -math.inf]}, []), x_p=None)
+# finite margins whose sum overflows, and infinities whose sum is NaN
+@example(data=([0.1, 0.2], {"a": [1e308, 1e308]}, ["a"]), x_p=None)
+@example(data=([0.1, 0.2], {"a": [math.inf, -math.inf]}, ["a"]), x_p=None)
+# the hit search's chunks: +-1 straddling the tolerance with no hit, hits
+# at exactly +-EQUALITY_TOL beside values just outside it, a hit in the
+# short last chunk, and hits in adjacent chunks that cluster across their
+# boundary
+@example(data=_chunked({}), x_p=None)
+@example(data=_chunked({0: EQUALITY_TOL, 1: math.nextafter(EQUALITY_TOL, 1.0),
+                        130: -EQUALITY_TOL, 131: math.nextafter(-EQUALITY_TOL, -1.0)}),
+         x_p=None)
+@example(data=_chunked({299: -0.0}), x_p=None)
+@example(data=_chunked({5: -EQUALITY_TOL, 200: EQUALITY_TOL}, fill=1.0), x_p=None)
+@example(data=_chunked({5: EQUALITY_TOL, 299: -EQUALITY_TOL}, fill=-1.0), x_p=None)
+@example(data=_chunked({126: 1e-10, 127: -1e-10, 128: 0.0, 255: 1e-9, 256: -1e-9}), x_p=None)
 def test_report_matches_scan_reference(data, x_p):
     xs, columns, tight = data
     cols = list(columns.values())
@@ -430,3 +459,14 @@ def test_report_matches_scan_reference(data, x_p):
     assert (_outcome(_report, "check", 0.5, xs, columns, tight, x_p)
             == _outcome(oracles.inequality_scan_reference,
                         "check", 0.5, xs, list(columns), margins_at, tight, x_p))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(col=st.lists(st.one_of(st.floats(), st.sampled_from([1e308, -1e308, *NONFINITE]))))
+@example(col=[1e308, 1e308])  # finite, but the sum overflows
+@example(col=[math.inf, -math.inf])  # the sum is NaN
+@example(col=[math.nan])
+@example(col=[-0.0])
+@example(col=[])
+def test_all_finite_matches_item_test(col):
+    assert _all_finite(col) is all(map(math.isfinite, col))
