@@ -565,6 +565,18 @@ class TestColumnDigests:
         assert tuple(map(_digest, specfun.ellip_kpt(xs))) == kpt
         assert tuple(map(_digest, family._quadratic(xs))) == quadratic
 
+    # E and the Legendre residual, pinned while E was formed by a helper of
+    # its own beside ellip_e: on the default scan grid with its geometric
+    # tails, 0 and 1, and on a 1,000-point uniform grid
+    def test_e_column(self):
+        xs = [*inequality_grid(DEFAULT_SCAN), 0.0, 1.0]
+        assert _digest(list(map(ellip_e, xs))) == (
+            "6a13de577dad2314457d6bba0a20c457777cc3bda48b5ec36adbcff7e5ec3495")
+
+    def test_legendre_residual_column(self):
+        assert _digest(list(map(legendre_residual, ScanConfig(n=1000).grid()))) == (
+            "2019b964654740b07c90cf0d8abc8d3acc9e98a948d137a1060fc8d7bb06986c")
+
 
 class TestTextRoundTrip:
     def test_unit_arguments_round_trip(self):
