@@ -62,8 +62,8 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset",
 
     The scan covers ends = [lo + endpoint_offset, hi - endpoint_offset];
     grid puts n points on it in equal steps or, for spacing "geometric",
-    equal ratios, each point inside ends.  endpoint_offset is a normal
-    double, so that no step or ratio built from it overflows;
+    equal ratios, each point inside ends; n is an int.  endpoint_offset
+    is a normal double, so that no step or ratio built from it overflows;
     hi - endpoint_offset < 1.
     """
 
@@ -73,6 +73,8 @@ class ScanConfig(namedtuple("ScanConfig", "lo hi n endpoint_offset",
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.lo < self.hi <= 1.0:
             raise ValueError(f"need 0 <= lo < hi <= 1; got lo={self.lo}, hi={self.hi}")
+        if not isinstance(self.n, int):
+            raise ValueError(f"grid size n must be an integer; got n={self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid size must be at least 2; got n={self.n}")
         if not self.endpoint_offset >= 2.2250738585072014e-308:  # also NaN
@@ -147,12 +149,6 @@ def _all_finite(col: Sequence[float]) -> bool:
     return math.isfinite(sum(col)) or all(map(math.isfinite, col))
 
 
-def _require_finite(values) -> None:
-    """A NaN or infinite sample is never evidence: the scan is inconclusive."""
-    if not all(map(math.isfinite, values)):
-        raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
-
-
 def in_batches(fn: Callable[[list[float]], list[float]], xs: list[float]) -> list[float]:
     """fn's values over xs, from calls on at most _MAX_BATCH points each,
     joined by list +=, in C."""
@@ -207,8 +203,8 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
             margin = min(margin, low)
             return None
         for k, item in zip(ks, items):
-            if not math.isfinite(item):
-                _require_finite(vs[k - 1:k + 1] if pairs else (item,))
+            if not (math.isfinite(item) or pairs and _all_finite(vs[k - 1:k + 1])):
+                raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
             if sgn * item < -SIGN_TOLERANCE:
                 x = xs[k - 1] if pairs else xs[k]
                 return SignCertificate("mixed", x, item,

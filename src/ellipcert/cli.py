@@ -176,12 +176,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite; got {value!r}")
-    return value
-
-
 def _parse_number(text: str, what: str) -> float:
     """Plain float, or a rational like 7/32; finite, nonzero denominator.
 
@@ -195,7 +189,9 @@ def _parse_number(text: str, what: str) -> float:
             f"{what} must be a number or a ratio like 7/32; got {text!r}") from None
     if den == 0.0:
         raise DomainError(f"{what}: zero denominator in {text!r}")
-    return _finite(num / den, f"{what} {text!r}")
+    if not math.isfinite(value := num / den):
+        raise DomainError(f"{what} {text!r} must be finite; got {value!r}")
+    return value
 
 
 def _scan_from_args(args: argparse.Namespace) -> ScanConfig:
@@ -356,7 +352,7 @@ def _run_verify(cfg: ScanConfig, selector: str, a: float, p: float | None,
             p if p is not None else 0.5, cols))
     if selector in ("mean-chain", "all"):
         reports.append(inequalities.check_mean_chain_pairs(
-            p if p is not None else 0.5, n_pairs=1000, seed=seed, cfg=cfg))
+            p if p is not None else 0.5, seed=seed, cfg=cfg))
     if selector in ("k-envelope", "all"):
         for pk in (p,) if p is not None else (0.25, 0.1):
             reports.append(inequalities.check_k_envelope(pk, cols))

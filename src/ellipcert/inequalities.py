@@ -80,6 +80,7 @@ EQUALITY_TOL = 1e-9
 
 _GEOMETRIC_POINTS = 20
 _HIT_CHUNK = 128
+_MEAN_CHAIN_PAIRS = 1000  # random pairs of check_mean_chain_pairs
 
 
 class InequalityReport(namedtuple("InequalityReport",
@@ -352,6 +353,9 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
     wherever another clause does, and h is evaluated once at each of x,
     y and (x+y)/2, and at sqrt(xy) for geo_argument.  No point exceeds
     top; where (1 - top)^p underflows to 0, DomainError names p and top.
+    A margin is a difference of h values, so where no h value exceeds
+    VIOLATION_TOL no clause can fail: InconclusiveScanError names p and
+    the largest h.
     """
     if not family.in_region("thm3-logconcave", p):  # also NaN
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
@@ -363,9 +367,14 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
     if family.in_region("cor14-concave", p):
         columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
+    hs = [hx, hy, hm]
     if family.in_region("cor15-monotone", p):
-        hg = _h_column(p, [math.sqrt(x * y) for x, y in zip(xs, ys)])
+        hs.append(hg := _h_column(p, [math.sqrt(x * y) for x, y in zip(xs, ys)]))
         columns["geo_argument"] = [m - g for m, g in zip(hm, hg)]
+    if (largest := max(map(max, hs))) <= VIOLATION_TOL:
+        raise InconclusiveScanError(
+            f"mean-chain: every h(p, r) is at most {largest!r} for p={p!r}, "
+            f"within VIOLATION_TOL={VIOLATION_TOL!r} of 0: no clause can fail")
     return _report("mean-chain", p, xs, columns, tight=tuple(columns) if tight else ())
 
 
@@ -374,16 +383,17 @@ def check_mean_chain(p: float, x: float, y: float) -> InequalityReport:
     return _mean_chain(p, [x], [y], tight=True, top=max(x, y))
 
 
-def check_mean_chain_pairs(p: float, n_pairs: int = 1000, seed: int = 0,
+def check_mean_chain_pairs(p: float, seed: int = 0,
                            cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
-    """Mean-chain clauses over seeded random pairs in the scan interval.
+    """Mean-chain clauses over _MEAN_CHAIN_PAIRS (1,000) seeded random pairs
+    in the scan interval.
 
     Its underflow test is at the interval's upper end, so that whether it
     raises does not depend on the seed.
     """
     rng = random.Random(seed)
     lo, hi = cfg.ends
-    draws = [rng.uniform(lo, hi) for _ in range(2 * n_pairs)]
+    draws = [rng.uniform(lo, hi) for _ in range(2 * _MEAN_CHAIN_PAIRS)]
     return _mean_chain(p, draws[::2], draws[1::2], tight=False, top=hi)
 
 
@@ -405,7 +415,7 @@ def _turning_cap(p: float) -> tuple[float, float]:
     if family.l_factor(p, math.nextafter(1.0, 0.0)) > 0.0:
         return 1.0, closed
     x_p = find_x_p(p)
-    return x_p, max((1.0 - x_p) ** p * ellip_k(x_p), closed)
+    return x_p, max(family.h(p, x_p), closed)
 
 
 def check_k_envelope(p: float,

@@ -14,8 +14,8 @@ yields K and the ratios P = (K-E)/x and T2 = ((2-x)K-2E)/x^2 together,
 the ratios from a sum of positive terms with no series cut.  The sign
 factors read only K, P and T2, through ``ellip_kpt``, which runs the pass
 inline over a list of points and returns their columns, so a batch of a
-scan is one call; the pass skips the E sum, and ``_e_from`` forms E from
-it only for ``ellip_e`` and ``legendre_residual`` (one and two points).
+scan is one call; the pass skips the E sum, and ``ellip_e`` alone forms
+E from it, one point a call; ``legendre_residual`` reads ``ellip_e``.
 The inequality grids read the K column of ``ellip_k_column``, which runs
 the same recurrence inline over a list of points without the P and T2
 sums, and, with mirror=True where a bound pairs r with 1 - r, also reads
@@ -82,8 +82,8 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
 
     where b_2^2 + c_1^2/2 = a_1^2 - 2 c_2^2 replaces the one step of the E
     sum that cancels badly as x -> 1.  The sign factors read only K, P and
-    T2, so E is not formed here: ``_e_from`` forms it from K and tail for
-    ``ellip_e`` and ``legendre_residual``.  With q = q_n = c_n/a_{n+1}, the
+    T2, so E is not formed here: ``ellip_e`` forms it from K and tail, and
+    ``legendre_residual`` reads ``ellip_e``.  With q = q_n = c_n/a_{n+1}, the
     loop runs in two phases.  While q > 1/2 (a_n, b_n far apart), t_{n+1}
     is (a_n - b_n)/(2x), since the recurrence t_{n+1} = q t_n/4 alone would
     double its relative error each step.  Once q <= 1/2 it stays below 1/8,
@@ -130,16 +130,6 @@ def ellip_kpt(xs: Iterable[float]) -> tuple[list[float], list[float], list[float
         t2s.append(k * s)
         tails.append(tail)
     return ks, ps, t2s, tails
-
-
-def _e_from(x: float, k: float, tail: float) -> float:
-    """E from K and tail of ellip_kpt at x: its first step, same operations in
-    the same order, gives b_2^2 + c_1^2/2, so E keeps every bit."""
-    y = math.sqrt(1.0 - x)
-    t = 0.5 / (1.0 + y)
-    a, b = 0.5 * (1.0 + y), math.sqrt(y)
-    e = a * b + 0.5 * x * x * t * t
-    return k * (e - 0.5 * x * x * tail)
 
 
 def ellip_k_column(xs: Iterable[float], mirror: bool = False
@@ -222,14 +212,19 @@ def ellip_k(x: float) -> float:
 def ellip_e(x: float) -> float:
     """Complete integral of the second kind at parameter x, 0 <= x <= 1.
 
-    Strictly decreasing from pi/2 to 1.
+    Strictly decreasing from pi/2 to 1.  Formed from K and tail of
+    ``ellip_kpt``: its first step, same operations in the same order, gives
+    b_2^2 + c_1^2/2, so E keeps every bit.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"ellip_e requires 0 <= x <= 1; got {x!r}")
     if x == 1.0:
         return 1.0
-    ks, _ps, _t2s, tails = ellip_kpt([x])
-    return _e_from(x, ks[0], tails[0])
+    (k,), _ps, _t2s, (tail,) = ellip_kpt([x])
+    y = math.sqrt(1.0 - x)
+    t = 0.5 / (1.0 + y)
+    a, b = 0.5 * (1.0 + y), math.sqrt(y)
+    return k * (a * b + 0.5 * x * x * t * t - 0.5 * x * x * tail)
 
 
 _REL_TOL = 1e-17
@@ -312,6 +307,5 @@ def legendre_residual(x: float) -> float:
     if xc == 1.0:
         raise DomainError(f"legendre_residual needs 1 - x < 1 in floating point, "
                           f"since K(1) is infinite; got x={x!r}")
-    (kx, kc), _ps, _t2s, (tx, tc) = ellip_kpt([x, xc])
-    ex, ec = _e_from(x, kx, tx), _e_from(xc, kc, tc)
-    return ex * kc + ec * kx - kx * kc - 0.5 * PI
+    kx, kc = ellip_k(x), ellip_k(xc)
+    return ellip_e(x) * kc + ellip_e(xc) * kx - kx * kc - 0.5 * PI

@@ -11,12 +11,13 @@ package's public functions: an alternative route to a value that
 production code computes one way only (Euler's transformation of 2F1,
 the unfactored f'' quadratic, the derivatives of K and E, the multiplier
 of (1/f)'') and the asymptotic expansion of K at 1.  ``ellip_kept`` is
-(K, E, P, T2) from the kernel pass ``specfun.ellip_kpt`` and its E step
-``specfun._e_from``, and ``ke_ratio`` and ``ke_ratio2`` name its two
-ratios.  ``columns`` hands a function of one point to the scan engine,
-which calls its function on a list of points.  The ``*_reference``
-functions are earlier, simpler forms of production code that a faster
-form replaced; the tests require the same output from both.
+(K, E, P, T2) from the kernel pass ``specfun.ellip_kpt`` and from
+``specfun.ellip_e``, which forms E from that pass, and ``ke_ratio`` and
+``ke_ratio2`` name its two ratios.  ``columns`` hands a function of one
+point to the scan engine, which calls its function on a list of points.
+The ``*_reference`` functions are earlier, simpler forms of production
+code that a faster form replaced; the tests require the same output from
+both.
 
 ``agm_reference`` is the four-output AGM pass that built E beside K, P
 and T2 before the factors' pass dropped the E sum, and
@@ -53,7 +54,6 @@ from ellipcert.certify import (
     InconclusiveScanError,
     ScanConfig,
     SignCertificate,
-    _require_finite,
 )
 from ellipcert.family import P_CONVEX_HI, P_LOGCONCAVE, P_MONOTONE, u_aux, v_aux
 from ellipcert.inequalities import (
@@ -65,7 +65,7 @@ from ellipcert.inequalities import (
 )
 from ellipcert.specfun import (
     DomainError,
-    _e_from,
+    ellip_e,
     ellip_k,
     ellip_kpt,
     hyp2f1,
@@ -186,8 +186,8 @@ def ellip_kept(x: float) -> tuple[float, float, float, float]:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError(f"ellip_kept requires 0 <= x < 1; got {x!r}")
-    (k,), (p,), (t2,), (tail,) = ellip_kpt([x])
-    return k, _e_from(x, k, tail), p, t2
+    (k,), (p,), (t2,), _tails = ellip_kpt([x])
+    return k, ellip_e(x), p, t2
 
 
 def ke_ratio(x: float) -> float:
@@ -575,6 +575,12 @@ def columns(fn: Callable[[float], float]) -> Callable[[list[float]], list[float]
     """fn of one point as the scan engine calls it: on a list of points,
     returning the list of fn's values there, in order."""
     return lambda xs: list(map(fn, xs))
+
+
+def _require_finite(values) -> None:
+    """A NaN or infinite sample is never evidence: the scan is inconclusive."""
+    if not all(map(math.isfinite, values)):
+        raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
 
 
 def refine_scan_reference(fn: Callable[[float], float],

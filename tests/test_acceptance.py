@@ -414,7 +414,7 @@ class TestCriterion8:
             check_weighted_sum(P_CONVEX_HI, GRID),
             check_weighted_sum(0.5, GRID),
             check_product_pair(0.5, GRID),
-            check_mean_chain_pairs(0.5, n_pairs=1000, seed=0, cfg=GRID),
+            check_mean_chain_pairs(0.5, seed=0, cfg=GRID),
             check_k_envelope(0.25, GRID),
             check_k_envelope(0.1, GRID),
             check_gamma_constant_identities(),

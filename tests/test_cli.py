@@ -846,6 +846,14 @@ class TestOutputContracts:
         with pytest.raises(ValueError, match=f"^{key} must be one of .*; got '{value}'$"):
             cli.run_from_manifest(manifest)
 
+    @pytest.mark.parametrize("n", [2.5, "10"])
+    def test_replay_rejects_non_integer_grid_size(self, capsys, n):
+        _, out, _ = run(capsys, ["table", "K", "--format", "json", "--grid-n", "5"])
+        manifest = manifest_of(out, "json")
+        manifest["scan"]["n"] = n
+        with pytest.raises(ValueError, match=f"^grid size n must be an integer; got n={n!r}$"):
+            cli.run_from_manifest(manifest)
+
     def test_replay_checks_theorem_id(self, capsys):
         _, out, _ = run(capsys, ["certify", "thm1-convex", "1.5", "--format", "json", *FAST])
         manifest = manifest_of(out, "json")
@@ -913,6 +921,15 @@ class TestExitCodeContract:
         code, out, _ = run(capsys, ["verify", "mean-chain", "--p", "35"])
         assert code == cli.EXIT_OK
         assert out.count(" pass ") == 2
+
+    def test_mean_chain_with_every_h_below_tolerance_is_inconclusive(self, capsys):
+        # every h there is below 3e-281, so no margin can exceed
+        # VIOLATION_TOL and a pass would show nothing
+        code, out, err = run(capsys, ["verify", "mean-chain", "--p", "35", "--lo", "0.99999999"])
+        assert (code, out) == (cli.EXIT_INCONCLUSIVE, "")
+        assert err == ("inconclusive: mean-chain: every h(p, r) is at most "
+                       "2.6458274086353873e-281 for p=35.0, within VIOLATION_TOL=1e-12 "
+                       "of 0: no clause can fail\n")
 
     @pytest.mark.parametrize("error", [*EXPORTED_ERRORS, ValueError, OverflowError],
                              ids=lambda cls: cls.__name__)

@@ -162,13 +162,13 @@ class TestMeanChain:
         assert rep.equality_points == [0.3]
 
     def test_pairs_at_half(self):
-        rep = check_mean_chain_pairs(0.5, n_pairs=1000, seed=0, cfg=FAST)
+        rep = check_mean_chain_pairs(0.5, seed=0, cfg=FAST)
         assert rep.verdict == "pass"
         assert set(rep.clause_margins) == {"geometric", "midpoint", "geo_argument"}
         assert _margins_ok(rep)
 
     def test_geometric_clause_at_p03(self):
-        rep = check_mean_chain_pairs(0.3, n_pairs=500, seed=1, cfg=FAST)
+        rep = check_mean_chain_pairs(0.3, seed=1, cfg=FAST)
         assert rep.verdict == "pass"
         assert "geometric" in rep.clause_margins
 
@@ -192,16 +192,12 @@ class TestMeanChain:
             check_mean_chain(0.5, x, y)
         assert str(exc.value) == f"h must lie in the open interval (0, 1); got {bad!r}"
 
-    def test_no_pairs_is_inconclusive(self):
-        with pytest.raises(InconclusiveScanError):
-            check_mean_chain_pairs(0.5, n_pairs=0, cfg=FAST)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_underflowed_power_is_domain_error(self, seed):
         # (1 - r)^1e300 is 0.0 at every drawn point, which made every margin
         # exactly 0; the test is at the interval's upper end, for any seed
         with pytest.raises(DomainError) as exc:
-            check_mean_chain_pairs(1e300, n_pairs=10, seed=seed)
+            check_mean_chain_pairs(1e300, seed=seed)
         assert str(exc.value) == ("mean-chain: (1 - r)^p underflows to 0 at "
                                   f"r={DEFAULT_SCAN.ends[1]!r} for p=1e+300")
 
@@ -210,17 +206,23 @@ class TestMeanChain:
         with pytest.raises(DomainError, match=r"underflows to 0 at r=0\.4 for p=1e\+300"):
             check_mean_chain(1e300, 0.3, 0.4)
 
+    def test_every_h_below_tolerance_is_inconclusive(self):
+        # h(35, r) is below 1e-270 at both points and their means, so no
+        # margin can exceed VIOLATION_TOL
+        with pytest.raises(InconclusiveScanError, match=r"every h\(p, r\) is at most .* p=35"):
+            check_mean_chain(35.0, 0.99999999, 0.999999995)
+
     def test_large_power_short_of_underflow_runs(self):
         # (1 - r)^35 at the default upper end 1 - 1e-9 is about 1e-315, a
         # subnormal, not 0
-        rep = check_mean_chain_pairs(35.0, n_pairs=1000, seed=0)
+        rep = check_mean_chain_pairs(35.0, seed=0)
         assert rep.verdict == "pass"
         assert set(rep.clause_margins) == {"geometric", "geo_argument"}
         assert all(m < 0.0 for m in rep.clause_margins.values())
 
     def test_determinism(self):
-        a = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)
-        b = check_mean_chain_pairs(0.5, n_pairs=200, seed=5, cfg=FAST)
+        a = check_mean_chain_pairs(0.5, seed=5, cfg=FAST)
+        b = check_mean_chain_pairs(0.5, seed=5, cfg=FAST)
         assert a == b
 
 
@@ -763,7 +765,7 @@ class TestNonFiniteMargins:
     def test_one_nan_in_mean_chain(self, monkeypatch, nth):
         calls = _nan_at_nth_k(monkeypatch, nth)
         with pytest.raises(InconclusiveScanError):
-            check_mean_chain_pairs(0.5, n_pairs=10, cfg=FAST)
+            check_mean_chain_pairs(0.5, cfg=FAST)
         calls[0] = nth - 2
         with pytest.raises(InconclusiveScanError):
             check_mean_chain(0.5, 0.3, 0.4)
