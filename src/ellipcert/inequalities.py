@@ -383,7 +383,7 @@ def check_mean_chain(p: float, x: float, y: float) -> InequalityReport:
     return _mean_chain(p, [x], [y], tight=True, top=max(x, y))
 
 
-def check_mean_chain_pairs(p: float, seed: int = 0,
+def check_mean_chain_pairs(p: float, *, seed: int = 0,
                            cfg: ScanConfig = DEFAULT_SCAN) -> InequalityReport:
     """Mean-chain clauses over _MEAN_CHAIN_PAIRS (1,000) seeded random pairs
     in the scan interval.

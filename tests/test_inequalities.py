@@ -761,7 +761,8 @@ class TestNonFiniteMargins:
         with pytest.raises(InconclusiveScanError):
             check_sum_bounds(1e-320, FAST)
 
-    @pytest.mark.parametrize("nth", [2, 7, 30])
+    # the 1,000 pairs read hx, hy, hm and hg in that order, 1,000 values each
+    @pytest.mark.parametrize("nth", [2, 1007, 3000, 3500])
     def test_one_nan_in_mean_chain(self, monkeypatch, nth):
         calls = _nan_at_nth_k(monkeypatch, nth)
         with pytest.raises(InconclusiveScanError):
