@@ -21,6 +21,8 @@ once; every evaluation error names its point.
 Exit codes: 0 verified/pass, 1 counterexample found, 2 usage or domain
 error (an unwritable ``--out`` or a grid too large for memory too), 3 inconclusive.
 Start-up loads neither ``inequalities`` nor ``csv``: ``verify`` and csv output do.
+``main`` builds only the invoked command's subparser; the full parser, every
+command's, serves top-level help and usage errors.
 ``certify`` reads its theorem ids, factors and claimed signs from ``family.CLAIMS``.
 """
 
@@ -31,6 +33,7 @@ import functools
 import io
 import json
 import math
+import shutil
 import sys
 from collections import namedtuple
 
@@ -419,8 +422,12 @@ class _Parser(argparse.ArgumentParser):
     -.5 and -0.5 for one, not an option."""
 
     def __init__(self, *args, **kwargs):
+        self._width = shutil.get_terminal_size().columns - 2  # argparse's help width
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self.register("action", None, _Once)  # the default action
+
+    def _get_formatter(self):  # which add_argument calls: one terminal-size read per parser
+        return self.formatter_class(prog=self.prog, width=self._width)
 
     def _parse_optional(self, arg_string):
         try:
@@ -430,56 +437,59 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command of _COMMANDS, the
+    top-level parser with that command's subparser alone, as main builds it
+    for a command argv; the full parser serves top-level help and usage
+    errors.  Both print the same top-level usage line."""
     def read_by(option):  # the verify selectors that read option, for its help
         return ", ".join(s for s, options in _VERIFY_OPTIONS.items() if option in options)
+
+    def output(p):  # every command
+        p.add_argument("--format", choices=_FORMATS, default="text",
+                       help="output format (default %(default)s)")
+        p.add_argument("--out", default=None, help="write output to this path")
+    def grid(p):  # every command but eval
+        p.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
+                       help=f"grid size (default %(default)s; verify: {read_by('--grid-n')})")
+        p.add_argument("--lo", default=repr(DEFAULT_SCAN.lo), help="scan interval start")
+        p.add_argument("--hi", default=repr(DEFAULT_SCAN.hi), help="scan interval end")
+        p.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
+                       help="distance kept from the interval ends")
+    def zoo(p):  # eval and table: fn before their own
+        p.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
+        p.add_argument("--param", action="append", metavar="k=v",
+                       help="function parameter, e.g. a=1.47 or p=7/32")
+
+    def p_cert(p):
+        p.add_argument("theorem", help=f"one of: {', '.join(family.CLAIMS)}")
+        p.add_argument("value", help="parameter value (float or fraction like 7/32)")
+    def p_ver(p):
+        p.add_argument("selector", help=f"one of: {', '.join(_VERIFY_OPTIONS)}")
+        p.add_argument("--a", default="1.47", help=f"log-shift parameter of {read_by('--a')}")
+        p.add_argument("--p", default=None, help=f"power parameter of {read_by('--p')}")
+        p.add_argument("--seed", type=int, default=0, help="seed of the random pairs of "
+                       f"{read_by('--seed')} (default %(default)s)")
+
     parser = _Parser(
         prog="ellipcert",
         description="Elliptic-integral convexity toolkit: evaluation, "
                     "sharp constants, sign certification, inequality grids.")
-    output = _Parser(add_help=False)  # every command
-    output.add_argument("--format", choices=_FORMATS, default="text",
-                        help="output format (default %(default)s)")
-    output.add_argument("--out", default=None, help="write output to this path")
-    grid = _Parser(add_help=False)  # every command but eval
-    grid.add_argument("--grid-n", type=int, default=DEFAULT_SCAN.n,
-                      help=f"grid size (default %(default)s; verify: {read_by('--grid-n')})")
-    grid.add_argument("--lo", default=repr(DEFAULT_SCAN.lo), help="scan interval start")
-    grid.add_argument("--hi", default=repr(DEFAULT_SCAN.hi), help="scan interval end")
-    grid.add_argument("--offset", default=repr(DEFAULT_SCAN.endpoint_offset),
-                      help="distance kept from the interval ends")
-
-    zoo = _Parser(add_help=False)  # eval and table: fn before their own
-    zoo.add_argument("fn", help=f"one of: {', '.join(_EVAL_FNS)}")
-    zoo.add_argument("--param", action="append", metavar="k=v",
-                     help="function parameter, e.g. a=1.47 or p=7/32")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", parents=[output, zoo],
-                            help="evaluate a zoo function at given points")
-    p_eval.add_argument("x", nargs="+", help="evaluation points (float or fraction)")
-
-    sub.add_parser("constants", parents=[output, grid],
-                   help="print the sharp constants with provenance")
-
-    p_cert = sub.add_parser("certify", parents=[output, grid],
-                            help="sign-certify one convexity statement")
-    p_cert.add_argument("theorem", help=f"one of: {', '.join(family.CLAIMS)}")
-    p_cert.add_argument("value", help="parameter value (float or fraction like 7/32)")
-
-    p_ver = sub.add_parser("verify", parents=[output, grid],
-                           help="run inequality grid checks")
-    p_ver.add_argument("selector", help=f"one of: {', '.join(_VERIFY_OPTIONS)}")
-    p_ver.add_argument("--a", default="1.47", help=f"log-shift parameter of {read_by('--a')}")
-    p_ver.add_argument("--p", default=None, help=f"power parameter of {read_by('--p')}")
-    p_ver.add_argument("--seed", type=int, default=0, help="seed of the random pairs of "
-                       f"{read_by('--seed')} (default %(default)s)")
-
-    p_tab = sub.add_parser("table", parents=[output, grid, zoo],
-                           help="emit an x,value table for external plotting")
-    p_tab.add_argument("--spacing", choices=SPACINGS, default="uniform")
-
+    # a one-command build names every command in the usage line an unrecognized argument prints
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else f"{{{','.join(_COMMANDS)}}}")
+    for name, help, *adds in (
+            ("eval", "evaluate a zoo function at given points", output, zoo, lambda p:
+             p.add_argument("x", nargs="+", help="evaluation points (float or fraction)")),
+            ("constants", "print the sharp constants with provenance", output, grid),
+            ("certify", "sign-certify one convexity statement", output, grid, p_cert),
+            ("verify", "run inequality grid checks", output, grid, p_ver),
+            ("table", "emit an x,value table for external plotting", output, grid, zoo,
+             lambda p: p.add_argument("--spacing", choices=SPACINGS, default="uniform"))):
+        if command in (None, name):
+            subparser = sub.add_parser(name, help=help)
+            for add in adds:
+                add(subparser)
     return parser
 
 
@@ -496,7 +506,9 @@ def run_from_manifest(manifest: dict[str, object]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command argv needs its command's parser alone; any other, every command's
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         params = _COMMANDS[args.command][0](args)  # before the scan, for its error
         text, code = _run(RunManifest(args.command, params, _scan_from_args(args),

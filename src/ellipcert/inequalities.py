@@ -315,7 +315,8 @@ def check_product_pair(p: float,
 
     sum_lower (p >= 0):  2^(1+p) K(1/2) (r-r^2)^p <= r^p K(r) + (1-r)^p K(1-r)
     geo_upper (p >= 7/32): sqrt((r-r^2)^p K(r) K(1-r)) <= K(1/2) / 2^p
-    Equality at r = 1/2 for both.
+    Equality at r = 1/2 for both.  Where both sides of geo_upper are at most
+    VIOLATION_TOL (p above about 40.75), it cannot fail: InconclusiveScanError.
     """
     if p < 0.0:
         raise DomainError(f"product-pair bounds need p >= 0; got p={p!r}")
@@ -328,8 +329,12 @@ def check_product_pair(p: float,
     columns = {"sum_lower": [sum_scale * wr - (r ** p * kr + (1.0 - r) ** p * km)
                              for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
     if family.in_region("thm3-logconcave", p):
-        columns["geo_upper"] = [math.sqrt(wr * kr * km) - geo_bound
-                                for wr, kr, km in zip(w, k, k_mirror)]
+        lhs = [math.sqrt(wr * kr * km) for wr, kr, km in zip(w, k, k_mirror)]
+        if (larger := max(geo_bound, max(lhs))) <= VIOLATION_TOL:
+            raise InconclusiveScanError(
+                f"product-pair: geo_upper's sides are at most {larger!r} for p={p!r}, "
+                f"within VIOLATION_TOL={VIOLATION_TOL!r} of 0: it cannot fail")
+        columns["geo_upper"] = [s - geo_bound for s in lhs]
     return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 

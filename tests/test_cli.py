@@ -1,6 +1,7 @@
 """Command-line contract tests: subcommands, formats, exit codes,
 manifest embedding and byte reproducibility."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -79,6 +80,33 @@ VERIFY_PAIRS = [(selector, option) for selector in cli._VERIFY_OPTIONS
 # options that no command takes any more, with a value each once took
 REMOVED = {"--refine": "3"}
 
+# an argv of each command with an option it does not take: argparse's usage error
+UNTAKEN_ARGVS = [
+    *(BASE[command] + [option, VALUES[option][0]] for command in OPTIONS
+      for option in SETTING_OPTIONS if option not in OPTIONS[command]),
+    *(BASE[command] + [option, value] for command in OPTIONS
+      for option, value in REMOVED.items()),
+    # each of these once ran, exit 0, and recorded the ignored value
+    ["eval", "K", "0.5", "--grid-n", "7", "--lo", "0.3"],
+    ["table", "K", "--grid-n", "5", "--refine", "4"],
+    ["certify", "thm1-convex", "1.5", "--grid-n", "200", "--seed", "9"],
+    ["verify", "sum-bounds", "--refine", "0"],
+    ["constants", "--refine", "7", "--seed", "3"],
+]
+
+# an argv of each command with a prefix of an option it declares, as a name:
+# argparse's usage error
+PREFIX_ARGVS = [
+    *(BASE[command] + [prefix, OPTION_VALUES[option]]
+      for (command, prefix), option in PREFIXES.items()),
+    *(BASE[command] + [f"{prefix}={OPTION_VALUES[option]}"]
+      for (command, prefix), option in PREFIXES.items()),
+    # each of these once ran, exit 0: the first wrote x.txt
+    ["eval", "K", "0.5", "--o", "x.txt"],
+    ["verify", "sum-bounds", "--se", "3"],
+    ["table", "K", "--p=1"],
+]
+
 
 class TestOptionContract:
     """Each command takes only the run-setting options of OPTIONS; every
@@ -87,18 +115,7 @@ class TestOptionContract:
     only the options of cli._VERIFY_OPTIONS beside --format and --out; verify's
     parse step refuses any other, and the manifest keeps its default."""
 
-    @pytest.mark.parametrize("argv", [
-        *(BASE[command] + [option, VALUES[option][0]] for command in OPTIONS
-          for option in SETTING_OPTIONS if option not in OPTIONS[command]),
-        *(BASE[command] + [option, value] for command in OPTIONS
-          for option, value in REMOVED.items()),
-        # each of these once ran, exit 0, and recorded the ignored value
-        ["eval", "K", "0.5", "--grid-n", "7", "--lo", "0.3"],
-        ["table", "K", "--grid-n", "5", "--refine", "4"],
-        ["certify", "thm1-convex", "1.5", "--grid-n", "200", "--seed", "9"],
-        ["verify", "sum-bounds", "--refine", "0"],
-        ["constants", "--refine", "7", "--seed", "3"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", UNTAKEN_ARGVS, ids=" ".join)
     def test_option_the_command_does_not_take(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -248,16 +265,7 @@ class TestFullOptionNames:
         assert args == parser.parse_args(BASE[command] + [f"{option}={value}"])
         assert args != parser.parse_args(BASE[command])
 
-    @pytest.mark.parametrize("argv", [
-        *(BASE[command] + [prefix, OPTION_VALUES[option]]
-          for (command, prefix), option in PREFIXES.items()),
-        *(BASE[command] + [f"{prefix}={OPTION_VALUES[option]}"]
-          for (command, prefix), option in PREFIXES.items()),
-        # each of these once ran, exit 0: the first wrote x.txt
-        ["eval", "K", "0.5", "--o", "x.txt"],
-        ["verify", "sum-bounds", "--se", "3"],
-        ["table", "K", "--p=1"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", PREFIX_ARGVS, ids=" ".join)
     def test_prefix_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +320,108 @@ class TestRepeatedOption:
         assert manifest_of(out, "json")["parameters"] == {
             "fn": "2F1", "a": 0.5, "b": 0.5, "c": 1.0, "x": [0.5]}
 
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv); a usage error or help
+    exits through SystemExit, whose code it is."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneCommandParser:
+    """main builds the top-level parser with the invoked command's subparser
+    alone (build_parser(command)), and the full parser for any other argv; a
+    command argv reads and prints the same through either build."""
+
+    # argvs whose output comes from argparse: help, and usage errors of the
+    # top level and of each command
+    HELP_ARGVS = [[], ["-h"], ["--help"], ["bogus"], ["--format", "json"],
+                  *([command, "-h"] for command in BASE), *([command] for command in BASE),
+                  ["certify", "thm1-convex", "1.5", "--bogus"]]
+    # argvs of the exit-code tests: TestExitCodeContract and TestFloatRange
+    EXIT_CODE_ARGVS = [["verify", "mean-chain", "--p", "1e300"],
+                       ["verify", "mean-chain", "--p", "35", "--lo", "0.99999999"],
+                       ["verify", "weighted-sum", "--p", "2000"],
+                       ["verify", "product-pair", "--p", "2000"],
+                       ["verify", "k-envelope", "--p", "2000"],
+                       ["eval", "h", "--param", "p=-400", "0.999999"],
+                       ["table", "h", "--param", "p=-400", "--grid-n", "5"]]
+
+    @staticmethod
+    def actions(parser, command):
+        subparser = parser._subparsers._group_actions[0].choices[command]
+        return subparser.format_help(), [
+            (a.option_strings, a.dest, a.default, a.type, a.choices, a.nargs, a.help,
+             a.metavar, type(a)) for a in subparser._actions]
+
+    @pytest.mark.parametrize("command", BASE)
+    def test_subparser_declares_the_full_builds_actions(self, command):
+        one = cli.build_parser(command)
+        assert list(one._subparsers._group_actions[0].choices) == [command]
+        assert self.actions(one, command) == self.actions(cli.build_parser(), command)
+
+    def same_through_both_builds(self, capsys, monkeypatch, argvs):
+        one = [outcome(capsys, argv) for argv in argvs]
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert [outcome(capsys, argv) for argv in argvs] == one
+        return one
+
+    # terminal width -> argparse's top-level usage line, which it wraps to the width
+    USAGE = {"80": "usage: ellipcert [-h] {eval,constants,certify,verify,table} ...\n",
+             "40": "usage: ellipcert [-h]\n                 "
+                   "{eval,constants,certify,verify,table}\n                 ...\n"}
+
+    @pytest.mark.parametrize("columns", USAGE)
+    def test_help_and_usage_errors_print_the_same(self, capsys, monkeypatch, tmp_path,
+                                                   columns):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", columns)
+        argvs = [*self.HELP_ARGVS, *UNTAKEN_ARGVS, *PREFIX_ARGVS,
+                 *(argv for argv, _ in TestRepeatedOption.CASES), *self.EXIT_CODE_ARGVS]
+        got = dict(zip(map(tuple, argvs), self.same_through_both_builds(capsys, monkeypatch,
+                                                                        argvs)))
+        assert got["certify", "thm1-convex", "1.5", "--bogus"] == (
+            2, "", self.USAGE[columns] + "ellipcert: error: unrecognized arguments: --bogus\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_bench_argv_runs_the_same(self, capsys, monkeypatch, tmp_path, bench_cases):
+        # the run step's only input is its manifest, so a stub that prints the
+        # manifest stands for it; the golden and bench digests pin the outputs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_run", lambda m: (repr(m) + "\n", cli.EXIT_OK))
+        argvs = [case.argv for workload in ("certify", "verify", "table")
+                 for seed in range(1, 6) for case in bench_cases.build(workload, seed)]
+        self.same_through_both_builds(capsys, monkeypatch, argvs)
+
+    # argv -> the subparsers main builds for it
+    BUILT = [*((BASE[command], [command]) for command in BASE),
+             *((argv, list(cli._COMMANDS)) for argv in ([], ["-h"], ["bogus"]))]
+
+    @pytest.mark.parametrize("argv, built", BUILT,
+                             ids=[" ".join(argv) or "no-argument" for argv, _ in BUILT])
+    def test_parsers_built(self, capsys, monkeypatch, argv, built):
+        names, parsers = [], []
+        add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
+
+        def spy_add_parser(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        def spy_init(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+        monkeypatch.setattr(cli, "_run", lambda m: ("", cli.EXIT_OK))
+        outcome(capsys, argv)
+        assert names == built
+        assert len(parsers) == 1 + len(built)  # the top level's and the subparsers
 
 class TestEval:
     def test_k_half(self, capsys):
@@ -930,6 +1040,21 @@ class TestExitCodeContract:
         assert err == ("inconclusive: mean-chain: every h(p, r) is at most "
                        "2.6458274086353873e-281 for p=35.0, within VIOLATION_TOL=1e-12 "
                        "of 0: no clause can fail\n")
+
+    @pytest.mark.parametrize("p, message", [
+        ("45", "5.269597174052966e-14 for p=45.0"),
+        ("500", "5.6640801523317554e-151 for p=500.0"),
+    ], ids=["p45", "p500"])
+    @pytest.mark.parametrize("selector", ["product-pair", "all"])
+    def test_vacuous_geo_upper_is_inconclusive(self, capsys, selector, p, message):
+        # both sides of geo_upper lie within VIOLATION_TOL of 0, so a pass
+        # would show nothing; p=40 still passes (test_inequalities), and
+        # p=2000 overflows first (TestFloatRange); verify all runs
+        # product-pair before mean-chain, whose (1 - r)^p underflows there
+        code, out, err = run(capsys, ["verify", selector, "--p", p])
+        assert (code, out) == (cli.EXIT_INCONCLUSIVE, "")
+        assert err == (f"inconclusive: product-pair: geo_upper's sides are at most {message}, "
+                       "within VIOLATION_TOL=1e-12 of 0: it cannot fail\n")
 
     @pytest.mark.parametrize("error", [*EXPORTED_ERRORS, ValueError, OverflowError],
                              ids=lambda cls: cls.__name__)

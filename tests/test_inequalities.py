@@ -1,6 +1,7 @@
 """Inequality-grid tests: bounds, midpoint sharpness, negative controls."""
 
 import math
+import re
 
 import pytest
 
@@ -152,6 +153,27 @@ class TestProductPair:
     def test_negative_p_rejected(self):
         with pytest.raises(DomainError):
             check_product_pair(-0.1, FAST)
+
+    @pytest.mark.parametrize("p", [45.0, 500.0])
+    def test_vacuous_geo_upper_is_inconclusive(self, p):
+        # K(1/2)/2^p is the larger side, and it lies within VIOLATION_TOL of
+        # 0 from p = log2(K(1/2)/VIOLATION_TOL) ~ 40.75 on
+        bound = ellip_k(0.5) / 2.0 ** p
+        assert bound <= VIOLATION_TOL
+        with pytest.raises(InconclusiveScanError,
+                           match=rf"^product-pair: geo_upper's sides are at most "
+                                 rf"{re.escape(repr(bound))} for p={p!r}, within VIOLATION_TOL"):
+            check_product_pair(p, FAST)
+
+    def test_geo_upper_just_above_tolerance_passes(self):
+        assert ellip_k(0.5) / 2.0 ** 40 == pytest.approx(1.69e-12, rel=1e-3)
+        rep = check_product_pair(40.0, FAST)
+        assert rep.verdict == "pass"
+        assert set(rep.clause_margins) == {"sum_lower", "geo_upper"}
+
+    def test_overflow_comes_first(self):
+        with pytest.raises(OverflowError):
+            check_product_pair(2000.0, FAST)
 
 
 class TestMeanChain:
