@@ -12,9 +12,10 @@ always re-evaluates to its reported value.
 Sign and monotonicity scans share one engine, which stops at the end of
 the batch that holds the first violation; no sample past the witness is
 evidence.  A batch is read item by item only where its min or max shows
-a violation or a sample is not finite; a refine level reads a chunk of
-items item by item only where its least |item| could be flagged, and
-samples the new points of the intervals it flags together.
+an item beyond VIOLATION_TOL on the wrong side or a sample is not finite;
+a refine level reads a chunk of _CHUNK items item by item only where its
+least |item| could be flagged, and samples the new points of the
+intervals it flags together.  inequalities reads both constants here.
 ScanConfig.grid builds every grid on ScanConfig.ends; the records are
 named tuples, validated however built.
 """
@@ -29,9 +30,9 @@ from operator import sub
 from .family import COLUMN_FORMS, P_MONOTONE, l_factor, w_plus
 from .specfun import DomainError
 
-# Sign violations are only counted beyond this tolerance: floating point
-# cannot certify strictness at an equality point itself.
-SIGN_TOLERANCE = 1e-12
+# A scanned item or a verify clause's margin is a violation only beyond
+# this: floating point cannot certify strictness at an equality point itself.
+VIOLATION_TOL = 1e-12
 
 # Local refinement is capped so a function that is near zero everywhere
 # (e.g. the constant 0) cannot blow the scan up; the cap keeps the
@@ -42,7 +43,7 @@ _SUBDIVISIONS = 8
 # nine thresholds and +-10^-k (k = 1..12) from them, no refinement loses
 # 3 of the 225 verdicts and four levels change none.
 _REFINE_DEPTH = 2
-_CHUNK = 128  # items per chunk of a refine level's search for its flagged items
+_CHUNK = 128  # items per chunk that a C-level min or max lets a search skip
 # Grid batches double from _FIRST_BATCH points, so that a scan failing at
 # once costs few samples, up to _MAX_BATCH, which bounds a batch's lists.
 _FIRST_BATCH, _MAX_BATCH = 16, 1024
@@ -167,7 +168,7 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
     The checked items are the samples or, with pairs, the differences of
     consecutive samples.  The grid is sampled left to right in batches of
     _FIRST_BATCH points, doubling up to _MAX_BATCH, and the scan stops at
-    the first item on the wrong side of the claim beyond SIGN_TOLERANCE,
+    the first item on the wrong side of the claim beyond VIOLATION_TOL,
     with at most the rest of its batch sampled past it; the margin is the
     smallest |item| checked before it.  Each of the _REFINE_DEPTH levels
     flags the items with |item| <= 10 * margin (at most _MAX_FLAGGED,
@@ -199,13 +200,13 @@ def _refine_scan(fn: Callable[[list[float]], list[float]],
         nonlocal margin
         items = [vs[k] - vs[k - 1] for k in ks] if pairs else new
         worst, low = least(items)
-        if worst >= -SIGN_TOLERANCE and math.isfinite(sum(new)):  # no violation
+        if worst >= -VIOLATION_TOL and math.isfinite(sum(new)):  # no violation
             margin = min(margin, low)
             return None
         for k, item in zip(ks, items):
             if not (math.isfinite(item) or pairs and _all_finite(vs[k - 1:k + 1])):
                 raise InconclusiveScanError("non-finite sample; no verdict rests on NaN or inf")
-            if sgn * item < -SIGN_TOLERANCE:
+            if sgn * item < -VIOLATION_TOL:
                 x = xs[k - 1] if pairs else xs[k]
                 return SignCertificate("mixed", x, item,
                                        margin if margin < math.inf else abs(item),
@@ -268,7 +269,7 @@ def certify_sign(fn: Callable[[list[float]], list[float]],
 
     fn maps a list of points to the list of its values there, in order.
     Returns "mixed" with the first (leftmost) strict violation beyond
-    SIGN_TOLERANCE; otherwise refines _REFINE_DEPTH times around values
+    VIOLATION_TOL; otherwise refines _REFINE_DEPTH times around values
     with |value| <= 10 * min_abs_margin and returns the claimed verdict
     with the final margin.  Either verdict needs every sample up to it in
     grid order to be finite; otherwise InconclusiveScanError.

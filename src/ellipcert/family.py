@@ -51,11 +51,14 @@ P_CONVEX_HI = 3.0 * (2.0 + SQRT2) / 8.0
 P_CONCAVE_LO = 3.0 * (2.0 - SQRT2) / 8.0
 ALPHA_LEMMA = (8.0 / 97.0) * (11.0 - 2.0 * math.sqrt(6.0))
 
-# theorem id -> (parameter symbol, name of the factor here, claimed sign,
-# region): the factor has the claimed sign on all of (0, 1) iff the
-# parameter lies in the region, a tuple of closed (lo, hi) intervals, or
-# None for thm1-convex (a >= a_c).  The factor is named, and the CLI looks
-# up its column form in COLUMN_FORMS per command.
+# theorem id -> (parameter symbol, name of the factor's column form,
+# claimed sign, region): the factor has the claimed sign on all of (0, 1)
+# iff the parameter lies in the region, a tuple of closed (lo, hi)
+# intervals, or None for thm1-convex (a >= a_c).  certify looks the form
+# up in COLUMN_FORMS per command: a value beyond certify.VIOLATION_TOL on
+# the wrong side violates the claim, and refinement reads the values in
+# chunks of certify._CHUNK.  cor14 and cor15 scan the brackets J/x^2 and
+# L/x, which have the signs of J and L.
 CLAIMS = {
     "thm1-convex": ("a", "g_factor", "nonnegative", None),
     "thm1-concave": ("a", "g_factor", "nonpositive", ((4.0 / 3.0, 4.0 / 3.0),)),
@@ -63,9 +66,9 @@ CLAIMS = {
     "thm2-concave": ("a", "recip_f_second_sign", "nonpositive", ((A_RECIP_CONCAVE, math.inf),)),
     "thm3-logconcave": ("p", "log_h_second_factor", "nonnegative", ((P_LOGCONCAVE, math.inf),)),
     "thm3-logconvex": ("p", "log_h_second_factor", "nonpositive", ((-math.inf, 0.0),)),
-    "cor14-convex": ("p", "j_factor", "nonnegative", ((-math.inf, 0.0), (P_CONVEX_HI, math.inf))),
-    "cor14-concave": ("p", "j_factor", "nonpositive", ((P_CONCAVE_LO, 1.0),)),
-    "cor15-monotone": ("p", "l_factor", "nonpositive", ((P_MONOTONE, math.inf),)),
+    "cor14-convex": ("p", "j_over_x2", "nonnegative", ((-math.inf, 0.0), (P_CONVEX_HI, math.inf))),
+    "cor14-concave": ("p", "j_over_x2", "nonpositive", ((P_CONCAVE_LO, 1.0),)),
+    "cor15-monotone": ("p", "l_over_x", "nonpositive", ((P_MONOTONE, math.inf),)),
 }
 
 
@@ -139,16 +142,24 @@ def _p_plus_g(p: float, xs: list[float]) -> list[float]:
             for k, pr, t2 in zip(ks, prs, t2s)]
 
 
-def _j(p: float, xs: list[float]) -> list[float]:
+def _j_over_x2(p: float, xs: list[float]) -> list[float]:
     ks, prs, t2s, _tails = ellip_kpt(xs)
     ck, cp = 4.0 * p * p - 8.0 * p + 3.0, 4.0 * (p - 1.0)
-    return [x * x * (t2 + ck * k + cp * pr) for x, k, pr, t2 in zip(xs, ks, prs, t2s)]
+    return [t2 + ck * k + cp * pr for k, pr, t2 in zip(ks, prs, t2s)]
+
+
+def _j(p: float, xs: list[float]) -> list[float]:
+    return [x * x * b for x, b in zip(xs, _j_over_x2(p, xs))]
+
+
+def _l_over_x(p: float, xs: list[float]) -> list[float]:
+    ks, prs, _t2s, _tails = ellip_kpt(xs)
+    ck = 1.0 - 2.0 * p
+    return [ck * k - pr for k, pr in zip(ks, prs)]
 
 
 def _l(p: float, xs: list[float]) -> list[float]:
-    ks, prs, _t2s, _tails = ellip_kpt(xs)
-    ck = 1.0 - 2.0 * p
-    return [x * (ck * k - pr) for x, k, pr in zip(xs, ks, prs)]
+    return [x * b for x, b in zip(xs, _l_over_x(p, xs))]
 
 
 def u_aux(x: float) -> float:
@@ -253,11 +264,12 @@ def l_factor(p: float, x: float) -> float:
 # each function of x above with a column form -> that form: the same
 # parameters, then a list of points of (0, 1) in place of x, and no domain
 # check.  A grid reads these; the scalar names are one-point calls of them.
+# j_over_x2 = J/x^2 and l_over_x = L/x have no scalar name; they are O(1) at 0.
 COLUMN_FORMS = {
     "u_aux": lambda xs: _quadratic(xs)[0], "v_aux": lambda xs: _quadratic(xs)[1],
     "delta_aux": lambda xs: _quadratic(xs)[2], "w_plus": lambda xs: _quadratic(xs)[3],
     "w_minus": lambda xs: _quadratic(xs)[4], "g_factor": _g_factor,
     "phi": lambda xs: _phi_minus(0.0, xs), "recip_f_second_sign": _phi_minus,
     "g_aux": lambda xs: _p_plus_g(-0.0, xs), "log_h_second_factor": _p_plus_g,
-    "j_factor": _j, "l_factor": _l,
+    "j_factor": _j, "l_factor": _l, "j_over_x2": _j_over_x2, "l_over_x": _l_over_x,
 }

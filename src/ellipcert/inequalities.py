@@ -3,10 +3,10 @@
 Each check evaluates its clauses as signed margins (lhs - rhs for a
 claim lhs <= rhs) over a dense grid: uniform points, geometrically
 spaced points near both endpoints (where the binding cases live), and
-the exact midpoint 1/2 (where several bounds are tight).  Strictness is
-certified as "violation no worse than -1e-12 slack"; floating point
-cannot certify strictness at an equality point itself, so strict gaps
-are confirmed only away from the recorded equality points.
+the exact midpoint 1/2 (where several bounds are tight).  A margin is a
+violation only beyond certify.VIOLATION_TOL, the sign scans' slack too:
+floating point cannot certify strictness at an equality point itself, so
+strict gaps are confirmed only away from the recorded equality points.
 
 Each check builds one margin column per clause, a list index-aligned
 with its points, from columns of K: K(x) and, for the bounds that pair
@@ -55,7 +55,7 @@ from functools import cached_property
 from itertools import islice
 from operator import eq
 
-from . import family
+from . import certify, family
 from .certify import (
     DEFAULT_SCAN,
     InconclusiveScanError,
@@ -73,13 +73,11 @@ from .specfun import (
     require_unit_interval,
 )
 
-# A clause is violated only beyond this; |margin| <= EQUALITY_TOL marks
-# an equality point, and hits at neighbouring scanned points are one.
-VIOLATION_TOL = 1e-12
+# |margin| <= EQUALITY_TOL marks an equality point, and hits at
+# neighbouring scanned points are one.
 EQUALITY_TOL = 1e-9
 
 _GEOMETRIC_POINTS = 20
-_HIT_CHUNK = 128
 _MEAN_CHAIN_PAIRS = 1000  # random pairs of check_mean_chain_pairs
 
 
@@ -232,19 +230,20 @@ def _report(name: str,
     first violation in point order, ties going to clause order.  Equality
     hits cluster across neighbours in xs.  An empty column, or one that
     holds a NaN or an infinity, is no evidence: InconclusiveScanError.
-    A column's finiteness is the C-level test of certify._all_finite, one
-    sum.  The hits are searched in chunks of _HIT_CHUNK items: a chunk is
-    read item by item only where its C-level min and max leave room for a
-    hit, min <= EQUALITY_TOL and max >= -EQUALITY_TOL.
+    A column's finiteness is certify._all_finite's C-level test.  The hits
+    are searched in chunks of certify._CHUNK items, as the sign scans flag:
+    a chunk is read item by item only where its C-level min and max leave
+    room for a hit, min <= EQUALITY_TOL and max >= -EQUALITY_TOL.
     """
     if not all(col and _all_finite(col) for col in columns.values()):
         raise InconclusiveScanError(f"{name}: a clause margin is NaN or infinite")
+    tol, size = certify.VIOLATION_TOL, certify._CHUNK
     margins = {cl: max(col) for cl, col in columns.items()}
-    firsts = [(next(i for i, m in enumerate(col) if m > VIOLATION_TOL), j, cl)
-              for j, (cl, col) in enumerate(columns.items()) if margins[cl] > VIOLATION_TOL]
+    firsts = [(next(i for i, m in enumerate(col) if m > tol), j, cl)
+              for j, (cl, col) in enumerate(columns.items()) if margins[cl] > tol]
     hits = [(i, xs[i], col[i]) for cl, col in columns.items() if cl in tight
-            for c in range(0, len(col), _HIT_CHUNK)
-            if min(chunk := col[c:c + _HIT_CHUNK]) <= EQUALITY_TOL and max(chunk) >= -EQUALITY_TOL
+            for c in range(0, len(col), size)
+            if min(chunk := col[c:c + size]) <= EQUALITY_TOL and max(chunk) >= -EQUALITY_TOL
             for i in range(c, c + len(chunk)) if abs(col[i]) <= EQUALITY_TOL]
     i, _, clause = min(firsts, default=(None, None, None))
     return InequalityReport(
@@ -330,10 +329,10 @@ def check_product_pair(p: float,
                              for r, wr, kr, km in zip(xs, w, k, k_mirror)]}
     if family.in_region("thm3-logconcave", p):
         lhs = [math.sqrt(wr * kr * km) for wr, kr, km in zip(w, k, k_mirror)]
-        if (larger := max(geo_bound, max(lhs))) <= VIOLATION_TOL:
+        if (larger := max(geo_bound, max(lhs))) <= certify.VIOLATION_TOL:
             raise InconclusiveScanError(
                 f"product-pair: geo_upper's sides are at most {larger!r} for p={p!r}, "
-                f"within VIOLATION_TOL={VIOLATION_TOL!r} of 0: it cannot fail")
+                f"within VIOLATION_TOL={certify.VIOLATION_TOL!r} of 0: it cannot fail")
         columns["geo_upper"] = [s - geo_bound for s in lhs]
     return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
@@ -376,10 +375,10 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
     if family.in_region("cor15-monotone", p):
         hs.append(hg := _h_column(p, [math.sqrt(x * y) for x, y in zip(xs, ys)]))
         columns["geo_argument"] = [m - g for m, g in zip(hm, hg)]
-    if (largest := max(map(max, hs))) <= VIOLATION_TOL:
+    if (largest := max(map(max, hs))) <= certify.VIOLATION_TOL:
         raise InconclusiveScanError(
             f"mean-chain: every h(p, r) is at most {largest!r} for p={p!r}, "
-            f"within VIOLATION_TOL={VIOLATION_TOL!r} of 0: no clause can fail")
+            f"within VIOLATION_TOL={certify.VIOLATION_TOL!r} of 0: no clause can fail")
     return _report("mean-chain", p, xs, columns, tight=tuple(columns) if tight else ())
 
 

@@ -50,7 +50,7 @@ from scipy.integrate import IntegrationWarning, quad
 from ellipcert.certify import (
     _MAX_FLAGGED,
     _SUBDIVISIONS,
-    SIGN_TOLERANCE,
+    VIOLATION_TOL,
     InconclusiveScanError,
     ScanConfig,
     SignCertificate,
@@ -59,7 +59,6 @@ from ellipcert.family import P_CONVEX_HI, P_LOGCONCAVE, P_MONOTONE, u_aux, v_aux
 from ellipcert.inequalities import (
     _GEOMETRIC_POINTS,
     EQUALITY_TOL,
-    VIOLATION_TOL,
     InequalityReport,
     _cluster,
 )
@@ -323,8 +322,9 @@ def mp_kept(x: float, dps: int = 50) -> tuple[float, float, float, float]:
 
 
 def mp_factor(name: str, param: float, x: float, dps: int = 50) -> float:
-    """The family sign factor ``name`` at (param, x), evaluated at dps
-    digits on mp_kept's K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2.
+    """The sign factor ``name`` of family.CLAIMS at (param, x), evaluated
+    at dps digits on mp_kept's K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2:
+    cor14 and cor15 name the brackets j_over_x2 = J/x^2 and l_over_x = L/x.
 
     g_factor is the f'' quadratic u z^2 - v z + s in z = a - log(1-x)/2,
     not the product over its roots that the package forms; the others
@@ -344,10 +344,10 @@ def mp_factor(name: str, param: float, x: float, dps: int = 50) -> float:
             value = mpmath.log(1 - x) / 2 - 2 * k * p / (2 * p * p - k * k - k * t2) - c
         elif name == "log_h_second_factor":
             value = c + ((p * p + 2 * k * p - 2 * k * k) - k * t2) / (4 * k * k)
-        elif name == "j_factor":
-            value = x * x * (t2 + (4 * c * c - 8 * c + 3) * k + 4 * (c - 1) * p)
-        elif name == "l_factor":
-            value = x * ((1 - 2 * c) * k - p)
+        elif name == "j_over_x2":
+            value = t2 + (4 * c * c - 8 * c + 3) * k + 4 * (c - 1) * p
+        elif name == "l_over_x":
+            value = (1 - 2 * c) * k - p
         else:
             raise KeyError(name)
         return float(value)
@@ -596,7 +596,7 @@ def refine_scan_reference(fn: Callable[[float], float],
     The checked items are the samples fn(x) or, with pairs, the
     differences fn(x_k) - fn(x_{k-1}) of consecutive samples.  Points are
     sampled left to right and the scan stops at the first item on the
-    wrong side of the claim beyond SIGN_TOLERANCE; the margin is the
+    wrong side of the claim beyond VIOLATION_TOL; the margin is the
     smallest |item| checked before it.  Each of the depth levels flags
     the items with |item| <= 10 * margin (at most _MAX_FLAGGED, smallest
     first, then leftmost), splits the intervals next to them into
@@ -639,7 +639,7 @@ def refine_scan_reference(fn: Callable[[float], float],
             if v is None:
                 v = vs[k] = fn(xs[k])
             item = v - vs[k - 1] if pairs else v
-            if sgn * item < -SIGN_TOLERANCE:
+            if sgn * item < -VIOLATION_TOL:
                 _require_finite(u for u in vs if u is not None)
                 x = xs[k - 1] if pairs else xs[k]
                 return SignCertificate("mixed", x, item,

@@ -42,7 +42,7 @@ def _reached() -> set[str]:
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             reached |= _used_names(path)
-    # certify, eval and table look their functions up by name: getattr(family, name)
+    # certify looks its factors' column forms up by name, and eval and table their functions
     reached |= {factor for _, factor, _, _ in family.CLAIMS.values()}
     reached |= {attr for _, _, attr in cli._EVAL_FNS.values()}
     return reached

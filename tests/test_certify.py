@@ -286,14 +286,20 @@ def _small_at_the_end(x):
     return 1e-3 if x >= 0.995 else 1.0
 
 
+def _claim_factor(name, value):
+    """The factor of a CLAIMS entry at parameter value, as a function of
+    one point: its column form, which certify scans, on [x]."""
+    form = family.COLUMN_FORMS[name]
+    return lambda x: form(value, [x])[0]
+
+
 def _engine_cases():
     """(id, fn, claimed): every certify factor at its threshold and 1e-3
     to each side of it, and functions that stress the refine step."""
     for theorem, (_, name, claimed, _) in family.CLAIMS.items():
         for value in (_THRESHOLDS[theorem] - 1e-3, _THRESHOLDS[theorem],
                       _THRESHOLDS[theorem] + 1e-3):
-            yield (f"{theorem} {value!r}",
-                   functools.partial(getattr(family, name), value), claimed)
+            yield f"{theorem} {value!r}", _claim_factor(name, value), claimed
     yield "zero (flag cap)", lambda x: 0.0, "nonnegative"
     yield "-0.0 (margin 0.0)", lambda x: -0.0, "nonnegative"
     # about 400 zeros on the default grid: more than _MAX_FLAGGED, fewer than twice it
@@ -578,9 +584,7 @@ class TestClaimRegions:
         _, factor, claimed, _ = family.CLAIMS[theorem]
         assert family.in_region(theorem, end)
         assert not family.in_region(theorem, math.nan)
-        cert = certify_sign(oracles.columns(functools.partial(getattr(family, factor), end)),
-                            claimed,
-                            DEFAULT_SCAN)
+        cert = certify_sign(oracles.columns(_claim_factor(factor, end)), claimed, DEFAULT_SCAN)
         assert cert.verdict == claimed
 
 
@@ -689,14 +693,27 @@ THRESHOLDS = {
     "cor14-concave": (family.P_CONCAVE_LO, (-1,)),
     "cor15-monotone": (family.P_MONOTONE, (-1,)),
 }
+# cor14 and cor15 scan the brackets J/x^2 and L/x: 1e-6 below P_CONVEX_HI
+# and P_CONCAVE_LO, and 1e-7 below 1/4, the bracket is wrong-signed by
+# 6.66e-6 and 3.14e-7 near x = 0, where J and L themselves are below
+# VIOLATION_TOL; and values in the claimed regions keep their verdicts
+BRACKET_CASES = (
+    [("cor14-convex", 1.2803290858899106, True), ("cor14-concave", 0.21966891411008932, True),
+     ("cor15-monotone", 0.2499999, True)]
+    + [("cor14-convex", v, False) for v in (family.P_CONVEX_HI, family.P_CONVEX_HI + 1e-3,
+                                            1.5, 0.0, -0.5)]
+    + [("cor14-concave", v, False) for v in (family.P_CONCAVE_LO,
+                                             family.P_CONCAVE_LO + 1e-3, 0.5, 1.0)]
+    + [("cor15-monotone", v, False) for v in (0.25, 0.251, 0.3, 1.0)])
 # (argv, whether its verdict is "mixed"): every certify golden case that
-# exits 1, on its 500-point grid, and each theorem at its threshold
-# +/- 1e-3 and +/- 1e-2 on the default grid
+# exits 1, on its 500-point grid, each theorem at its threshold +/- 1e-3
+# and +/- 1e-2 on the default grid, and BRACKET_CASES
 WITNESS_CASES = (
     [(argv + GRID, True) for argv, code, _ in GOLDEN if argv[0] == "certify" and code == 1]
     + [(["certify", theorem, repr(value + sign * d)], sign in failing)
        for theorem, (value, failing) in THRESHOLDS.items()
-       for sign in (-1, 1) for d in (1e-2, 1e-3)])
+       for sign in (-1, 1) for d in (1e-2, 1e-3)]
+    + [(["certify", theorem, repr(value)], mixed) for theorem, value, mixed in BRACKET_CASES])
 
 
 class TestWitnessSigns:
@@ -719,3 +736,15 @@ class TestWitnessSigns:
         # the printed value to 1e-9 relative (measured: at most 3.2e-10,
         # g_factor just below a_c, where it is a difference of O(1) terms)
         assert abs(row["witness_value"] - value) <= 1e-9 * abs(value)
+
+    def test_bracket_just_below_p_convex_hi(self, capsys):
+        # 1e-9 below P_CONVEX_HI, J/x^2 dips to -6.46e-9 near x = 0: a
+        # difference of O(1) terms, printed within 3.4e-17 of its 50-digit
+        # value (measured), 5.3e-9 relative; J = x^2 J/x^2 is -6.5e-27 there
+        pytest.importorskip("mpmath")
+        p = family.P_CONVEX_HI - 1e-9
+        assert cli.main(["certify", "cor14-convex", repr(p), "--format", "json"]) == 1
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        value = oracles.mp_factor("j_over_x2", p, row["witness_x"])
+        assert row["verdict"] == "mixed" and value < -6e-9
+        assert abs(row["witness_value"] - value) <= 1e-16

@@ -9,6 +9,7 @@ import oracles
 from ellipcert import cli, family, inequalities, specfun
 from ellipcert.certify import (
     DEFAULT_SCAN,
+    VIOLATION_TOL,
     InconclusiveScanError,
     ScanConfig,
     certify_monotone,
@@ -16,7 +17,6 @@ from ellipcert.certify import (
 )
 from ellipcert.inequalities import (
     EQUALITY_TOL,
-    VIOLATION_TOL,
     GridColumns,
     check_gamma_constant_identities,
     check_k_envelope,

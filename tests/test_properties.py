@@ -41,11 +41,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from oracles import ellip_kept  # noqa: E402
 from ellipcert import cli, family, specfun  # noqa: E402
-from ellipcert.certify import DEFAULT_SCAN, ScanConfig, _all_finite  # noqa: E402
+from ellipcert.certify import DEFAULT_SCAN, VIOLATION_TOL, ScanConfig, _all_finite  # noqa: E402
 from ellipcert.inequalities import (  # noqa: E402
     EQUALITY_TOL,
     GridColumns,
-    VIOLATION_TOL,
     _report,
     inequality_grid,
 )
