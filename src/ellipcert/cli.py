@@ -357,7 +357,7 @@ def _run_verify(cfg: ScanConfig, selector: str, a: float, p: float | None,
         reports.append(inequalities.check_mean_chain_pairs(
             p if p is not None else 0.5, seed=seed, cfg=cfg))
     if selector in ("k-envelope", "all"):
-        for pk in (p,) if p is not None else (0.25, 0.1):
+        for pk in (p,) if p is not None else (family.P_MONOTONE, 0.1):
             reports.append(inequalities.check_k_envelope(pk, cols))
     if selector in ("gamma-constants", "all"):
         reports.append(inequalities.check_gamma_constant_identities())

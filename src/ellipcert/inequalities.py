@@ -41,7 +41,8 @@ are its mirror's, so an equality band around 1/2 is one point.
 Each clause applies on the region of the theorem it rests on, read from
 family.CLAIMS by family.in_region; weighted-sum's convex regime alone
 compares p with its threshold.  Reports are independent and
-deterministic; random-pair checks take an explicit seed.
+deterministic; random-pair checks take an explicit seed.  Mean-chain
+checks only the caller's points: the means it derives lie in [0, 1).
 """
 
 from __future__ import annotations
@@ -137,19 +138,13 @@ def _cluster(points: list[tuple[int, float, float]]) -> list[float]:
     indices among the scanned points collapses to its tightest member,
     and hits with a non-hit between them stay apart, however close.
     """
-    out: list[float] = []
-    best: tuple[float, float] | None = None
-    prev_i: int | None = None
-    for i, x, m in sorted(points):
-        if best is not None and i - prev_i > 1:
-            out.append(best[0])
-            best = None
-        if best is None or abs(m) < abs(best[1]):
-            best = (x, m)
-        prev_i = i
-    if best is not None:
-        out.append(best[0])
-    return out
+    runs: list[list[tuple[int, float, float]]] = []
+    for hit in sorted(points):
+        if runs and hit[0] - runs[-1][-1][0] <= 1:
+            runs[-1].append(hit)
+        else:
+            runs.append([hit])
+    return [min(run, key=lambda hit: abs(hit[2]))[1] for run in runs]
 
 
 def pair_runs(xs: Sequence[float]) -> tuple[int, int]:
@@ -260,6 +255,14 @@ def _report(name: str,
     )
 
 
+def _two_to(check: str, p: float, exponent: float, form: str) -> float:
+    """2.0 ** exponent; its OverflowError names check, the form and p."""
+    try:
+        return 2.0 ** exponent
+    except OverflowError as exc:
+        raise OverflowError(f"{check}: 2^{form} overflows for p={p!r}") from exc
+
+
 def check_sum_bounds(a: float,
                      grid: ScanConfig | GridColumns = DEFAULT_SCAN) -> InequalityReport:
     """4K(1/2)/(2a+log 2) <= f(a,r) + f(a,1-r) < 1 + pi/(2a) on (0,1).
@@ -297,7 +300,7 @@ def check_weighted_sum(p: float,
         raise DomainError(
             f"weighted-sum bounds are claimed only for p >= {family.P_CONVEX_HI!r} "
             f"or p in [{family.P_CONCAVE_LO!r}, 1]; got p={p!r}")
-    mid_bound = ellip_k(0.5) / 2.0 ** (p - 1.0)
+    mid_bound = ellip_k(0.5) / _two_to("weighted-sum", p, p - 1.0, "(p - 1)")
     below, above = (mid_bound, PI / 2) if convex else (PI / 2, mid_bound)
     cols = _columns(grid)
     # h(p, r) + h(p, 1 - r), at the exact mirror point
@@ -320,8 +323,9 @@ def check_product_pair(p: float,
     if p < 0.0:
         raise DomainError(f"product-pair bounds need p >= 0; got p={p!r}")
     k_half = ellip_k(0.5)
-    sum_scale = 2.0 ** (1.0 + p) * k_half
-    geo_bound = k_half / 2.0 ** p
+    # 2^p first: from p = 1024 both overflow, and from p = 1023 2^(1 + p) alone
+    geo_bound = k_half / _two_to("product-pair", p, p, "p")
+    sum_scale = _two_to("product-pair", p, 1.0 + p, "(1 + p)") * k_half
     cols = _columns(grid)
     xs, (k, k_mirror) = cols.pair_xs, cols.k_pair
     w = [(r - r * r) ** p for r in xs]
@@ -337,12 +341,14 @@ def check_product_pair(p: float,
     return _report("product-pair", p, xs, columns, tight=tuple(columns))
 
 
+def _require_no_underflow(name: str, p: float, top: float) -> None:
+    """DomainError where (1 - r)^p underflows to 0 at top, a scan's largest r."""
+    if (1.0 - top) ** p == 0.0:
+        raise DomainError(f"{name}: (1 - r)^p underflows to 0 at r={top!r} for p={p!r}")
+
+
 def _h_column(p: float, xs: list[float]) -> list[float]:
-    """family.h(p, x) over xs, from one K column, and its DomainError for
-    the first x outside (0, 1)."""
-    if not (all(map((0.0).__lt__, xs)) and all(map((1.0).__gt__, xs))):
-        for x in xs:
-            require_unit_interval(x, "h")
+    """family.h(p, x) over xs in [0, 1), from one K column, unchecked."""
     return [(1.0 - x) ** p * k for x, k in zip(xs, ellip_k_column(xs))]
 
 
@@ -355,18 +361,20 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
     geo_argument(p >= 1/4):           h((x+y)/2)     <= h(sqrt(xy))
     All are equalities iff x = y.  p_lo > 7/32, so geometric applies
     wherever another clause does, and h is evaluated once at each of x,
-    y and (x+y)/2, and at sqrt(xy) for geo_argument.  No point exceeds
-    top; where (1 - top)^p underflows to 0, DomainError names p and top.
-    A margin is a difference of h values, so where no h value exceeds
-    VIOLATION_TOL no clause can fail: InconclusiveScanError names p and
-    the largest h.
+    y and (x+y)/2, and at sqrt(xy) for geo_argument.  Only x and y are
+    checked against (0, 1): their means lie in [0, 1), sqrt(xy) is 0.0
+    where xy underflows, and h(p, 0) is pi/2, its limit.  No point
+    exceeds top, where (1 - r)^p must not underflow to 0.  A margin is a
+    difference of h values, so where no h value exceeds VIOLATION_TOL no
+    clause can fail: InconclusiveScanError names p and the largest h.
     """
     if not family.in_region("thm3-logconcave", p):  # also NaN
         raise DomainError(f"no mean-chain clause applies at p={p!r}")
+    if not (all(map((0.0).__lt__, pts := xs + ys)) and all(map((1.0).__gt__, pts))):
+        for x in pts:
+            require_unit_interval(x, "h")
+    _require_no_underflow("mean-chain", p, top)
     hx, hy = _h_column(p, xs), _h_column(p, ys)
-    # (1 - r)^p is smallest at top, and every point lies in (0, 1) by now
-    if (1.0 - top) ** p == 0.0:
-        raise DomainError(f"mean-chain: (1 - r)^p underflows to 0 at r={top!r} for p={p!r}")
     hm = _h_column(p, [0.5 * (x + y) for x, y in zip(xs, ys)])
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
     if family.in_region("cor14-concave", p):
@@ -443,10 +451,7 @@ def check_k_envelope(p: float,
     cols = _columns(grid)
     if family.in_region("cor15-monotone", p):
         xs, k = cols.xs, cols.k
-        # (1 - r)^p is smallest at the last grid point
-        if (1.0 - xs[-1]) ** p == 0.0:
-            raise DomainError(
-                f"k-envelope: (1 - r)^p underflows to 0 at r={xs[-1]!r} for p={p!r}")
+        _require_no_underflow("k-envelope", p, xs[-1])  # the largest grid point
         w = [(1.0 - r) ** p for r in xs]
         return _report("k-envelope", p, xs,
                        {"lower": [(PI / 2) * wr - kr for wr, kr in zip(w, k)],

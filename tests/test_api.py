@@ -2,11 +2,15 @@
 name of the library modules, is reached by production code or by the
 acceptance gate, and the annotations of the public callables
 and of every function ``ellipcert.cli`` defines resolve.  The package's
-``__version__`` is the one ``pyproject.toml`` declares.  Cross-checks
+``__version__`` is the one ``pyproject.toml`` declares.  The package is
+pure standard library: each of its imports names a module of
+``sys.stdlib_module_names`` or the package itself, and ``pyproject.toml``
+declares no runtime dependency.  Cross-checks
 that only tests use belong in tests/oracles.py, not in
 ``ellipcert.__all__``."""
 
 import ast
+import sys
 import typing
 from pathlib import Path
 
@@ -93,3 +97,29 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
         assert ellipcert.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level names of the modules a source file imports; a
+    relative import is the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(ellipcert.__name__ if node.level else node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_stdlib_or_the_package(path):
+    imported = _imported_modules(path)
+    assert imported  # each module imports something: the walk sees them
+    assert sorted(imported - sys.stdlib_module_names - {ellipcert.__name__}) == []
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project.get("dependencies", []) == []

@@ -667,6 +667,15 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "weighted-sum", "--p", "1e300"],
+         "weighted-sum: 2^(p - 1) overflows for p=1e+300"),
+        (["verify", "product-pair", "--p", "1e300"], "product-pair: 2^p overflows for p=1e+300"),
+        (["verify", "all", "--p", "2000"], "weighted-sum: 2^(p - 1) overflows for p=2000.0"),
+    ], ids=["weighted-sum", "product-pair", "all"])
+    def test_overflow_names_check_and_p(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: out of floating-point range: {message}\n")
+
     def test_overflowing_hyp2f1_parameters_are_usage_error(self, capsys):
         # a + b overflows: the series stops at its first non-finite partial
         # sum, not in the test of its term cap
@@ -1031,6 +1040,16 @@ class TestExitCodeContract:
         code, out, _ = run(capsys, ["verify", "mean-chain", "--p", "35"])
         assert code == cli.EXIT_OK
         assert out.count(" pass ") == 2
+
+    def test_mean_chain_with_underflowing_geometric_means_passes(self, capsys):
+        # every drawn point lies below 1e-300, so each x y underflows to 0 and
+        # each sqrt(x y) is 0.0; h is pi/2 at all of them and every margin 0
+        code, out, err = run(capsys, ["verify", "mean-chain", "--p", "0.5", "--hi", "1e-300",
+                                      "--offset", "2.2250738585072014e-308", "--format", "json"])
+        assert (code, err) == (cli.EXIT_OK, "")
+        rows = json.loads(out)["results"]
+        assert [(r["clause"], r["max_violation"]) for r in rows] == [
+            ("geometric", 0.0), ("midpoint", 0.0), ("geo_argument", 0.0)]
 
     def test_mean_chain_with_every_h_below_tolerance_is_inconclusive(self, capsys):
         # every h there is below 3e-281, so no margin can exceed

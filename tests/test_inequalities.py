@@ -126,6 +126,12 @@ class TestWeightedSum:
         with pytest.raises(DomainError):
             check_weighted_sum(1.1, FAST)
 
+    @pytest.mark.parametrize("p", [1025.0, 1e300])
+    def test_overflow_names_check_and_p(self, p):
+        message = f"weighted-sum: 2^(p - 1) overflows for p={p!r}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            check_weighted_sum(p, FAST)
+
 
 class TestProductPair:
     def test_item3_at_zero_exponent(self):
@@ -171,9 +177,12 @@ class TestProductPair:
         assert rep.verdict == "pass"
         assert set(rep.clause_margins) == {"sum_lower", "geo_upper"}
 
-    def test_overflow_comes_first(self):
-        with pytest.raises(OverflowError):
-            check_product_pair(2000.0, FAST)
+    @pytest.mark.parametrize("p, form", [(1023.5, "(1 + p)"), (1024.0, "p"), (2000.0, "p")])
+    def test_overflow_names_check_and_p(self, p, form):
+        # before any grid work, so its message is the check's alone
+        message = f"product-pair: 2^{form} overflows for p={p!r}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            check_product_pair(p, FAST)
 
 
 class TestMeanChain:
@@ -206,13 +215,21 @@ class TestMeanChain:
 
     @pytest.mark.parametrize("x, y, bad", [
         (0.0, 0.4, 0.0), (0.3, 1.0, 1.0), (math.nan, 0.4, math.nan),
-        (1e-200, 1e-200, 0.0),  # sqrt(xy) underflows to 0 for geo_argument
     ])
     def test_point_outside_unit_interval(self, x, y, bad):
         # family.h's DomainError, for the first point outside (0, 1)
         with pytest.raises(DomainError) as exc:
             check_mean_chain(0.5, x, y)
         assert str(exc.value) == f"h must lie in the open interval (0, 1); got {bad!r}"
+
+    @pytest.mark.parametrize("x, y", [(1e-200, 1e-200), (1e-200, 3e-200)])
+    def test_underflowed_geometric_mean_is_no_domain_error(self, x, y):
+        # sqrt(xy) underflows to 0.0, a point the caller never gave: h is
+        # pi/2 to the bit there, as at every point below 1e-16
+        assert inequalities._h_column(0.5, [0.0, x, y]) == [math.pi / 2] * 3
+        rep = check_mean_chain(0.5, x, y)
+        assert rep.clause_margins == dict.fromkeys(("geometric", "midpoint", "geo_argument"), 0.0)
+        assert (rep.verdict, rep.equality_points) == ("pass", [x])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_underflowed_power_is_domain_error(self, seed):
