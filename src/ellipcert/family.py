@@ -6,19 +6,20 @@ h(p, x) = (1-x)^p K(x), together with the auxiliary functions whose
 signs carry their second derivatives (g_factor, phi - a, p + G, J, L).
 
 Sign factors are evaluated through exact rearrangements in terms of
-K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain
-sign-trustworthy at both interval ends where the textbook expressions
-are 0/0-ill-conditioned.  All three come from one AGM pass without the
-E sum (specfun.ellip_kpt), which runs over a list of points, so there is
-no series branch.  Each formula is written once, as a column form: one
-pass over the kernel's columns for a list of points of (0, 1),
-with no domain check (the quadratic's coefficients and roots share one;
-phi and G are those factors at a = 0 and p = -0.0).  COLUMN_FORMS names
-them; certify scans, tables and find_a_c read them, one kernel pass per
-batch.  The scalar names are one-point calls of the same forms after
-one domain test, require_unit_interval.
-Raw numerical differentiation is never used here; finite differences
-exist only as oracles in the test suite.
+K, P = (K-E)/x and T2 = ((2-x)K-2E)/x^2, so they remain sign-trustworthy
+at both interval ends where the textbook expressions are
+0/0-ill-conditioned.  All three come from one AGM pass without the E sum
+(specfun.ellip_kpt), which runs over a list of points, so there is no
+series branch.  Each formula is written once, as a column form: one pass
+over the kernel's columns for a list of points of (0, 1), with no domain
+check (the quadratic's coefficients and roots share one; phi and G are
+those factors at a = 0 and p = -0.0; h's form _h takes [0, 1)).
+COLUMN_FORMS names all but _h; certify scans, tables and find_a_c read
+them, one kernel pass per batch.  The scalar names are one-point calls of
+the same forms after one domain test, require_unit_interval.  f alone has
+no form, as its denominator needs a test at each point.  Raw numerical
+differentiation is never used here; finite differences exist only as
+oracles in the test suite.
 
 Every function here is pure and takes x in the open interval (0, 1),
 where the paper states its results; the public ones raise DomainError at
@@ -34,7 +35,7 @@ from .specfun import (
     PI,
     LOG4,
     DomainError,
-    ellip_k,
+    ellip_k_column,
     ellip_kpt,
     require_unit_interval,
 )
@@ -91,7 +92,7 @@ def f(a: float, x: float) -> float:
     if den <= 0.0:
         raise DomainError(
             f"f denominator a - log(1-x)/2 = {den!r} is not positive at x={x!r}")
-    return ellip_k(x) / den
+    return ellip_k_column((x,))[0] / den
 
 
 def _quadratic(xs: list[float]) -> tuple[list[float], ...]:
@@ -162,6 +163,10 @@ def _l(p: float, xs: list[float]) -> list[float]:
     return [x * b for x, b in zip(xs, _l_over_x(p, xs))]
 
 
+def _h(p: float, xs: list[float]) -> list[float]:
+    return [(1.0 - x) ** p * k for x, k in zip(xs, ellip_k_column(xs))]
+
+
 def u_aux(x: float) -> float:
     """Leading quadratic coefficient; increasing from 9/16 toward 2/pi."""
     require_unit_interval(x, "u_aux")
@@ -222,7 +227,7 @@ def recip_f_second_sign(a: float, x: float) -> float:
 def h(p: float, x: float) -> float:
     """(1-x)^p K(x); tends to pi/2 at 0+ and, for p > 0, to 0 at 1-."""
     require_unit_interval(x, "h")
-    return (1.0 - x) ** p * ellip_k(x)
+    return _h(p, [x])[0]
 
 
 def g_aux(x: float) -> float:
@@ -265,6 +270,8 @@ def l_factor(p: float, x: float) -> float:
 # parameters, then a list of points of (0, 1) in place of x, and no domain
 # check.  A grid reads these; the scalar names are one-point calls of them.
 # j_over_x2 = J/x^2 and l_over_x = L/x have no scalar name; they are O(1) at 0.
+# h's form _h is left out, so that table h runs point by point and an overflow
+# names its point.  f has none: a form tests nothing, and f's denominator needs a test.
 COLUMN_FORMS = {
     "u_aux": lambda xs: _quadratic(xs)[0], "v_aux": lambda xs: _quadratic(xs)[1],
     "delta_aux": lambda xs: _quadratic(xs)[2], "w_plus": lambda xs: _quadratic(xs)[3],

@@ -40,9 +40,9 @@ are its mirror's, so an equality band around 1/2 is one point.
 
 Each clause applies on the region of the theorem it rests on, read from
 family.CLAIMS by family.in_region; weighted-sum's convex regime alone
-compares p with its threshold.  Reports are independent and
-deterministic; random-pair checks take an explicit seed.  Mean-chain
-checks only the caller's points: the means it derives lie in [0, 1).
+compares p with its threshold.  Reports are independent and deterministic;
+random-pair checks take an explicit seed.  Mean-chain reads h from
+family._h and checks only the caller's points: its means lie in [0, 1).
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def check_product_pair(p: float,
     Equality at r = 1/2 for both.  Where both sides of geo_upper are at most
     VIOLATION_TOL (p above about 40.75), it cannot fail: InconclusiveScanError.
     """
-    if p < 0.0:
+    if not p >= 0.0:
         raise DomainError(f"product-pair bounds need p >= 0; got p={p!r}")
     k_half = ellip_k(0.5)
     # 2^p first: from p = 1024 both overflow, and from p = 1023 2^(1 + p) alone
@@ -347,11 +347,6 @@ def _require_no_underflow(name: str, p: float, top: float) -> None:
         raise DomainError(f"{name}: (1 - r)^p underflows to 0 at r={top!r} for p={p!r}")
 
 
-def _h_column(p: float, xs: list[float]) -> list[float]:
-    """family.h(p, x) over xs in [0, 1), from one K column, unchecked."""
-    return [(1.0 - x) ** p * k for x, k in zip(xs, ellip_k_column(xs))]
-
-
 def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
                 top: float) -> InequalityReport:
     """The mean-chain clauses that apply at p, over the pairs (xs[i], ys[i]).
@@ -374,14 +369,14 @@ def _mean_chain(p: float, xs: list[float], ys: list[float], tight: bool,
         for x in pts:
             require_unit_interval(x, "h")
     _require_no_underflow("mean-chain", p, top)
-    hx, hy = _h_column(p, xs), _h_column(p, ys)
-    hm = _h_column(p, [0.5 * (x + y) for x, y in zip(xs, ys)])
+    hx, hy = family._h(p, xs), family._h(p, ys)
+    hm = family._h(p, [0.5 * (x + y) for x, y in zip(xs, ys)])
     columns = {"geometric": [math.sqrt(a * b) - m for a, b, m in zip(hx, hy, hm)]}
     if family.in_region("cor14-concave", p):
         columns["midpoint"] = [0.5 * (a + b) - m for a, b, m in zip(hx, hy, hm)]
     hs = [hx, hy, hm]
     if family.in_region("cor15-monotone", p):
-        hs.append(hg := _h_column(p, [math.sqrt(x * y) for x, y in zip(xs, ys)]))
+        hs.append(hg := family._h(p, [math.sqrt(x * y) for x, y in zip(xs, ys)]))
         columns["geo_argument"] = [m - g for m, g in zip(hm, hg)]
     if (largest := max(map(max, hs))) <= certify.VIOLATION_TOL:
         raise InconclusiveScanError(
@@ -449,26 +444,23 @@ def check_k_envelope(p: float,
     if not p > 0.0:
         raise DomainError(f"k-envelope needs p > 0; got p={p!r}")
     cols = _columns(grid)
+    x_p, cap = None, PI / 2
     if family.in_region("cor15-monotone", p):
-        xs, k = cols.xs, cols.k
-        _require_no_underflow("k-envelope", p, xs[-1])  # the largest grid point
-        w = [(1.0 - r) ** p for r in xs]
-        return _report("k-envelope", p, xs,
-                       {"lower": [(PI / 2) * wr - kr for wr, kr in zip(w, k)],
-                        "upper": [kr - (PI / 2) / wr for wr, kr in zip(w, k)]})
-    x_p, cap = _turning_cap(p)
-    if cols.cfg.hi > x_p:  # the scan ends at min(hi, x_p)
-        try:
-            cols = GridColumns(cols.cfg._replace(hi=x_p))
-        except ValueError as exc:
-            raise InconclusiveScanError(
-                f"k-envelope: for p={p!r} no scan point lies below x_p={x_p!r}") from exc
+        _require_no_underflow("k-envelope", p, cols.xs[-1])  # the largest grid point
+    else:
+        x_p, cap = _turning_cap(p)
+        if cols.cfg.hi > x_p:  # the scan ends at min(hi, x_p)
+            try:
+                cols = GridColumns(cols.cfg._replace(hi=x_p))
+            except ValueError as exc:
+                raise InconclusiveScanError(
+                    f"k-envelope: for p={p!r} no scan point lies below x_p={x_p!r}") from exc
     xs, k = cols.xs, cols.k
     w = [(1.0 - r) ** p for r in xs]
-    return _report("k-envelope", p, xs,
-                   {"lower": [(PI / 2) / wr - kr for wr, kr in zip(w, k)],
-                    "upper": [kr - cap / wr for wr, kr in zip(w, k)]},
-                   x_p=x_p)
+    lower = ([(PI / 2) * wr - kr for wr, kr in zip(w, k)] if x_p is None
+             else [(PI / 2) / wr - kr for wr, kr in zip(w, k)])
+    upper = [kr - cap / wr for wr, kr in zip(w, k)]
+    return _report("k-envelope", p, xs, {"lower": lower, "upper": upper}, x_p=x_p)
 
 
 _GAMMA_GRID = ScanConfig(n=1000, endpoint_offset=1e-6)

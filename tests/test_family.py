@@ -245,6 +245,14 @@ class TestPowerFamily:
         with pytest.raises(DomainError):
             h(0.5, 1.0)
 
+    @pytest.mark.parametrize("p", [-0.5, 0.25, 0.5, 3.0])
+    def test_column_form_is_the_scalar_to_the_bit(self, p):
+        # family._h is h over a list of points, with no domain test; it
+        # takes x = 0, where h is its limit pi/2 to the bit
+        xs = grid(1000)
+        assert list(map(float.hex, family._h(p, xs))) == [h(p, x).hex() for x in xs]
+        assert family._h(p, [0.0])[0].hex() == (PI / 2).hex()
+
     def test_g_aux_series_end(self):
         assert g_aux(1e-9) == pytest.approx(-7.0 / 32.0, abs=1e-7)
         slope = (g_aux(3e-4) - g_aux(2e-4)) / 1e-4
@@ -509,3 +517,25 @@ class TestHotPath:
         takes_param = oracles.FACTOR_REFERENCES[name][0]
         getattr(family, name)(*((0.3, 0.5) if takes_param else (0.5,)))
         assert counts == {"kernel": [1], "domain": 1}
+
+    @pytest.mark.parametrize("name, param", [("f", 1.47), ("h", 0.3)])
+    @pytest.mark.parametrize("x, columns", [(0.5, [1]), (0.0, []), (math.nan, [])])
+    def test_f_and_h_one_domain_test_one_k_column(self, monkeypatch, counts, name, param,
+                                                 x, columns):
+        # f and h read K from a one-point column of specfun.ellip_k_column,
+        # after their one domain test; ellip_k's own test is not run
+        seen, column = [], family.ellip_k_column
+
+        def counted_column(xs):
+            seen.append(len(xs))
+            return column(xs)
+
+        monkeypatch.setattr(family, "ellip_k_column", counted_column)
+        if columns:
+            getattr(family, name)(param, x)
+        else:
+            with pytest.raises(DomainError):
+                getattr(family, name)(param, x)
+        assert counts == {"kernel": [], "domain": 1}
+        assert seen == columns
+        assert "ellip_k" not in vars(family)

@@ -1,5 +1,7 @@
 """Inequality-grid tests: bounds, midpoint sharpness, negative controls."""
 
+import ast
+import inspect
 import math
 import re
 
@@ -226,10 +228,24 @@ class TestMeanChain:
     def test_underflowed_geometric_mean_is_no_domain_error(self, x, y):
         # sqrt(xy) underflows to 0.0, a point the caller never gave: h is
         # pi/2 to the bit there, as at every point below 1e-16
-        assert inequalities._h_column(0.5, [0.0, x, y]) == [math.pi / 2] * 3
+        assert family._h(0.5, [0.0, x, y]) == [math.pi / 2] * 3
         rep = check_mean_chain(0.5, x, y)
         assert rep.clause_margins == dict.fromkeys(("geometric", "midpoint", "geo_argument"), 0.0)
         assert (rep.verdict, rep.equality_points) == ("pass", [x])
+
+    def test_h_is_written_in_family_alone(self):
+        # mean-chain reads family._h: no comprehension here raises a point
+        # to the power p over a K column it takes from ellip_k_column itself
+        assert not hasattr(inequalities, "_h_column")
+        for node in ast.walk(ast.parse(inspect.getsource(inequalities))):
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                own_k = any(isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "ellip_k_column"
+                            for gen in node.generators for call in ast.walk(gen.iter))
+                power_p = any(isinstance(op, ast.BinOp) and isinstance(op.op, ast.Pow)
+                              and getattr(op.right, "id", None) == "p"
+                              for op in ast.walk(node.elt))
+                assert not (own_k and power_p), ast.unparse(node)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_underflowed_power_is_domain_error(self, seed):
@@ -572,8 +588,9 @@ PAIR_MAX_ULPS = 4
 
 def _count_kernel(monkeypatch):
     """Count ellip_k calls made through every module that reaches it, as
-    calls["k"], and the length of each pass of the checks' K column, as
-    calls["column"] for K alone and calls["columns"] with the mirror."""
+    calls["k"], and the length of each pass of the checks' K column, read
+    by inequalities and by family's h, as calls["column"] for K alone and
+    calls["columns"] with the mirror."""
     calls = {"k": 0, "column": [], "columns": []}
     real_k, real_column = specfun.ellip_k, specfun.ellip_k_column
 
@@ -585,9 +602,10 @@ def _count_kernel(monkeypatch):
         calls["columns" if mirror else "column"].append(len(xs))
         return real_column(xs, mirror)
 
-    for module in (inequalities, family, specfun):
+    for module in (inequalities, specfun):
         monkeypatch.setattr(module, "ellip_k", counted)
-    monkeypatch.setattr(inequalities, "ellip_k_column", counted_column)
+    for module in (inequalities, family):
+        monkeypatch.setattr(module, "ellip_k_column", counted_column)
     return calls
 
 
@@ -687,9 +705,10 @@ class TestSharedColumns:
         # the gamma grid (1/2 and the 500 points below it); one K column
         # each for h at x, y, (x+y)/2 and sqrt(xy) of the 1000 mean-chain
         # pairs, for the shared grid's other points (k-envelope at 1/4),
-        # for the grid up to x_p(0.1) and for K(sqrt(r - r^2)) at the gamma
-        # pair points; and ellip_k for K(1/2) or K(x_p) once per check
-        assert calls == {"k": 6, "column": [1000] * 4 + [n - n_pair, n_xp, 501],
+        # for family.h at x_p(0.1) (one point), for the grid up to x_p(0.1)
+        # and for K(sqrt(r - r^2)) at the gamma pair points; and ellip_k for
+        # K(1/2) once per check
+        assert calls == {"k": 5, "column": [1000] * 4 + [n - n_pair, 1, n_xp, 501],
                          "columns": [n_pair, 501]}
 
 
@@ -785,15 +804,39 @@ def _nan_at_nth_k(monkeypatch, nth):
         return ks
 
     monkeypatch.setattr(inequalities, "ellip_k", k)
-    monkeypatch.setattr(inequalities, "ellip_k_column", column)
+    for module in (inequalities, family):  # family's h reads the K column too
+        monkeypatch.setattr(module, "ellip_k_column", column)
     return calls
 
 
+# each check that takes a parameter, called with a NaN one
+NAN_PARAM_CHECKS = {
+    "sum-bounds": lambda: check_sum_bounds(math.nan, FAST),
+    "weighted-sum": lambda: check_weighted_sum(math.nan, FAST),
+    "product-pair": lambda: check_product_pair(math.nan, FAST),
+    "mean-chain": lambda: check_mean_chain(math.nan, 0.3, 0.4),
+    "mean-chain-pairs": lambda: check_mean_chain_pairs(math.nan, cfg=FAST),
+    "k-envelope": lambda: check_k_envelope(math.nan, FAST),
+}
+
+
 class TestNonFiniteMargins:
-    def test_nan_margins_are_inconclusive(self):
+    def test_nan_margins_are_inconclusive(self, monkeypatch):
         # every margin is NaN, and NaN never raises a maximum
+        real = inequalities.ellip_k_column
+        monkeypatch.setattr(inequalities, "ellip_k_column", lambda xs, mirror=False: (
+            ([math.nan] * len(xs), [math.nan] * len(xs)) if mirror else real(xs)))
         with pytest.raises(InconclusiveScanError):
-            check_product_pair(math.nan, FAST)
+            check_product_pair(0.5, FAST)
+
+    @pytest.mark.parametrize("name", sorted(NAN_PARAM_CHECKS))
+    def test_nan_parameter_is_domain_error(self, monkeypatch, name):
+        # a NaN parameter fails each check's domain test at once: no
+        # kernel call, no grid pass
+        calls = _count_kernel(monkeypatch)
+        with pytest.raises(DomainError):
+            NAN_PARAM_CHECKS[name]()
+        assert calls == {"k": 0, "column": [], "columns": []}
 
     def test_infinite_bound_is_inconclusive(self):
         # 1 + pi/(2a) overflows to inf
